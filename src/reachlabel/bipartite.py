@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitio import BitString, BitWriter, count_width, index_width, read_fixed
+from .graph import _iter_bits
 
 
 def ceil_div(p: int, q: int) -> int:
@@ -29,14 +30,15 @@ def ceil_div(p: int, q: int) -> int:
 class BipartiteInstance:
     """Bipartite graph plus the table budgets.
 
-    ``edges`` are pairs (u, v) with u in [0, a) and v in [a, a+b).
+    ``rows[u]`` is A node u's adjacency as a bitmask: bit j set means an edge
+    to B node a+j.
     """
 
     a: int
     b: int
     alpha: int
     beta: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         if min(self.a, self.b, self.alpha, self.beta) < 0:
@@ -47,9 +49,11 @@ class BipartiteInstance:
                     f"budget violated: {self.a}*{self.alpha} + {self.b}*{self.beta}"
                     f" <= {self.a}*{self.b}"
                 )
-        for u, v in self.edges:
-            if not (0 <= u < self.a and self.a <= v < self.a + self.b):
-                raise ValueError(f"edge ({u},{v}) not A->B for a={self.a}, b={self.b}")
+        if len(self.rows) != self.a:
+            raise ValueError(f"{len(self.rows)} rows for a={self.a} A nodes")
+        for u, row in enumerate(self.rows):
+            if row < 0 or row >> self.b:
+                raise ValueError(f"row {u} has bits outside B for b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -79,25 +83,26 @@ def index_pair(i_a: int, i_b: int, a: int, b: int) -> tuple[int, int]:
     return i, j
 
 
+def _window(mask: int, start: int, width: int, size: int) -> int:
+    """Bits start, start+1, ... (mod size) of a size-bit mask, as bits 0, 1, ..."""
+    r = start % size
+    return (mask >> r | mask << (size - r)) & (1 << min(width, size)) - 1
+
+
 def encode_bipartite(inst: BipartiteInstance) -> list[BipartiteLabel]:
     """Labels for all a+b nodes, A side first."""
     a, b, alpha, beta = inst.a, inst.b, inst.alpha, inst.beta
-    es = inst.edges
+    cols = [0] * b
+    for u, row in enumerate(inst.rows):
+        for j in _iter_bits(row):
+            cols[j] |= 1 << u
     labels = []
-    for u in range(a):
-        base = ceil_div(b * u, a)
-        t = 0
-        for i in range(min(alpha, b)):
-            if (u, a + (base + i) % b) in es:
-                t |= 1 << i
+    for u, row in enumerate(inst.rows):
+        t = _window(row, ceil_div(b * u, a), alpha, b) if b else 0
         labels.append(BipartiteLabel(u, a, b, alpha, beta, t, "A"))
-    for v in range(a, a + b):
-        base = ceil_div(a * (v - a), b)
-        t = 0
-        for j in range(min(beta, a)):
-            if ((base + j) % a, v) in es:
-                t |= 1 << j
-        labels.append(BipartiteLabel(v, a, b, alpha, beta, t, "B"))
+    for j, col in enumerate(cols):
+        t = _window(col, ceil_div(a * j, b), beta, a) if a else 0
+        labels.append(BipartiteLabel(a + j, a, b, alpha, beta, t, "B"))
     return labels
 
 
@@ -123,6 +128,8 @@ def probe_pair(la, lb) -> bool:
     both standalone and by the composite scheme's section views.
     """
     a, b, alpha, beta = la.a, la.b, la.alpha, la.beta
+    if a < 1 or b < 1:
+        raise ValueError(f"empty side in pair probe: a={a}, b={b}")
     i, j = index_pair(la.index, lb.index - a, a, b)
     if i < alpha:
         return bool(la.bit(i))

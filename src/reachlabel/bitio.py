@@ -116,15 +116,6 @@ class BitWriter:
         return BitString(bytes(self._out), total)
 
 
-def write_fixed(bits: BitString, width: int, value: int) -> BitString:
-    """Return ``bits`` extended by ``value`` in ``width`` bits."""
-    w = BitWriter()
-    if bits.length:
-        w.write(read_fixed(bits, 0, bits.length), bits.length)
-    w.write(value, width)
-    return w.finish()
-
-
 def read_fixed(bits: BitString, offset: int, width: int) -> int:
     """Read ``width`` bits starting at bit ``offset``."""
     if width < 0 or offset < 0:

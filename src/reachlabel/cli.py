@@ -16,7 +16,7 @@ import sys
 import time
 
 from .bitio import read_label_file, read_labels_at, write_label_file
-from .graph import Digraph
+from .graph import Digraph, _iter_bits
 from .oracle import KINDS, GenSpec, generate, report_lines, verify
 from .scheme import (
     PROFILES,
@@ -35,54 +35,61 @@ class GraphFormatError(ValueError):
 
 
 def read_graph_file(path: str) -> Digraph:
-    """Parse "n m" + edge lines; duplicates warn, malformed lines raise."""
+    """Parse "n m" + edge lines into bitmask rows; duplicates warn,
+    malformed lines raise."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [(no, line.strip()) for no, line in enumerate(fh, start=1)]
-    rows = [(no, line) for no, line in rows if line]
-    if not rows:
-        raise GraphFormatError("line 1: empty graph file, expected 'n m'")
-    no, head = rows[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {no}: expected 'n m', got {head!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError(f"line {no}: expected two integers, got {head!r}")
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"line {no}: n and m must be non-negative")
-    if len(rows) - 1 != m:
-        raise GraphFormatError(
-            f"line {no}: header promises {m} edges, file has {len(rows) - 1}"
-        )
-    edges = []
-    seen = set()
-    for no, line in rows[1:]:
-        parts = line.split()
+        lines = ((no, line.strip()) for no, line in enumerate(fh, start=1))
+        lines = ((no, line) for no, line in lines if line)
+        head_no, head = next(lines, (1, ""))
+        if not head:
+            raise GraphFormatError("line 1: empty graph file, expected 'n m'")
+        parts = head.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"line {no}: expected 'u v', got {line!r}")
+            raise GraphFormatError(f"line {head_no}: expected 'n m', got {head!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            n, m = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {no}: expected two integers, got {line!r}")
-        if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(
-                f"line {no}: edge ({u},{v}) out of range for n={n}"
+                f"line {head_no}: expected two integers, got {head!r}"
             )
-        if (u, v) in seen:
-            print(f"warning: line {no}: duplicate edge {u} {v} ignored", file=sys.stderr)
-            continue
-        seen.add((u, v))
-        edges.append((u, v))
-    return Digraph(n, edges)
+        if n < 0 or m < 0:
+            raise GraphFormatError(f"line {head_no}: n and m must be non-negative")
+        rows = [0] * n
+        count = 0
+        for no, line in lines:
+            count += 1
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {no}: expected 'u v', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {no}: expected two integers, got {line!r}"
+                )
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(
+                    f"line {no}: edge ({u},{v}) out of range for n={n}"
+                )
+            if rows[u] >> v & 1:
+                print(
+                    f"warning: line {no}: duplicate edge {u} {v} ignored",
+                    file=sys.stderr,
+                )
+                continue
+            rows[u] |= 1 << v
+    if count != m:
+        raise GraphFormatError(
+            f"line {head_no}: header promises {m} edges, file has {count}"
+        )
+    return Digraph(n, rows=rows)
 
 
 def write_graph_file(path: str, g: Digraph) -> None:
-    edges = sorted(g.edges)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n} {len(edges)}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{g.n} {g.edge_count()}\n")
+        for u, row in enumerate(g.rows):
+            fh.write("".join(f"{u} {v}\n" for v in _iter_bits(row)))
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -25,6 +25,11 @@ Every node also records its entry group and the iteration that retired it;
 together these pin down the single iteration able to answer a query pair,
 so decoding touches one near and one far section per label.
 
+Edge sets are bitmask rows throughout: each iteration record keeps its
+consumed near and far edges as node -> mask-of-targets rows, and both pair
+tables (near over the matched sides, far over the pair graph) are built as
+A-side rows over ranks on the B side.
+
 Section layout (offsets into the per-node blob are kept in a small table,
 so the lazy reader can jump straight to one section):
 
@@ -38,7 +43,7 @@ so the lazy reader can jump straight to one section):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bipartite import (
     BipartiteInstance,
@@ -74,9 +79,24 @@ def _mask_of(nodes) -> int:
     return m
 
 
+def _ranked(mask: int, rank: dict[int, int]) -> int:
+    """A node mask renumbered through ``rank`` (node -> bit position)."""
+    m = 0
+    for v in _iter_bits(mask):
+        m |= 1 << rank[v]
+    return m
+
+
 @dataclass(eq=False)
 class IterationRecord:
-    """Everything one peeling iteration decided, for encoding and audits."""
+    """Everything one peeling iteration decided, for encoding and audits.
+
+    ``near_rows`` and ``far_rows`` map a node to the mask of its out-edges
+    that this iteration consumed; together they are exactly the edges the
+    iteration removed from the live graph.
+    ``pair_rows[j]`` is pair j's row in the pair graph, bit r standing for
+    ``outside[r]``.
+    """
 
     s: int
     termination: str
@@ -98,13 +118,12 @@ class IterationRecord:
     outside: tuple[int, ...]
     outside_rank: dict[int, int]
     via_second: dict[int, int]
-    near_edges: frozenset[tuple[int, int]]
-    far_edges: frozenset[tuple[int, int]]
-    pair_graph_edges: frozenset[tuple[int, int]]
+    near_rows: dict[int, int]
+    far_rows: dict[int, int]
+    pair_rows: tuple[int, ...]
     rest_map: object
     near_inst: BipartiteInstance | None
     far_inst: BipartiteInstance | None
-    live_rows_before: tuple[int, ...] | None = field(repr=False, default=None)
 
 
 @dataclass(eq=False)
@@ -144,7 +163,6 @@ def peel_cross(
     slayer,
     cross_rows: list[int],
     profile="paper",
-    keep_rows: bool = False,
 ) -> PeelResult:
     """Strip the cross-group closure rows down to nothing, iteration by
     iteration, recording everything each iteration decided."""
@@ -166,7 +184,6 @@ def peel_cross(
         second = list(groups[s])
         upper = [u for grp in groups[s + 1 :] for u in grp]
         live = tuple(front) + tuple(second) + tuple(upper)
-        rows_before = tuple(live_rows) if keep_rows else None
         second_mask = _mask_of(second)
         upper_mask = _mask_of(upper)
 
@@ -231,59 +248,44 @@ def peel_cross(
             for v in _iter_bits(m):
                 via_second[v] |= 1 << i
 
-        fm_mask = _mask_of(front_match)
         sm_mask = _mask_of(second_match)
-        fr_mask = _mask_of(front_rest)
         sr_mask = _mask_of(second_rest)
 
-        near_edges = set(dec.rest_edges)
-        for u in front_match:
-            for v in _iter_bits(live_rows[u] & sm_mask):
-                near_edges.add((u, v))
-        far_edges = set()
-        for u in front_match:
-            for v in _iter_bits(live_rows[u] & (sr_mask | upper_mask)):
-                far_edges.add((u, v))
-        for u in second_match:
-            for v in _iter_bits(live_rows[u] & upper_mask):
-                far_edges.add((u, v))
-        for u in front_rest:
-            for v in _iter_bits(live_rows[u] & sm_mask):
-                far_edges.add((u, v))
+        # Consumed edges as rows u -> mask of v. Near: matched-to-matched and
+        # rest-to-rest front/second edges (the latter are the decomposition's
+        # rest edges). Far: every other edge leaving a matched node, plus the
+        # front rest nodes' edges into the matched second side.
+        near_rows = {
+            u: live_rows[u] & (sm_mask if u in pair_of else sr_mask) for u in front
+        }
+        far_rows = {
+            u: live_rows[u] & (sr_mask | upper_mask if u in pair_of else sm_mask)
+            for u in front
+        }
+        far_rows.update((v, live_rows[v] & upper_mask) for v in second_match)
 
-        # Pair graph: left node j is the j-th matched pair, right nodes are
-        # the outside nodes; bit for (j, v) answers the one far edge case
-        # that applies to v's class (and, for upper v, to the flag).
-        pair_graph = set()
+        # Pair graph: row j is the j-th matched pair, bit r the r-th outside
+        # node; the bit answers the one far edge case that applies to that
+        # node's class (and, for upper nodes, to the flag).
+        pair_rows = []
         for j, (aj, bj) in enumerate(pairs):
-            i = pair_bic[j]
+            fluff = upper_hit_mask[pair_bic[j]]
             row_a = live_rows[aj]
-            row_b = live_rows[bj]
-            for v in _iter_bits(row_a & sr_mask):
-                pair_graph.add((j, n_pairs + outside_rank[v]))
-            fluff = upper_hit_mask[i]
-            for v in _iter_bits(row_b & fluff):
-                pair_graph.add((j, n_pairs + outside_rank[v]))
-            for v in _iter_bits(row_a & upper_mask & ~fluff):
-                pair_graph.add((j, n_pairs + outside_rank[v]))
+            hits = row_a & sr_mask | live_rows[bj] & fluff | row_a & upper_mask & ~fluff
+            pair_rows.append(_ranked(hits, outside_rank))
         for u in front_rest:
+            bit = 1 << outside_rank[u]
             for bj in _iter_bits(live_rows[u] & sm_mask):
-                pair_graph.add((pair_of[bj], n_pairs + outside_rank[u]))
-        pair_graph = frozenset(pair_graph)
+                pair_rows[pair_of[bj]] |= bit
 
         rest_map = build_n_rest(dec)
 
         near_inst = None
         if n_bic:
-            fm_rank = {u: r for r, u in enumerate(front_match)}
             sm_rank = {v: r for r, v in enumerate(second_match)}
-            matched_edges = frozenset(
-                (fm_rank[u], n_pairs + sm_rank[v])
-                for (u, v) in near_edges
-                if u in fm_rank
-            )
+            rows = tuple(_ranked(near_rows[u], sm_rank) for u in front_match)
             half = (n_pairs + 1) // 2 + 1
-            near_inst = BipartiteInstance(n_pairs, n_pairs, half, half, matched_edges)
+            near_inst = BipartiteInstance(n_pairs, n_pairs, half, half, rows)
 
         records.append(
             IterationRecord(
@@ -307,17 +309,18 @@ def peel_cross(
                 outside=outside,
                 outside_rank=outside_rank,
                 via_second=via_second,
-                near_edges=frozenset(near_edges),
-                far_edges=frozenset(far_edges),
-                pair_graph_edges=pair_graph,
+                near_rows=near_rows,
+                far_rows=far_rows,
+                pair_rows=tuple(pair_rows),
                 rest_map=rest_map,
                 near_inst=near_inst,
                 far_inst=None,
-                live_rows_before=rows_before,
             )
         )
 
-        consumed = len(near_edges) + len(far_edges)
+        consumed = sum(m.bit_count() for m in near_rows.values()) + sum(
+            m.bit_count() for m in far_rows.values()
+        )
         before = sum(r.bit_count() for r in live_rows)
         for u in front_match:
             removed_iter[u] = s
@@ -363,9 +366,7 @@ def _far_instance(rec: IterationRecord, variant: str) -> BipartiteInstance | Non
     else:
         a_bits = 0
         b_bits = n_pairs + 1
-    return BipartiteInstance(
-        n_pairs, len(rec.outside), a_bits, b_bits, rec.pair_graph_edges
-    )
+    return BipartiteInstance(n_pairs, len(rec.outside), a_bits, b_bits, rec.pair_rows)
 
 
 def build_cross_labeling(
@@ -374,7 +375,6 @@ def build_cross_labeling(
     cross_rows: list[int],
     profile="paper",
     variant: str = "third",
-    keep_rows: bool = False,
     peel: PeelResult | None = None,
 ) -> CrossLabeling:
     """Peel the cross-group rows and encode all per-node sections.
@@ -385,7 +385,7 @@ def build_cross_labeling(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if peel is None:
-        peel = peel_cross(layered, slayer, cross_rows, profile, keep_rows=keep_rows)
+        peel = peel_cross(layered, slayer, cross_rows, profile)
     n, k, pos = peel.n, peel.k, peel.pos
     records = tuple(
         replace(rec, far_inst=_far_instance(rec, variant)) for rec in peel.records

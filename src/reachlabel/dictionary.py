@@ -158,17 +158,6 @@ def probe_serialized(read, offset: int, universe_bound: int, x: int) -> bool:
     return False
 
 
-def serialized_bit_length(read, offset: int, universe_bound: int) -> int:
-    """Length in bits of the serialized set starting at ``offset``."""
-    cw = count_width(universe_bound)
-    kw = index_width(universe_bound)
-    m = read(offset, cw)
-    mode = read(offset + cw, 1)
-    if mode == 0:
-        return cw + 1 + m * (8 + 1 + kw)
-    return cw + 1 + m * kw
-
-
 def build_set(keys, universe_bound: int) -> StaticSet:
     ks = sorted(set(keys))
     for k in ks:

@@ -9,7 +9,7 @@ asked to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _iter_bits(mask: int):
@@ -237,7 +237,6 @@ class LayeredDag:
     topo: tuple[int, ...]       # node -> topological index
     inv_topo: tuple[int, ...]   # topological index -> node
     layer_of: tuple[int, ...]   # node -> 0-based layer index
-    height: tuple[int, ...] = field(repr=False, default=())
 
 
 def longest_path_layers(d: Dag) -> LayeredDag:
@@ -271,7 +270,6 @@ def longest_path_layers(d: Dag) -> LayeredDag:
         topo=tuple(topo),
         inv_topo=tuple(inv),
         layer_of=tuple(depth),
-        height=tuple(depth),
     )
 
 

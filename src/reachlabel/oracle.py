@@ -291,7 +291,6 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
         if ni is not None:
             fm, sm = rec.front_match, rec.second_match
             a_n, b_n, al_n, be_n = ni.a, ni.b, ni.alpha, ni.beta
-            es = ni.edges
             for r_a, u in enumerate(fm):
                 toff = sec_starts[u][idx_near] + CLASS_BITS + emb_head
                 base = ceil_div(b_n * r_a, a_n)
@@ -300,7 +299,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                     v = sm[ib]
                     if scc_id[v] == scc_id[u]:
                         continue
-                    emit(u, toff + i, 1 if (r_a, a_n + ib) in es else 0)
+                    emit(u, toff + i, ni.rows[r_a] >> ib & 1)
             for r_b, v in enumerate(sm):
                 toff = sec_starts[v][idx_near] + CLASS_BITS + emb_head
                 base = ceil_div(a_n * r_b, b_n)
@@ -311,12 +310,11 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                         continue  # the A-side window answers this pair
                     if scc_id[fm[ia]] == scc_id[v]:
                         continue
-                    emit(v, toff + j, 1 if (ia, a_n + r_b) in es else 0)
+                    emit(v, toff + j, ni.rows[ia] >> r_b & 1)
         if fi is not None:
             outside = rec.outside
             pairs = rec.pairs
             a_f, b_f, al_f, be_f = fi.a, fi.b, fi.alpha, fi.beta
-            es = fi.edges
             for j_p, (a_j, b_j) in enumerate(pairs):
                 base = ceil_div(b_f * j_p, a_f)
                 bic = rec.pair_bic[j_p]
@@ -340,7 +338,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                                 cv == CLS_UPPER and flagged
                             )
                         if live:
-                            emit(holder, toff + i, 1 if (j_p, a_f + ib) in es else 0)
+                            emit(holder, toff + i, fi.rows[j_p] >> ib & 1)
             n_bic = len(rec.bicliques)
             for r_o, v in enumerate(outside):
                 cv = rec.cls[v]
@@ -364,7 +362,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                         continue
                     if scc_id[partner] == scc_id[v]:
                         continue
-                    emit(v, toff + j, 1 if (ia, a_f + r_o) in es else 0)
+                    emit(v, toff + j, fi.rows[ia] >> r_o & 1)
                 if cv == CLS_UPPER:
                     floff = toff + be_f
                     for bi in range(n_bic):

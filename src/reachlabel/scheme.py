@@ -126,40 +126,26 @@ class Pipeline:
             self._warm = encode_warmup(self.layered)
         return self._warm
 
-    def peel(self, profile: str, keep_rows: bool = False) -> PeelResult:
+    def peel(self, profile: str) -> PeelResult:
         name = get_profile(profile).name
-        cached = self._peels.get(name)
-        if cached is None or (
-            keep_rows and cached.records and cached.records[0].live_rows_before is None
-        ):
-            cached = peel_cross(
-                self.layered,
-                self.slayer,
-                self.cross_rows,
-                profile=profile,
-                keep_rows=keep_rows,
+        if name not in self._peels:
+            self._peels[name] = peel_cross(
+                self.layered, self.slayer, self.cross_rows, profile=profile
             )
-            self._peels[name] = cached
-        return cached
+        return self._peels[name]
 
-    def cross_labeling(
-        self, profile: str, variant: str, keep_rows: bool = False
-    ) -> CrossLabeling:
+    def cross_labeling(self, profile: str, variant: str) -> CrossLabeling:
         key = (get_profile(profile).name, variant)
-        cached = self._cross.get(key)
-        if cached is None or (
-            keep_rows and cached.records and cached.records[0].live_rows_before is None
-        ):
-            cached = build_cross_labeling(
+        if key not in self._cross:
+            self._cross[key] = build_cross_labeling(
                 self.layered,
                 self.slayer,
                 self.cross_rows,
                 profile=profile,
                 variant=variant,
-                peel=self.peel(profile, keep_rows=keep_rows),
+                peel=self.peel(profile),
             )
-            self._cross[key] = cached
-        return cached
+        return self._cross[key]
 
 
 @dataclass(eq=False)
@@ -184,7 +170,6 @@ def encode(
     profile: str = "paper",
     *,
     pipeline: Pipeline | None = None,
-    keep_rows: bool = False,
 ) -> LabelSet:
     """Label every node of ``g``; deterministic given (g, scheme, profile)."""
     if scheme not in SCHEME_IDS:
@@ -211,7 +196,7 @@ def encode(
         return LabelSet(scheme, sid, n, labels, pipeline=pl)
 
     variant = "third" if scheme == "third" else "average"
-    cl = pl.cross_labeling(profile, variant, keep_rows=keep_rows)
+    cl = pl.cross_labeling(profile, variant)
     inner = pl.inner_labels
     cw = count_width(n)
     intra_off = LabelHeader.HEADER_FIXED_BITS + 2 * LabelHeader.OFFSET_BITS + iw
@@ -400,6 +385,10 @@ class LazyLabel:
         noff = head & 0xFF
         self.n = head >> 8 & 0xFFFFFFFF
         self.scheme_id = head >> 40
+        if self.scheme_id not in SCHEME_NAMES:
+            raise ValueError(f"unknown scheme id {self.scheme_id}")
+        if noff != (0 if self.scheme_id == _WARMUP else 2):
+            raise ValueError(f"{noff} section offsets for scheme id {self.scheme_id}")
         if noff:
             packed = r(LabelHeader.HEADER_FIXED_BITS, LabelHeader.OFFSET_BITS * noff)
             offs = tuple(

@@ -32,6 +32,7 @@ from reachlabel.crosslabel import CLASS_BITS
 from reachlabel.flatten import build_superlayers, split_edges
 from reachlabel.graph import (
     Digraph,
+    _iter_bits,
     is_transitively_closed,
     longest_path_layers,
     reach_rows,
@@ -118,21 +119,20 @@ def test_criterion_02_bipartite_exhaustive():
     t0 = time.monotonic()
     cases = 0
     for a, b in product((1, 2, 3, 4), repeat=2):
-        all_pairs = [(u, a + v) for u in range(a) for v in range(b)]
         budgets = minimal_budgets(a, b)
         b_nodes = range(a, a + b)
         for mask in range(1 << (a * b)):
-            edges = frozenset(
-                e for k, e in enumerate(all_pairs) if mask >> k & 1
-            )
+            # edge (u, a+v) is bit u*b + v of mask
+            rows = tuple(mask >> (u * b) & (1 << b) - 1 for u in range(a))
             for alpha, beta in budgets:
                 labels = encode_bipartite(
-                    BipartiteInstance(a, b, alpha, beta, edges)
+                    BipartiteInstance(a, b, alpha, beta, rows)
                 )
                 for u in range(a):
                     lu = labels[u]
                     for v in b_nodes:
-                        assert decode_bipartite(lu, labels[v]) == ((u, v) in edges)
+                        want = bool(rows[u] >> (v - a) & 1)
+                        assert decode_bipartite(lu, labels[v]) == want
                 cases += 1
     elapsed = time.monotonic() - t0
     print(f"criterion 2: {cases} encoded instances, 0 mismatches, {elapsed:.0f}s")
@@ -267,8 +267,11 @@ def test_criterion_07_edge_partition_audit():
             inner, cross = split_edges(lay, pl.slayer)
             closure_edges = lay.dag.edges
             pieces = [inner]
-            pieces.extend(rec.near_edges for rec in cl.records)
-            pieces.extend(rec.far_edges for rec in cl.records)
+            for rec in cl.records:
+                for rows in (rec.near_rows, rec.far_rows):
+                    pieces.append(
+                        {(u, v) for u, m in rows.items() for v in _iter_bits(m)}
+                    )
             total = sum(len(p) for p in pieces)
             union = set().union(*pieces) if pieces else set()
             assert total == len(union) == len(closure_edges)

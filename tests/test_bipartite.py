@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from reachlabel.bitio import BitWriter, read_fixed
 from reachlabel.bipartite import (
     BipartiteInstance,
+    BipartiteLabel,
     LazyEmbedded,
     ceil_div,
     decode_bipartite,
@@ -28,6 +29,15 @@ from reachlabel.bipartite import (
     read_embedded,
     write_embedded,
 )
+
+
+def adjacent(inst, u, v) -> bool:
+    return bool(inst.rows[u] >> (v - inst.a) & 1)
+
+
+def mask_rows(a, b, mask):
+    """Rows of the instance whose edge (u, a+v) is bit u*b + v of mask."""
+    return tuple(mask >> (u * b) & (1 << b) - 1 for u in range(a))
 
 
 def test_ceil_div():
@@ -72,18 +82,20 @@ def test_index_pair_coverage_under_budget(a, b):
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        BipartiteInstance(2, 2, 1, 1, frozenset())  # 2+2 <= 4
+        BipartiteInstance(2, 2, 1, 1, (0, 0))  # 2+2 <= 4
     with pytest.raises(ValueError):
-        BipartiteInstance(1, 1, -1, 3, frozenset())
+        BipartiteInstance(1, 1, -1, 3, (0,))
     with pytest.raises(ValueError):
-        BipartiteInstance(2, 2, 1, 2, frozenset({(2, 0)}))  # not an A->B edge
+        BipartiteInstance(2, 2, 1, 2, (0b100, 0))  # bit 2 is past the B side
+    with pytest.raises(ValueError):
+        BipartiteInstance(2, 2, 1, 2, (0,))  # one row for two A nodes
     # empty side: no pairs to cover, any budget accepted
-    BipartiteInstance(0, 3, 0, 0, frozenset())
-    BipartiteInstance(3, 0, 0, 1, frozenset())
+    BipartiteInstance(0, 3, 0, 0, ())
+    BipartiteInstance(3, 0, 0, 1, (0, 0, 0))
 
 
 def test_encoded_tables_frozen():
-    inst = BipartiteInstance(2, 2, 1, 2, frozenset({(0, 2)}))
+    inst = BipartiteInstance(2, 2, 1, 2, (0b01, 0))  # the one edge (0, 2)
     labels = encode_bipartite(inst)
     assert [l.side for l in labels] == ["A", "A", "B", "B"]
     assert [[l.bit(i) for i in range(l.table_len)] for l in labels] == [
@@ -95,7 +107,7 @@ def test_encoded_tables_frozen():
 
 
 def test_table_lengths_are_exact_budgets():
-    inst = BipartiteInstance(3, 5, 4, 2, frozenset({(0, 3), (2, 7)}))
+    inst = BipartiteInstance(3, 5, 4, 2, (0b00001, 0, 0b10000))  # (0, 3), (2, 7)
     for l in encode_bipartite(inst):
         assert l.table_len == (inst.alpha if l.side == "A" else inst.beta)
 
@@ -116,24 +128,33 @@ def minimal_budgets(a: int, b: int) -> list[tuple[int, int]]:
 
 def test_decode_exhaustive_tiny():
     for a, b in product((1, 2, 3), repeat=2):
-        pairs = [(u, a + v) for u in range(a) for v in range(b)]
         for mask in range(1 << (a * b)):
-            edges = frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
             alpha, beta = minimal_budgets(a, b)[0]
-            inst = BipartiteInstance(a, b, alpha, beta, edges)
+            inst = BipartiteInstance(a, b, alpha, beta, mask_rows(a, b, mask))
             labels = encode_bipartite(inst)
             for u in range(a):
                 for v in range(a, a + b):
-                    assert decode_bipartite(labels[u], labels[v]) == (
-                        (u, v) in edges
+                    assert decode_bipartite(labels[u], labels[v]) == adjacent(
+                        inst, u, v
                     ), (a, b, mask, u, v)
 
 
 def test_decode_rejects_mismatched_instances():
-    la = encode_bipartite(BipartiteInstance(2, 2, 1, 2, frozenset()))[0]
-    lb = encode_bipartite(BipartiteInstance(2, 3, 2, 2, frozenset()))[2]
+    la = encode_bipartite(BipartiteInstance(2, 2, 1, 2, (0, 0)))[0]
+    lb = encode_bipartite(BipartiteInstance(2, 3, 2, 2, (0, 0)))[2]
     with pytest.raises(ValueError):
         decode_bipartite(la, lb)
+
+
+def test_probe_pair_rejects_empty_sides():
+    # a corrupted sub-label can carry a = 0 or b = 0; the probe must fail
+    # with ValueError before its modular index arithmetic divides by zero
+    la = BipartiteLabel(0, 0, 2, 1, 1, 0, "A")
+    lb = BipartiteLabel(1, 0, 2, 1, 1, 0, "B")
+    with pytest.raises(ValueError):
+        probe_pair(la, lb)
+    with pytest.raises(ValueError):
+        probe_pair(BipartiteLabel(0, 2, 0, 1, 1, 0, "A"), lb)
 
 
 @st.composite
@@ -142,9 +163,8 @@ def instances(draw):
     b = draw(st.integers(min_value=1, max_value=6))
     budgets = minimal_budgets(a, b)
     alpha, beta = draw(st.sampled_from(budgets))
-    all_pairs = [(u, a + v) for u in range(a) for v in range(b)]
-    edges = draw(st.sets(st.sampled_from(all_pairs), max_size=len(all_pairs)))
-    return BipartiteInstance(a, b, alpha, beta, frozenset(edges))
+    mask = draw(st.integers(min_value=0, max_value=(1 << (a * b)) - 1))
+    return BipartiteInstance(a, b, alpha, beta, mask_rows(a, b, mask))
 
 
 @given(instances())
@@ -153,7 +173,7 @@ def test_decode_matches_adjacency(inst):
     labels = encode_bipartite(inst)
     for u in range(inst.a):
         for v in range(inst.a, inst.a + inst.b):
-            assert decode_bipartite(labels[u], labels[v]) == ((u, v) in inst.edges)
+            assert decode_bipartite(labels[u], labels[v]) == adjacent(inst, u, v)
 
 
 @given(instances(), st.integers(min_value=0, max_value=10**6))
@@ -190,4 +210,4 @@ def test_probe_pair_accepts_either_window(inst):
     labels = encode_bipartite(inst)
     for u in range(inst.a):
         for v in range(inst.a, inst.a + inst.b):
-            assert probe_pair(labels[u], labels[v]) == ((u, v) in inst.edges)
+            assert probe_pair(labels[u], labels[v]) == adjacent(inst, u, v)

@@ -15,7 +15,6 @@ from reachlabel.bitio import (
     read_fixed,
     read_label_file,
     read_labels_at,
-    write_fixed,
     write_label_file,
 )
 
@@ -94,12 +93,6 @@ def test_read_fixed_bounds():
     assert len(bits) == 0
     with pytest.raises(ValueError):
         read_fixed(bits, 0, 1)
-
-
-def test_write_fixed_round_trip():
-    bits = write_fixed(BitString(b"", 0), 13, 4242)
-    assert len(bits) == 13
-    assert read_fixed(bits, 0, 13) == 4242
 
 
 def test_bitstring_equality_ignores_padding():

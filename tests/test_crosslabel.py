@@ -20,17 +20,22 @@ from reachlabel.flatten import build_superlayers, split_edges, split_rows
 from reachlabel.graph import (
     Dag,
     Digraph,
+    _iter_bits,
     is_transitively_closed,
     longest_path_layers,
     transitive_closure,
 )
 
 
-def peeled(n, edges, profile="force", gamma=None, keep_rows=False):
+def peeled(n, edges, profile="force", gamma=None):
     lay = longest_path_layers(transitive_closure(Dag(n, edges)))
     sl = build_superlayers(lay, gamma=gamma)
     _, cross = split_rows(lay, sl)
-    return lay, sl, cross, peel_cross(lay, sl, cross, profile=profile, keep_rows=keep_rows)
+    return lay, sl, cross, peel_cross(lay, sl, cross, profile=profile)
+
+
+def edges_of(rows: dict[int, int]) -> set[tuple[int, int]]:
+    return {(u, v) for u, m in rows.items() for v in _iter_bits(m)}
 
 
 @st.composite
@@ -46,7 +51,7 @@ def test_complete_bipartite_two_groups_frozen():
     # two antichain layers forming a complete bipartite closure; gamma=4
     # makes each layer its own thick group, so every edge crosses groups
     edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
-    lay, sl, cross, peel = peeled(4, edges, gamma=4, keep_rows=True)
+    lay, sl, cross, peel = peeled(4, edges, gamma=4)
     assert [g.thick for g in sl.groups] == [True, True]
     assert peel.k == 2
     assert len(peel.records) == 1
@@ -57,8 +62,9 @@ def test_complete_bipartite_two_groups_frozen():
     assert rec.front_rest == (1,)
     assert rec.second_rest == (3,)
     # one extraction consumes the whole cross edge set
-    assert rec.near_edges | rec.far_edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    assert rec.near_edges == {(0, 2), (1, 3)}
+    near, far = edges_of(rec.near_rows), edges_of(rec.far_rows)
+    assert near | far == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert near == {(0, 2), (1, 3)}
     assert peel.entry == (1, 1, 2, 2)
     assert peel.removed_iter == (1, 2, 1, 2)
 
@@ -81,9 +87,10 @@ def test_peel_consumes_cross_edges_exactly_once(case):
     _, cross_edges = split_edges(lay, sl)
     seen = []
     for rec in peel.records:
-        assert rec.near_edges.isdisjoint(rec.far_edges)
-        seen.extend(rec.near_edges)
-        seen.extend(rec.far_edges)
+        near, far = edges_of(rec.near_rows), edges_of(rec.far_rows)
+        assert near.isdisjoint(far)
+        seen.extend(near)
+        seen.extend(far)
     assert len(seen) == len(set(seen))  # nothing consumed twice
     assert set(seen) == cross_edges
 
@@ -92,11 +99,17 @@ def test_peel_consumes_cross_edges_exactly_once(case):
 @settings(max_examples=100, deadline=None)
 def test_residual_stays_transitively_closed(case):
     n, edges, profile = case
-    lay, sl, cross, peel = peeled(n, edges, profile=profile, keep_rows=True)
+    lay, sl, cross, peel = peeled(n, edges, profile=profile)
+    # the live rows before iteration s: the cross rows minus every edge
+    # consumed by iterations 1..s-1
+    rows = list(cross)
     for rec in peel.records:
-        rows = rec.live_rows_before
-        assert rows is not None
         assert is_transitively_closed(Digraph(n, rows=list(rows)))
+        for consumed in (rec.near_rows, rec.far_rows):
+            for u, m in consumed.items():
+                assert rows[u] & m == m  # consumed edges were live
+                rows[u] &= ~m
+    assert not any(rows)
 
 
 @given(closed_cases())

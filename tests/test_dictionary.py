@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachlabel.bitio import BitWriter, read_fixed
-from reachlabel.dictionary import (
-    StaticSet,
-    build_set,
-    probe_serialized,
-    serialized_bit_length,
-)
+from reachlabel.dictionary import StaticSet, build_set, probe_serialized
 
 
 def roundtrip(s: StaticSet, universe_bound: int):
@@ -70,7 +65,6 @@ def test_membership_and_serialized_probe_agree(case):
     def read(off, width):
         return read_fixed(bits, off, width)
 
-    assert serialized_bit_length(read, 3, bound) == s.bit_length()
     for x in range(bound):
         want = x in keys
         assert s.contains(x) == want

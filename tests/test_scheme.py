@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachlabel.bitio import (
@@ -15,6 +18,7 @@ from reachlabel.bitio import (
     write_label_file,
 )
 from reachlabel.graph import Digraph, reach_rows
+from reachlabel.oracle import GenSpec, flip_bit, generate
 from reachlabel.scheme import (
     LazyLabel,
     Pipeline,
@@ -198,3 +202,79 @@ def test_pipeline_shares_one_peeling_per_profile():
     for rt, ra in zip(third.records, average.records):
         assert rt.near_inst is ra.near_inst
         assert rt.pairs == ra.pairs
+
+
+# Label file digests of three seeded graphs. The encoder promises identical
+# bytes across refactors; a deliberate format change updates these pins.
+PINNED_DIGESTS = [
+    (
+        GenSpec("dag", 60, 0.1, 3),
+        "warmup",
+        "paper",
+        "31400a046356985139e4dd023047b152f5aecda10d17b6cf901dd0c3f5b96dc7",
+    ),
+    (
+        GenSpec("digraph", 80, 0.03, 5),  # 31 components, the largest of 50
+        "third",
+        "paper",
+        "3c7b4de675d0161aa1ed93c5154063d7d90b8142526bbd2d2a7c06347da9fb24",
+    ),
+    (
+        GenSpec("poset", 70, 0.5, 7),
+        "average",
+        "force",
+        "8f7ac4e67b32a65d5e0b6f8b8b298bade817aebed8df0ec1329c5a1977a92756",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,scheme,profile,digest", PINNED_DIGESTS)
+def test_label_file_bytes_are_pinned(tmp_path, spec, scheme, profile, digest):
+    ls = encode(generate(spec), scheme, profile)
+    path = tmp_path / "pinned.rlbl"
+    write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# -- corrupted labels ----------------------------------------------------------
+
+FUZZ_GRAPH = GenSpec("digraph", 24, 0.06, 1)  # 20 strongly connected components
+FUZZ_SCHEMES = ("warmup", "third", "average")
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_labels(scheme: str) -> tuple[BitString, ...]:
+    return tuple(encode(generate(FUZZ_GRAPH), scheme, "force").labels)
+
+
+@given(
+    st.sampled_from(FUZZ_SCHEMES),
+    st.integers(min_value=0, max_value=FUZZ_GRAPH.n - 1),
+    st.integers(min_value=0, max_value=FUZZ_GRAPH.n - 1),
+    st.booleans(),
+    st.sampled_from(["flip", "truncate"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+@example("third", 1, 0, False, "flip", 46)  # section offset count 2 -> 0
+@example("third", 15, 2, True, "flip", 260)  # embedded a field -> 0
+@example("average", 3, 2, True, "flip", 166)  # embedded b field -> 0
+@settings(max_examples=400, deadline=None)
+def test_corrupted_label_answers_or_raises_value_error(scheme, u, v, first, mode, at):
+    labels = fuzz_labels(scheme)
+    pair = [labels[u], labels[v]]
+    side = 0 if first else 1
+    bits = pair[side]
+    if mode == "flip":
+        pair[side] = flip_bit(bits, at % len(bits))
+    else:
+        pair[side] = BitString(bits.data, at % len(bits))
+    for decode in (
+        lambda a, b: query(parse_label(a), parse_label(b)),
+        lambda a, b: query_lazy(a, b)[0],
+    ):
+        try:
+            ans = decode(*pair)
+        except ValueError:
+            continue
+        assert ans in (True, False)
+
