@@ -9,10 +9,12 @@ fields are fixed width; widths are pure functions of values already decoded
 Label file layout (little endian where noted)::
 
     magic    4 bytes  b"RLBL"
-    version  1 byte   (currently 1)
+    version  1 byte   (currently 2)
     scheme   1 byte
     n        4 bytes  u32 LE
-    then, per node in id order:
+    offsets  8n bytes, u64 LE per node in id order: the file position of
+             that node's record, so a reader can seek straight to it
+    then, per node in id order, one record:
       bitlen 4 bytes  u32 LE
       bits   ceil(bitlen/8) bytes, MSB-first, zero padded
 """
@@ -20,11 +22,12 @@ Label file layout (little endian where noted)::
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass
 
 MAGIC = b"RLBL"
-FILE_VERSION = 1
+FILE_VERSION = 2
 
 
 def index_width(n: int) -> int:
@@ -180,69 +183,69 @@ class LabelHeader:
 def write_label_file(path: str, scheme_id: int, n: int, labels: list[BitString]) -> None:
     if len(labels) != n:
         raise ValueError("label count does not match n")
+    offsets = [10 + 8 * n]
+    for lb in labels:
+        offsets.append(offsets[-1] + 4 + (lb.length + 7) // 8)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(bytes([FILE_VERSION, scheme_id]))
         f.write(struct.pack("<I", n))
+        f.write(struct.pack(f"<{n}Q", *offsets[:n]))
         for lb in labels:
             f.write(struct.pack("<I", lb.length))
             f.write(lb.data[: (lb.length + 7) // 8])
 
 
-def _read_file_header(f: io.BufferedReader) -> tuple[int, int]:
+def _read_file_header(f: io.BufferedReader) -> tuple[int, int, int]:
+    """(scheme_id, n, file size) after checking magic and version."""
     head = f.read(10)
     if len(head) != 10 or head[:4] != MAGIC:
         raise ValueError("not a label file (bad magic)")
     version = head[4]
     if version != FILE_VERSION:
         raise ValueError(f"unsupported label file version {version}")
-    scheme_id = head[5]
     (n,) = struct.unpack("<I", head[6:10])
-    return scheme_id, n
+    return head[5], n, os.fstat(f.fileno()).st_size
+
+
+def _read_record(f: io.BufferedReader, i: int, off: int, end: int, n: int, size: int) -> BitString:
+    """Node i's record, which must start past the offset table (right after
+    it for node 0) and fill the file bytes [off, end), where ``end`` is the
+    next node's offset or the file size."""
+    first = 10 + 8 * n
+    if off < first or (i == 0 and off != first) or not off + 4 <= end <= size:
+        raise ValueError(f"offset table entry of node {i} is out of range")
+    f.seek(off)
+    (bitlen,) = struct.unpack("<I", f.read(4))
+    if off + 4 + (bitlen + 7) // 8 != end:
+        raise ValueError(f"offset table entry of node {i} disagrees with its record")
+    return BitString(f.read(end - off - 4), bitlen)
 
 
 def read_label_file(path: str) -> tuple[int, int, list[BitString]]:
     """Read all labels; returns (scheme_id, n, labels)."""
     with open(path, "rb") as f:
-        scheme_id, n = _read_file_header(f)
-        labels = []
-        for _ in range(n):
-            raw = f.read(4)
-            if len(raw) != 4:
-                raise ValueError("truncated label file")
-            (bitlen,) = struct.unpack("<I", raw)
-            nbytes = (bitlen + 7) // 8
-            data = f.read(nbytes)
-            if len(data) != nbytes:
-                raise ValueError("truncated label file")
-            labels.append(BitString(data, bitlen))
-        return scheme_id, n, labels
+        scheme_id, n, size = _read_file_header(f)
+        table = f.read(8 * n)
+        if len(table) != 8 * n:
+            raise ValueError("truncated label file offset table")
+        offs = struct.unpack(f"<{n}Q", table) + (size,)
+        return scheme_id, n, [_read_record(f, i, offs[i], offs[i + 1], n, size) for i in range(n)]
 
 
 def read_labels_at(path: str, indices: list[int]) -> tuple[int, int, dict[int, BitString]]:
-    """Read only the requested labels, skipping everything else."""
-    want = set(indices)
+    """Read only the requested labels, seeking through the offset table."""
     out: dict[int, BitString] = {}
     with open(path, "rb") as f:
-        scheme_id, n = _read_file_header(f)
-        for i in want:
+        scheme_id, n, size = _read_file_header(f)
+        for i in indices:
             if not 0 <= i < n:
                 raise ValueError(f"node {i} out of range for n={n}")
-        for i in range(n):
-            raw = f.read(4)
-            if len(raw) != 4:
-                raise ValueError("truncated label file")
-            (bitlen,) = struct.unpack("<I", raw)
-            nbytes = (bitlen + 7) // 8
-            if i in want:
-                data = f.read(nbytes)
-                if len(data) != nbytes:
-                    raise ValueError("truncated label file")
-                out[i] = BitString(data, bitlen)
-                if len(out) == len(want):
-                    break
-            else:
-                f.seek(nbytes, io.SEEK_CUR)
-        if len(out) != len(want):
-            raise ValueError("label file ended before all requested labels")
+            f.seek(10 + 8 * i)
+            want = 16 if i + 1 < n else 8
+            raw = f.read(want)
+            if len(raw) != want:
+                raise ValueError("truncated label file offset table")
+            off, *nxt = struct.unpack(f"<{want // 8}Q", raw)
+            out[i] = _read_record(f, i, off, nxt[0] if nxt else size, n, size)
     return scheme_id, n, out

@@ -101,9 +101,6 @@ class IterationRecord:
     s: int
     termination: str
     live: tuple[int, ...]
-    front: tuple[int, ...]
-    second: tuple[int, ...]
-    upper: tuple[int, ...]
     front_match: tuple[int, ...]
     second_match: tuple[int, ...]
     front_rest: tuple[int, ...]
@@ -292,9 +289,6 @@ def peel_cross(
                 s=s,
                 termination=dec.termination,
                 live=live,
-                front=tuple(front),
-                second=tuple(second),
-                upper=tuple(upper),
                 front_match=front_match,
                 second_match=second_match,
                 front_rest=front_rest,

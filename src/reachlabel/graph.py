@@ -5,6 +5,10 @@ ordered pairs for small-scale inspection, and per-node bitmask rows (python
 ints) for the heavy algorithms. Either representation is derived lazily from
 the other, so dense instances never materialize millions of tuples unless
 asked to.
+
+``scc_condense`` turns each strongly connected component into one node of
+a quotient DAG, on which closure and layering run. The topological order
+comes from Tarjan's emission order and is handed on, never recomputed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ class Digraph:
         self.n = n
         self._edges: frozenset[tuple[int, int]] | None = None
         self._rows: list[int] | None = None
+        self._order: list[int] | None = None
         if rows is not None:
             if edges is not None:
                 raise ValueError("pass edges or rows, not both")
@@ -48,6 +53,13 @@ class Digraph:
                 if u != v:
                     es.add((u, v))
             self._edges = frozenset(es)
+
+    @property
+    def order(self) -> list[int]:
+        """A topological order, computed once; raises ValueError on a cycle."""
+        if self._order is None:
+            self._order = topological_order(self)
+        return self._order
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -80,12 +92,14 @@ class Digraph:
 
 
 class Dag(Digraph):
-    """Digraph whose edge relation is acyclic (validated on construction)."""
+    """Digraph whose edge relation is acyclic (validated on construction,
+    unless the caller passes a known topological ``order``)."""
 
-    def __init__(self, n, edges=None, *, rows=None, validate=True):
+    def __init__(self, n, edges=None, *, rows=None, validate=True, order=None):
         super().__init__(n, edges, rows=rows)
-        if validate:
-            topological_order(self)  # raises on a cycle
+        self._order = order
+        if validate and order is None:
+            self._order = topological_order(self)  # raises on a cycle
 
 
 def topological_order(g: Digraph) -> list[int]:
@@ -117,31 +131,46 @@ def topological_order(g: Digraph) -> list[int]:
 
 @dataclass(frozen=True)
 class SccResult:
-    """Condensation that keeps every original node.
+    """The condensation: one DAG node per strongly connected component.
 
-    Each strongly connected component is replaced by a chain over its own
-    members (in discovery order); an original cross-component edge (u, v)
-    re-attaches from the last chain node of u's component to the first chain
-    node of v's component. Reachability between nodes of different components
-    is preserved exactly, and two nodes of one component are mutually
-    reachable iff their scc ids match.
+    ``scc_id[u]`` is the component of graph node u. Components are numbered
+    in order of their smallest member, so an acyclic graph condenses to
+    itself with ``scc_id[u] == u``. ``dag`` has an edge between two
+    components iff the graph has an edge between their members; a graph
+    node reaches another iff its component is the other's or reaches it.
     """
 
     dag: Dag
     scc_id: tuple[int, ...]
-    chains: tuple[tuple[int, ...], ...]
+
+    def expand(self, per_component) -> list:
+        """Per-node list from a per-component one: node u gets entry scc_id[u]."""
+        return [per_component[c] for c in self.scc_id]
+
+    @property
+    def leaders(self) -> list[int]:
+        """The smallest member of each component, by component id."""
+        lead: list[int] = []
+        for u, c in enumerate(self.scc_id):
+            if c == len(lead):
+                lead.append(u)
+        return lead
 
 
 def scc_condense(g: Digraph) -> SccResult:
-    """Tarjan SCCs plus the chain rewiring described above. Iterative."""
+    """Tarjan SCCs and the quotient DAG. Iterative.
+
+    Tarjan emits a component only after every component it reaches, so the
+    reversed emission order is a topological order of the quotient.
+    """
     n = g.n
     rows = g.rows
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
+    emitted = [-1] * n  # node -> component, numbered in emission order
+    ncomp = 0
     counter = 0
 
     for root in range(n):
@@ -154,7 +183,6 @@ def scc_condense(g: Digraph) -> SccResult:
         on_stack[root] = True
         while work:
             u, it = work[-1]
-            advanced = False
             for v in it:
                 if index[v] == -1:
                     index[v] = low[v] = counter
@@ -162,51 +190,42 @@ def scc_condense(g: Digraph) -> SccResult:
                     stack.append(v)
                     on_stack[v] = True
                     work.append((v, iter(_iter_bits(rows[v]))))
-                    advanced = True
                     break
                 if on_stack[v]:
                     low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pu = work[-1][0]
-                low[pu] = min(low[pu], low[u])
-            if low[u] == index[u]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == u:
-                        break
-                members.sort(key=lambda x: index[x])  # discovery order
-                comps.append(members)
+            else:  # u is finished
+                work.pop()
+                if work:
+                    pu = work[-1][0]
+                    low[pu] = min(low[pu], low[u])
+                if low[u] == index[u]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        emitted[w] = ncomp
+                        if w == u:
+                            break
+                    ncomp += 1
 
-    # Renumber components by first-discovered member for stable ids.
-    comps.sort(key=lambda ms: index[ms[0]])
-    for cid, ms in enumerate(comps):
-        for u in ms:
-            comp_of[u] = cid
-
-    out_rows = [0] * n
-    for ms in comps:
-        for a, b in zip(ms, ms[1:]):
-            out_rows[a] |= 1 << b
+    renum: dict[int, int] = {}  # emission number -> id by smallest member
+    scc_id = tuple(renum.setdefault(e, len(renum)) for e in emitted)
+    out_rows = [0] * ncomp
     for u in range(n):
-        cu = comp_of[u]
+        cu = scc_id[u]
         for v in _iter_bits(rows[u]):
-            cv = comp_of[v]
-            if cu != cv:
-                out_rows[comps[cu][-1]] |= 1 << comps[cv][0]
-
-    dag = Dag(n, rows=out_rows, validate=False)
-    return SccResult(dag, tuple(comp_of), tuple(tuple(ms) for ms in comps))
+            if scc_id[v] != cu:
+                out_rows[cu] |= 1 << scc_id[v]
+    order = [renum[e] for e in range(ncomp - 1, -1, -1)]
+    return SccResult(Dag(ncomp, rows=out_rows, validate=False, order=order), scc_id)
 
 
 def transitive_closure(d: Dag) -> Dag:
-    """Closure by reverse-topological bitset accumulation."""
-    order = topological_order(d)
+    """Closure by reverse-topological bitset accumulation.
+
+    A topological order of a DAG is one of its closure too, so the closure
+    inherits it.
+    """
+    order = d.order
     rows = d.rows
     closed = [0] * d.n
     for u in reversed(order):
@@ -214,7 +233,7 @@ def transitive_closure(d: Dag) -> Dag:
         for v in _iter_bits(rows[u]):
             acc |= closed[v]
         closed[u] = acc & ~(1 << u)
-    return Dag(d.n, rows=closed, validate=False)
+    return Dag(d.n, rows=closed, validate=False, order=order)
 
 
 def is_transitively_closed(d: Digraph) -> bool:
@@ -245,10 +264,9 @@ def longest_path_layers(d: Dag) -> LayeredDag:
     Expects a transitively closed input (layer i+1 nodes then all have an
     in-edge from layer i, which the flattening stage relies on).
     """
-    order = topological_order(d)
     rows = d.rows
     depth = [0] * d.n
-    for u in order:
+    for u in d.order:
         du1 = depth[u] + 1
         for v in _iter_bits(rows[u]):
             if depth[v] < du1:
@@ -295,24 +313,16 @@ def oracle_reach(g: Digraph, u: int, v: int) -> bool:
 
 
 def reach_rows(g: Digraph) -> list[int]:
-    """All-pairs reachability bitmask rows (diagonal set), cycles allowed."""
+    """All-pairs reachability bitmask rows (diagonal set), cycles allowed:
+    the quotient's closure, with each component widened to its members."""
     res = scc_condense(g)
-    closed = transitive_closure(res.dag)
-    rows = closed.rows
-    out = []
-    for u in range(g.n):
-        out.append(rows[u] | (1 << u))
-    # Same-component nodes reach each other through the chain only forward;
-    # patch the backward direction component-wise.
-    for ms in res.chains:
-        if len(ms) > 1:
-            cmask = 0
-            for x in ms:
-                cmask |= 1 << x
-            # union of reach sets of members plus the component itself
-            acc = cmask
-            for x in ms:
-                acc |= out[x]
-            for x in ms:
-                out[x] = acc
-    return out
+    members = [0] * res.dag.n
+    for u, c in enumerate(res.scc_id):
+        members[c] |= 1 << u
+    reach = []
+    for c, row in enumerate(transitive_closure(res.dag).rows):
+        acc = members[c]
+        for x in _iter_bits(row):
+            acc |= members[x]
+        reach.append(acc)
+    return res.expand(reach)

@@ -27,7 +27,6 @@ from .bipartite import ceil_div, index_pair
 from .bitio import BitString, LabelHeader, count_width, index_width, read_fixed
 from .crosslabel import (
     CLASS_BITS,
-    CLS_FRONT_MATCH,
     CLS_FRONT_REST,
     CLS_SECOND_REST,
     CLS_UPPER,
@@ -201,8 +200,8 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
 
       * padding past the far side's size (the probe index is reduced mod the
         side size, so tail bits are never addressed),
-      * slots whose unique probing pair shares a strongly connected
-        component (those queries return true before reading any table),
+      * a node's own slot in its interval table, and warm-up window slots
+        past the first index of a component (no query lands there),
       * slots whose dispatch never reaches this copy of a pair table (the
         class pair decodes false structurally, or the routing flag sends the
         probe to the other copy, or the other side's window answers first),
@@ -211,6 +210,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
       * set-membership payloads (hash seeds and slot arrays share bits
         between keys, so one flip is not pinned to one query).
 
+    Bits are found per component and reported at its smallest member.
     Every returned offset is re-read from the serialized label and checked
     against the encoder's structures, so the arithmetic here cannot drift
     from the layout.
@@ -218,68 +218,65 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
     pl = ls.pipeline
     if pl is None:
         raise ValueError("label set was not built with its pipeline attached")
-    n = ls.n
     out: list[tuple[int, int, int]] = []
-    if n == 0:
+    if ls.n == 0:
         return out
-    iw = index_width(n)
-    cw = count_width(n)
-    scc_id = pl.scc.scc_id
-    layered = pl.layered
-    inv = layered.inv_topo
+    lead = pl.scc.leaders
+    inv = pl.layered.inv_topo
     fixed = LabelHeader.HEADER_FIXED_BITS
     labels = ls.labels
 
-    def emit(u: int, off: int, want: int) -> None:
+    def emit(c: int, off: int, want: int) -> None:
+        u = lead[c]
         got = read_fixed(labels[u], off, 1)
         assert got == want, "bit inventory drifted from the label layout"
         out.append((u, off, got))
 
     if ls.scheme_id == SCHEME_IDS["warmup"]:
+        n = ls.n
         half = n // 2
         wrap_dead = (n + 1) // 2 - 1
         warm = pl.warm_labels
-        base = fixed + 2 * iw
-        for u in range(n):
-            iu = layered.topo[u]
+        base = fixed + 2 * index_width(n)
+        starts = {warm[u].index for u in lead}
+        for c, u in enumerate(lead):
+            iu = warm[u].index
             for j in range(half):
                 t = iu + j + 1
-                if t >= n and j >= wrap_dead:
+                if t >= n and j >= wrap_dead or t % n not in starts:
                     continue
-                x = inv[t % n]
-                if scc_id[x] == scc_id[u]:
-                    continue
-                emit(u, base + j, warm[u].bit(j))
+                emit(c, base + j, warm[u].bit(j))
         return out
 
-    cl = ls.cross
-    if cl is None:
+    if ls.cross is None:
         raise ValueError("label set carries no cross labeling")
+    cl = pl.cross_labeling(ls.cross.profile, ls.cross.variant)
+    n = cl.n
+    iw = index_width(n)
+    cw = count_width(n)
     inner = pl.inner_labels
     intra_off = fixed + 2 * LabelHeader.OFFSET_BITS + iw
     tab_off = intra_off + 3 * iw + cw + 1
 
-    for u in range(n):
+    for c, u in enumerate(lead):
         gl = inner[u]
         if gl.thick:
             continue
         for j in range(gl.end - gl.beg):
-            if scc_id[inv[gl.beg + j]] == scc_id[u]:
-                continue
-            emit(u, tab_off + j, gl.interval_bit(j))
+            if inv[gl.beg + j] != c:
+                emit(c, tab_off + j, gl.interval_bit(j))
 
-    # absolute start offset of every blob section, per node
-    kf = count_width(n)
+    # absolute start offset of every blob section, per component
     k = cl.k
     cwk = count_width(k)
-    emb_head = index_width(n) + 4 * count_width(n)
+    emb_head = iw + 4 * cw
     sec_starts: list[list[int]] = []
-    for u in range(n):
+    for c, u in enumerate(lead):
         gl = inner[u]
         blob_off = tab_off + (0 if gl.thick else gl.end - gl.beg)
-        secs = cl.sections[u]
+        secs = cl.sections[c]
         ow = count_width(sum(len(b) for b in secs))
-        acc = [blob_off + kf + RATE_BITS + 2 * cwk + (2 * (k - 1) + 1) * ow]
+        acc = [blob_off + cw + RATE_BITS + 2 * cwk + (2 * (k - 1) + 1) * ow]
         for sec in secs:
             acc.append(acc[-1] + len(sec))
         sec_starts.append(acc)
@@ -296,9 +293,6 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                 base = ceil_div(b_n * r_a, a_n)
                 for i in range(min(al_n, b_n)):
                     ib = (base + i) % b_n
-                    v = sm[ib]
-                    if scc_id[v] == scc_id[u]:
-                        continue
                     emit(u, toff + i, ni.rows[r_a] >> ib & 1)
             for r_b, v in enumerate(sm):
                 toff = sec_starts[v][idx_near] + CLASS_BITS + emb_head
@@ -308,8 +302,6 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                     i_probe, _ = index_pair(ia, r_b, a_n, b_n)
                     if i_probe < al_n:
                         continue  # the A-side window answers this pair
-                    if scc_id[fm[ia]] == scc_id[v]:
-                        continue
                     emit(v, toff + j, ni.rows[ia] >> r_b & 1)
         if fi is not None:
             outside = rec.outside
@@ -325,8 +317,6 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                     for i in range(min(al_f, b_f)):
                         ib = (base + i) % b_f
                         v = outside[ib]
-                        if scc_id[v] == scc_id[holder]:
-                            continue
                         cv = rec.cls[v]
                         flagged = rec.via_second[v] >> bic & 1
                         if is_first_copy:
@@ -342,33 +332,18 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
             n_bic = len(rec.bicliques)
             for r_o, v in enumerate(outside):
                 cv = rec.cls[v]
-                emb_off = sec_starts[v][idx_far] + CLASS_BITS
-                toff = emb_off + emb_head
+                toff = sec_starts[v][idx_far] + CLASS_BITS + emb_head
                 base = ceil_div(a_f * r_o, b_f)
                 for j in range(min(be_f, a_f)):
                     ia = (base + j) % a_f
                     i_probe, _ = index_pair(ia, r_o, a_f, b_f)
                     if i_probe < al_f:
-                        continue
-                    a_j, b_j = pairs[ia]
-                    if cv == CLS_SECOND_REST:
-                        partner = a_j
-                    elif cv == CLS_FRONT_REST:
-                        partner = b_j
-                    elif cv == CLS_UPPER:
-                        flagged = rec.via_second[v] >> rec.pair_bic[ia] & 1
-                        partner = b_j if flagged else a_j
-                    else:
-                        continue
-                    if scc_id[partner] == scc_id[v]:
-                        continue
+                        continue  # the matched side's window answers this pair
                     emit(v, toff + j, fi.rows[ia] >> r_o & 1)
                 if cv == CLS_UPPER:
                     floff = toff + be_f
                     for bi in range(n_bic):
-                        a_side, b_side = rec.bicliques[bi]
-                        if any(scc_id[x] != scc_id[v] for x in a_side + b_side):
-                            emit(v, floff + bi, rec.via_second[v] >> bi & 1)
+                        emit(v, floff + bi, rec.via_second[v] >> bi & 1)
     return out
 
 

@@ -16,16 +16,20 @@ Label layouts (MSB-first bit fields, see bitio)::
       intra =  topo[iw] grp[iw] beg[iw] end[cw] thick[1] table[end-beg]
                (the table is present only for thin groups)
 
-with iw = index_width(n), cw = count_width(n). The header of a composite
-label records the absolute bit offsets of the intra section and the blob,
-so the decoder can jump without scanning. Two decode surfaces exist: an
-eager parse for bulk verification and a lazy view that reads only the bits
-a single query touches (used to bound per-query word reads).
+with iw = index_width(n), cw = count_width(n). Each strongly connected
+component is labeled once and its members share that label; ``scc`` holds
+the component id. The header n is the component count for the composite
+schemes and the node count for the warm-up, whose window runs over graph
+nodes. A composite header records the absolute bit offsets of the intra
+section and the blob, so the decoder can jump without scanning. Two decode
+surfaces exist: an eager parse for bulk verification and a lazy view that
+reads only the bits a single query touches (used to bound word reads).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from .biclique import get_profile
 from .bitio import (
@@ -62,7 +66,9 @@ class Pipeline:
 
     The condensation, closure, layering, grouping and intra-group tables are
     identical for every scheme and biclique profile, so one Pipeline can feed
-    any number of encode() calls on the same graph.
+    any number of encode() calls on the same graph. Every stage after ``scc``
+    runs on the quotient DAG and is indexed by component, except
+    ``inner_labels`` and ``warm_labels``, which are indexed by graph node.
     """
 
     def __init__(self, g: Digraph):
@@ -117,13 +123,15 @@ class Pipeline:
     @property
     def inner_labels(self) -> list[GroupLabel]:
         if self._inner is None:
-            self._inner = encode_inner(self.layered, self.slayer, self.inner_rows)
+            inner = encode_inner(self.layered, self.slayer, self.inner_rows)
+            self._inner = self.scc.expand(inner)
         return self._inner
 
     @property
     def warm_labels(self) -> list[WarmupLabel]:
         if self._warm is None:
-            self._warm = encode_warmup(self.layered)
+            sizes = Counter(self.scc.scc_id)  # members per component
+            self._warm = self.scc.expand(encode_warmup(self.layered, sizes))
         return self._warm
 
     def peel(self, profile: str) -> PeelResult:
@@ -153,7 +161,9 @@ class LabelSet:
     """Encoder output: one bit-string label per node, plus build artifacts.
 
     ``pipeline`` and ``cross`` are conveniences for audits and statistics;
-    decoding never touches them.
+    decoding never touches them. ``cross`` is the pipeline's cross labeling
+    with its per-node tuples indexed by graph node; its records stay
+    indexed by component.
     """
 
     scheme: str
@@ -171,43 +181,48 @@ def encode(
     *,
     pipeline: Pipeline | None = None,
 ) -> LabelSet:
-    """Label every node of ``g``; deterministic given (g, scheme, profile)."""
+    """Label every node of ``g``; deterministic given (g, scheme, profile).
+
+    Each component of the condensation is labeled once, and all its members
+    get that same label.
+    """
     if scheme not in SCHEME_IDS:
         raise ValueError(f"unknown scheme {scheme!r}")
     sid = SCHEME_IDS[scheme]
     pl = pipeline if pipeline is not None else Pipeline(g)
-    n = g.n
-    iw = index_width(n)
-    scc_id = pl.scc.scc_id
+    lead = pl.scc.leaders  # a member of each component, by component id
     labels: list[BitString] = []
 
     if sid == _WARMUP:
+        iw = index_width(g.n)
         warm = pl.warm_labels
-        for u in range(n):
+        for c, u in enumerate(lead):
             w = BitWriter()
-            LabelHeader(sid, n).write(w)
-            w.write(scc_id[u], iw)
+            LabelHeader(sid, g.n).write(w)
+            w.write(c, iw)
             wl = warm[u]
             w.write(wl.index, iw)
             tl = wl.table_len
             if tl:
                 w.write(int(format(wl.table, f"0{tl}b")[::-1], 2), tl)
             labels.append(w.finish())
-        return LabelSet(scheme, sid, n, labels, pipeline=pl)
+        return LabelSet(scheme, sid, g.n, pl.scc.expand(labels), pipeline=pl)
 
     variant = "third" if scheme == "third" else "average"
     cl = pl.cross_labeling(profile, variant)
     inner = pl.inner_labels
+    n = len(lead)
+    iw = index_width(n)
     cw = count_width(n)
     intra_off = LabelHeader.HEADER_FIXED_BITS + 2 * LabelHeader.OFFSET_BITS + iw
-    for u in range(n):
+    for c, u in enumerate(lead):
         gl = inner[u]
-        blob = assemble_cross(cl, u)
+        blob = assemble_cross(cl, c)
         tlen = 0 if gl.thick else gl.end - gl.beg
         blob_off = intra_off + 3 * iw + cw + 1 + tlen
         w = BitWriter()
         LabelHeader(sid, n, (intra_off, blob_off)).write(w)
-        w.write(scc_id[u], iw)
+        w.write(c, iw)
         w.write(gl.topo, iw)
         w.write(gl.grp, iw)
         w.write(gl.beg, iw)
@@ -218,7 +233,10 @@ def encode(
         if len(blob):
             w.write(read_fixed(blob, 0, len(blob)), len(blob))
         labels.append(w.finish())
-    return LabelSet(scheme, sid, n, labels, pipeline=pl, cross=cl)
+    x = pl.scc.expand
+    by_node = replace(cl, entry=x(cl.entry), removed_iter=x(cl.removed_iter),
+                      sections=x(cl.sections), pos=x(cl.pos))
+    return LabelSet(scheme, sid, g.n, x(labels), pipeline=pl, cross=by_node)
 
 
 def encode_average(g: Digraph, profile: str = "paper", **kw) -> LabelSet:
@@ -389,15 +407,9 @@ class LazyLabel:
             raise ValueError(f"unknown scheme id {self.scheme_id}")
         if noff != (0 if self.scheme_id == _WARMUP else 2):
             raise ValueError(f"{noff} section offsets for scheme id {self.scheme_id}")
-        if noff:
-            packed = r(LabelHeader.HEADER_FIXED_BITS, LabelHeader.OFFSET_BITS * noff)
-            offs = tuple(
-                packed >> LabelHeader.OFFSET_BITS * (noff - 1 - i) & 0xFFFFFFFF
-                for i in range(noff)
-            )
-        else:
-            offs = ()
-        self._offsets = offs
+        # composite labels carry exactly two 32-bit section offsets
+        packed = r(LabelHeader.HEADER_FIXED_BITS, 2 * LabelHeader.OFFSET_BITS) if noff else 0
+        self._offsets = (packed >> 32, packed & 0xFFFFFFFF)[:noff]
         iw = index_width(self.n)
         p = LabelHeader.HEADER_FIXED_BITS + LabelHeader.OFFSET_BITS * noff
         if self.scheme_id == _WARMUP:
@@ -450,7 +462,11 @@ def _agg(vals) -> dict:
 
 
 def stats(ls: LabelSet) -> dict:
-    """Exact bit counts, total and per section, straight from the labels."""
+    """Exact bit counts, total and per section, straight from the labels.
+
+    Field widths follow each label's header n, which for the composite
+    schemes is the component count, not ``ls.n``.
+    """
     lens = [len(b) for b in ls.labels]
     out = {
         "scheme": ls.scheme,
@@ -458,28 +474,17 @@ def stats(ls: LabelSet) -> dict:
         "max_bits": max(lens, default=0),
         "mean_bits": sum(lens) / len(lens) if lens else 0.0,
     }
-    iw = index_width(ls.n) if ls.n else 1
-    fixed = LabelHeader.HEADER_FIXED_BITS
+    hdrs = [LabelHeader.read(b) for b in ls.labels]
+    sections = {
+        "header": _agg(h.bit_length for h in hdrs),
+        "scc": _agg(index_width(h.n) for h in hdrs),
+    }
     if ls.scheme_id == _WARMUP:
-        sections = {
-            "header": _agg([fixed] * len(lens)),
-            "scc": _agg([iw] * len(lens)),
-            "index": _agg([iw] * len(lens)),
-            "window": _agg([ls.n // 2] * len(lens)),
-        }
+        sections["index"] = sections["scc"]
+        sections["window"] = _agg(h.n // 2 for h in hdrs)
     else:
-        head = fixed + 2 * LabelHeader.OFFSET_BITS
-        intra, blob = [], []
-        for b in ls.labels:
-            hdr = LabelHeader.read(b)
-            i0, i1 = hdr.offsets
-            intra.append(i1 - i0)
-            blob.append(len(b) - i1)
-        sections = {
-            "header": _agg([head] * len(lens)),
-            "scc": _agg([iw] * len(lens)),
-            "intra": _agg(intra),
-            "cross": _agg(blob),
-        }
+        offs = [h.offsets for h in hdrs]
+        sections["intra"] = _agg(i1 - i0 for i0, i1 in offs)
+        sections["cross"] = _agg(len(b) - i1 for b, (_, i1) in zip(ls.labels, offs))
     out["sections"] = sections
     return out

@@ -4,6 +4,10 @@ Label = topological index I(u) plus a floor(n/2)-bit window B_u, where
 B_u[j] says whether u is comparable with the node at topological index
 (I(u)+j+1) mod n. Any two nodes land in at least one of their two windows,
 and comparability plus topological order decides reachability.
+
+A DAG node standing for the k members of a strongly connected component
+takes k consecutive indices and its label carries the first, so n counts
+graph nodes and queries land on first indices only.
 """
 
 from __future__ import annotations
@@ -29,18 +33,21 @@ class WarmupLabel:
         return self.table >> j & 1
 
 
-def encode_warmup(layered: LayeredDag) -> list[WarmupLabel]:
-    """One label per node; expects a transitively closed, layered DAG."""
-    n = layered.dag.n
+def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
+    """One label per DAG node; expects a transitively closed, layered DAG
+    whose node x stands for ``sizes[x]`` graph nodes."""
     rows = layered.dag.rows
-    inv = layered.inv_topo
+    # graph-node index -> DAG node, DAG nodes in topological order
+    at = [x for x in layered.inv_topo for _ in range(sizes[x])]
+    n = len(at)
+    first = {x: i for i, x in reversed(list(enumerate(at)))}
     half = n // 2
     labels = []
-    for u in range(n):
-        iu = layered.topo[u]
+    for u in range(layered.dag.n):
+        iu = first[u]
         t = 0
         for j in range(half):
-            x = inv[(iu + j + 1) % n]
+            x = at[(iu + j + 1) % n]
             if rows[u] >> x & 1 or rows[x] >> u & 1:
                 t |= 1 << j
         labels.append(WarmupLabel(n, iu, t))

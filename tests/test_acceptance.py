@@ -176,16 +176,26 @@ def test_criterion_03_coverage_inequality():
 
 
 def test_criterion_04_warmup_exact_size():
-    for n in (10, 100, 1000):
-        g = generate(GenSpec("digraph", n, 0.1, seed=n))
-        ls = encode(g, "warmup")
-        iw = index_width(n)
-        header = 48 + iw  # fixed front matter plus the component field
-        want = header + iw + n // 2
-        lengths = {len(b) for b in ls.labels}
-        assert lengths == {want}, (n, lengths, want)
-        assert header <= 64
-    print("criterion 4: warm-up label length == header + ceil(log2 n) + floor(n/2) at n=10,100,1000")
+    # The warm-up window runs over graph nodes (a component's members take
+    # consecutive indices), so the length is exact in n for any number c of
+    # components: c = 1 on the p=0.1 digraphs, c = n on the DAGs.
+    comps = []
+    for kind in ("digraph", "dag"):
+        for n in (10, 100, 1000):
+            g = generate(GenSpec(kind, n, 0.1, seed=n))
+            pl = Pipeline(g)
+            ls = encode(g, "warmup", pipeline=pl)
+            iw = index_width(n)
+            header = 48 + iw  # fixed front matter plus the component field
+            want = header + iw + n // 2
+            lengths = {len(b) for b in ls.labels}
+            assert lengths == {want}, (kind, n, lengths, want)
+            assert header <= 64
+            comps.append(f"{kind} n={n} c={pl.scc.dag.n}")
+    print(
+        "criterion 4: warm-up label length == header + ceil(log2 n) + floor(n/2) on "
+        + ", ".join(comps)
+    )
 
 
 def test_criterion_05_flattening_structure():
@@ -219,10 +229,10 @@ def test_criterion_06_per_iteration_section_sizes():
     iw_cache = {}
     checked = 0
     for g in mixed_corpus():
-        n = g.n
-        iw = iw_cache.setdefault(n, index_width(n))
         for profile in ("paper", "force"):
             pl, cl = transcript(g, profile, "third")
+            n = cl.n  # the labeled DAG's size: the component count
+            iw = iw_cache.setdefault(n, index_width(n))
             for rec in cl.records:
                 if rec.n_pairs == 0:
                     continue
@@ -292,15 +302,16 @@ def test_criterion_08_average_variant_structure():
                 assert rec.far_inst.beta == rec.n_pairs + 1
                 fm = set(rec.front_match) | set(rec.second_match)
                 n_bic = len(rec.bicliques)
+                n = cl.n  # the labeled DAG's size: the component count
                 for u in rec.live:
                     far_bits = cl.sections[u][2 * (rec.s - 1) + 1]
                     if u in fm:
                         assert len(far_bits) == CLASS_BITS + index_width(
-                            g.n
-                        ) + embedded_width(g.n, 0)
+                            n
+                        ) + embedded_width(n, 0)
                     else:
                         assert len(far_bits) == CLASS_BITS + embedded_width(
-                            g.n, rec.n_pairs + 1
+                            n, rec.n_pairs + 1
                         ) + n_bic
 
     # oracle equivalence for this scheme runs inside criterion 1's sweep;

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from reachlabel.bitio import (
+    FILE_VERSION,
     BitString,
     BitWriter,
     LabelHeader,
@@ -174,3 +177,56 @@ def test_label_file_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         read_label_file(str(path))
+
+
+def test_label_file_offset_table_points_at_each_record(tmp_path):
+    labels = [BitString(bytes([0xA0]), 3), BitString(b"", 0), BitString(b"\xff\x01", 16)]
+    path = tmp_path / "t.rlbl"
+    write_label_file(str(path), 2, 3, labels)
+    raw = path.read_bytes()
+    assert raw[4] == FILE_VERSION == 2
+    offsets = struct.unpack("<3Q", raw[10:34])
+    assert offsets == (34, 34 + 4 + 1, 34 + 4 + 1 + 4)
+    assert len(raw) == offsets[2] + 4 + 2
+
+
+def test_corrupted_offset_table_raises_value_error(tmp_path):
+    labels = [BitString(bytes(range(i + 1)), 8 * i + 3) for i in range(4)]
+    path = tmp_path / "c.rlbl"
+    write_label_file(str(path), 3, 4, labels)
+    good = path.read_bytes()
+    table = range(10, 10 + 8 * 4)
+
+    def corrupt(data):
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            read_label_file(str(path))
+
+    # every single-bit flip of the table: the whole-file reader and a seek to
+    # the entry's own node both refuse
+    for byte in table:
+        for bit in range(8):
+            data = bytearray(good)
+            data[byte] ^= 1 << bit
+            corrupt(data)
+            with pytest.raises(ValueError):
+                read_labels_at(str(path), [(byte - 10) // 8])
+    # an in-range offset that names another node's record
+    data = bytearray(good)
+    data[18:26] = good[26:34]  # node 1's entry := node 2's
+    corrupt(data)
+    with pytest.raises(ValueError):
+        read_labels_at(str(path), [1])
+    with pytest.raises(ValueError):
+        read_labels_at(str(path), [0])
+    # a table cut short, and a version 1 file
+    corrupt(good[:10 + 8 * 2 + 3])
+    with pytest.raises(ValueError):
+        read_labels_at(str(path), [3])
+    corrupt(good[:4] + b"\x01" + good[5:])
+    with pytest.raises(ValueError):
+        read_labels_at(str(path), [0])
+    # the untouched file still reads back
+    path.write_bytes(good)
+    assert read_label_file(str(path))[2] == labels
+    assert read_labels_at(str(path), [3, 0])[2] == {0: labels[0], 3: labels[3]}

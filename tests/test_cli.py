@@ -62,6 +62,18 @@ def test_query_out_of_range_exits_nonzero(tmp_path, capsys):
     assert err.strip()
 
 
+def test_query_on_a_corrupted_offset_table_exits_2(tmp_path, capsys):
+    graph = write_chain(tmp_path, 3)
+    labels = tmp_path / "c.rlbl"
+    run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
+    data = bytearray(labels.read_bytes())
+    data[10 + 8 * 1] ^= 0x01  # node 1's record offset
+    labels.write_bytes(bytes(data))
+    code, out, err = run(capsys, "query", str(labels), "1", "2")
+    assert code == 2
+    assert "offset table entry of node 1" in err and not out
+
+
 def test_encode_all_schemes_and_profiles(tmp_path, capsys):
     graph = write_chain(tmp_path, 6)
     for scheme in ("warmup", "third", "average"):
@@ -182,6 +194,25 @@ def test_stats_from_graph_and_from_labels(tmp_path, capsys):
     code, out2, _ = run(capsys, "stats", "--labels", labels)
     assert code == 0
     assert out2 == out
+
+
+def test_stats_from_labels_on_a_cyclic_graph(tmp_path, capsys):
+    # a 12-cycle feeding a 4-node tail condenses to 5 components, so the
+    # composite labels' component field is index_width(5) = 3 bits wide
+    edges = [(i, (i + 1) % 12) for i in range(12)] + [(11, 12), (12, 13), (13, 14), (14, 15)]
+    graph = tmp_path / "cycle.txt"
+    graph.write_text(f"16 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    labels = str(tmp_path / "cycle.rlbl")
+    for scheme, scc_row in (("third", "scc,3,3.000"), ("warmup", "scc,4,4.000")):
+        code, _, _ = run(capsys, "encode", "--scheme", scheme, "--input", str(graph),
+                         "--output", labels)
+        assert code == 0
+        code, from_labels, _ = run(capsys, "stats", "--labels", labels)
+        assert code == 0
+        assert scc_row in from_labels.splitlines()
+        code, from_graph, _ = run(capsys, "stats", "--input", str(graph), "--scheme", scheme)
+        assert code == 0
+        assert from_labels == from_graph
 
 
 def test_stats_requires_a_source(capsys):

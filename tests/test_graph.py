@@ -81,17 +81,35 @@ def test_topological_order_respects_edges(d):
 # -- SCC condensation ------------------------------------------------------
 
 
-def test_scc_chain_rewiring_frozen():
+def test_scc_quotient_frozen():
     # 3-cycle {0,1,2} feeding a 2-node tail 3 -> 4
     g = Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     res = scc_condense(g)
-    assert res.scc_id[0] == res.scc_id[1] == res.scc_id[2]
-    assert len({res.scc_id[0], res.scc_id[3], res.scc_id[4]}) == 3
-    chain = next(c for c in res.chains if len(c) == 3)
-    assert set(chain) == {0, 1, 2}
-    # chain edges are consecutive, and the dag is acyclic by construction
-    for x, y in zip(chain, chain[1:]):
-        assert res.dag.has_edge(x, y)
+    assert res.scc_id == (0, 0, 0, 1, 2)
+    assert res.dag.n == 3
+    assert res.dag.edges == frozenset({(0, 1), (1, 2)})
+    assert res.leaders == [0, 3, 4]
+    assert res.dag.order == [0, 1, 2]
+
+
+def test_scc_quotient_numbers_components_by_smallest_member():
+    # 4 -> {1, 3} (a 2-cycle) -> 0 -> 2
+    g = Digraph(5, [(4, 1), (1, 3), (3, 1), (3, 0), (0, 2)])
+    res = scc_condense(g)
+    assert res.scc_id == (0, 1, 2, 1, 3)
+    assert res.leaders == [0, 1, 2, 4]
+    assert res.dag.edges == frozenset({(3, 1), (1, 0), (0, 2)})
+    assert res.expand("abcd") == ["a", "b", "c", "b", "d"]
+
+
+@given(dags())
+def test_scc_quotient_of_a_dag_is_the_dag(d):
+    res = scc_condense(Digraph(d.n, rows=d.rows))
+    assert res.scc_id == tuple(range(d.n))
+    assert res.dag.rows == d.rows
+    pos = {u: i for i, u in enumerate(res.dag.order)}
+    for u, v in d.edges:
+        assert pos[u] < pos[v]
 
 
 @given(digraphs())
@@ -100,14 +118,20 @@ def test_scc_condensation_preserves_reachability(g):
     res = scc_condense(g)
     truth = brute_reach(g)
     cond = brute_reach(res.dag)
+    topological_order(res.dag)  # acyclic
+    assert sorted(res.dag.order) == list(range(res.dag.n))
+    pos = {c: i for i, c in enumerate(res.dag.order)}
+    for c, d in res.dag.edges:
+        assert pos[c] < pos[d]
     for u in range(g.n):
         for v in range(g.n):
             if u == v:
                 continue
-            same = res.scc_id[u] == res.scc_id[v]
+            cu, cv = res.scc_id[u], res.scc_id[v]
+            same = cu == cv
             assert same == (v in truth[u] and u in truth[v])
             if not same:
-                assert (v in cond[u]) == (v in truth[u])
+                assert (cv in cond[cu]) == (v in truth[u])
 
 
 @given(digraphs())
@@ -127,6 +151,7 @@ def test_reach_rows_matches_oracle(g):
 @given(dags())
 def test_transitive_closure_is_closed_and_exact(d):
     c = transitive_closure(d)
+    assert c.order is d.order  # a DAG's order is one of its closure too
     assert is_transitively_closed(c)
     truth = brute_reach(d)
     for u in range(d.n):
