@@ -14,7 +14,6 @@ from .scheme import (
     Pipeline,
     SCHEME_IDS,
     encode,
-    encode_average,
     parse_label,
     query,
     query_lazy,
@@ -33,7 +32,6 @@ __all__ = [
     "SCHEME_IDS",
     "VerifyReport",
     "encode",
-    "encode_average",
     "generate",
     "oracle_reach",
     "parse_label",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitString, BitWriter, count_width, index_width, read_fixed
+from .bitio import BitWriter, TableView, count_width, index_width
 from .graph import _iter_bits
 
 
@@ -106,21 +106,6 @@ def encode_bipartite(inst: BipartiteInstance) -> list[BipartiteLabel]:
     return labels
 
 
-def _check_params(lu: BipartiteLabel, lv: BipartiteLabel) -> None:
-    if (lu.a, lu.b, lu.alpha, lu.beta) != (lv.a, lv.b, lv.alpha, lv.beta):
-        raise ValueError("labels carry mismatched instance parameters")
-
-
-def decode_bipartite(lu: BipartiteLabel, lv: BipartiteLabel) -> bool:
-    """Adjacency from two labels alone. Same-side pairs are never adjacent."""
-    _check_params(lu, lv)
-    if lu.side == lv.side:
-        return False
-    if lu.side == "B":
-        lu, lv = lv, lu
-    return probe_pair(lu, lv)
-
-
 def probe_pair(la, lb) -> bool:
     """Adjacency probe with la known to be A-side and lb B-side.
 
@@ -158,41 +143,18 @@ def write_embedded(w: BitWriter, lab: BipartiteLabel, limit: int) -> None:
     w.write(lab.b, pw)
     w.write(lab.alpha, pw)
     w.write(lab.beta, pw)
-    tl = lab.table_len
-    if tl:
-        # table bit 0 streams first, so it goes at the high end of the write
-        w.write(int(format(lab.table, f"0{tl}b")[::-1], 2), tl)
+    w.write_table(lab.table, lab.table_len)
 
 
-def read_embedded(bits: BitString, offset: int, limit: int, side: str) -> tuple[BipartiteLabel, int]:
-    """Eager parse; returns (label, bits consumed)."""
-    iw = index_width(limit)
-    pw = count_width(limit)
-    head = read_fixed(bits, offset, iw + 4 * pw)
-    pm = (1 << pw) - 1
-    beta = head & pm
-    alpha = head >> pw & pm
-    b = head >> 2 * pw & pm
-    a = head >> 3 * pw & pm
-    idx = head >> 4 * pw
-    pos = offset + iw + 4 * pw
-    tl = alpha if side == "A" else beta
-    t = int(format(read_fixed(bits, pos, tl), f"0{tl}b")[::-1], 2) if tl else 0
-    pos += tl
-    return BipartiteLabel(idx, a, b, alpha, beta, t, side), pos - offset
+class EmbeddedView(TableView):
+    """Decode view of one embedded sub-label, with the probe surface of
+    BipartiteLabel; the fixed header costs one counted read."""
 
-
-class LazyEmbedded:
-    """Bit-backed view with the same probe surface as BipartiteLabel."""
-
-    __slots__ = ("_read", "_off", "index", "a", "b", "alpha", "beta", "side", "_table_off")
+    __slots__ = ("index", "a", "b", "alpha", "beta", "end_offset")
 
     def __init__(self, read, offset: int, limit: int, side: str):
         iw = index_width(limit)
         pw = count_width(limit)
-        self._read = read
-        self._off = offset
-        # one batched read for the whole fixed header
         head = read(offset, iw + 4 * pw)
         pm = (1 << pw) - 1
         self.beta = head & pm
@@ -200,17 +162,7 @@ class LazyEmbedded:
         self.b = head >> 2 * pw & pm
         self.a = head >> 3 * pw & pm
         self.index = head >> 4 * pw
-        self.side = side
-        self._table_off = offset + iw + 4 * pw
-
-    @property
-    def table_len(self) -> int:
-        return self.alpha if self.side == "A" else self.beta
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.table_len:
-            raise ValueError(f"table probe {i} out of range {self.table_len}")
-        return self._read(self._table_off + i, 1)
-
-    def end_offset(self) -> int:
-        return self._table_off + self.table_len
+        start = offset + iw + 4 * pw
+        width = self.alpha if side == "A" else self.beta
+        super().__init__(read, start, width)
+        self.end_offset = start + width

@@ -110,6 +110,11 @@ class BitWriter:
         self._acc = acc & (1 << rem) - 1
         self._nacc = rem
 
+    def write_table(self, table: int, width: int) -> None:
+        """Write bits 0..width-1 of ``table`` in that order, bit 0 first."""
+        if width:
+            self.write(int(format(table, f"0{width}b")[::-1], 2), width)
+
     def finish(self) -> BitString:
         total = self.bit_length
         if self._nacc:
@@ -134,6 +139,56 @@ def read_fixed(bits: BitString, offset: int, width: int) -> int:
     chunk = int.from_bytes(bits.data[start:end], "big")
     drop = end * 8 - (offset + width)
     return (chunk >> drop) & ((1 << width) - 1)
+
+
+class LabelReader:
+    """One label loaded once as an int, read field by field.
+
+    ``read(offset, width)`` takes a field by shift and mask and counts the
+    64-bit words a pointer-based decoder would fetch for it, at least one
+    per read. ``peek`` takes a field without counting, for a TableView.
+    """
+
+    __slots__ = ("value", "length", "words")
+
+    def __init__(self, bits: BitString):
+        nbytes = (bits.length + 7) // 8
+        self.value = int.from_bytes(bits.data[:nbytes], "big") >> (8 * nbytes - bits.length)
+        self.length = bits.length
+        self.words = 0
+
+    def __call__(self, offset: int, width: int) -> int:
+        self.words += (width + 63) >> 6 or 1
+        return self.peek(offset, width)
+
+    def peek(self, offset: int, width: int) -> int:
+        end = offset + width
+        if width < 0 or offset < 0 or end > self.length:
+            raise ValueError(
+                f"read of {width} bits at offset {offset} overruns {self.length}-bit string"
+            )
+        return self.value >> (self.length - end) & (1 << width) - 1
+
+
+class TableView:
+    """A ``width``-bit table at ``offset`` of a label, bit i stored i-th.
+
+    The table is taken from the label once; each ``bit`` probe is charged
+    one word, the fetch a pointer-based decoder would make for it.
+    """
+
+    __slots__ = ("_read", "_table", "_len")
+
+    def __init__(self, read: LabelReader, offset: int, width: int):
+        self._read = read
+        self._len = width
+        self._table = read.peek(offset, width)
+
+    def bit(self, i: int) -> int:
+        self._read.words += 1
+        if not 0 <= i < self._len:
+            raise ValueError(f"table probe {i} out of range {self._len}")
+        return self._table >> self._len - 1 - i & 1
 
 
 @dataclass(frozen=True)
@@ -226,9 +281,9 @@ def read_label_file(path: str) -> tuple[int, int, list[BitString]]:
     """Read all labels; returns (scheme_id, n, labels)."""
     with open(path, "rb") as f:
         scheme_id, n, size = _read_file_header(f)
-        table = f.read(8 * n)
-        if len(table) != 8 * n:
+        if 10 + 8 * n > size:
             raise ValueError("truncated label file offset table")
+        table = f.read(8 * n)
         offs = struct.unpack(f"<{n}Q", table) + (size,)
         return scheme_id, n, [_read_record(f, i, offs[i], offs[i + 1], n, size) for i in range(n)]
 

@@ -1,19 +1,14 @@
-"""Command-line surface: generate, encode, query, stats, verify, bench.
+"""Command-line surface: generate, encode, query, stats, verify.
 
 Graph files are plain text: a first line "n m", then m lines "u v" with
 0-based node ids. Label files use the binary RLBL layout from bitio. Exit
-codes: 0 success, 1 verification mismatch, 2 usage or format error. The
-environment variable RLBL_THREADS caps how many worker processes verify may
-fan out to (default 1); output order is deterministic either way.
+codes: 0 success, 1 verification mismatch, 2 usage or format error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
-import time
 
 from .bitio import read_label_file, read_labels_at, write_label_file
 from .graph import Digraph, _iter_bits
@@ -140,12 +135,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _verify_one(task) -> tuple[int, "object"]:
-    scheme, profile, kind, n, p, seed, layers = task
-    g = generate(GenSpec(kind, n, p, seed, layers))
-    return seed, verify(g, scheme, profile)
-
-
 def cmd_verify(args) -> int:
     if args.input:
         g = read_graph_file(args.input)
@@ -160,24 +149,10 @@ def cmd_verify(args) -> int:
 
     trials = args.trials
     print(f"instances={trials}")
-    if trials == 0:
-        return 0
-    tasks = [
-        (args.scheme, args.biclique_profile, args.kind, args.n, args.p,
-         args.seed + t, args.layers)
-        for t in range(trials)
-    ]
-    workers = max(1, int(os.environ.get("RLBL_THREADS", "1") or "1"))
-    if workers > 1 and trials > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
-            results = list(pool.map(_verify_one, tasks))
-    else:
-        results = [_verify_one(t) for t in tasks]
-
     bad = 0
-    for seed, rep in results:  # tasks are seed-ascending, so output is too
+    for seed in range(args.seed, args.seed + trials):
+        g = generate(GenSpec(args.kind, args.n, args.p, seed, args.layers))
+        rep = verify(g, args.scheme, args.biclique_profile)
         print(
             f"seed={seed} n={rep.n} pairs_checked={rep.pairs_checked}"
             f" mismatches={rep.mismatches} max_bits={rep.max_bits}"
@@ -188,33 +163,6 @@ def cmd_verify(args) -> int:
             print(f"FAIL graph-seed={seed} u={u} v={v}", file=sys.stderr)
         bad += 0 if rep.ok else 1
     return 1 if bad else 0
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rng = random.Random(args.seed)
-    print("n,encode_s,query_us,max_bits,mean_bits")
-    per_query = []
-    for n in sizes:
-        g = generate(GenSpec(args.kind, n, args.p, args.seed))
-        t0 = time.perf_counter()
-        ls = encode(g, args.scheme, args.biclique_profile)
-        t1 = time.perf_counter()
-        parsed = [parse_label(b) for b in ls.labels]
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(args.queries)]
-        t2 = time.perf_counter()
-        for u, v in pairs:
-            query(parsed[u], parsed[v])
-        t3 = time.perf_counter()
-        us = (t3 - t2) / max(1, len(pairs)) * 1e6
-        per_query.append(us)
-        rep = stats(ls)
-        print(f"{n},{t1 - t0:.3f},{us:.3f},{rep['max_bits']},{rep['mean_bits']:.1f}")
-    if len(per_query) > 1:
-        ratio = max(per_query) / max(min(per_query), 1e-9)
-        flat = "yes" if ratio <= 3.0 else "no"
-        print(f"# query latency spread max/min = {ratio:.2f} -> flat={flat}")
-    return 0
 
 
 # -- argument plumbing ----------------------------------------------------------
@@ -268,16 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biclique-profile", choices=PROFILES, default="paper")
     _add_gen_flags(p, with_trials=True)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="encode/query timing table (CSV)")
-    p.add_argument("--scheme", choices=sorted(SCHEME_IDS), default="third")
-    p.add_argument("--biclique-profile", choices=PROFILES, default="paper")
-    p.add_argument("--kind", choices=KINDS, default="poset")
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="100,200,400,800")
-    p.add_argument("--queries", type=int, default=20000)
-    p.set_defaults(func=cmd_bench)
 
     return ap
 

@@ -31,7 +31,7 @@ tables (near over the matched sides, far over the pair graph) are built as
 A-side rows over ranks on the B side.
 
 Section layout (offsets into the per-node blob are kept in a small table,
-so the lazy reader can jump straight to one section):
+so a decoder can jump straight to one section):
 
   near: class[3]  then  matched -> embedded bipartite sub-label
                         leftover -> exact neighbor-position set
@@ -47,15 +47,14 @@ from dataclasses import dataclass, replace
 
 from .bipartite import (
     BipartiteInstance,
-    LazyEmbedded,
+    EmbeddedView,
     encode_bipartite,
     probe_pair,
-    read_embedded,
     write_embedded,
 )
 from .biclique import build_n_rest, find_bicliques, get_profile
-from .bitio import BitString, BitWriter, count_width, index_width, read_fixed
-from .dictionary import StaticSet, build_set, probe_serialized
+from .bitio import BitString, BitWriter, TableView, count_width, index_width, read_fixed
+from .dictionary import SetView, build_set
 from .graph import LayeredDag, _iter_bits
 
 # Node classes within one iteration, stored in 3 bits at each section start.
@@ -454,14 +453,12 @@ def _encode_far_sections(n, k, records):
                     write_embedded(
                         w, far_labels[rec.n_pairs + rec.outside_rank[u]], n
                     )
-                    if nb:
-                        flags = rec.via_second[u]
-                        w.write(int(format(flags, f"0{nb}b")[::-1], 2), nb)
+                    w.write_table(rec.via_second[u], nb)
             per_node[u][rec.s - 1] = w.finish()
     return tuple(tuple(secs) for secs in per_node)
 
 
-# -- per-node blob assembly and parsing -------------------------------------
+# -- per-node blob assembly -------------------------------------------------
 #
 # blob := k[count_width(n)] ow[6] removed_iter[cw] entry[cw] bounds payload
 # with cw = count_width(k), ow = count_width(total payload bits), and
@@ -494,148 +491,59 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
     return w.finish()
 
 
-@dataclass(frozen=True)
-class NearSection:
-    inf: int
-    _bip: object = None
-    keys: StaticSet | None = None
-
-    def bip(self):
-        return self._bip
-
-    def contains(self, x: int) -> bool:
-        return self.keys.contains(x)
+# -- decode views ----------------------------------------------------------
+#
+# One family of views serves both decode surfaces. A view reads its fixed
+# fields through the label's LabelReader when built and its sub-label on
+# first use, so a single query pays only for the words it touches.
+# ``CrossView.check`` walks every section once and keeps the views, which
+# bulk queries then answer from.
 
 
-@dataclass(frozen=True)
-class FarSection:
-    inf: int
-    is_empty: bool
-    bic: int | None = None
-    _bip: object = None
-    flag_mask: int = 0
-    flag_len: int = 0
+class NearView:
+    """One near section: its class, then a sub-label or a neighbor set."""
 
-    def bip(self):
-        return self._bip
+    __slots__ = ("_read", "_off", "_end", "_n", "inf", "_bip", "_keys")
 
-    def via_second(self, i: int) -> int:
-        if not 0 <= i < self.flag_len:
-            raise ValueError(f"flag probe {i} out of range {self.flag_len}")
-        return self.flag_mask >> i & 1
-
-
-@dataclass(eq=False)
-class ParsedCross:
-    k: int
-    removed_iter: int
-    entry: int
-    nears: tuple[NearSection, ...]
-    fars: tuple[FarSection, ...]
-
-    def sec_near(self, s: int) -> NearSection:
-        return self.nears[s - 1]
-
-    def sec_far(self, s: int) -> FarSection:
-        return self.fars[s - 1]
-
-
-def _parse_near(bits: BitString, off: int, length: int, n: int) -> NearSection:
-    inf = read_fixed(bits, off, CLASS_BITS)
-    used = CLASS_BITS
-    if inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
-        side = "A" if inf == CLS_FRONT_MATCH else "B"
-        emb, w = read_embedded(bits, off + CLASS_BITS, n, side)
-        used += w
-        sec = NearSection(inf, _bip=emb)
-    elif inf in (CLS_FRONT_REST, CLS_SECOND_REST):
-        ss, w = StaticSet.read(bits, off + CLASS_BITS, n)
-        used += w
-        sec = NearSection(inf, keys=ss)
-    else:
-        sec = NearSection(inf)
-    if used != length:
-        raise ValueError(f"near section length {length}, parsed {used}")
-    return sec
-
-
-def _parse_far(bits: BitString, off: int, length: int, n: int) -> FarSection:
-    inf = read_fixed(bits, off, CLASS_BITS)
-    if length == CLASS_BITS:
-        return FarSection(inf, is_empty=True)
-    iw = index_width(n)
-    if inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
-        bic = read_fixed(bits, off + CLASS_BITS, iw)
-        emb, w = read_embedded(bits, off + CLASS_BITS + iw, n, "A")
-        if CLASS_BITS + iw + w != length:
-            raise ValueError("far section length mismatch")
-        return FarSection(inf, is_empty=False, bic=bic, _bip=emb)
-    emb, w = read_embedded(bits, off + CLASS_BITS, n, "B")
-    flag_len = length - CLASS_BITS - w
-    if flag_len < 0:
-        raise ValueError("far section length mismatch")
-    p = off + CLASS_BITS + w
-    mask = 0
-    if flag_len:
-        raw = read_fixed(bits, p, flag_len)
-        mask = int(format(raw, f"0{flag_len}b")[::-1], 2)
-    return FarSection(inf, is_empty=False, _bip=emb, flag_mask=mask, flag_len=flag_len)
-
-
-def parse_cross(bits: BitString, offset: int, n: int) -> tuple[ParsedCross, int]:
-    """Eager parse of one node's blob; returns (parsed, bits consumed)."""
-    kf = count_width(n)
-    k = read_fixed(bits, offset, kf)
-    if k < 1:
-        raise ValueError("corrupt blob: no groups")
-    ow = read_fixed(bits, offset + kf, RATE_BITS)
-    cw = count_width(k)
-    p = offset + kf + RATE_BITS
-    both = read_fixed(bits, p, 2 * cw)
-    removed = both >> cw
-    ent = both & (1 << cw) - 1
-    p += 2 * cw
-    nb = 2 * (k - 1) + 1
-    block = read_fixed(bits, p, nb * ow)
-    omask = (1 << ow) - 1
-    bounds = [block >> ow * (nb - 1 - i) & omask for i in range(nb)]
-    payload = p + nb * ow
-    nears = []
-    fars = []
-    for s in range(1, k):
-        i = 2 * (s - 1)
-        nears.append(
-            _parse_near(bits, payload + bounds[i], bounds[i + 1] - bounds[i], n)
-        )
-        fars.append(
-            _parse_far(bits, payload + bounds[i + 1], bounds[i + 2] - bounds[i + 1], n)
-        )
-    parsed = ParsedCross(k, removed, ent, tuple(nears), tuple(fars))
-    return parsed, payload + bounds[-1] - offset
-
-
-# -- lazy, read-counted views ------------------------------------------------
-
-
-class LazyNearSection:
-    __slots__ = ("_read", "_off", "_n", "inf")
-
-    def __init__(self, read, off: int, n: int):
+    def __init__(self, read, off: int, end: int, n: int):
         self._read = read
         self._off = off
+        self._end = end
         self._n = n
         self.inf = read(off, CLASS_BITS)
+        self._bip = self._keys = None
 
-    def bip(self):
-        side = "A" if self.inf == CLS_FRONT_MATCH else "B"
-        return LazyEmbedded(self._read, self._off + CLASS_BITS, self._n, side)
+    def bip(self) -> EmbeddedView:
+        if self._bip is None:
+            side = "A" if self.inf == CLS_FRONT_MATCH else "B"
+            self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._n, side)
+        return self._bip
 
-    def contains(self, x: int) -> bool:
-        return probe_serialized(self._read, self._off + CLASS_BITS, self._n, x)
+    def keys(self) -> SetView:
+        if self._keys is None:
+            self._keys = SetView(self._read, self._off + CLASS_BITS, self._n)
+        return self._keys
+
+    def check(self) -> None:
+        """Raise ValueError unless the content exactly fills the section."""
+        inf = self.inf
+        if inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
+            end = self.bip().end_offset
+        elif inf in (CLS_FRONT_REST, CLS_SECOND_REST):
+            end = self.keys().end_offset
+        else:
+            end = self._off + CLASS_BITS
+        if end != self._end:
+            raise ValueError(
+                f"near section length {self._end - self._off}, parsed {end - self._off}"
+            )
 
 
-class LazyFarSection:
-    __slots__ = ("_read", "_off", "_end", "_n", "inf", "is_empty", "_emb")
+class FarView:
+    """One far section: its class, then (when the iteration found bicliques)
+    a biclique number and pair sub-label, or a right sub-label and flags."""
+
+    __slots__ = ("_read", "_off", "_end", "_n", "inf", "is_empty", "_bic", "_bip", "_flags")
 
     def __init__(self, read, off: int, end: int, n: int):
         self._read = read
@@ -644,62 +552,103 @@ class LazyFarSection:
         self._n = n
         self.inf = read(off, CLASS_BITS)
         self.is_empty = end - off == CLASS_BITS
-        self._emb = None
+        self._bic = self._bip = self._flags = None
 
-    @property
     def bic(self) -> int:
-        return self._read(self._off + CLASS_BITS, index_width(self._n))
+        if self._bic is None:
+            self._bic = self._read(self._off + CLASS_BITS, index_width(self._n))
+        return self._bic
 
-    def bip(self):
-        if self._emb is None:
-            if self.inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
+    def _matched(self) -> bool:
+        return self.inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH)
+
+    def bip(self) -> EmbeddedView:
+        if self._bip is None:
+            if self._matched():
                 start = self._off + CLASS_BITS + index_width(self._n)
-                self._emb = LazyEmbedded(self._read, start, self._n, "A")
+                self._bip = EmbeddedView(self._read, start, self._n, "A")
             else:
-                self._emb = LazyEmbedded(
-                    self._read, self._off + CLASS_BITS, self._n, "B"
-                )
-        return self._emb
+                self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._n, "B")
+        return self._bip
+
+    def _flag_bits(self) -> TableView:
+        """The flags: every bit between the sub-label and the section end."""
+        if self._flags is None:
+            start = self.bip().end_offset
+            if start > self._end:
+                raise ValueError("far section length mismatch")
+            self._flags = TableView(self._read, start, self._end - start)
+        return self._flags
 
     def via_second(self, i: int) -> int:
-        base = self.bip().end_offset()
-        if not 0 <= i < self._end - base:
-            raise ValueError(f"flag probe {i} out of range {self._end - base}")
-        return self._read(base + i, 1)
+        return (self._flags or self._flag_bits()).bit(i)
+
+    def check(self) -> None:
+        """Raise ValueError unless the content exactly fills the section."""
+        if self.is_empty:
+            return
+        if not self._matched():
+            self._flag_bits()
+        elif self.bip().end_offset != self._end:
+            raise ValueError("far section length mismatch")
 
 
 class CrossView:
-    """Navigates one node's blob through a read(offset, width) callable."""
+    """One node's blob: group count, retirement, entry and section bounds.
 
-    __slots__ = ("_read", "_base", "_n", "k", "_ow", "removed_iter", "entry", "_tab", "_payload")
+    Each section access builds a fresh view from the bounds table until
+    ``check`` has walked them all; from then on the walked views answer.
+    """
+
+    __slots__ = ("_read", "_n", "k", "_ow", "removed_iter", "entry", "_tab", "_payload",
+                 "_near", "_far")
 
     def __init__(self, read, base: int, n: int):
         kf = count_width(n)
-        self._read = read
-        self._base = base
-        self._n = n
         head = read(base, kf + RATE_BITS)
         self.k = head >> RATE_BITS
+        if self.k < 1:
+            raise ValueError("corrupt blob: no groups")
         self._ow = head & (1 << RATE_BITS) - 1
         cw = count_width(self.k)
         both = read(base + kf + RATE_BITS, 2 * cw)
         self.removed_iter = both >> cw
         self.entry = both & (1 << cw) - 1
+        self._read = read
+        self._n = n
         self._tab = base + kf + RATE_BITS + 2 * cw
         self._payload = self._tab + (2 * (self.k - 1) + 1) * self._ow
+        self._near = self._far = ()
 
-    def _bounds(self, idx: int) -> tuple[int, int]:
+    def _section(self, idx: int, kind):
+        if not 0 <= idx < 2 * (self.k - 1):
+            raise ValueError(f"no section {idx} in a blob of {self.k} groups")
         ow = self._ow
         both = self._read(self._tab + idx * ow, 2 * ow)
-        return both >> ow, both & (1 << ow) - 1
+        start = self._payload + (both >> ow)
+        end = self._payload + (both & (1 << ow) - 1)
+        return kind(self._read, start, end, self._n)
 
-    def sec_near(self, s: int) -> LazyNearSection:
-        b0, _ = self._bounds(2 * (s - 1))
-        return LazyNearSection(self._read, self._payload + b0, self._n)
+    def sec_near(self, s: int) -> NearView:
+        return self._near[s - 1] if self._near else self._section(2 * s - 2, NearView)
 
-    def sec_far(self, s: int) -> LazyFarSection:
-        b0, b1 = self._bounds(2 * (s - 1) + 1)
-        return LazyFarSection(self._read, self._payload + b0, self._payload + b1, self._n)
+    def sec_far(self, s: int) -> FarView:
+        return self._far[s - 1] if self._far else self._section(2 * s - 1, FarView)
+
+    def check(self) -> int:
+        """Walk every section, raising ValueError unless each exactly fills
+        its bounds, and keep the views; returns the bit offset where the
+        blob ends."""
+        k = self.k
+        if not (1 <= self.entry <= k and 1 <= self.removed_iter <= k):
+            raise ValueError("entry or retirement outside the blob's groups")
+        secs = []
+        for idx in range(2 * (k - 1)):
+            sec = self._section(idx, FarView if idx & 1 else NearView)
+            sec.check()
+            secs.append(sec)
+        self._near, self._far = tuple(secs[0::2]), tuple(secs[1::2])
+        return self._payload + self._read(self._tab + 2 * (k - 1) * self._ow, self._ow)
 
 
 # -- decoding ----------------------------------------------------------------
@@ -710,7 +659,7 @@ def decode_near(su, sv, pos_u: int, pos_v: int) -> bool:
     if cu == CLS_FRONT_MATCH and cv == CLS_SECOND_MATCH:
         return probe_pair(su.bip(), sv.bip())
     if cu == CLS_FRONT_REST and cv == CLS_SECOND_REST:
-        return su.contains(pos_v) or sv.contains(pos_u)
+        return su.keys().contains(pos_v) or sv.keys().contains(pos_u)
     return False
 
 
@@ -723,23 +672,25 @@ def decode_far(su, sv) -> bool:
     if cu == CLS_FRONT_REST and cv == CLS_SECOND_MATCH:
         return probe_pair(sv.bip(), su.bip())
     if cu == CLS_FRONT_MATCH and cv == CLS_UPPER:
-        if sv.via_second(su.bic):
+        if sv.via_second(su.bic()):
             return True
         return probe_pair(su.bip(), sv.bip())
     if cu == CLS_SECOND_MATCH and cv == CLS_UPPER:
-        if sv.via_second(su.bic):
+        if sv.via_second(su.bic()):
             return probe_pair(su.bip(), sv.bip())
         return False
     return False
 
 
 def decode_cross(lu, lv, pos_u: int, pos_v: int) -> bool:
-    """Cross-group edge membership from two blob views (parsed or lazy).
+    """Cross-group edge membership from two blob views.
 
     Queries with u at or above v's entry group are never cross edges. The
     answering iteration is v's entry (where v is still in the second group)
     unless u retired earlier.
     """
+    if lu.k != lv.k:
+        raise ValueError("blobs disagree on the group count")
     if lu.entry >= lv.entry:
         return False
     s = min(lu.removed_iter, lv.entry - 1)

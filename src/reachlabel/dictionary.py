@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitString, BitWriter, count_width, index_width, read_fixed
+from .bitio import BitWriter, count_width, index_width
 
 _BUCKET_SEED = 0x9E3779B97F4A7C15
 _SLOT_SALT = 0xC2B2AE3D27D4EB4F
@@ -47,28 +47,6 @@ class StaticSet:
     occupied: int                  # hashed mode, slot occupancy bitmask
     slots: tuple[int, ...]         # hashed: slot -> key; sorted: ascending keys
 
-    def contains(self, x: int) -> bool:
-        if not 0 <= x < self.universe_bound:
-            raise ValueError(f"key {x} outside universe [0,{self.universe_bound})")
-        m = self.size
-        if m == 0:
-            return False
-        if self.mode == 1:
-            import bisect
-
-            i = bisect.bisect_left(self.slots, x)
-            return i < m and self.slots[i] == x
-        b = _mix(x, _BUCKET_SEED) % m
-        slot = _mix(x, _SLOT_SALT + self.seeds[b]) % m
-        return bool(self.occupied >> slot & 1) and self.slots[slot] == x
-
-    def members(self) -> list[int]:
-        if self.mode == 1:
-            return list(self.slots)
-        return sorted(
-            self.slots[i] for i in range(self.size) if self.occupied >> i & 1
-        )
-
     # -- serialization ----------------------------------------------------
 
     def write(self, w: BitWriter) -> None:
@@ -81,8 +59,7 @@ class StaticSet:
             for s in self.seeds:
                 acc = acc << 8 | s
             w.write(acc, 8 * m)
-            # occupancy bit i streams i-th, so it sits at the high end
-            w.write(int(format(self.occupied, f"0{m}b")[::-1], 2), m)
+            w.write_table(self.occupied, m)
         if self.slots:
             acc = 0
             for k in self.slots:
@@ -96,66 +73,67 @@ class StaticSet:
             return base + self.size * (8 + 1 + kw)
         return base + self.size * kw
 
-    @classmethod
-    def read(cls, bits: BitString, offset: int, universe_bound: int) -> tuple["StaticSet", int]:
-        """Parse from ``offset``; returns (set, bits consumed)."""
+
+class SetView:
+    """Decode view of a serialized set.
+
+    Size and mode cost one counted read; the seed, occupancy and key arrays
+    are taken from the label once, and ``contains`` charges one word for
+    each field a pointer-based probe would fetch: O(1) of them hashed,
+    O(log m) sorted. A key is at most 32 bits wide (the universe bound is
+    a 32-bit header field), so one word each.
+    """
+
+    __slots__ = ("_read", "_bound", "_kw", "_m", "_mode", "_seeds", "_occ", "_keys", "end_offset")
+
+    def __init__(self, read, offset: int, universe_bound: int):
         cw = count_width(universe_bound)
         kw = index_width(universe_bound)
-        m = read_fixed(bits, offset, cw)
-        mode = read_fixed(bits, offset + cw, 1)
+        head = read(offset, cw + 1)  # size and mode batched into one read
+        m = head >> 1
+        self._read = read
+        self._bound = universe_bound
+        self._kw = kw
+        self._m = m
+        self._mode = head & 1
         pos = offset + cw + 1
-        seeds: tuple[int, ...] = ()
-        occ = 0
-        if mode == 0 and m:
-            block = read_fixed(bits, pos, 8 * m)
-            seeds = tuple(block >> 8 * (m - 1 - i) & 0xFF for i in range(m))
-            pos += 8 * m
-            occ = int(format(read_fixed(bits, pos, m), f"0{m}b")[::-1], 2)
-            pos += m
-        if m:
-            block = read_fixed(bits, pos, kw * m)
-            kmask = (1 << kw) - 1
-            slots = tuple(block >> kw * (m - 1 - i) & kmask for i in range(m))
-        else:
-            slots = ()
-        pos += kw * m
-        return cls(universe_bound, m, mode, seeds, occ, slots), pos - offset
+        self._seeds = self._occ = 0
+        if self._mode == 0:
+            self._seeds = read.peek(pos, 8 * m)
+            self._occ = read.peek(pos + 8 * m, m)
+            pos += 9 * m
+        self._keys = read.peek(pos, kw * m)
+        self.end_offset = pos + kw * m
 
-
-def probe_serialized(read, offset: int, universe_bound: int, x: int) -> bool:
-    """Membership probe straight off a serialized set.
-
-    ``read(offset, width)`` supplies bits; only the fields on the probe path
-    are touched (O(1) reads hashed, O(log m) reads sorted).
-    """
-    if not 0 <= x < universe_bound:
-        raise ValueError(f"key {x} outside universe [0,{universe_bound})")
-    cw = count_width(universe_bound)
-    kw = index_width(universe_bound)
-    head = read(offset, cw + 1)  # size and mode batched into one read
-    m = head >> 1
-    mode = head & 1
-    pos = offset + cw + 1
-    if m == 0:
-        return False
-    if mode == 0:
-        b = _mix(x, _BUCKET_SEED) % m
-        d = read(pos + 8 * b, 8)
-        slot = _mix(x, _SLOT_SALT + d) % m
-        if not read(pos + 8 * m + slot, 1):
+    def contains(self, x: int) -> bool:
+        if not 0 <= x < self._bound:
+            raise ValueError(f"key {x} outside universe [0,{self._bound})")
+        m = self._m
+        if m == 0:
             return False
-        return read(pos + 9 * m + kw * slot, kw) == x
-    lo, hi = 0, m - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        k = read(pos + kw * mid, kw)
-        if k == x:
-            return True
-        if k < x:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return False
+        read, keys, kw = self._read, self._keys, self._kw
+        kmask = (1 << kw) - 1
+        if self._mode == 0:
+            b = _mix(x, _BUCKET_SEED) % m
+            d = self._seeds >> 8 * (m - 1 - b) & 0xFF
+            slot = _mix(x, _SLOT_SALT + d) % m
+            if not self._occ >> m - 1 - slot & 1:
+                read.words += 2  # the seed and the occupancy bit
+                return False
+            read.words += 3  # and the key in the slot
+            return keys >> kw * (m - 1 - slot) & kmask == x
+        lo, hi = 0, m - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            read.words += 1
+            k = keys >> kw * (m - 1 - mid) & kmask
+            if k == x:
+                return True
+            if k < x:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        return False
 
 
 def build_set(keys, universe_bound: int) -> StaticSet:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import LayeredDag, _iter_bits
+from .bitio import BitWriter, TableView, count_width, index_width
+from .graph import LayeredDag
 
 
 def gamma_of(n: int) -> int:
@@ -109,13 +110,6 @@ def split_rows(layered: LayeredDag, s: SuperLayering) -> tuple[list[int], list[i
     return inner, cross
 
 
-def split_edges(layered: LayeredDag, s: SuperLayering) -> tuple[frozenset, frozenset]:
-    ir, cr = split_rows(layered, s)
-    inner = frozenset((u, v) for u in range(len(ir)) for v in _iter_bits(ir[u]))
-    cross = frozenset((u, v) for u in range(len(cr)) for v in _iter_bits(cr[u]))
-    return inner, cross
-
-
 @dataclass(frozen=True)
 class GroupLabel:
     """Per-node intra-group part: placement plus the interval table."""
@@ -127,12 +121,46 @@ class GroupLabel:
     thick: bool
     table: int  # (end-beg) bits when not thick; bit j covers topo index beg+j
 
-    def interval_bit(self, j: int) -> int:
-        if self.thick:
-            raise ValueError("thick groups store no table")
-        if not 0 <= j < self.end - self.beg:
-            raise ValueError(f"table probe {j} out of range {self.end - self.beg}")
-        return self.table >> j & 1
+
+def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
+    """The intra section: topo[iw] grp[iw] beg[iw] end[cw] thick[1], then
+    the table (thin groups only), with iw = index_width(n) and
+    cw = count_width(n)."""
+    iw = index_width(n)
+    w.write(gl.topo, iw)
+    w.write(gl.grp, iw)
+    w.write(gl.beg, iw)
+    w.write(gl.end, count_width(n))
+    w.write(1 if gl.thick else 0, 1)
+    if not gl.thick:
+        w.write_table(gl.table, gl.end - gl.beg)
+
+
+class InnerView(TableView):
+    """Decode view of a composite label's intra section: the placement
+    fields cost one counted read, and the interval table is a TableView.
+    ``end_offset`` is where the section ends, which is where the blob must
+    begin.
+    """
+
+    __slots__ = ("topo", "grp", "beg", "end", "thick", "end_offset")
+
+    def __init__(self, read, n: int, offset: int):
+        iw = index_width(n)
+        cw = count_width(n)
+        width = 3 * iw + cw + 1
+        packed = read(offset, width)
+        self.thick = bool(packed & 1)
+        packed >>= 1
+        self.end = packed & (1 << cw) - 1
+        packed >>= cw
+        self.beg = packed & (1 << iw) - 1
+        packed >>= iw
+        self.grp = packed & (1 << iw) - 1
+        self.topo = packed >> iw
+        tlen = 0 if self.thick else self.end - self.beg
+        super().__init__(read, offset + width, tlen)
+        self.end_offset = offset + width + tlen
 
 
 def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -> list[GroupLabel]:
@@ -153,9 +181,7 @@ def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -
 
 
 def decode_inner(lu, lv) -> bool:
-    """Within-group edge membership, from label views with the GroupLabel surface."""
-    if lu.grp != lv.grp:
+    """Within-group edge membership, from two intra section views."""
+    if lu.grp != lv.grp or lu.thick:
         return False
-    if lu.thick:
-        return False
-    return bool(lu.interval_bit(lv.topo - lu.beg))
+    return bool(lu.bit(lv.topo - lu.beg))

@@ -78,12 +78,6 @@ class Digraph:
             self._rows = rows
         return self._rows
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
-    def out_neighbors(self, u: int) -> list[int]:
-        return list(_iter_bits(self.rows[u]))
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
 
@@ -234,16 +228,6 @@ def transitive_closure(d: Dag) -> Dag:
             acc |= closed[v]
         closed[u] = acc & ~(1 << u)
     return Dag(d.n, rows=closed, validate=False, order=order)
-
-
-def is_transitively_closed(d: Digraph) -> bool:
-    rows = d.rows
-    for u in range(d.n):
-        ru = rows[u]
-        for v in _iter_bits(ru):
-            if rows[v] & ~ru:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                 t = iu + j + 1
                 if t >= n and j >= wrap_dead or t % n not in starts:
                     continue
-                emit(c, base + j, warm[u].bit(j))
+                emit(c, base + j, warm[u].table >> j & 1)
         return out
 
     if ls.cross is None:
@@ -264,7 +264,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
             continue
         for j in range(gl.end - gl.beg):
             if inv[gl.beg + j] != c:
-                emit(c, tab_off + j, gl.interval_bit(j))
+                emit(c, tab_off + j, gl.table >> j & 1)
 
     # absolute start offset of every blob section, per component
     k = cl.k

@@ -21,9 +21,16 @@ component is labeled once and its members share that label; ``scc`` holds
 the component id. The header n is the component count for the composite
 schemes and the node count for the warm-up, whose window runs over graph
 nodes. A composite header records the absolute bit offsets of the intra
-section and the blob, so the decoder can jump without scanning. Two decode
-surfaces exist: an eager parse for bulk verification and a lazy view that
-reads only the bits a single query touches (used to bound word reads).
+section and the blob, so the decoder can jump without scanning.
+
+One decoder reads every label: a LabelView loads the label once as an int,
+reads fields by shift and mask while counting 64-bit words, and builds the
+views of its sections (intra, blob, near and far sections, embedded
+sub-labels, neighbor sets) as a query needs them. ``query_lazy`` builds two
+fresh views, so a single query reads only the bits it touches and reports
+the words read. ``parse_label`` first walks every section of the view,
+which rejects a corrupt label with ValueError and keeps the walked views
+for bulk queries. ``query`` answers from either kind.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .bitio import (
     BitString,
     BitWriter,
     LabelHeader,
+    LabelReader,
     count_width,
     index_width,
     read_fixed,
@@ -47,12 +55,19 @@ from .crosslabel import (
     assemble_cross,
     build_cross_labeling,
     decode_cross,
-    parse_cross,
     peel_cross,
 )
-from .flatten import GroupLabel, build_superlayers, decode_inner, encode_inner, split_rows
+from .flatten import (
+    GroupLabel,
+    InnerView,
+    build_superlayers,
+    decode_inner,
+    encode_inner,
+    split_rows,
+    write_inner,
+)
 from .graph import Digraph, longest_path_layers, scc_condense, transitive_closure
-from .warmup import WarmupLabel, decode_warmup, encode_warmup
+from .warmup import WarmupLabel, WindowView, decode_warmup, encode_warmup
 
 SCHEME_IDS = {"warmup": 1, "third": 2, "average": 3}
 SCHEME_NAMES = {i: s for s, i in SCHEME_IDS.items()}
@@ -202,9 +217,7 @@ def encode(
             w.write(c, iw)
             wl = warm[u]
             w.write(wl.index, iw)
-            tl = wl.table_len
-            if tl:
-                w.write(int(format(wl.table, f"0{tl}b")[::-1], 2), tl)
+            w.write_table(wl.table, wl.table_len)
             labels.append(w.finish())
         return LabelSet(scheme, sid, g.n, pl.scc.expand(labels), pipeline=pl)
 
@@ -218,18 +231,11 @@ def encode(
     for c, u in enumerate(lead):
         gl = inner[u]
         blob = assemble_cross(cl, c)
-        tlen = 0 if gl.thick else gl.end - gl.beg
-        blob_off = intra_off + 3 * iw + cw + 1 + tlen
+        blob_off = intra_off + 3 * iw + cw + 1 + (0 if gl.thick else gl.end - gl.beg)
         w = BitWriter()
         LabelHeader(sid, n, (intra_off, blob_off)).write(w)
         w.write(c, iw)
-        w.write(gl.topo, iw)
-        w.write(gl.grp, iw)
-        w.write(gl.beg, iw)
-        w.write(gl.end, cw)
-        w.write(1 if gl.thick else 0, 1)
-        if not gl.thick and tlen:
-            w.write(int(format(gl.table, f"0{tlen}b")[::-1], 2), tlen)
+        write_inner(w, gl, n)
         if len(blob):
             w.write(read_fixed(blob, 0, len(blob)), len(blob))
         labels.append(w.finish())
@@ -239,166 +245,25 @@ def encode(
     return LabelSet(scheme, sid, g.n, x(labels), pipeline=pl, cross=by_node)
 
 
-def encode_average(g: Digraph, profile: str = "paper", **kw) -> LabelSet:
-    """The variant whose retired nodes store no pair-table bits."""
-    return encode(g, "average", profile, **kw)
+# -- decoding ------------------------------------------------------------------
 
 
-# -- eager decoding ----------------------------------------------------------
+class LabelView:
+    """Decode view of one label, read through a word-counting LabelReader.
 
-
-class ParsedLabel:
-    """Fully materialized label, cheap to query many times."""
-
-    __slots__ = ("scheme_id", "n", "scc", "warm", "inner", "cross")
-
-    def __init__(self, scheme_id, n, scc, warm=None, inner=None, cross=None):
-        self.scheme_id = scheme_id
-        self.n = n
-        self.scc = scc
-        self.warm = warm
-        self.inner = inner
-        self.cross = cross
-
-
-def _unpack_lsb(bits: BitString, offset: int, width: int) -> int:
-    """Read a table stored bit j at offset+j into an int with bit j low."""
-    if width == 0:
-        return 0
-    val = read_fixed(bits, offset, width)
-    return int(format(val, f"0{width}b")[::-1], 2)
-
-
-def parse_label(bits: BitString) -> ParsedLabel:
-    hdr = LabelHeader.read(bits)
-    n = hdr.n
-    iw = index_width(n)
-    p = hdr.bit_length
-    scc = read_fixed(bits, p, iw)
-    p += iw
-    if hdr.scheme_id == _WARMUP:
-        if hdr.offsets:
-            raise ValueError("warm-up labels carry no section offsets")
-        idx = read_fixed(bits, p, iw)
-        p += iw
-        half = n // 2
-        table = _unpack_lsb(bits, p, half)
-        if p + half != len(bits):
-            raise ValueError("label length mismatch")
-        return ParsedLabel(hdr.scheme_id, n, scc, warm=WarmupLabel(n, idx, table))
-    if hdr.scheme_id not in SCHEME_NAMES:
-        raise ValueError(f"unknown scheme id {hdr.scheme_id}")
-    if len(hdr.offsets) != 2:
-        raise ValueError("composite labels need two section offsets")
-    intra_off, blob_off = hdr.offsets
-    if intra_off != p:
-        raise ValueError("intra section offset mismatch")
-    cw = count_width(n)
-    topo = read_fixed(bits, p, iw)
-    grp = read_fixed(bits, p + iw, iw)
-    beg = read_fixed(bits, p + 2 * iw, iw)
-    end = read_fixed(bits, p + 3 * iw, cw)
-    thick = bool(read_fixed(bits, p + 3 * iw + cw, 1))
-    p += 3 * iw + cw + 1
-    table = 0
-    if not thick:
-        table = _unpack_lsb(bits, p, end - beg)
-        p += end - beg
-    if p != blob_off:
-        raise ValueError("blob offset mismatch")
-    gl = GroupLabel(topo, grp, beg, end, thick, table)
-    cross, used = parse_cross(bits, blob_off, n)
-    if blob_off + used != len(bits):
-        raise ValueError("label length mismatch")
-    return ParsedLabel(hdr.scheme_id, n, scc, inner=gl, cross=cross)
-
-
-def query(lu, lv) -> bool:
-    """Reachability u -> v from two label views (parsed or lazy)."""
-    if lu.scheme_id != lv.scheme_id or lu.n != lv.n:
-        raise ValueError("labels disagree on scheme or node count")
-    if lu.scc == lv.scc:
-        return True
-    if lu.scheme_id == _WARMUP:
-        return decode_warmup(lu.warm, lv.warm)
-    iu = lu.inner
-    iv = lv.inner
-    if decode_inner(iu, iv):
-        return True
-    return decode_cross(lu.cross, lv.cross, iu.topo, iv.topo)
-
-
-# -- lazy, read-counted decoding ----------------------------------------------
-
-
-class CountingReader:
-    """read(offset, width) over one BitString, counting 64-bit word reads."""
-
-    __slots__ = ("bits", "words")
-
-    def __init__(self, bits: BitString):
-        self.bits = bits
-        self.words = 0
-
-    def __call__(self, offset: int, width: int) -> int:
-        self.words += max(1, (width + 63) // 64)
-        return read_fixed(self.bits, offset, width)
-
-
-class _LazyWarm:
-    __slots__ = ("_read", "n", "index", "_woff")
-
-    def __init__(self, read, n: int, index: int, woff: int):
-        self._read = read
-        self.n = n
-        self.index = index
-        self._woff = woff
-
-    def bit(self, j: int) -> int:
-        if not 0 <= j < self.n // 2:
-            raise ValueError(f"window probe {j} out of range {self.n // 2}")
-        return self._read(self._woff + j, 1)
-
-
-class _LazyInner:
-    __slots__ = ("_read", "topo", "grp", "beg", "end", "thick", "_toff")
-
-    def __init__(self, read, n: int, off: int):
-        iw = index_width(n)
-        cw = count_width(n)
-        width = 3 * iw + cw + 1
-        packed = read(off, width)
-        self.thick = bool(packed & 1)
-        packed >>= 1
-        self.end = packed & (1 << cw) - 1
-        packed >>= cw
-        self.beg = packed & (1 << iw) - 1
-        packed >>= iw
-        self.grp = packed & (1 << iw) - 1
-        self.topo = packed >> iw
-        self._read = read
-        self._toff = off + width
-
-    def interval_bit(self, j: int) -> int:
-        if self.thick:
-            raise ValueError("thick groups store no table")
-        if not 0 <= j < self.end - self.beg:
-            raise ValueError(f"table probe {j} out of range {self.end - self.beg}")
-        return self._read(self._toff + j, 1)
-
-
-class LazyLabel:
-    """Label view that reads only the bits a query touches.
-
-    All reads funnel through a CountingReader, so ``words`` after a query
-    is the number of 64-bit word fetches a pointer-based decoder would do.
+    The header, the component id and (warm-up) the index and window are
+    read on construction. A composite label's intra section and blob are
+    viewed on first use (``view_inner``, ``view_cross``) and kept in
+    ``inner`` and ``cross``, which stay None until then. ``words`` is the
+    number of 64-bit word fetches a pointer-based decoder would have made
+    so far.
     """
 
-    __slots__ = ("reader", "scheme_id", "n", "scc", "_offsets", "_warm", "_inner", "_cross")
+    __slots__ = ("read", "scheme_id", "n", "scc", "warm", "_offsets", "inner", "cross")
 
     def __init__(self, bits: BitString):
-        r = CountingReader(bits)
-        self.reader = r
+        r = LabelReader(bits)
+        self.read = r
         head = r(0, LabelHeader.HEADER_FIXED_BITS)
         noff = head & 0xFF
         self.n = head >> 8 & 0xFFFFFFFF
@@ -415,38 +280,72 @@ class LazyLabel:
         if self.scheme_id == _WARMUP:
             both = r(p, 2 * iw)
             self.scc = both >> iw
-            self._warm = _LazyWarm(r, self.n, both & (1 << iw) - 1, p + 2 * iw)
+            self.warm = WindowView(r, self.n, both & (1 << iw) - 1, p + 2 * iw)
         else:
             self.scc = r(p, iw)
-            self._warm = None
-        self._inner = None
-        self._cross = None
+            self.warm = None
+        self.inner = None
+        self.cross = None
+
+    def view_inner(self) -> InnerView:
+        self.inner = InnerView(self.read, self.n, self._offsets[0])
+        return self.inner
+
+    def view_cross(self) -> CrossView:
+        self.cross = CrossView(self.read, self._offsets[1], self.n)
+        return self.cross
 
     @property
     def words(self) -> int:
-        return self.reader.words
+        return self.read.words
 
-    @property
-    def warm(self):
-        return self._warm
+    def check(self) -> None:
+        """Walk every section once, raising ValueError unless the offsets
+        match the layout and each section exactly fills its bounds."""
+        iw = index_width(self.n)
+        if self.warm is not None:
+            end = LabelHeader.HEADER_FIXED_BITS + 2 * iw + self.n // 2
+        else:
+            intra_off, blob_off = self._offsets
+            if intra_off != LabelHeader.HEADER_FIXED_BITS + 2 * LabelHeader.OFFSET_BITS + iw:
+                raise ValueError("intra section offset mismatch")
+            if self.view_inner().end_offset != blob_off:
+                raise ValueError("blob offset mismatch")
+            end = self.view_cross().check()
+        if end != self.read.length:
+            raise ValueError("label length mismatch")
 
-    @property
-    def inner(self):
-        if self._inner is None:
-            self._inner = _LazyInner(self.reader, self.n, self._offsets[0])
-        return self._inner
 
-    @property
-    def cross(self):
-        if self._cross is None:
-            self._cross = CrossView(self.reader, self._offsets[1], self.n)
-        return self._cross
+def parse_label(bits: BitString) -> LabelView:
+    """A checked view for bulk queries: every section is walked once, so a
+    corrupt label fails here with ValueError, and the walked views are kept."""
+    lab = LabelView(bits)
+    lab.check()
+    return lab
+
+
+def query(lu, lv) -> bool:
+    """Reachability u -> v from two label views."""
+    if lu.scheme_id != lv.scheme_id or lu.n != lv.n:
+        raise ValueError("labels disagree on scheme or node count")
+    if lu.scc == lv.scc:
+        return True
+    if lu.scheme_id == _WARMUP:
+        return decode_warmup(lu.warm, lv.warm)
+    iu = lu.inner or lu.view_inner()
+    iv = lv.inner or lv.view_inner()
+    if decode_inner(iu, iv):
+        return True
+    cu = lu.cross or lu.view_cross()
+    cv = lv.cross or lv.view_cross()
+    return decode_cross(cu, cv, iu.topo, iv.topo)
 
 
 def query_lazy(bits_u: BitString, bits_v: BitString) -> tuple[bool, int]:
-    """Answer one query from raw labels; also return total word reads."""
-    lu = LazyLabel(bits_u)
-    lv = LazyLabel(bits_v)
+    """Answer one query from raw labels, reading only the fields it needs;
+    also return total word reads."""
+    lu = LabelView(bits_u)
+    lv = LabelView(bits_v)
     ans = query(lu, lv)
     return ans, lu.words + lv.words
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitio import TableView
 from .graph import LayeredDag
 
 
@@ -27,10 +28,17 @@ class WarmupLabel:
     def table_len(self) -> int:
         return self.n // 2
 
-    def bit(self, j: int) -> int:
-        if not 0 <= j < self.table_len:
-            raise ValueError(f"window probe {j} out of range {self.table_len}")
-        return self.table >> j & 1
+
+class WindowView(TableView):
+    """Decode view of a warm-up label's index and window; the window is a
+    TableView."""
+
+    __slots__ = ("n", "index")
+
+    def __init__(self, read, n: int, index: int, offset: int):
+        super().__init__(read, offset, n // 2)
+        self.n = n
+        self.index = index
 
 
 def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
@@ -55,7 +63,7 @@ def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
 
 
 def decode_warmup(lu, lv) -> bool:
-    """Reachability u -> v from two labels (objects with .n/.index/.bit)."""
+    """Reachability u -> v from two window views."""
     n = lu.n
     if n != lv.n:
         raise ValueError("labels come from different encodings")

@@ -19,21 +19,20 @@ import random
 import time
 from itertools import product
 
+from helpers import decode_bipartite, is_transitively_closed, split_edges
 from reachlabel.bipartite import (
     BipartiteInstance,
     ceil_div,
-    decode_bipartite,
     embedded_width,
     encode_bipartite,
     index_pair,
 )
 from reachlabel.bitio import index_width
 from reachlabel.crosslabel import CLASS_BITS
-from reachlabel.flatten import build_superlayers, split_edges
+from reachlabel.flatten import build_superlayers
 from reachlabel.graph import (
     Digraph,
     _iter_bits,
-    is_transitively_closed,
     longest_path_layers,
     reach_rows,
     transitive_closure,

@@ -15,18 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachlabel.bitio import BitWriter, read_fixed
+from helpers import decode_bipartite
+from reachlabel.bitio import BitWriter, LabelReader
 from reachlabel.bipartite import (
     BipartiteInstance,
     BipartiteLabel,
-    LazyEmbedded,
+    EmbeddedView,
     ceil_div,
-    decode_bipartite,
     embedded_width,
     encode_bipartite,
     index_pair,
     probe_pair,
-    read_embedded,
     write_embedded,
 )
 
@@ -187,21 +186,22 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
         write_embedded(w, lab, limit)
         bits = w.finish()
         assert len(bits) == 2 + embedded_width(limit, lab.table_len)
-        back, used = read_embedded(bits, 2, limit, lab.side)
-        assert used == len(bits) - 2
-        assert (back.index, back.a, back.b, back.alpha, back.beta) == (
+        read = LabelReader(bits)
+        view = EmbeddedView(read, 2, limit, lab.side)
+        assert view.end_offset == len(bits)
+        assert (view.index, view.a, view.b, view.alpha, view.beta) == (
             lab.index,
             lab.a,
             lab.b,
             lab.alpha,
             lab.beta,
         )
-        assert back.table == lab.table
-
-        lazy = LazyEmbedded(lambda o, wd: read_fixed(bits, o, wd), 2, limit, lab.side)
-        assert lazy.end_offset() == len(bits)
+        assert read.words == 1  # the fixed header, in one read
         for i in range(lab.table_len):
-            assert lazy.bit(i) == lab.bit(i)
+            assert view.bit(i) == lab.bit(i)
+        assert read.words == 1 + lab.table_len  # one word per probe
+        with pytest.raises(ValueError):
+            view.bit(lab.table_len)
 
 
 @given(instances())

@@ -157,17 +157,6 @@ def test_verify_generated_instances(tmp_path, capsys):
     assert out.count("mismatches=0") == 3
 
 
-def test_verify_parallel_workers_match_serial(tmp_path, capsys, monkeypatch):
-    argv = ["verify", "--scheme", "warmup", "--n", "10", "--p", "0.2",
-            "--trials", "2", "--seed", "0"]
-    code, serial, _ = run(capsys, *argv)
-    assert code == 0
-    monkeypatch.setenv("RLBL_THREADS", "2")
-    code, parallel, _ = run(capsys, *argv)
-    assert code == 0
-    assert parallel == serial
-
-
 def test_verify_failure_prints_triple_and_exits_1(tmp_path, capsys, monkeypatch):
     graph = write_chain(tmp_path, 4)
     broken = VerifyReport(
@@ -219,18 +208,6 @@ def test_stats_requires_a_source(capsys):
     code, _, err = run(capsys, "stats")
     assert code == 2
     assert err.strip()
-
-
-def test_bench_emits_csv_and_flatness_note(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--scheme", "third", "--kind", "poset", "--p", "0.4",
-        "--sizes", "10,20", "--queries", "200",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,encode_s,query_us,max_bits,mean_bits"
-    assert lines[1].startswith("10,") and lines[2].startswith("20,")
-    assert lines[-1].startswith("# query latency spread")
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

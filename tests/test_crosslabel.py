@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_transitively_closed, split_edges
 from reachlabel.crosslabel import (
     CLS_RETIRED,
     assemble_cross,
     build_cross_labeling,
+    CrossView,
     decode_cross,
-    parse_cross,
     peel_cross,
 )
-from reachlabel.flatten import build_superlayers, split_edges, split_rows
+from reachlabel.bitio import LabelReader
+from reachlabel.flatten import build_superlayers, split_rows
 from reachlabel.graph import (
     Dag,
     Digraph,
     _iter_bits,
-    is_transitively_closed,
     longest_path_layers,
     transitive_closure,
 )
@@ -153,8 +154,8 @@ def test_blob_decode_matches_cross_membership(case, variant):
     parsed = []
     for u in range(n):
         blob = assemble_cross(cl, u)
-        pc, used = parse_cross(blob, 0, n)
-        assert used == len(blob)
+        pc = CrossView(LabelReader(blob), 0, n)
+        assert pc.check() == len(blob)
         assert pc.k == cl.k
         assert pc.entry == cl.entry[u]
         assert pc.removed_iter == cl.removed_iter[u]
@@ -173,7 +174,7 @@ def test_sections_default_to_retired():
     lay, sl, cross, _ = peeled(4, [(0, 2), (0, 3), (1, 2), (1, 3)], gamma=4)
     cl = build_cross_labeling(lay, sl, cross, variant="third")
     blob = assemble_cross(cl, 0)
-    pc, _ = parse_cross(blob, 0, 4)
+    pc = CrossView(LabelReader(blob), 0, 4)
     # node 0 is removed in iteration 1; there is exactly one iteration here
     assert pc.sec_near(1).inf != CLS_RETIRED
 
@@ -185,6 +186,8 @@ class _StubSection:
 
 
 class _StubLabel:
+    k = 10  # both stubs come from one labeling
+
     def __init__(self, entry, removed_iter, log):
         self.entry = entry
         self.removed_iter = removed_iter

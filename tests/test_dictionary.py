@@ -6,42 +6,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachlabel.bitio import BitWriter, read_fixed
-from reachlabel.dictionary import StaticSet, build_set, probe_serialized
+from reachlabel.bitio import BitWriter, LabelReader
+from reachlabel.dictionary import SetView, StaticSet, build_set
 
 
-def roundtrip(s: StaticSet, universe_bound: int):
+def roundtrip(s: StaticSet, universe_bound: int) -> SetView:
     w = BitWriter()
     s.write(w)
     bits = w.finish()
     assert len(bits) == s.bit_length()
-    back, end = StaticSet.read(bits, 0, universe_bound)
-    assert end == len(bits)
-    return bits, back
+    view = SetView(LabelReader(bits), 0, universe_bound)
+    assert view.end_offset == len(bits)
+    return view
+
+
+def members(view: SetView, universe_bound: int) -> list[int]:
+    return [x for x in range(universe_bound) if view.contains(x)]
 
 
 def test_two_element_set_frozen():
     s = build_set([3, 7], 10)
-    for x in range(10):
-        assert s.contains(x) == (x in {3, 7})
-    assert sorted(s.members()) == [3, 7]
-    bits, back = roundtrip(s, 10)
-    for x in range(10):
-        assert back.contains(x) == (x in {3, 7})
+    assert (s.size, s.mode) == (2, 0)
+    assert sorted(k for i, k in enumerate(s.slots) if s.occupied >> i & 1) == [3, 7]
+    assert members(roundtrip(s, 10), 10) == [3, 7]
 
 
 def test_empty_set():
     s = build_set([], 5)
-    assert not any(s.contains(x) for x in range(5))
-    assert s.members() == []
-    roundtrip(s, 5)
+    assert s.size == 0
+    assert members(roundtrip(s, 5), 5) == []
 
 
 def test_hundred_keys_against_linear_scan():
     keys = sorted({(37 * i + 11) % 331 for i in range(100)})
     s = build_set(keys, 331)
-    for x in range(331):
-        assert s.contains(x) == (x in keys), x
+    assert members(roundtrip(s, 331), 331) == keys
 
 
 sets = st.integers(min_value=1, max_value=120).flatmap(
@@ -60,23 +59,24 @@ def test_membership_and_serialized_probe_agree(case):
     w = BitWriter()
     w.write(5, 3)  # leading junk, to exercise a non-zero offset
     s.write(w)
-    bits = w.finish()
-
-    def read(off, width):
-        return read_fixed(bits, off, width)
-
+    read = LabelReader(w.finish())
+    view = SetView(read, 3, bound)
+    assert read.words == 1  # size and mode
     for x in range(bound):
-        want = x in keys
-        assert s.contains(x) == want
-        assert probe_serialized(read, 3, bound, x) == want
+        before = read.words
+        assert view.contains(x) == (x in keys)
+        # a hashed probe fetches a seed, an occupancy bit and maybe a key;
+        # a sorted one a key per binary-search step
+        assert read.words - before <= (3 if s.mode == 0 else max(1, s.size).bit_length())
+    with pytest.raises(ValueError):
+        view.contains(bound)
 
 
 @given(sets)
 def test_serialized_round_trip(case):
     bound, keys = case
     s = build_set(sorted(keys), bound)
-    _, back = roundtrip(s, bound)
-    assert sorted(back.members()) == sorted(keys)
+    assert members(roundtrip(s, bound), bound) == sorted(keys)
 
 
 def test_build_set_rejects_out_of_range():

@@ -6,19 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import split_edges
+from reachlabel.bitio import BitWriter, LabelReader
 from reachlabel.flatten import (
+    InnerView,
     build_superlayers,
     decode_inner,
     encode_inner,
     gamma_of,
-    split_edges,
     split_rows,
+    write_inner,
 )
 from reachlabel.graph import Dag, longest_path_layers, transitive_closure
 
 
 def closed_layering(n, edges):
     return longest_path_layers(transitive_closure(Dag(n, edges)))
+
+
+def inner_view(gl, n):
+    """The decode view of an encoder label, through its serialized section."""
+    w = BitWriter()
+    write_inner(w, gl, n)
+    bits = w.finish()
+    view = InnerView(LabelReader(bits), n, 0)
+    assert view.end_offset == len(bits)
+    return view
 
 
 @st.composite
@@ -115,13 +128,13 @@ def test_inner_decode_matches_membership(lay):
     n = lay.dag.n
     s = build_superlayers(lay)
     inner_rows, _ = split_rows(lay, s)
-    labels = encode_inner(lay, s, inner_rows)
+    views = [inner_view(gl, n) for gl in encode_inner(lay, s, inner_rows)]
     inner, _ = split_edges(lay, s)
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
-            assert decode_inner(labels[u], labels[v]) == ((u, v) in inner), (u, v)
+            assert decode_inner(views[u], views[v]) == ((u, v) in inner), (u, v)
 
 
 def test_thick_groups_store_no_table():
@@ -131,8 +144,9 @@ def test_thick_groups_store_no_table():
     assert [g.gtype for g in s.groups] == [1]
     inner_rows, cross = split_rows(lay, s)
     assert all(r == 0 for r in cross)
-    labels = encode_inner(lay, s, inner_rows)
-    for l in labels:
-        assert l.thick
+    for gl in encode_inner(lay, s, inner_rows):
+        assert gl.thick and gl.table == 0
+        view = inner_view(gl, 4)
+        assert view.end_offset == 3 * 2 + 3 + 1  # placement fields only
         with pytest.raises(ValueError):
-            l.interval_bit(0)
+            view.bit(0)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from reachlabel.bitio import BitString
-from reachlabel.graph import is_transitively_closed, topological_order
+from helpers import is_transitively_closed
+from reachlabel.graph import topological_order
 from reachlabel.oracle import (
     GenSpec,
     corruption_trial,

@@ -4,17 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachlabel.bitio import BitWriter, LabelReader
 from reachlabel.graph import Dag, longest_path_layers, transitive_closure
-from reachlabel.warmup import decode_warmup, encode_warmup
+from reachlabel.warmup import WindowView, decode_warmup, encode_warmup
 
 
 def closed_layering(n, edges):
     return longest_path_layers(transitive_closure(Dag(n, edges)))
 
 
+def view(wl):
+    """The decode view of an encoder label, through its serialized window."""
+    w = BitWriter()
+    w.write_table(wl.table, wl.table_len)
+    return WindowView(LabelReader(w.finish()), wl.n, wl.index, 0)
+
+
 def unit_labels(lay):
-    """Labels with every DAG node standing for one graph node."""
-    return encode_warmup(lay, [1] * lay.dag.n)
+    """Window views with every DAG node standing for one graph node."""
+    return [view(wl) for wl in encode_warmup(lay, [1] * lay.dag.n)]
+
+
+def bits(l):
+    return [l.bit(j) for j in range(l.n // 2)]
 
 
 def test_join_poset_frozen():
@@ -22,7 +34,7 @@ def test_join_poset_frozen():
     lay = closed_layering(3, [(0, 2), (1, 2)])
     labels = unit_labels(lay)
     assert [l.index for l in labels] == [0, 1, 2]
-    assert [[l.bit(j) for j in range(l.table_len)] for l in labels] == [[0], [1], [1]]
+    assert [bits(l) for l in labels] == [[0], [1], [1]]
 
     assert decode_warmup(labels[0], labels[2])  # wraps into v's window
     assert decode_warmup(labels[1], labels[2])  # direct window hit
@@ -33,15 +45,15 @@ def test_join_poset_frozen():
 
 def test_antichain_tables_all_zero():
     lay = closed_layering(4, [])
-    for l in unit_labels(lay):
-        assert l.table == 0
-        assert l.table_len == 2
+    for wl in encode_warmup(lay, [1] * 4):
+        assert wl.table == 0
+        assert wl.table_len == 2
 
 
 def test_chain_tables_all_one():
     lay = closed_layering(5, [(i, i + 1) for i in range(4)])
     for l in unit_labels(lay):
-        assert [l.bit(j) for j in range(2)] == [1, 1]
+        assert bits(l) == [1, 1]
 
 
 def test_window_probe_bounds():
@@ -64,10 +76,10 @@ def test_components_take_runs_of_indices():
     # DAG 0 -> 1 where node 0 stands for 3 graph nodes and node 1 for 2:
     # indices 0..2 belong to node 0 and 3..4 to node 1; windows are 2 bits
     lay = closed_layering(2, [(0, 1)])
-    a, b = encode_warmup(lay, [3, 2])
+    a, b = (view(wl) for wl in encode_warmup(lay, [3, 2]))
     assert (a.n, a.index, b.index) == (5, 0, 3)
-    assert [a.bit(j) for j in range(2)] == [0, 0]  # indices 1, 2: node 0 itself
-    assert [b.bit(j) for j in range(2)] == [0, 1]  # indices 4, 0: node 1, node 0
+    assert bits(a) == [0, 0]  # indices 1, 2: node 0 itself
+    assert bits(b) == [0, 1]  # indices 4, 0: node 1, node 0
     assert decode_warmup(a, b) and not decode_warmup(b, a)
 
 
@@ -83,10 +95,11 @@ def closed_dags(draw):
 @settings(max_examples=200)
 def test_decode_matches_closure(closed):
     lay = longest_path_layers(closed)
-    labels = unit_labels(lay)
     n = closed.n
+    warm = encode_warmup(lay, [1] * n)
+    assert all(wl.table_len == n // 2 for wl in warm)
+    labels = [view(wl) for wl in warm]
     for u in range(n):
-        assert labels[u].table_len == n // 2
         for v in range(n):
-            want = u == v or closed.has_edge(u, v)
+            want = u == v or bool(closed.rows[u] >> v & 1)
             assert decode_warmup(labels[u], labels[v]) == want, (u, v)
