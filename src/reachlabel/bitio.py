@@ -252,7 +252,9 @@ def write_label_file(path: str, scheme_id: int, n: int, labels: list[BitString])
 
 
 def _read_file_header(f: io.BufferedReader) -> tuple[int, int, int]:
-    """(scheme_id, n, file size) after checking magic and version."""
+    """(scheme_id, n, file size) after checking magic and version, and that
+    a file of no labels ends with its header (for n > 0 the records must
+    fill the file, which ``_read_record`` checks)."""
     head = f.read(10)
     if len(head) != 10 or head[:4] != MAGIC:
         raise ValueError("not a label file (bad magic)")
@@ -260,7 +262,10 @@ def _read_file_header(f: io.BufferedReader) -> tuple[int, int, int]:
     if version != FILE_VERSION:
         raise ValueError(f"unsupported label file version {version}")
     (n,) = struct.unpack("<I", head[6:10])
-    return head[5], n, os.fstat(f.fileno()).st_size
+    size = os.fstat(f.fileno()).st_size
+    if n == 0 and size != 10:
+        raise ValueError("label file of 0 nodes has bytes past its header")
+    return head[5], n, size
 
 
 def _read_record(f: io.BufferedReader, i: int, off: int, end: int, n: int, size: int) -> BitString:

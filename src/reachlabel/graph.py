@@ -9,6 +9,13 @@ asked to.
 ``scc_condense`` turns each strongly connected component into one node of
 a quotient DAG, on which closure and layering run. The topological order
 comes from Tarjan's emission order and is handed on, never recomputed.
+
+The three stages work a machine word at a time on the rows. Tarjan keeps
+its visited and on-stack sets as masks and takes each next child as a
+lowest bit. Closure and layering take successors lowest bit first and drop
+from the to-do mask every node the taken successor already reaches, so
+they follow the cover edges (the transitive reduction) instead of every
+closure edge.
 """
 
 from __future__ import annotations
@@ -152,81 +159,116 @@ class SccResult:
 
 
 def scc_condense(g: Digraph) -> SccResult:
-    """Tarjan SCCs and the quotient DAG. Iterative.
+    """Tarjan SCCs and the quotient DAG, iterative and over bitmasks.
 
+    ``visited`` and ``onstack`` are node masks. The next child of u is the
+    lowest bit of ``rows[u] & ~visited``, so the search takes children in
+    ascending id, one step per tree edge. A finished u lowers its low-link
+    over ``rows[u] & onstack`` only; on a DAG that mask is always empty.
     Tarjan emits a component only after every component it reaches, so the
     reversed emission order is a topological order of the quotient.
+
+    With one component per node the graph is acyclic and numbered as its own
+    quotient, whose rows are the input's. Otherwise each component ORs its
+    members' rows, and each target component found drops its whole member
+    mask from that union, so a quotient edge costs one step, however many
+    graph edges it stands for.
     """
     n = g.n
     rows = g.rows
-    index = [-1] * n
+    index = [0] * n
     low = [0] * n
-    on_stack = [False] * n
+    visited = onstack = 0
     stack: list[int] = []
-    emitted = [-1] * n  # node -> component, numbered in emission order
-    ncomp = 0
+    emitted: list[int] = []  # member mask of each component, in emission order
     counter = 0
 
     for root in range(n):
-        if index[root] != -1:
+        if visited >> root & 1:
             continue
-        work = [(root, iter(_iter_bits(rows[root])))]
         index[root] = low[root] = counter
         counter += 1
+        visited |= 1 << root
+        onstack |= 1 << root
         stack.append(root)
-        on_stack[root] = True
-        while work:
-            u, it = work[-1]
-            for v in it:
-                if index[v] == -1:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                    work.append((v, iter(_iter_bits(rows[v]))))
-                    break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            else:  # u is finished
-                work.pop()
-                if work:
-                    pu = work[-1][0]
-                    low[pu] = min(low[pu], low[u])
-                if low[u] == index[u]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        emitted[w] = ncomp
-                        if w == u:
-                            break
-                    ncomp += 1
+        path = [root]
+        while path:
+            u = path[-1]
+            fresh = rows[u] & ~visited
+            if fresh:
+                bit = fresh & -fresh
+                v = bit.bit_length() - 1
+                index[v] = low[v] = counter
+                counter += 1
+                visited |= bit
+                onstack |= bit
+                stack.append(v)
+                path.append(v)
+                continue
+            path.pop()
+            lu = low[u]
+            for v in _iter_bits(rows[u] & onstack):
+                if index[v] < lu:
+                    lu = index[v]
+            low[u] = lu
+            if path and lu < low[path[-1]]:
+                low[path[-1]] = lu
+            if lu == index[u]:
+                comp = 0
+                while True:
+                    w = stack.pop()
+                    comp |= 1 << w
+                    if w == u:
+                        break
+                onstack &= ~comp
+                emitted.append(comp)
 
-    renum: dict[int, int] = {}  # emission number -> id by smallest member
-    scc_id = tuple(renum.setdefault(e, len(renum)) for e in emitted)
-    out_rows = [0] * ncomp
-    for u in range(n):
-        cu = scc_id[u]
-        for v in _iter_bits(rows[u]):
-            if scc_id[v] != cu:
-                out_rows[cu] |= 1 << scc_id[v]
-    order = [renum[e] for e in range(ncomp - 1, -1, -1)]
-    return SccResult(Dag(ncomp, rows=out_rows, validate=False, order=order), scc_id)
+    ncomp = len(emitted)
+    if ncomp == n:
+        order = [m.bit_length() - 1 for m in reversed(emitted)]
+        return SccResult(Dag(n, rows=rows, validate=False, order=order), tuple(range(n)))
+    members = sorted(emitted, key=lambda m: m & -m)  # by smallest member
+    ids = [0] * n
+    for c, m in enumerate(members):
+        for u in _iter_bits(m):
+            ids[u] = c
+    out_rows = []
+    for m in members:
+        acc = 0
+        for u in _iter_bits(m):
+            acc |= rows[u]
+        acc &= ~m
+        row = 0
+        while acc:
+            c = ids[(acc & -acc).bit_length() - 1]
+            row |= 1 << c
+            acc &= ~members[c]
+        out_rows.append(row)
+    order = [ids[m.bit_length() - 1] for m in reversed(emitted)]
+    return SccResult(Dag(ncomp, rows=out_rows, validate=False, order=order), tuple(ids))
 
 
 def transitive_closure(d: Dag) -> Dag:
     """Closure by reverse-topological bitset accumulation.
 
-    A topological order of a DAG is one of its closure too, so the closure
-    inherits it.
+    Successors are taken lowest bit first, and each one taken drops its own
+    closure from the to-do mask: a successor it reaches adds nothing new.
+    The successors taken include every cover edge (Aho, Garey and Ullman,
+    SIAM J. Comput. 1972), so the work follows the transitive reduction
+    rather than the closure. A topological order of a DAG is one of its
+    closure too, so the closure inherits it.
     """
     order = d.order
     rows = d.rows
     closed = [0] * d.n
     for u in reversed(order):
-        acc = rows[u]
-        for v in _iter_bits(rows[u]):
-            acc |= closed[v]
-        closed[u] = acc & ~(1 << u)
+        acc = todo = rows[u]
+        while todo:
+            bit = todo & -todo
+            cv = closed[bit.bit_length() - 1]
+            acc |= cv
+            todo &= ~(cv | bit)
+        closed[u] = acc
     return Dag(d.n, rows=closed, validate=False, order=order)
 
 
@@ -247,14 +289,24 @@ def longest_path_layers(d: Dag) -> LayeredDag:
 
     Expects a transitively closed input (layer i+1 nodes then all have an
     in-edge from layer i, which the flattening stage relies on).
+
+    Depths are pushed in topological order, successors lowest bit first,
+    and each successor taken drops its own row from the to-do mask: a node
+    it points to gets a greater depth from it later. The successors taken
+    include every cover edge, and longest paths run along cover edges only,
+    so the depths are exact on any DAG, closed or not.
     """
     rows = d.rows
     depth = [0] * d.n
     for u in d.order:
         du1 = depth[u] + 1
-        for v in _iter_bits(rows[u]):
+        todo = rows[u]
+        while todo:
+            bit = todo & -todo
+            v = bit.bit_length() - 1
             if depth[v] < du1:
                 depth[v] = du1
+            todo &= ~(rows[v] | bit)
     nlayers = max(depth, default=-1) + 1
     layers: list[list[int]] = [[] for _ in range(nlayers)]
     for u in range(d.n):
@@ -298,13 +350,17 @@ def oracle_reach(g: Digraph, u: int, v: int) -> bool:
 
 def reach_rows(g: Digraph) -> list[int]:
     """All-pairs reachability bitmask rows (diagonal set), cycles allowed:
-    the quotient's closure, with each component widened to its members."""
+    the quotient's closure, with each component widened to its members.
+    An acyclic graph is its own quotient and needs no widening."""
     res = scc_condense(g)
+    closed = transitive_closure(res.dag).rows
+    if res.dag.n == g.n:
+        return [row | 1 << u for u, row in enumerate(closed)]
     members = [0] * res.dag.n
     for u, c in enumerate(res.scc_id):
         members[c] |= 1 << u
     reach = []
-    for c, row in enumerate(transitive_closure(res.dag).rows):
+    for c, row in enumerate(closed):
         acc = members[c]
         for x in _iter_bits(row):
             acc |= members[x]

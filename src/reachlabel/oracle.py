@@ -2,13 +2,16 @@
 
 All randomness flows through ``random.Random(seed)`` (the stdlib Mersenne
 Twister) in a documented draw order, so a (kind, n, p, seed) tuple pins one
-graph forever:
+graph forever. The draw order below is fixed (tests pin a digest of each
+kind's rows); each kept edge sets one bit of its source's bitmask row as it
+is drawn, with no edge list in between:
 
   digraph  one rng.random() per ordered pair (u, v), u != v, row-major;
            edge kept when the draw is below p.
   dag      rng.shuffle of range(n) giving each node a rank, then one draw
            per unordered pair u < v (row-major); kept edges point from the
-           lower-ranked endpoint to the higher-ranked one.
+           lower-ranked endpoint to the higher-ranked one. Rank order
+           is the DAG's topological order, so no Kahn pass runs.
   poset    the dag construction followed by transitive closure.
   layered  one rng.randrange(layer_count) per node in id order, then one
            draw per ordered pair with layer(u) < layer(v), row-major.
@@ -60,37 +63,43 @@ def generate(spec: GenSpec) -> Digraph:
     if not 0.0 <= spec.p <= 1.0:
         raise ValueError("edge density must be in [0, 1]")
     rng = random.Random(spec.seed)
+    rnd = rng.random
+    p = spec.p
     n = spec.n
+    rows = [0] * n
 
     if spec.kind == "digraph":
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and rng.random() < spec.p
-        ]
-        return Digraph(n, edges)
+        for u in range(n):
+            for v in range(n):
+                if u != v and rnd() < p:
+                    rows[u] |= 1 << v
+        return Digraph(n, rows=rows)
 
     if spec.kind in ("dag", "poset"):
         rank = list(range(n))
         rng.shuffle(rank)
-        edges = []
         for u in range(n):
+            ru = rank[u]
             for v in range(u + 1, n):
-                if rng.random() < spec.p:
-                    edges.append((u, v) if rank[u] < rank[v] else (v, u))
-        d = Dag(n, edges)
+                if rnd() < p:
+                    if ru < rank[v]:
+                        rows[u] |= 1 << v
+                    else:
+                        rows[v] |= 1 << u
+        order = [0] * n  # nodes by rank: every edge ascends it
+        for u, r in enumerate(rank):
+            order[r] = u
+        d = Dag(n, rows=rows, order=order)
         return d if spec.kind == "dag" else transitive_closure(d)
 
     layer_count = spec.layer_count or max(2, round(n**0.5))
     lay = [rng.randrange(layer_count) for _ in range(n)]
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if lay[u] < lay[v] and rng.random() < spec.p
-    ]
-    return Digraph(n, edges)
+    for u in range(n):
+        lu = lay[u]
+        for v in range(n):
+            if lu < lay[v] and rnd() < p:
+                rows[u] |= 1 << v
+    return Digraph(n, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.flatten import split_rows
-from reachlabel.graph import Digraph, _iter_bits
+from reachlabel.graph import Dag, Digraph, _iter_bits
 
 
 def is_transitively_closed(d: Digraph) -> bool:
@@ -35,3 +35,88 @@ def decode_bipartite(lu: BipartiteLabel, lv: BipartiteLabel) -> bool:
     if lu.side == "B":
         lu, lv = lv, lu
     return probe_pair(lu, lv)
+
+
+# -- per-edge reference implementations of the graph stages -------------------
+# The package computes these word-parallel; the tests require equal output.
+
+
+def ref_scc_condense(g: Digraph) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Per-edge iterative Tarjan: (scc_id, quotient order, quotient rows),
+    components numbered by smallest member, order = reversed emission."""
+    n = g.n
+    rows = g.rows
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    emitted = [-1] * n
+    ncomp = 0
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(_iter_bits(rows[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            u, it = work[-1]
+            for v in it:
+                if index[v] == -1:
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                    work.append((v, iter(_iter_bits(rows[v]))))
+                    break
+                if on_stack[v]:
+                    low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if work:
+                    pu = work[-1][0]
+                    low[pu] = min(low[pu], low[u])
+                if low[u] == index[u]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        emitted[w] = ncomp
+                        if w == u:
+                            break
+                    ncomp += 1
+    renum: dict[int, int] = {}
+    scc_id = tuple(renum.setdefault(e, len(renum)) for e in emitted)
+    out_rows = [0] * ncomp
+    for u in range(n):
+        cu = scc_id[u]
+        for v in _iter_bits(rows[u]):
+            if scc_id[v] != cu:
+                out_rows[cu] |= 1 << scc_id[v]
+    order = [renum[e] for e in range(ncomp - 1, -1, -1)]
+    return scc_id, order, out_rows
+
+
+def ref_transitive_closure(d: Dag) -> list[int]:
+    """Closure rows: each node ORs in the closure of every successor."""
+    rows = d.rows
+    closed = [0] * d.n
+    for u in reversed(d.order):
+        acc = rows[u]
+        for v in _iter_bits(rows[u]):
+            acc |= closed[v]
+        closed[u] = acc & ~(1 << u)
+    return closed
+
+
+def ref_layer_of(d: Dag) -> list[int]:
+    """Longest path length ending at each node, pushed along every edge."""
+    rows = d.rows
+    depth = [0] * d.n
+    for u in d.order:
+        du1 = depth[u] + 1
+        for v in _iter_bits(rows[u]):
+            if depth[v] < du1:
+                depth[v] = du1
+    return depth

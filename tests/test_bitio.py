@@ -179,6 +179,19 @@ def test_label_file_rejects_wrong_magic(tmp_path):
         read_label_file(str(path))
 
 
+def test_empty_label_file_must_end_at_its_header(tmp_path):
+    path = tmp_path / "empty.rlbl"
+    write_label_file(str(path), 2, 0, [])
+    good = path.read_bytes()
+    assert len(good) == 10
+    assert read_label_file(str(path)) == (2, 0, [])
+    path.write_bytes(good + b"\xde\xad\xbe\xef")
+    with pytest.raises(ValueError):
+        read_label_file(str(path))
+    with pytest.raises(ValueError):
+        read_labels_at(str(path), [])
+
+
 def test_label_file_offset_table_points_at_each_record(tmp_path):
     labels = [BitString(bytes([0xA0]), 3), BitString(b"", 0), BitString(b"\xff\x01", 16)]
     path = tmp_path / "t.rlbl"

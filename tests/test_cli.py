@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import reachlabel.cli as cli
+from reachlabel.bitio import write_label_file
 from reachlabel.cli import GraphFormatError, main, read_graph_file, write_graph_file
 from reachlabel.graph import Digraph
 from reachlabel.oracle import VerifyReport
@@ -72,6 +73,16 @@ def test_query_on_a_corrupted_offset_table_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "query", str(labels), "1", "2")
     assert code == 2
     assert "offset table entry of node 1" in err and not out
+
+
+def test_empty_label_file_with_trailing_bytes_exits_2(tmp_path, capsys):
+    labels = tmp_path / "empty.rlbl"
+    write_label_file(str(labels), 2, 0, [])
+    labels.write_bytes(labels.read_bytes() + b"garbage")
+    for argv in (("query", str(labels), "0", "0"), ("stats", "--labels", str(labels))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "bytes past its header" in err and not out
 
 
 def test_encode_all_schemes_and_profiles(tmp_path, capsys):

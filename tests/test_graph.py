@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_transitively_closed
+from helpers import (
+    is_transitively_closed,
+    ref_layer_of,
+    ref_scc_condense,
+    ref_transitive_closure,
+)
 from reachlabel.graph import (
     Dag,
     Digraph,
@@ -38,6 +43,31 @@ def dags(draw, max_n=14):
     g = draw(digraphs(max_n))
     edges = {(u, v) for u, v in g.edges if u < v}
     return Dag(g.n, edges)
+
+
+@st.composite
+def dense_cyclic(draw, max_blocks=5, max_block=5):
+    """Dense digraphs (p >= 0.3) with several SCCs: each block is a cycle
+    plus random edges, and edges between blocks only run forward, so every
+    block with more than one node is one component. Ids are shuffled."""
+    sizes = draw(st.lists(st.integers(1, max_block), min_size=2, max_size=max_blocks))
+    p = draw(st.floats(0.3, 0.9))
+    rnd = draw(st.randoms(use_true_random=False))
+    n = sum(sizes)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    block = [b for b, k in enumerate(sizes) for _ in range(k)]
+    edges = set()
+    start = 0
+    for k in sizes:
+        for i in range(k):
+            edges.add((perm[start + i], perm[start + (i + 1) % k]))
+        start += k
+    for x in range(n):
+        for y in range(n):
+            if block[x] <= block[y] and rnd.random() < p:
+                edges.add((perm[x], perm[y]))
+    return Digraph(n, edges)
 
 
 def brute_reach(g: Digraph) -> list[set[int]]:
@@ -135,7 +165,7 @@ def test_scc_condensation_preserves_reachability(g):
                 assert (cv in cond[cu]) == (v in truth[u])
 
 
-@given(digraphs())
+@given(st.one_of(digraphs(), dags(), dense_cyclic()))
 def test_reach_rows_matches_oracle(g):
     rows = reach_rows(g)
     truth = brute_reach(g)
@@ -196,3 +226,37 @@ def test_layering_invariants(d):
         if lu == 0:
             continue
         assert any(c.rows[w] >> u & 1 for w in lay.layers[lu - 1])
+
+
+# -- the word-parallel stages against their per-edge references --------------
+
+
+def assert_stages_match_reference(g: Digraph) -> None:
+    res = scc_condense(g)
+    scc_id, order, quotient_rows = ref_scc_condense(g)
+    assert res.scc_id == scc_id
+    assert res.dag.order == order
+    assert res.dag.rows == quotient_rows
+    closed = transitive_closure(res.dag)
+    assert closed.rows == ref_transitive_closure(res.dag)
+    assert list(longest_path_layers(closed).layer_of) == ref_layer_of(closed)
+
+
+@given(digraphs())
+@settings(max_examples=150)
+def test_stages_match_reference_on_digraphs(g):
+    assert_stages_match_reference(g)
+
+
+@given(dags())
+def test_stages_match_reference_on_dags(d):
+    assert_stages_match_reference(Digraph(d.n, rows=d.rows))
+    # layering needs no closure to be exact
+    assert list(longest_path_layers(d).layer_of) == ref_layer_of(d)
+
+
+@given(dense_cyclic())
+@settings(max_examples=150)
+def test_stages_match_reference_on_dense_cyclic(g):
+    assert len(set(scc_condense(g).scc_id)) >= 2
+    assert_stages_match_reference(g)

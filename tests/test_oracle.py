@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from reachlabel.bitio import BitString
@@ -22,6 +24,31 @@ def test_generate_is_deterministic():
     assert generate(spec).edges == generate(spec).edges
     other = GenSpec("digraph", 30, 0.2, seed=6)
     assert generate(spec).edges != generate(other).edges
+
+
+# sha256 of the comma-joined decimal edge rows. The draw order must never
+# change: every seeded graph, benchmark workloads included, depends on it.
+GENERATE_DIGESTS = {
+    ("digraph", 0.2): "5111e74a84345bca6c87ca5dd916871190c4b4dba0964a0024bff194983146aa",
+    ("dag", 0.2): "1b9d765cf21f57cbbd1ee2684e6f536e1f429869f824b05b8986c2535fd9d470",
+    ("poset", 0.1): "3dbe439f4ec1d93a9c682a556be7e96ea9cbd65bd834cab66cfb6cef45e68061",
+    ("layered", 0.3): "903e3ae18a2b4ed7faa5eb0892e9abf6fb1a66e0c607bb5e21a7163fd457a2c6",
+}
+
+
+@pytest.mark.parametrize("kind, p", sorted(GENERATE_DIGESTS))
+def test_generate_rows_pinned(kind, p):
+    g = generate(GenSpec(kind, 40, p, seed=7))
+    digest = hashlib.sha256(",".join(map(str, g.rows)).encode()).hexdigest()
+    assert digest == GENERATE_DIGESTS[kind, p]
+
+
+def test_generated_dag_order_is_topological():
+    for kind in ("dag", "poset"):
+        g = generate(GenSpec(kind, 30, 0.3, seed=4))
+        pos = {u: i for i, u in enumerate(g.order)}
+        assert sorted(pos) == list(range(30))
+        assert all(pos[u] < pos[v] for u, v in g.edges)
 
 
 def test_generate_p_extremes():
