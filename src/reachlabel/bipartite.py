@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, TableView, count_width, index_width
+from .bitio import BitWriter, TableView, Widths, count_width, index_width
 from .graph import _iter_bits
 
 
@@ -148,13 +148,14 @@ def write_embedded(w: BitWriter, lab: BipartiteLabel, limit: int) -> None:
 
 class EmbeddedView(TableView):
     """Decode view of one embedded sub-label, with the probe surface of
-    BipartiteLabel; the fixed header costs one counted read."""
+    BipartiteLabel; the fixed header costs one counted read. ``wd`` holds
+    the widths of the enclosing label (``limit`` above is its ``wd.n``)."""
 
     __slots__ = ("index", "a", "b", "alpha", "beta", "end_offset")
 
-    def __init__(self, read, offset: int, limit: int, side: str):
-        iw = index_width(limit)
-        pw = count_width(limit)
+    def __init__(self, read, offset: int, wd: Widths, side: str):
+        iw = wd.iw
+        pw = wd.cw
         head = read(offset, iw + 4 * pw)
         pm = (1 << pw) - 1
         self.beta = head & pm

@@ -21,7 +21,7 @@ Label file layout (little endian where noted)::
 
 from __future__ import annotations
 
-import io
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -34,14 +34,33 @@ def index_width(n: int) -> int:
     """Bits needed for a value in [0, n); at least 1."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return max(1, (max(n, 2) - 1).bit_length())
+    return (n - 1).bit_length() if n > 2 else 1
 
 
 def count_width(n: int) -> int:
     """Bits needed for a value in [0, n]; at least 1."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return max(1, n.bit_length())
+    return n.bit_length() or 1
+
+
+class Widths:
+    """The two field widths of a label over ``n`` nodes: ``iw`` for a value
+    in [0, n), ``cw`` for a value in [0, n]. Decoders take them from
+    ``widths(n)``, which the labels of one encoding share."""
+
+    __slots__ = ("n", "iw", "cw")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.iw = index_width(n)
+        self.cw = count_width(n)
+
+
+@functools.lru_cache(maxsize=16)
+def widths(n: int) -> Widths:
+    """The Widths of labels over ``n`` nodes, computed once per n."""
+    return Widths(n)
 
 
 class BitString:
@@ -124,14 +143,16 @@ class BitWriter:
         return BitString(bytes(self._out), total)
 
 
+def _overrun(offset: int, width: int, length: int) -> ValueError:
+    return ValueError(f"read of {width} bits at offset {offset} overruns {length}-bit string")
+
+
 def read_fixed(bits: BitString, offset: int, width: int) -> int:
     """Read ``width`` bits starting at bit ``offset``."""
     if width < 0 or offset < 0:
         raise ValueError("negative offset or width")
     if offset + width > bits.length:
-        raise ValueError(
-            f"read of {width} bits at offset {offset} overruns {bits.length}-bit string"
-        )
+        raise _overrun(offset, width, bits.length)
     if width == 0:
         return 0
     start = offset >> 3
@@ -146,7 +167,8 @@ class LabelReader:
 
     ``read(offset, width)`` takes a field by shift and mask and counts the
     64-bit words a pointer-based decoder would fetch for it, at least one
-    per read. ``peek`` takes a field without counting, for a TableView.
+    per read; ``fields`` takes one field at each of several offsets, counted
+    the same way. ``peek`` takes a field without counting, for a TableView.
     """
 
     __slots__ = ("value", "length", "words")
@@ -159,14 +181,26 @@ class LabelReader:
 
     def __call__(self, offset: int, width: int) -> int:
         self.words += (width + 63) >> 6 or 1
-        return self.peek(offset, width)
+        end = offset + width
+        if width < 0 or offset < 0 or end > self.length:
+            raise _overrun(offset, width, self.length)
+        return self.value >> (self.length - end) & (1 << width) - 1
+
+    def fields(self, offsets: list[int], width: int) -> list[int]:
+        """The ``width``-bit field at each of ``offsets``, counted as one
+        read per field."""
+        self.words += len(offsets) * ((width + 63) >> 6 or 1)
+        top = self.length - width
+        if offsets and (min(offsets) < 0 or max(offsets) > top):
+            bad = next((o for o in offsets if not 0 <= o <= top), offsets[0])
+            raise _overrun(bad, width, self.length)
+        value, mask = self.value, (1 << width) - 1
+        return [value >> top - o & mask for o in offsets]
 
     def peek(self, offset: int, width: int) -> int:
         end = offset + width
         if width < 0 or offset < 0 or end > self.length:
-            raise ValueError(
-                f"read of {width} bits at offset {offset} overruns {self.length}-bit string"
-            )
+            raise _overrun(offset, width, self.length)
         return self.value >> (self.length - end) & (1 << width) - 1
 
 
@@ -251,61 +285,75 @@ def write_label_file(path: str, scheme_id: int, n: int, labels: list[BitString])
             f.write(lb.data[: (lb.length + 7) // 8])
 
 
-def _read_file_header(f: io.BufferedReader) -> tuple[int, int, int]:
-    """(scheme_id, n, file size) after checking magic and version, and that
-    a file of no labels ends with its header (for n > 0 the records must
-    fill the file, which ``_read_record`` checks)."""
-    head = f.read(10)
-    if len(head) != 10 or head[:4] != MAGIC:
+def _file_header(head: bytes, size: int) -> tuple[int, int]:
+    """(scheme_id, n) from a file's first bytes after checking magic and
+    version, and that a file of no labels ends with its header (for n > 0
+    the records must fill the file, which ``_record`` checks)."""
+    if len(head) < 10 or head[:4] != MAGIC:
         raise ValueError("not a label file (bad magic)")
     version = head[4]
     if version != FILE_VERSION:
         raise ValueError(f"unsupported label file version {version}")
-    (n,) = struct.unpack("<I", head[6:10])
-    size = os.fstat(f.fileno()).st_size
+    n = int.from_bytes(head[6:10], "little")
     if n == 0 and size != 10:
         raise ValueError("label file of 0 nodes has bytes past its header")
-    return head[5], n, size
+    return head[5], n
 
 
-def _read_record(f: io.BufferedReader, i: int, off: int, end: int, n: int, size: int) -> BitString:
-    """Node i's record, which must start past the offset table (right after
-    it for node 0) and fill the file bytes [off, end), where ``end`` is the
-    next node's offset or the file size."""
+def _record_span(i: int, off: int, end: int, n: int, size: int) -> None:
+    """Node i's record must start past the offset table (right after it for
+    node 0) and end at ``end``, the next node's offset or the file size."""
     first = 10 + 8 * n
     if off < first or (i == 0 and off != first) or not off + 4 <= end <= size:
         raise ValueError(f"offset table entry of node {i} is out of range")
-    f.seek(off)
-    (bitlen,) = struct.unpack("<I", f.read(4))
-    if off + 4 + (bitlen + 7) // 8 != end:
+
+
+def _record(i: int, data: bytes, off: int, end: int) -> BitString:
+    """Node i's label from its record, the bytes [off, end) of ``data``,
+    which the record must fill exactly."""
+    bitlen = int.from_bytes(data[off:off + 4], "little")
+    if 4 + (bitlen + 7) // 8 != end - off:
         raise ValueError(f"offset table entry of node {i} disagrees with its record")
-    return BitString(f.read(end - off - 4), bitlen)
+    return BitString(data[off + 4:end], bitlen)
 
 
 def read_label_file(path: str) -> tuple[int, int, list[BitString]]:
     """Read all labels; returns (scheme_id, n, labels)."""
     with open(path, "rb") as f:
-        scheme_id, n, size = _read_file_header(f)
-        if 10 + 8 * n > size:
-            raise ValueError("truncated label file offset table")
-        table = f.read(8 * n)
-        offs = struct.unpack(f"<{n}Q", table) + (size,)
-        return scheme_id, n, [_read_record(f, i, offs[i], offs[i + 1], n, size) for i in range(n)]
+        data = f.read()
+    size = len(data)
+    scheme_id, n = _file_header(data[:10], size)
+    if 10 + 8 * n > size:
+        raise ValueError("truncated label file offset table")
+    offs = struct.unpack_from(f"<{n}Q", data, 10) + (size,)
+    labels = []
+    for i in range(n):
+        off, end = offs[i], offs[i + 1]
+        _record_span(i, off, end, n, size)
+        labels.append(_record(i, data, off, end))
+    return scheme_id, n, labels
 
 
 def read_labels_at(path: str, indices: list[int]) -> tuple[int, int, dict[int, BitString]]:
-    """Read only the requested labels, seeking through the offset table."""
+    """Read only the requested labels: per label, one positioned read of its
+    offset table entries and one of its record."""
     out: dict[int, BitString] = {}
-    with open(path, "rb") as f:
-        scheme_id, n, size = _read_file_header(f)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        scheme_id, n = _file_header(os.pread(fd, 10, 0), size)
         for i in indices:
             if not 0 <= i < n:
                 raise ValueError(f"node {i} out of range for n={n}")
-            f.seek(10 + 8 * i)
             want = 16 if i + 1 < n else 8
-            raw = f.read(want)
+            raw = os.pread(fd, want, 10 + 8 * i)
             if len(raw) != want:
                 raise ValueError("truncated label file offset table")
-            off, *nxt = struct.unpack(f"<{want // 8}Q", raw)
-            out[i] = _read_record(f, i, off, nxt[0] if nxt else size, n, size)
+            off = int.from_bytes(raw[:8], "little")
+            end = int.from_bytes(raw[8:], "little") if want == 16 else size
+            _record_span(i, off, end, n, size)
+            raw = os.pread(fd, end - off, off)
+            out[i] = _record(i, raw, 0, len(raw))
+    finally:
+        os.close(fd)
     return scheme_id, n, out

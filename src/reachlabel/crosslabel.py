@@ -53,7 +53,7 @@ from .bipartite import (
     write_embedded,
 )
 from .biclique import build_n_rest, find_bicliques, get_profile
-from .bitio import BitString, BitWriter, TableView, count_width, index_width, read_fixed
+from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_width, read_fixed
 from .dictionary import SetView, build_set
 from .graph import LayeredDag, _iter_bits
 
@@ -493,85 +493,69 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
 
 # -- decode views ----------------------------------------------------------
 #
-# One family of views serves both decode surfaces. A view reads its fixed
-# fields through the label's LabelReader when built and its sub-label on
-# first use, so a single query pays only for the words it touches.
-# ``CrossView.check`` walks every section once and keeps the views, which
-# bulk queries then answer from.
+# One family of views serves both decode surfaces. A section view is built
+# from its bounds and its class; it reads its other fields, and builds its
+# sub-label or set view, on first use, so a single query pays only for the
+# words it touches. ``CrossView.check`` reads the bounds table and every
+# section's class once each, builds each section's content view and checks
+# it against the bounds, and keeps the views, which bulk queries then answer
+# from. Field widths come from the label's Widths, computed once per n.
 
 
 class NearView:
     """One near section: its class, then a sub-label or a neighbor set."""
 
-    __slots__ = ("_read", "_off", "_end", "_n", "inf", "_bip", "_keys")
+    __slots__ = ("_read", "_off", "_wd", "inf", "_bip", "_keys")
 
-    def __init__(self, read, off: int, end: int, n: int):
+    def __init__(self, read, off: int, wd: Widths, inf: int):
         self._read = read
         self._off = off
-        self._end = end
-        self._n = n
-        self.inf = read(off, CLASS_BITS)
+        self._wd = wd
+        self.inf = inf
         self._bip = self._keys = None
 
     def bip(self) -> EmbeddedView:
         if self._bip is None:
             side = "A" if self.inf == CLS_FRONT_MATCH else "B"
-            self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._n, side)
+            self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._wd, side)
         return self._bip
 
     def keys(self) -> SetView:
         if self._keys is None:
-            self._keys = SetView(self._read, self._off + CLASS_BITS, self._n)
+            self._keys = SetView(self._read, self._off + CLASS_BITS, self._wd)
         return self._keys
-
-    def check(self) -> None:
-        """Raise ValueError unless the content exactly fills the section."""
-        inf = self.inf
-        if inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
-            end = self.bip().end_offset
-        elif inf in (CLS_FRONT_REST, CLS_SECOND_REST):
-            end = self.keys().end_offset
-        else:
-            end = self._off + CLASS_BITS
-        if end != self._end:
-            raise ValueError(
-                f"near section length {self._end - self._off}, parsed {end - self._off}"
-            )
 
 
 class FarView:
     """One far section: its class, then (when the iteration found bicliques)
     a biclique number and pair sub-label, or a right sub-label and flags."""
 
-    __slots__ = ("_read", "_off", "_end", "_n", "inf", "is_empty", "_bic", "_bip", "_flags")
+    __slots__ = ("_read", "_off", "_end", "_wd", "inf", "is_empty", "_bic", "_bip", "_flags")
 
-    def __init__(self, read, off: int, end: int, n: int):
+    def __init__(self, read, off: int, end: int, wd: Widths, inf: int):
         self._read = read
         self._off = off
         self._end = end
-        self._n = n
-        self.inf = read(off, CLASS_BITS)
+        self._wd = wd
+        self.inf = inf
         self.is_empty = end - off == CLASS_BITS
         self._bic = self._bip = self._flags = None
 
     def bic(self) -> int:
         if self._bic is None:
-            self._bic = self._read(self._off + CLASS_BITS, index_width(self._n))
+            self._bic = self._read(self._off + CLASS_BITS, self._wd.iw)
         return self._bic
-
-    def _matched(self) -> bool:
-        return self.inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH)
 
     def bip(self) -> EmbeddedView:
         if self._bip is None:
-            if self._matched():
-                start = self._off + CLASS_BITS + index_width(self._n)
-                self._bip = EmbeddedView(self._read, start, self._n, "A")
+            if self.inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
+                start = self._off + CLASS_BITS + self._wd.iw
+                self._bip = EmbeddedView(self._read, start, self._wd, "A")
             else:
-                self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._n, "B")
+                self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._wd, "B")
         return self._bip
 
-    def _flag_bits(self) -> TableView:
+    def flags(self) -> TableView:
         """The flags: every bit between the sub-label and the section end."""
         if self._flags is None:
             start = self.bip().end_offset
@@ -581,74 +565,102 @@ class FarView:
         return self._flags
 
     def via_second(self, i: int) -> int:
-        return (self._flags or self._flag_bits()).bit(i)
-
-    def check(self) -> None:
-        """Raise ValueError unless the content exactly fills the section."""
-        if self.is_empty:
-            return
-        if not self._matched():
-            self._flag_bits()
-        elif self.bip().end_offset != self._end:
-            raise ValueError("far section length mismatch")
+        return (self._flags or self.flags()).bit(i)
 
 
 class CrossView:
     """One node's blob: group count, retirement, entry and section bounds.
 
-    Each section access builds a fresh view from the bounds table until
-    ``check`` has walked them all; from then on the walked views answer.
+    Each section access reads its two bounds and its class and builds a
+    fresh view until ``check`` has walked them all; from then on the walked
+    views answer.
     """
 
-    __slots__ = ("_read", "_n", "k", "_ow", "removed_iter", "entry", "_tab", "_payload",
+    __slots__ = ("_read", "_wd", "k", "_ow", "removed_iter", "entry", "_tab", "_payload",
                  "_near", "_far")
 
-    def __init__(self, read, base: int, n: int):
-        kf = count_width(n)
-        head = read(base, kf + RATE_BITS)
+    def __init__(self, read, base: int, wd: Widths):
+        head = read(base, wd.cw + RATE_BITS)
         self.k = head >> RATE_BITS
         if self.k < 1:
             raise ValueError("corrupt blob: no groups")
         self._ow = head & (1 << RATE_BITS) - 1
         cw = count_width(self.k)
-        both = read(base + kf + RATE_BITS, 2 * cw)
+        both = read(base + wd.cw + RATE_BITS, 2 * cw)
         self.removed_iter = both >> cw
         self.entry = both & (1 << cw) - 1
         self._read = read
-        self._n = n
-        self._tab = base + kf + RATE_BITS + 2 * cw
+        self._wd = wd
+        self._tab = base + wd.cw + RATE_BITS + 2 * cw
         self._payload = self._tab + (2 * (self.k - 1) + 1) * self._ow
         self._near = self._far = ()
 
-    def _section(self, idx: int, kind):
+    def _section(self, idx: int) -> tuple[int, int, int]:
+        """(start, end, class) of section ``idx``."""
         if not 0 <= idx < 2 * (self.k - 1):
             raise ValueError(f"no section {idx} in a blob of {self.k} groups")
         ow = self._ow
         both = self._read(self._tab + idx * ow, 2 * ow)
         start = self._payload + (both >> ow)
-        end = self._payload + (both & (1 << ow) - 1)
-        return kind(self._read, start, end, self._n)
+        return start, self._payload + (both & (1 << ow) - 1), self._read(start, CLASS_BITS)
 
     def sec_near(self, s: int) -> NearView:
-        return self._near[s - 1] if self._near else self._section(2 * s - 2, NearView)
+        if self._near:
+            return self._near[s - 1]
+        start, _, inf = self._section(2 * s - 2)
+        return NearView(self._read, start, self._wd, inf)
 
     def sec_far(self, s: int) -> FarView:
-        return self._far[s - 1] if self._far else self._section(2 * s - 1, FarView)
+        if self._far:
+            return self._far[s - 1]
+        start, end, inf = self._section(2 * s - 1)
+        return FarView(self._read, start, end, self._wd, inf)
 
     def check(self) -> int:
-        """Walk every section, raising ValueError unless each exactly fills
-        its bounds, and keep the views; returns the bit offset where the
-        blob ends."""
-        k = self.k
+        """Walk every section, raising ValueError unless its content exactly
+        fills its bounds, and keep the views; returns the bit offset where
+        the blob ends.
+
+        The bounds table and the section classes take one read each. Each
+        section view is built from its bounds and class, and its content
+        ends where its sub-label or set view says (``end_offset``); a far
+        section's flags take the rest of it. The views keep their
+        sub-labels, sets and flags for the queries to come.
+        """
+        k, ow, read, wd = self.k, self._ow, self._read, self._wd
         if not (1 <= self.entry <= k and 1 <= self.removed_iter <= k):
             raise ValueError("entry or retirement outside the blob's groups")
-        secs = []
-        for idx in range(2 * (k - 1)):
-            sec = self._section(idx, FarView if idx & 1 else NearView)
-            sec.check()
-            secs.append(sec)
-        self._near, self._far = tuple(secs[0::2]), tuple(secs[1::2])
-        return self._payload + self._read(self._tab + 2 * (k - 1) * self._ow, self._ow)
+        last = 2 * (k - 1)
+        table = read(self._tab, (last + 1) * ow)
+        mask = (1 << ow) - 1
+        payload = self._payload
+        at = [payload + (table >> ow * i & mask) for i in range(last, -1, -1)]
+        cls = read.fields(at[:last], CLASS_BITS)
+        near = []
+        far = []
+        for i in range(0, last, 2):
+            start, mid, end = at[i], at[i + 1], at[i + 2]
+            inf = cls[i]
+            sec = NearView(read, start, wd, inf)
+            if inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
+                got = sec.bip().end_offset
+            elif inf in (CLS_FRONT_REST, CLS_SECOND_REST):
+                got = sec.keys().end_offset
+            else:
+                got = start + CLASS_BITS
+            if got != mid:
+                raise ValueError(f"near section length {mid - start}, parsed {got - start}")
+            near.append(sec)
+            inf = cls[i + 1]
+            sec = FarView(read, mid, end, wd, inf)
+            if not sec.is_empty:
+                if inf not in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
+                    sec.flags()
+                elif sec.bip().end_offset != end:
+                    raise ValueError("far section length mismatch")
+            far.append(sec)
+        self._near, self._far = tuple(near), tuple(far)
+        return at[last]
 
 
 # -- decoding ----------------------------------------------------------------

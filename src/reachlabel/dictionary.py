@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, count_width, index_width
+from .bitio import BitWriter, Widths, count_width, index_width
 
 _BUCKET_SEED = 0x9E3779B97F4A7C15
 _SLOT_SALT = 0xC2B2AE3D27D4EB4F
@@ -77,6 +77,7 @@ class StaticSet:
 class SetView:
     """Decode view of a serialized set.
 
+    ``wd`` holds the widths of a label over the universe bound ``wd.n``.
     Size and mode cost one counted read; the seed, occupancy and key arrays
     are taken from the label once, and ``contains`` charges one word for
     each field a pointer-based probe would fetch: O(1) of them hashed,
@@ -86,13 +87,13 @@ class SetView:
 
     __slots__ = ("_read", "_bound", "_kw", "_m", "_mode", "_seeds", "_occ", "_keys", "end_offset")
 
-    def __init__(self, read, offset: int, universe_bound: int):
-        cw = count_width(universe_bound)
-        kw = index_width(universe_bound)
+    def __init__(self, read, offset: int, wd: Widths):
+        cw = wd.cw
+        kw = wd.iw
         head = read(offset, cw + 1)  # size and mode batched into one read
         m = head >> 1
         self._read = read
-        self._bound = universe_bound
+        self._bound = wd.n
         self._kw = kw
         self._m = m
         self._mode = head & 1

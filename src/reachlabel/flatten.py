@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, TableView, count_width, index_width
+from .bitio import BitWriter, TableView, Widths, count_width, index_width
 from .graph import LayeredDag
 
 
@@ -140,14 +140,14 @@ class InnerView(TableView):
     """Decode view of a composite label's intra section: the placement
     fields cost one counted read, and the interval table is a TableView.
     ``end_offset`` is where the section ends, which is where the blob must
-    begin.
+    begin. ``wd`` holds the widths of the label's header n.
     """
 
     __slots__ = ("topo", "grp", "beg", "end", "thick", "end_offset")
 
-    def __init__(self, read, n: int, offset: int):
-        iw = index_width(n)
-        cw = count_width(n)
+    def __init__(self, read, wd: Widths, offset: int):
+        iw = wd.iw
+        cw = wd.cw
         width = 3 * iw + cw + 1
         packed = read(offset, width)
         self.thick = bool(packed & 1)

@@ -28,9 +28,14 @@ reads fields by shift and mask while counting 64-bit words, and builds the
 views of its sections (intra, blob, near and far sections, embedded
 sub-labels, neighbor sets) as a query needs them. ``query_lazy`` builds two
 fresh views, so a single query reads only the bits it touches and reports
-the words read. ``parse_label`` first walks every section of the view,
-which rejects a corrupt label with ValueError and keeps the walked views
-for bulk queries. ``query`` answers from either kind.
+the words read. ``parse_label`` first walks the whole view: it checks the
+header offsets and the intra section, reads the blob's bounds table and
+its section classes with one read each, and builds each section's view
+from its bounds and class, checking that the content the view decodes
+exactly fills the section. That rejects a corrupt label with ValueError
+and keeps the walked views for bulk queries. Field widths that follow
+from the header n are computed once per n (``bitio.widths``).
+``query`` answers from either kind.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .bitio import (
     count_width,
     index_width,
     read_fixed,
+    widths,
 )
 from .crosslabel import (
     CrossLabeling,
@@ -259,7 +265,7 @@ class LabelView:
     so far.
     """
 
-    __slots__ = ("read", "scheme_id", "n", "scc", "warm", "_offsets", "inner", "cross")
+    __slots__ = ("read", "scheme_id", "n", "_wd", "scc", "warm", "_offsets", "inner", "cross")
 
     def __init__(self, bits: BitString):
         r = LabelReader(bits)
@@ -275,7 +281,8 @@ class LabelView:
         # composite labels carry exactly two 32-bit section offsets
         packed = r(LabelHeader.HEADER_FIXED_BITS, 2 * LabelHeader.OFFSET_BITS) if noff else 0
         self._offsets = (packed >> 32, packed & 0xFFFFFFFF)[:noff]
-        iw = index_width(self.n)
+        self._wd = widths(self.n)
+        iw = self._wd.iw
         p = LabelHeader.HEADER_FIXED_BITS + LabelHeader.OFFSET_BITS * noff
         if self.scheme_id == _WARMUP:
             both = r(p, 2 * iw)
@@ -288,11 +295,11 @@ class LabelView:
         self.cross = None
 
     def view_inner(self) -> InnerView:
-        self.inner = InnerView(self.read, self.n, self._offsets[0])
+        self.inner = InnerView(self.read, self._wd, self._offsets[0])
         return self.inner
 
     def view_cross(self) -> CrossView:
-        self.cross = CrossView(self.read, self._offsets[1], self.n)
+        self.cross = CrossView(self.read, self._offsets[1], self._wd)
         return self.cross
 
     @property
@@ -300,9 +307,11 @@ class LabelView:
         return self.read.words
 
     def check(self) -> None:
-        """Walk every section once, raising ValueError unless the offsets
-        match the layout and each section exactly fills its bounds."""
-        iw = index_width(self.n)
+        """Raise ValueError unless the header offsets match the layout, the
+        intra section ends where the blob begins, every blob section
+        exactly fills its bounds (``CrossView.check``, which keeps the
+        section views) and the label ends where its last section does."""
+        iw = self._wd.iw
         if self.warm is not None:
             end = LabelHeader.HEADER_FIXED_BITS + 2 * iw + self.n // 2
         else:

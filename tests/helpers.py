@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from reachlabel.bipartite import BipartiteLabel, probe_pair
+from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
+from reachlabel.crosslabel import RATE_BITS
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
 
@@ -120,3 +122,13 @@ def ref_layer_of(d: Dag) -> list[int]:
             if depth[v] < du1:
                 depth[v] = du1
     return depth
+
+
+def bounds_table(bits: BitString) -> tuple[int, int]:
+    """(bit offset, field width) of a composite label's section bounds."""
+    hdr = LabelHeader.read(bits)
+    blob = hdr.offsets[1]
+    kf = count_width(hdr.n)
+    k = read_fixed(bits, blob, kf)
+    ow = read_fixed(bits, blob + kf, RATE_BITS)
+    return blob + kf + RATE_BITS + 2 * count_width(k), ow

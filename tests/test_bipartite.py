@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import decode_bipartite
-from reachlabel.bitio import BitWriter, LabelReader
+from reachlabel.bitio import BitWriter, LabelReader, Widths
 from reachlabel.bipartite import (
     BipartiteInstance,
     BipartiteLabel,
@@ -187,7 +187,7 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
         bits = w.finish()
         assert len(bits) == 2 + embedded_width(limit, lab.table_len)
         read = LabelReader(bits)
-        view = EmbeddedView(read, 2, limit, lab.side)
+        view = EmbeddedView(read, 2, Widths(limit), lab.side)
         assert view.end_offset == len(bits)
         assert (view.index, view.a, view.b, view.alpha, view.beta) == (
             lab.index,

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from helpers import bounds_table
 
 import reachlabel.cli as cli
 from reachlabel.bitio import write_label_file
 from reachlabel.cli import GraphFormatError, main, read_graph_file, write_graph_file
 from reachlabel.graph import Digraph
-from reachlabel.oracle import VerifyReport
+from reachlabel.oracle import GenSpec, VerifyReport, generate
+from reachlabel.scheme import encode, query_lazy
 
 
 def run(capsys, *argv):
@@ -83,6 +87,39 @@ def test_empty_label_file_with_trailing_bytes_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "bytes past its header" in err and not out
+
+
+@pytest.mark.parametrize("scheme", ["third", "average"])
+def test_query_checks_the_whole_layout(tmp_path, capsys, scheme):
+    ls = encode(generate(GenSpec("poset", 16, 0.5, 3)), scheme, "force")
+    labels = tmp_path / "p.rlbl"
+    write_label_file(str(labels), ls.scheme_id, ls.n, ls.labels)
+    for u in range(ls.n):
+        for v in range(ls.n):
+            code, out, _ = run(capsys, "query", str(labels), str(u), str(v))
+            assert code == 0
+            assert out == ("true\n" if query_lazy(ls.labels[u], ls.labels[v])[0] else "false\n")
+
+    # flip the top bit of node 5's second bound, which ends its first near
+    # section: the check walk must turn that into exit 2
+    u = 5
+    tab, ow = bounds_table(ls.labels[u])
+    at = 8 * (10 + 8 * ls.n + sum(4 + (len(b) + 7) // 8 for b in ls.labels[:u]) + 4) + tab + ow
+    data = bytearray(labels.read_bytes())
+    data[at >> 3] ^= 0x80 >> (at & 7)
+    labels.write_bytes(bytes(data))
+    for pair in ((u, 0), (0, u)):
+        code, out, err = run(capsys, "query", str(labels), *map(str, pair))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_written_graph_file_is_pinned(tmp_path):
+    # digest of the file as written one line at a time per edge
+    path = tmp_path / "poset.txt"
+    write_graph_file(str(path), generate(GenSpec("poset", 200, 0.5, 1)))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "5829c6c28b942bc6b36fe60e7b5775c25e74907a923a45647b60984e19208551"
 
 
 def test_encode_all_schemes_and_profiles(tmp_path, capsys):

@@ -17,7 +17,7 @@ from reachlabel.crosslabel import (
     decode_cross,
     peel_cross,
 )
-from reachlabel.bitio import LabelReader
+from reachlabel.bitio import LabelReader, Widths
 from reachlabel.flatten import build_superlayers, split_rows
 from reachlabel.graph import (
     Dag,
@@ -154,7 +154,7 @@ def test_blob_decode_matches_cross_membership(case, variant):
     parsed = []
     for u in range(n):
         blob = assemble_cross(cl, u)
-        pc = CrossView(LabelReader(blob), 0, n)
+        pc = CrossView(LabelReader(blob), 0, Widths(n))
         assert pc.check() == len(blob)
         assert pc.k == cl.k
         assert pc.entry == cl.entry[u]
@@ -174,7 +174,7 @@ def test_sections_default_to_retired():
     lay, sl, cross, _ = peeled(4, [(0, 2), (0, 3), (1, 2), (1, 3)], gamma=4)
     cl = build_cross_labeling(lay, sl, cross, variant="third")
     blob = assemble_cross(cl, 0)
-    pc = CrossView(LabelReader(blob), 0, 4)
+    pc = CrossView(LabelReader(blob), 0, Widths(4))
     # node 0 is removed in iteration 1; there is exactly one iteration here
     assert pc.sec_near(1).inf != CLS_RETIRED
 

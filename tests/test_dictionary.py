@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachlabel.bitio import BitWriter, LabelReader
+from reachlabel.bitio import BitWriter, LabelReader, Widths
 from reachlabel.dictionary import SetView, StaticSet, build_set
 
 
@@ -15,7 +15,7 @@ def roundtrip(s: StaticSet, universe_bound: int) -> SetView:
     s.write(w)
     bits = w.finish()
     assert len(bits) == s.bit_length()
-    view = SetView(LabelReader(bits), 0, universe_bound)
+    view = SetView(LabelReader(bits), 0, Widths(universe_bound))
     assert view.end_offset == len(bits)
     return view
 
@@ -60,7 +60,7 @@ def test_membership_and_serialized_probe_agree(case):
     w.write(5, 3)  # leading junk, to exercise a non-zero offset
     s.write(w)
     read = LabelReader(w.finish())
-    view = SetView(read, 3, bound)
+    view = SetView(read, 3, Widths(bound))
     assert read.words == 1  # size and mode
     for x in range(bound):
         before = read.words

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import split_edges
-from reachlabel.bitio import BitWriter, LabelReader
+from reachlabel.bitio import BitWriter, LabelReader, Widths
 from reachlabel.flatten import (
     InnerView,
     build_superlayers,
@@ -29,7 +29,7 @@ def inner_view(gl, n):
     w = BitWriter()
     write_inner(w, gl, n)
     bits = w.finish()
-    view = InnerView(LabelReader(bits), n, 0)
+    view = InnerView(LabelReader(bits), Widths(n), 0)
     assert view.end_offset == len(bits)
     return view
 

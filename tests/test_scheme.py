@@ -10,6 +10,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from helpers import bounds_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from reachlabel.bitio import (
     BitString,
     BitWriter,
     LabelHeader,
-    count_width,
     index_width,
     read_fixed,
     read_label_file,
@@ -25,7 +25,7 @@ from reachlabel.bitio import (
     write_label_file,
 )
 from reachlabel.cli import main
-from reachlabel.crosslabel import RATE_BITS
+from reachlabel.crosslabel import CLS_UPPER
 from reachlabel.graph import Digraph, reach_rows
 from reachlabel.oracle import GenSpec, flip_bit, generate
 from reachlabel.scheme import (
@@ -291,16 +291,6 @@ def with_field(bits: BitString, off: int, width: int, value: int) -> BitString:
     return w.finish()
 
 
-def bounds_table(bits: BitString) -> tuple[int, int]:
-    """(bit offset, field width) of a composite label's section bounds."""
-    hdr = LabelHeader.read(bits)
-    blob = hdr.offsets[1]
-    kf = count_width(hdr.n)
-    k = read_fixed(bits, blob, kf)
-    ow = read_fixed(bits, blob + kf, RATE_BITS)
-    return blob + kf + RATE_BITS + 2 * count_width(k), ow
-
-
 def shifted_bound(bits: BitString, idx: int, delta: int) -> BitString:
     tab, ow = bounds_table(bits)
     return with_field(bits, tab + idx * ow, ow, read_fixed(bits, tab + idx * ow, ow) + delta)
@@ -334,6 +324,23 @@ def blob_overruns() -> BitString:
     return BitString(bits.data, LabelHeader.read(bits).offsets[1] + 4)
 
 
+def bounds_decrease() -> BitString:
+    # bound 1, the end of node 0's first near section, moves past bound 2
+    bits = poset_labels().labels[0]
+    tab, ow = bounds_table(bits)
+    return with_field(bits, tab + ow, ow, read_fixed(bits, tab + 2 * ow, ow) + 1)
+
+
+def far_flags_overrun() -> BitString:
+    # an upper node's far section ends one bit before its sub-label does,
+    # so its flags would run past the section's bound
+    ls = poset_labels()
+    rec = next(r for r in ls.cross.records
+               if r.bicliques and any(r.cls[u] == CLS_UPPER for u in r.outside))
+    u = next(u for u in rec.outside if rec.cls[u] == CLS_UPPER)
+    return shifted_bound(ls.labels[u], 2 * rec.s, -(len(rec.bicliques) + 1))
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -341,14 +348,52 @@ def blob_overruns() -> BitString:
         (matched_far_too_short, "far section length mismatch"),
         (intra_offset_off, "intra section offset mismatch"),
         (blob_overruns, "overruns"),
+        (bounds_decrease, "near section length"),
+        (far_flags_overrun, "far section length mismatch"),
     ],
-    ids=["near-short", "matched-far-length", "intra-offset", "blob-overrun"],
+    ids=["near-short", "matched-far-length", "intra-offset", "blob-overrun",
+         "bounds-decrease", "far-flags-overrun"],
 )
 def test_parse_rejects_corrupt_layout(corrupt, message):
     bits = corrupt()
     assert len(bits) <= len(poset_labels().labels[0])
     with pytest.raises(ValueError, match=message):
         parse_label(bits)
+
+
+# parse_label's verdict on every single-bit flip and every truncation of each
+# distinct label of the pinned graphs: the number of rejected copies and a
+# sha256 of the verdicts ("1" rejected, "0" accepted; per label its flips, bit
+# 0 first, then its truncations, length 0 first). Computed with the check
+# walk that read each section's bounds on its own; a faster walk must reject
+# exactly the same copies.
+PINNED_VERDICTS = [
+    (8220, "545601733ebe7ad0684549568c7bfeb9ea6b11fd91fda98048240da54f8846eb"),
+    (20983, "a942ef53eca4353045af6816c24a5169dcf4140525679b5b9ec34bc106a68a2c"),
+    (51719, "950320659ff35793d4b0997ae6edf54fed93b1523ac5bcc64b45887b6200c4cc"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,scheme,profile,rejected,digest",
+    [(spec, scheme, profile, *pin)
+     for (spec, scheme, profile, _), pin in zip(PINNED_DIGESTS, PINNED_VERDICTS)],
+    ids=["dag", "digraph", "poset"],
+)
+def test_corruption_verdicts_are_pinned(spec, scheme, profile, rejected, digest):
+    verdicts = []
+    for bits in dict.fromkeys(encode(generate(spec), scheme, profile).labels):
+        copies = [flip_bit(bits, i) for i in range(len(bits))]
+        copies += [BitString(bits.data, t) for t in range(len(bits))]
+        for copy in copies:
+            try:
+                parse_label(copy)
+            except ValueError:
+                verdicts.append("1")
+            else:
+                verdicts.append("0")
+    text = "".join(verdicts)
+    assert (text.count("1"), hashlib.sha256(text.encode()).hexdigest()) == (rejected, digest)
 
 
 # -- corrupted labels ----------------------------------------------------------
