@@ -308,30 +308,29 @@ def _record_span(i: int, off: int, end: int, n: int, size: int) -> None:
         raise ValueError(f"offset table entry of node {i} is out of range")
 
 
-def _record(i: int, data: bytes, off: int, end: int) -> BitString:
-    """Node i's label from its record, the bytes [off, end) of ``data``,
-    which the record must fill exactly."""
-    bitlen = int.from_bytes(data[off:off + 4], "little")
-    if 4 + (bitlen + 7) // 8 != end - off:
+def _record(i: int, rec: bytes) -> BitString:
+    """Node i's label from its record, which must fill ``rec`` exactly."""
+    bitlen = int.from_bytes(rec[:4], "little")
+    if 4 + (bitlen + 7) // 8 != len(rec):
         raise ValueError(f"offset table entry of node {i} disagrees with its record")
-    return BitString(data[off + 4:end], bitlen)
+    return BitString(rec[4:], bitlen)
 
 
 def read_label_file(path: str) -> tuple[int, int, list[BitString]]:
     """Read all labels; returns (scheme_id, n, labels)."""
     with open(path, "rb") as f:
-        data = f.read()
-    size = len(data)
-    scheme_id, n = _file_header(data[:10], size)
-    if 10 + 8 * n > size:
-        raise ValueError("truncated label file offset table")
-    offs = struct.unpack_from(f"<{n}Q", data, 10) + (size,)
-    labels = []
-    for i in range(n):
-        off, end = offs[i], offs[i + 1]
-        _record_span(i, off, end, n, size)
-        labels.append(_record(i, data, off, end))
-    return scheme_id, n, labels
+        size = os.fstat(f.fileno()).st_size
+        scheme_id, n = _file_header(f.read(10), size)
+        if 10 + 8 * n > size:
+            raise ValueError("truncated label file offset table")
+        offs = struct.unpack(f"<{n}Q", f.read(8 * n)) + (size,)
+        labels = []
+        for i in range(n):
+            off, end = offs[i], offs[i + 1]
+            _record_span(i, off, end, n, size)
+            f.seek(off)
+            labels.append(_record(i, f.read(end - off)))
+        return scheme_id, n, labels
 
 
 def read_labels_at(path: str, indices: list[int]) -> tuple[int, int, dict[int, BitString]]:
@@ -352,8 +351,7 @@ def read_labels_at(path: str, indices: list[int]) -> tuple[int, int, dict[int, B
             off = int.from_bytes(raw[:8], "little")
             end = int.from_bytes(raw[8:], "little") if want == 16 else size
             _record_span(i, off, end, n, size)
-            raw = os.pread(fd, end - off, off)
-            out[i] = _record(i, raw, 0, len(raw))
+            out[i] = _record(i, os.pread(fd, end - off, off))
     finally:
         os.close(fd)
     return scheme_id, n, out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import compress
 
 from .bitio import read_label_file, read_labels_at, write_label_file
 from .graph import Digraph, _iter_bits
@@ -81,10 +80,6 @@ def read_graph_file(path: str) -> Digraph:
     return Digraph(n, rows=rows)
 
 
-# '0'/'1' characters of a binary string -> selector bytes 0/1
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def write_graph_file(path: str, g: Digraph) -> None:
     """The "n m" line, then one "u v" line per edge, rows in order and each
     row's targets ascending; each row goes out as one joined string."""
@@ -92,16 +87,9 @@ def write_graph_file(path: str, g: Digraph) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.edge_count()}\n")
         for u, row in enumerate(g.rows):
-            if not row:
-                continue
-            # a dense row selects its targets' names through its binary
-            # digits; a sparse one is cheaper to walk bit by bit
-            if row.bit_count() * 16 > g.n:
-                picked = compress(names, format(row, "b")[::-1].encode().translate(_BIT_BYTES))
-            else:
-                picked = [names[v] for v in _iter_bits(row)]
-            head = f"{u} "
-            fh.write(head + f"\n{head}".join(picked) + "\n")
+            if row:
+                head = f"{u} "
+                fh.write(head + f"\n{head}".join([names[v] for v in _iter_bits(row)]) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -265,7 +265,7 @@ class LabelView:
     so far.
     """
 
-    __slots__ = ("read", "scheme_id", "n", "_wd", "scc", "warm", "_offsets", "inner", "cross")
+    __slots__ = ("read", "scheme_id", "n", "scc", "warm", "_offsets", "inner", "cross")
 
     def __init__(self, bits: BitString):
         r = LabelReader(bits)
@@ -281,8 +281,7 @@ class LabelView:
         # composite labels carry exactly two 32-bit section offsets
         packed = r(LabelHeader.HEADER_FIXED_BITS, 2 * LabelHeader.OFFSET_BITS) if noff else 0
         self._offsets = (packed >> 32, packed & 0xFFFFFFFF)[:noff]
-        self._wd = widths(self.n)
-        iw = self._wd.iw
+        iw = index_width(self.n)
         p = LabelHeader.HEADER_FIXED_BITS + LabelHeader.OFFSET_BITS * noff
         if self.scheme_id == _WARMUP:
             both = r(p, 2 * iw)
@@ -295,11 +294,11 @@ class LabelView:
         self.cross = None
 
     def view_inner(self) -> InnerView:
-        self.inner = InnerView(self.read, self._wd, self._offsets[0])
+        self.inner = InnerView(self.read, widths(self.n), self._offsets[0])
         return self.inner
 
     def view_cross(self) -> CrossView:
-        self.cross = CrossView(self.read, self._offsets[1], self._wd)
+        self.cross = CrossView(self.read, self._offsets[1], widths(self.n))
         return self.cross
 
     @property
@@ -311,7 +310,7 @@ class LabelView:
         intra section ends where the blob begins, every blob section
         exactly fills its bounds (``CrossView.check``, which keeps the
         section views) and the label ends where its last section does."""
-        iw = self._wd.iw
+        iw = index_width(self.n)
         if self.warm is not None:
             end = LabelHeader.HEADER_FIXED_BITS + 2 * iw + self.n // 2
         else:
