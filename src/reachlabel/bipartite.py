@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitio import BitWriter, TableView, Widths, count_width, index_width
-from .graph import _iter_bits
+from .graph import cyclic_window, transpose
 
 
 def ceil_div(p: int, q: int) -> int:
@@ -83,25 +83,15 @@ def index_pair(i_a: int, i_b: int, a: int, b: int) -> tuple[int, int]:
     return i, j
 
 
-def _window(mask: int, start: int, width: int, size: int) -> int:
-    """Bits start, start+1, ... (mod size) of a size-bit mask, as bits 0, 1, ..."""
-    r = start % size
-    return (mask >> r | mask << (size - r)) & (1 << min(width, size)) - 1
-
-
 def encode_bipartite(inst: BipartiteInstance) -> list[BipartiteLabel]:
     """Labels for all a+b nodes, A side first."""
     a, b, alpha, beta = inst.a, inst.b, inst.alpha, inst.beta
-    cols = [0] * b
-    for u, row in enumerate(inst.rows):
-        for j in _iter_bits(row):
-            cols[j] |= 1 << u
     labels = []
     for u, row in enumerate(inst.rows):
-        t = _window(row, ceil_div(b * u, a), alpha, b) if b else 0
+        t = cyclic_window(row, ceil_div(b * u, a), alpha, b) if b else 0
         labels.append(BipartiteLabel(u, a, b, alpha, beta, t, "A"))
-    for j, col in enumerate(cols):
-        t = _window(col, ceil_div(a * j, b), beta, a) if a else 0
+    for j, col in enumerate(transpose(inst.rows, b)):
+        t = cyclic_window(col, ceil_div(a * j, b), beta, a) if a else 0
         labels.append(BipartiteLabel(a + j, a, b, alpha, beta, t, "B"))
     return labels
 

@@ -55,7 +55,7 @@ from .bipartite import (
 from .biclique import build_n_rest, find_bicliques, get_profile
 from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_width, read_fixed
 from .dictionary import SetView, build_set
-from .graph import LayeredDag, _iter_bits
+from .graph import LayeredDag, _iter_bits, gatherer, transpose
 
 # Node classes within one iteration, stored in 3 bits at each section start.
 CLS_RETIRED = 0
@@ -75,14 +75,6 @@ def _mask_of(nodes) -> int:
     m = 0
     for u in nodes:
         m |= 1 << u
-    return m
-
-
-def _ranked(mask: int, rank: dict[int, int]) -> int:
-    """A node mask renumbered through ``rank`` (node -> bit position)."""
-    m = 0
-    for v in _iter_bits(mask):
-        m |= 1 << rank[v]
     return m
 
 
@@ -232,17 +224,14 @@ def peel_cross(
 
         # Per-biclique reach of its matched second side, restricted to upper
         # nodes; rest-class flags stay zero (nothing ever reads them).
-        via_second: dict[int, int] = {v: 0 for v in outside}
         upper_hit_mask = []
         for _, b_side in bicliques:
             m = 0
             for b in b_side:
                 m |= live_rows[b]
-            m &= upper_mask
-            upper_hit_mask.append(m)
-        for i, m in enumerate(upper_hit_mask):
-            for v in _iter_bits(m):
-                via_second[v] |= 1 << i
+            upper_hit_mask.append(m & upper_mask)
+        flags = transpose(upper_hit_mask, n)
+        via_second = {v: flags[v] for v in outside}
 
         sm_mask = _mask_of(second_match)
         sr_mask = _mask_of(second_rest)
@@ -263,12 +252,13 @@ def peel_cross(
         # Pair graph: row j is the j-th matched pair, bit r the r-th outside
         # node; the bit answers the one far edge case that applies to that
         # node's class (and, for upper nodes, to the flag).
+        to_outside = gatherer(outside, n)
         pair_rows = []
         for j, (aj, bj) in enumerate(pairs):
             fluff = upper_hit_mask[pair_bic[j]]
             row_a = live_rows[aj]
             hits = row_a & sr_mask | live_rows[bj] & fluff | row_a & upper_mask & ~fluff
-            pair_rows.append(_ranked(hits, outside_rank))
+            pair_rows.append(to_outside(hits))
         for u in front_rest:
             bit = 1 << outside_rank[u]
             for bj in _iter_bits(live_rows[u] & sm_mask):
@@ -278,8 +268,8 @@ def peel_cross(
 
         near_inst = None
         if n_bic:
-            sm_rank = {v: r for r, v in enumerate(second_match)}
-            rows = tuple(_ranked(near_rows[u], sm_rank) for u in front_match)
+            to_second = gatherer(second_match, n)
+            rows = tuple(to_second(near_rows[u]) for u in front_match)
             half = (n_pairs + 1) // 2 + 1
             near_inst = BipartiteInstance(n_pairs, n_pairs, half, half, rows)
 
@@ -621,17 +611,21 @@ class CrossView:
         fills its bounds, and keep the views; returns the bit offset where
         the blob ends.
 
-        The bounds table and the section classes take one read each. Each
-        section view is built from its bounds and class, and its content
-        ends where its sub-label or set view says (``end_offset``); a far
-        section's flags take the rest of it. The views keep their
-        sub-labels, sets and flags for the queries to come.
+        The bounds table and the section classes take one read each; the
+        table's leading fencepost must be 0, so no bit lies between the
+        table and the first section. Each section view is built from its
+        bounds and class, and its content ends where its sub-label or set
+        view says (``end_offset``); a far section's flags take the rest of
+        it. The views keep their sub-labels, sets and flags for the queries
+        to come.
         """
         k, ow, read, wd = self.k, self._ow, self._read, self._wd
         if not (1 <= self.entry <= k and 1 <= self.removed_iter <= k):
             raise ValueError("entry or retirement outside the blob's groups")
         last = 2 * (k - 1)
         table = read(self._tab, (last + 1) * ow)
+        if table >> last * ow:
+            raise ValueError("bounds table does not start at 0")
         mask = (1 << ow) - 1
         payload = self._payload
         at = [payload + (table >> ow * i & mask) for i in range(last, -1, -1)]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitio import BitWriter, TableView, Widths, count_width, index_width
-from .graph import LayeredDag
+from .graph import LayeredDag, gatherer
 
 
 def gamma_of(n: int) -> int:
@@ -164,19 +164,18 @@ class InnerView(TableView):
 
 
 def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -> list[GroupLabel]:
+    """One label per node; a thin group's tables are its members' rows
+    gathered over the group's interval, in topological order."""
     n = layered.dag.n
     inv = layered.inv_topo
-    out = []
-    for u in range(n):
-        grp = s.group_of[u]
-        info = s.groups[grp]
-        t = 0
-        if not info.thick:
-            row = inner_rows[u]
-            for j in range(info.end - info.beg):
-                if row >> inv[info.beg + j] & 1:
-                    t |= 1 << j
-        out.append(GroupLabel(layered.topo[u], grp, info.beg, info.end, info.thick, t))
+    topo = layered.topo
+    out: list[GroupLabel | None] = [None] * n
+    for grp, info in enumerate(s.groups):
+        members = inv[info.beg : info.end]
+        table = None if info.thick else gatherer(members, n)
+        for u in members:
+            t = table(inner_rows[u]) if table else 0
+            out[u] = GroupLabel(topo[u], grp, info.beg, info.end, info.thick, t)
     return out
 
 

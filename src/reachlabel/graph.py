@@ -16,11 +16,26 @@ lowest bit. Closure and layering take successors lowest bit first and drop
 from the to-do mask every node the taken successor already reaches, so
 they follow the cover edges (the transitive reduction) instead of every
 closure edge.
+
+The encoder moves slices of these rows around as bit matrices: it renumbers
+a row's bits (pair-graph rows over the unmatched nodes, interval tables by
+topological index) and turns rows into columns (pair tables by column,
+biclique flags by node, comparability, and comparability in graph-index
+order for the warm-up windows). Two kernels do that a whole row at a time,
+with no Python step per bit. ``gatherer`` writes a row as its binary string
+(``format``), picks the wanted characters with one precomputed
+``operator.itemgetter`` and reads them back with ``int(..., 2)``.
+``transpose`` writes all rows as one binary string, a grid, and reads each
+column back as one slice of it with a step of one row. Each step runs in C,
+so a row costs about its width in bytes moved rather than one interpreter
+step per set bit; the grid is the largest thing held, one byte per matrix
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 def _iter_bits(mask: int):
@@ -28,6 +43,55 @@ def _iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def gatherer(positions, width: int):
+    """The map from a ``width``-bit mask to the int whose bit r is bit
+    ``positions[r]`` of the mask. Positions may repeat; a mask with a bit at
+    or above ``width`` raises ValueError."""
+    positions = list(positions)
+    if any(not 0 <= p < width for p in positions):
+        raise ValueError(f"gather position outside 0..{width - 1}")
+    fmt = f"0{width}b"
+    # character width-1-p of the string is bit p; the last character picked
+    # becomes bit 0 of the result
+    idx = [width - 1 - p for p in reversed(positions)]
+    pick = itemgetter(*idx) if idx else lambda s: "0"
+
+    def gather(mask: int) -> int:
+        if mask >> width:
+            raise ValueError(f"mask has bits at or above width {width}")
+        return int("".join(pick(format(mask, fmt))), 2)
+
+    return gather
+
+
+def transpose(rows, width: int) -> list[int]:
+    """Columns of a bit matrix: column j has bit i set iff ``rows[i]`` has
+    bit j set, for j < ``width``. A row with a bit at or above ``width``
+    raises ValueError."""
+    if any(r >> width for r in rows):
+        raise ValueError(f"row has bits at or above width {width}")
+    if not width:
+        return []
+    if not rows:
+        return [0] * width
+    # One int holds the rows, last first, each padded to whole bytes, under a
+    # leading 1 that keeps the leading zeros; its binary string is the grid,
+    # built without a string per row. Bit j of a row is character step-1-j
+    # of its stretch, and column j is the slice with step ``step`` from there.
+    nbytes = -(-width // 8)
+    step = 8 * nbytes
+    packed = b"\1" + b"".join([r.to_bytes(nbytes, "big") for r in reversed(rows)])
+    grid = bin(int.from_bytes(packed, "big"))  # "0b1", then the rows
+    return [int(grid[2 + step - j :: step], 2) for j in range(width)]
+
+
+def cyclic_window(mask: int, start: int, width: int, size: int) -> int:
+    """Bits start, start+1, ... (mod size) of a size-bit mask, as bits 0, 1, ...;
+    at most ``size`` of them."""
+    r = start % size
+    return (mask >> r | mask << (size - r)) & (1 << min(width, size)) - 1
 
 
 class Digraph:

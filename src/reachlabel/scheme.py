@@ -306,12 +306,14 @@ class LabelView:
         return self.read.words
 
     def check(self) -> None:
-        """Raise ValueError unless the header offsets match the layout, the
-        intra section ends where the blob begins, every blob section
+        """Raise ValueError unless a warm-up index is below n, the header
+        offsets match the layout, the intra section ends where the blob begins, every blob section
         exactly fills its bounds (``CrossView.check``, which keeps the
         section views) and the label ends where its last section does."""
         iw = index_width(self.n)
         if self.warm is not None:
+            if self.warm.index >= self.n:
+                raise ValueError("warm-up index outside 0..n-1")
             end = LabelHeader.HEADER_FIXED_BITS + 2 * iw + self.n // 2
         else:
             intra_off, blob_off = self._offsets

@@ -8,6 +8,14 @@ and comparability plus topological order decides reachability.
 A DAG node standing for the k members of a strongly connected component
 takes k consecutive indices and its label carries the first, so n counts
 graph nodes and queries land on first indices only.
+
+The encoder builds every window from one comparability row per DAG node:
+the node's closure row ORed with its closure column (one ``transpose``),
+then put into graph-index order (a second ``transpose``, of the
+comparability rows listed by index, where a component's node repeats k
+times). Bit i of that n-bit row says whether u is comparable with the node
+at index i, so B_u is the row rotated down by I(u)+1 and cut to floor(n/2)
+bits.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitio import TableView
-from .graph import LayeredDag
+from .graph import LayeredDag, cyclic_window, transpose
 
 
 @dataclass(frozen=True)
@@ -45,21 +53,20 @@ def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
     """One label per DAG node; expects a transitively closed, layered DAG
     whose node x stands for ``sizes[x]`` graph nodes."""
     rows = layered.dag.rows
+    m = layered.dag.n
     # graph-node index -> DAG node, DAG nodes in topological order
     at = [x for x in layered.inv_topo for _ in range(sizes[x])]
     n = len(at)
     first = {x: i for i, x in reversed(list(enumerate(at)))}
     half = n // 2
-    labels = []
-    for u in range(layered.dag.n):
-        iu = first[u]
-        t = 0
-        for j in range(half):
-            x = at[(iu + j + 1) % n]
-            if rows[u] >> x & 1 or rows[x] >> u & 1:
-                t |= 1 << j
-        labels.append(WarmupLabel(n, iu, t))
-    return labels
+    comparable = [row | col for row, col in zip(rows, transpose(rows, m))]
+    # comparability is symmetric, so column u of the rows taken in index
+    # order is u's row gathered into index order
+    by_index = transpose([comparable[x] for x in at], m)
+    return [
+        WarmupLabel(n, first[u], cyclic_window(by_index[u], first[u] + 1, half, n))
+        for u in range(m)
+    ]
 
 
 def decode_warmup(lu, lv) -> bool:

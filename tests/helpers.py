@@ -124,6 +124,63 @@ def ref_layer_of(d: Dag) -> list[int]:
     return depth
 
 
+# -- per-bit reference implementations of the encoder's bit-matrix steps ------
+# The package gathers and transposes whole rows as strings; the tests require
+# equal output.
+
+
+def ref_ranked(mask: int, rank: dict[int, int]) -> int:
+    """A node mask renumbered through ``rank`` (node -> bit position)."""
+    m = 0
+    for v in _iter_bits(mask):
+        m |= 1 << rank[v]
+    return m
+
+
+def ref_columns(rows, width: int) -> list[int]:
+    """Columns of a bipartite instance's rows, one set bit at a time."""
+    cols = [0] * width
+    for u, row in enumerate(rows):
+        for j in _iter_bits(row):
+            cols[j] |= 1 << u
+    return cols
+
+
+def ref_inner_tables(layered, s, inner_rows) -> list[int]:
+    """Each node's interval table, bit j taken from topological index beg+j."""
+    inv = layered.inv_topo
+    out = []
+    for u in range(layered.dag.n):
+        info = s.groups[s.group_of[u]]
+        t = 0
+        if not info.thick:
+            row = inner_rows[u]
+            for j in range(info.end - info.beg):
+                if row >> inv[info.beg + j] & 1:
+                    t |= 1 << j
+        out.append(t)
+    return out
+
+
+def ref_warmup_labels(layered, sizes) -> list[tuple[int, int, int]]:
+    """(n, index, window) per DAG node, each window bit probed on its own."""
+    rows = layered.dag.rows
+    at = [x for x in layered.inv_topo for _ in range(sizes[x])]
+    n = len(at)
+    first = {x: i for i, x in reversed(list(enumerate(at)))}
+    half = n // 2
+    out = []
+    for u in range(layered.dag.n):
+        iu = first[u]
+        t = 0
+        for j in range(half):
+            x = at[(iu + j + 1) % n]
+            if rows[u] >> x & 1 or rows[x] >> u & 1:
+                t |= 1 << j
+        out.append((n, iu, t))
+    return out
+
+
 def bounds_table(bits: BitString) -> tuple[int, int]:
     """(bit offset, field width) of a composite label's section bounds."""
     hdr = LabelHeader.read(bits)

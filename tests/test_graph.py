@@ -1,26 +1,39 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     is_transitively_closed,
+    ref_columns,
+    ref_inner_tables,
     ref_layer_of,
+    ref_ranked,
     ref_scc_condense,
     ref_transitive_closure,
+    ref_warmup_labels,
 )
+from reachlabel.bipartite import BipartiteInstance, ceil_div, encode_bipartite
+from reachlabel.flatten import encode_inner
 from reachlabel.graph import (
     Dag,
     Digraph,
     _iter_bits,
+    cyclic_window,
+    gatherer,
     longest_path_layers,
     oracle_reach,
     reach_rows,
     scc_condense,
     topological_order,
     transitive_closure,
+    transpose,
 )
+from reachlabel.scheme import Pipeline
+from reachlabel.warmup import encode_warmup
 
 
 @st.composite
@@ -260,3 +273,124 @@ def test_stages_match_reference_on_dags(d):
 def test_stages_match_reference_on_dense_cyclic(g):
     assert len(set(scc_condense(g).scc_id)) >= 2
     assert_stages_match_reference(g)
+
+
+# -- the bit-matrix kernels against their per-bit references -----------------
+
+
+@st.composite
+def gather_cases(draw, max_width=90):
+    """(positions, width, mask); positions may repeat or be empty."""
+    width = draw(st.integers(0, max_width))
+    positions = (
+        draw(st.lists(st.integers(0, width - 1), max_size=2 * width + 2)) if width else []
+    )
+    return positions, width, draw(st.integers(0, (1 << width) - 1))
+
+
+@given(gather_cases())
+def test_gather_picks_each_position(case):
+    positions, width, mask = case
+    want = sum((mask >> p & 1) << r for r, p in enumerate(positions))
+    assert gatherer(positions, width)(mask) == want
+
+
+@given(st.data())
+def test_gather_matches_ranked(data):
+    width = data.draw(st.integers(1, 90))
+    positions = data.draw(st.lists(st.integers(0, width - 1), unique=True))
+    mask = data.draw(st.integers(0, (1 << width) - 1))
+    mask &= sum(1 << p for p in positions)
+    rank = {p: r for r, p in enumerate(positions)}
+    assert gatherer(positions, width)(mask) == ref_ranked(mask, rank)
+
+
+def test_gather_edge_cases():
+    assert gatherer([], 0)(0) == 0
+    assert gatherer([], 5)(0b10110) == 0
+    # one position: the itemgetter returns a single character, not a tuple
+    assert gatherer([3], 5)(0b01000) == 1
+    assert gatherer([3], 5)(0b10111) == 0
+    assert gatherer([2, 2, 0], 3)(0b101) == 0b111
+    assert gatherer([2, 2, 0], 3)(0b100) == 0b011
+    assert gatherer(range(4), 4)(0b1010) == 0b1010
+
+
+@given(st.data())
+def test_transpose_matches_column_loop(data):
+    width = data.draw(st.integers(0, 70))
+    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=20))
+    assert transpose(rows, width) == ref_columns(rows, width)
+
+
+def test_transpose_edge_cases():
+    assert transpose([], 0) == []
+    assert transpose([0, 0], 0) == []
+    assert transpose([], 3) == [0, 0, 0]
+    assert transpose([0b01, 0b11, 0b10], 2) == [0b011, 0b110]
+
+
+def test_kernels_reject_bits_past_width():
+    with pytest.raises(ValueError):
+        gatherer([0], 4)(1 << 4)
+    with pytest.raises(ValueError):
+        gatherer([], 0)(1)
+    with pytest.raises(ValueError):
+        gatherer([4], 4)
+    with pytest.raises(ValueError):
+        transpose([1, 1 << 4], 4)
+    with pytest.raises(ValueError):
+        transpose([1], 0)
+
+
+@st.composite
+def bipartite_instances(draw, max_side=12):
+    """Instances with a full budget on one side; a or b may be 0."""
+    a = draw(st.integers(0, max_side))
+    b = draw(st.integers(0, max_side))
+    rows = tuple(draw(st.integers(0, (1 << b) - 1)) for _ in range(a))
+    return BipartiteInstance(a, b, b + 1, draw(st.integers(0, a)), rows)
+
+
+@given(bipartite_instances())
+@example(BipartiteInstance(3, 0, 1, 0, (0, 0, 0)))
+@example(BipartiteInstance(0, 3, 0, 0, ()))
+def test_b_side_tables_match_column_loop(inst):
+    a, b = inst.a, inst.b
+    want = [
+        cyclic_window(col, ceil_div(a * j, b), inst.beta, a) if a else 0
+        for j, col in enumerate(ref_columns(inst.rows, b))
+    ]
+    labels = encode_bipartite(inst)
+    assert len(labels) == a + b
+    assert [lab.table for lab in labels[a:]] == want
+
+
+@given(st.one_of(digraphs(), dense_cyclic()))
+@settings(max_examples=120)
+def test_inner_tables_match_interval_loop(g):
+    pl = Pipeline(g)
+    labels = encode_inner(pl.layered, pl.slayer, pl.inner_rows)
+    assert [lab.table for lab in labels] == ref_inner_tables(pl.layered, pl.slayer, pl.inner_rows)
+
+
+def assert_warmup_matches_reference(g: Digraph) -> None:
+    pl = Pipeline(g)
+    sizes = Counter(pl.scc.scc_id)
+    got = [(lab.n, lab.index, lab.table) for lab in encode_warmup(pl.layered, sizes)]
+    assert got == ref_warmup_labels(pl.layered, sizes)
+
+
+@given(st.one_of(digraphs(), dense_cyclic()))
+@settings(max_examples=120)
+def test_warmup_windows_match_double_loop(g):
+    assert_warmup_matches_reference(g)
+
+
+def test_warmup_windows_edge_cases():
+    assert_warmup_matches_reference(Digraph(1))  # half = 0
+    assert_warmup_matches_reference(Digraph(2, [(0, 1)]))
+    # components {0, 1, 2} and {3, 4} take runs of three and two indices
+    g = Digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (5, 0)])
+    assert sorted(Counter(scc_condense(g).scc_id).values()) == [1, 2, 3]
+    assert_warmup_matches_reference(g)

@@ -341,6 +341,36 @@ def far_flags_overrun() -> BitString:
     return shifted_bound(ls.labels[u], 2 * rec.s, -(len(rec.bicliques) + 1))
 
 
+JUNK_BITS = 3
+
+
+def leading_fencepost() -> BitString:
+    # every bound of node 0 raised by three and three junk bits put before
+    # its first section: each section still fills its bounds
+    ls = poset_labels()
+    bits = ls.labels[0]
+    tab, ow = bounds_table(bits)
+    payload = tab + (2 * (ls.cross.k - 1) + 1) * ow
+    w = BitWriter()
+    w.write(read_fixed(bits, 0, tab), tab)
+    for at in range(tab, payload, ow):
+        bound = read_fixed(bits, at, ow) + JUNK_BITS
+        assert bound >> ow == 0
+        w.write(bound, ow)
+    w.write(0b101, JUNK_BITS)
+    w.write(read_fixed(bits, payload, len(bits) - payload), len(bits) - payload)
+    return w.finish()
+
+
+def warm_index() -> BitString:
+    # a warm-up label of the pinned dag (n = 60) whose index field reads n
+    spec, scheme, profile, _ = PINNED_DIGESTS[0]
+    bits = encode(generate(spec), scheme, profile).labels[0]
+    n = LabelHeader.read(bits).n
+    iw = index_width(n)
+    return with_field(bits, LabelHeader.HEADER_FIXED_BITS + iw, iw, n)
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -350,13 +380,16 @@ def far_flags_overrun() -> BitString:
         (blob_overruns, "overruns"),
         (bounds_decrease, "near section length"),
         (far_flags_overrun, "far section length mismatch"),
+        (leading_fencepost, "does not start at 0"),
+        (warm_index, "warm-up index"),
     ],
     ids=["near-short", "matched-far-length", "intra-offset", "blob-overrun",
-         "bounds-decrease", "far-flags-overrun"],
+         "bounds-decrease", "far-flags-overrun", "leading-fencepost", "warm-index"],
 )
 def test_parse_rejects_corrupt_layout(corrupt, message):
     bits = corrupt()
-    assert len(bits) <= len(poset_labels().labels[0])
+    # no copy grows a label by more than the leading-fencepost junk
+    assert len(bits) <= len(poset_labels().labels[0]) + JUNK_BITS
     with pytest.raises(ValueError, match=message):
         parse_label(bits)
 
@@ -366,9 +399,11 @@ def test_parse_rejects_corrupt_layout(corrupt, message):
 # sha256 of the verdicts ("1" rejected, "0" accepted; per label its flips, bit
 # 0 first, then its truncations, length 0 first). Computed with the check
 # walk that read each section's bounds on its own; a faster walk must reject
-# exactly the same copies.
+# exactly the same copies. The dag pin then rose from 8220 to 8236 when the
+# check began to reject warm-up indices of n or more, adding 16 flipped
+# copies and keeping every copy rejected before.
 PINNED_VERDICTS = [
-    (8220, "545601733ebe7ad0684549568c7bfeb9ea6b11fd91fda98048240da54f8846eb"),
+    (8236, "361b722f99c40aff1f7bb6077bae6fa7a52d7992ff2d5df0235075144f3c3682"),
     (20983, "a942ef53eca4353045af6816c24a5169dcf4140525679b5b9ec34bc106a68a2c"),
     (51719, "950320659ff35793d4b0997ae6edf54fed93b1523ac5bcc64b45887b6200c4cc"),
 ]
