@@ -1,8 +1,11 @@
 """MSB-first bit packing for labels and the on-disk label file format.
 
 Every label is a contiguous bit string: fields are written most significant
-bit first, one after another, with no alignment padding between fields. The
-last byte of a serialized string is zero-padded on the low side. All integer
+bit first, one after another, with no alignment padding between fields. In
+memory a label is an int and its bit length (``BitString``); fields are
+written by shifting that int and read by shift and mask. Only the label file
+holds bytes: there the last byte of a label is zero-padded on the low side,
+and a reader refuses a label whose padding bits are not zero. All integer
 fields are fixed width; widths are pure functions of values already decoded
 (usually the node count), which keeps labels self-describing.
 
@@ -16,7 +19,7 @@ Label file layout (little endian where noted)::
              that node's record, so a reader can seek straight to it
     then, per node in id order, one record:
       bitlen 4 bytes  u32 LE
-      bits   ceil(bitlen/8) bytes, MSB-first, zero padded
+      bits   ceil(bitlen/8) bytes, MSB-first, padding bits zero
 """
 
 from __future__ import annotations
@@ -64,70 +67,74 @@ def widths(n: int) -> Widths:
 
 
 class BitString:
-    """Immutable bit sequence backed by bytes."""
+    """An immutable label: ``length`` bits held as the int ``value``, the
+    first bit most significant. Bytes appear only in the label file
+    (``to_bytes``, ``from_bytes``)."""
 
-    __slots__ = ("data", "length")
+    __slots__ = ("value", "length")
 
-    def __init__(self, data: bytes, length: int):
-        if length < 0 or length > 8 * len(data):
-            raise ValueError("bit length out of range for buffer")
-        self.data = data
+    def __init__(self, value: int, length: int):
+        if length < 0 or value < 0 or value >> length:
+            raise ValueError(f"value does not fit in {length} bits")
+        self.value = value
         self.length = length
+
+    @classmethod
+    def from_bytes(cls, data: bytes, length: int) -> "BitString":
+        """The first ``length`` bits of ``data``, which must be zero past
+        them and end in the byte that holds the last bit."""
+        pad = 8 * len(data) - length
+        if not 0 <= pad < 8:
+            raise ValueError(f"{len(data)} bytes do not hold exactly {length} bits")
+        value = int.from_bytes(data, "big")
+        if value & (1 << pad) - 1:
+            raise ValueError("padding bits are not zero")
+        return cls(value >> pad, length)
+
+    def to_bytes(self) -> bytes:
+        """The bits MSB first, zero padded to a whole byte."""
+        pad = -self.length % 8
+        return (self.value << pad).to_bytes((self.length + pad) >> 3, "big")
 
     def __len__(self) -> int:
         return self.length
-
-    def _canonical(self) -> bytes:
-        nbytes = (self.length + 7) // 8
-        raw = bytearray(self.data[:nbytes])
-        if self.length % 8:
-            raw[-1] &= 0xFF << (8 - self.length % 8) & 0xFF
-        return bytes(raw)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)
             and self.length == other.length
-            and self._canonical() == other._canonical()
+            and self.value == other.value
         )
 
     def __hash__(self) -> int:
-        return hash((self._canonical(), self.length))
+        return hash((self.value, self.length))
 
     def __repr__(self) -> str:
         return f"BitString({self.length} bits)"
 
 
-EMPTY = BitString(b"", 0)
-
-
 class BitWriter:
-    """Append-only MSB-first bit accumulator."""
+    """Append-only MSB-first bit accumulator: each field shifts the bits so
+    far left by its width and fills the freed low bits."""
+
+    __slots__ = ("_acc", "_len")
 
     def __init__(self):
-        self._out = bytearray()
         self._acc = 0
-        self._nacc = 0
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._out) + self._nacc
+        self._len = 0
 
     def write(self, value: int, width: int) -> None:
         if width < 0:
             raise ValueError("negative width")
         if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        if width == 0:
-            return
-        acc = (self._acc << width) | value
-        nacc = self._nacc + width
-        rem = nacc & 7
-        nbytes = nacc >> 3
-        if nbytes:
-            self._out += (acc >> rem).to_bytes(nbytes, "big")
-        self._acc = acc & (1 << rem) - 1
-        self._nacc = rem
+        self._acc = self._acc << width | value
+        self._len += width
+
+    def append(self, bits: BitString) -> None:
+        """Write a finished string as it is."""
+        self._acc = self._acc << bits.length | bits.value
+        self._len += bits.length
 
     def write_table(self, table: int, width: int) -> None:
         """Write bits 0..width-1 of ``table`` in that order, bit 0 first."""
@@ -135,12 +142,7 @@ class BitWriter:
             self.write(int(format(table, f"0{width}b")[::-1], 2), width)
 
     def finish(self) -> BitString:
-        total = self.bit_length
-        if self._nacc:
-            self._out.append((self._acc << (8 - self._nacc)) & 0xFF)
-            self._acc = 0
-            self._nacc = 0
-        return BitString(bytes(self._out), total)
+        return BitString(self._acc, self._len)
 
 
 def _overrun(offset: int, width: int, length: int) -> ValueError:
@@ -149,21 +151,14 @@ def _overrun(offset: int, width: int, length: int) -> ValueError:
 
 def read_fixed(bits: BitString, offset: int, width: int) -> int:
     """Read ``width`` bits starting at bit ``offset``."""
-    if width < 0 or offset < 0:
-        raise ValueError("negative offset or width")
-    if offset + width > bits.length:
+    end = offset + width
+    if width < 0 or offset < 0 or end > bits.length:
         raise _overrun(offset, width, bits.length)
-    if width == 0:
-        return 0
-    start = offset >> 3
-    end = (offset + width + 7) >> 3
-    chunk = int.from_bytes(bits.data[start:end], "big")
-    drop = end * 8 - (offset + width)
-    return (chunk >> drop) & ((1 << width) - 1)
+    return bits.value >> (bits.length - end) & (1 << width) - 1
 
 
 class LabelReader:
-    """One label loaded once as an int, read field by field.
+    """One label read field by field from its int, taken as it is.
 
     ``read(offset, width)`` takes a field by shift and mask and counts the
     64-bit words a pointer-based decoder would fetch for it, at least one
@@ -174,8 +169,7 @@ class LabelReader:
     __slots__ = ("value", "length", "words")
 
     def __init__(self, bits: BitString):
-        nbytes = (bits.length + 7) // 8
-        self.value = int.from_bytes(bits.data[:nbytes], "big") >> (8 * nbytes - bits.length)
+        self.value = bits.value
         self.length = bits.length
         self.words = 0
 
@@ -197,11 +191,7 @@ class LabelReader:
         value, mask = self.value, (1 << width) - 1
         return [value >> top - o & mask for o in offsets]
 
-    def peek(self, offset: int, width: int) -> int:
-        end = offset + width
-        if width < 0 or offset < 0 or end > self.length:
-            raise _overrun(offset, width, self.length)
-        return self.value >> (self.length - end) & (1 << width) - 1
+    peek = read_fixed  # a reader has the value and length a BitString has
 
 
 class TableView:
@@ -282,7 +272,7 @@ def write_label_file(path: str, scheme_id: int, n: int, labels: list[BitString])
         f.write(struct.pack(f"<{n}Q", *offsets[:n]))
         for lb in labels:
             f.write(struct.pack("<I", lb.length))
-            f.write(lb.data[: (lb.length + 7) // 8])
+            f.write(lb.to_bytes())
 
 
 def _file_header(head: bytes, size: int) -> tuple[int, int]:
@@ -309,11 +299,12 @@ def _record_span(i: int, off: int, end: int, n: int, size: int) -> None:
 
 
 def _record(i: int, rec: bytes) -> BitString:
-    """Node i's label from its record, which must fill ``rec`` exactly."""
+    """Node i's label from its record, which must fill ``rec`` exactly and
+    leave the padding bits of its last byte zero."""
     bitlen = int.from_bytes(rec[:4], "little")
     if 4 + (bitlen + 7) // 8 != len(rec):
         raise ValueError(f"offset table entry of node {i} disagrees with its record")
-    return BitString(rec[4:], bitlen)
+    return BitString.from_bytes(rec[4:], bitlen)
 
 
 def read_label_file(path: str) -> tuple[int, int, list[BitString]]:

@@ -53,7 +53,7 @@ from .bipartite import (
     write_embedded,
 )
 from .biclique import build_n_rest, find_bicliques, get_profile
-from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_width, read_fixed
+from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_width
 from .dictionary import SetView, build_set
 from .graph import LayeredDag, _iter_bits, gatherer, transpose
 
@@ -397,14 +397,8 @@ def build_cross_labeling(
     )
 
 
-def _retired_code() -> BitString:
-    w = BitWriter()
-    w.write(CLS_RETIRED, CLASS_BITS)
-    return w.finish()
-
-
 def _encode_near_sections(n, k, pos, records):
-    retired_bits = _retired_code()
+    retired_bits = BitString(CLS_RETIRED, CLASS_BITS)
     per_node = [[retired_bits] * (k - 1) for _ in range(n)]
     for rec in records:
         near_labels = encode_bipartite(rec.near_inst) if rec.n_pairs else []
@@ -426,7 +420,7 @@ def _encode_near_sections(n, k, pos, records):
 
 def _encode_far_sections(n, k, records):
     iw = index_width(n)
-    retired_bits = _retired_code()
+    retired_bits = BitString(CLS_RETIRED, CLASS_BITS)
     per_node = [[retired_bits] * (k - 1) for _ in range(n)]
     for rec in records:
         far_labels = encode_bipartite(rec.far_inst) if rec.n_pairs else []
@@ -476,8 +470,7 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
         acc = acc << ow | bound
     w.write(acc, (len(secs) + 1) * ow)  # leading fencepost is zero
     for sec in secs:
-        if len(sec):
-            w.write(read_fixed(sec, 0, len(sec)), len(sec))
+        w.append(sec)
     return w.finish()
 
 

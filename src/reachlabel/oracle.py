@@ -192,9 +192,7 @@ def flip_bit(bits: BitString, i: int) -> BitString:
     """Copy of ``bits`` with bit ``i`` inverted (MSB-first numbering)."""
     if not 0 <= i < len(bits):
         raise ValueError(f"bit {i} out of range {len(bits)}")
-    data = bytearray(bits.data)
-    data[i >> 3] ^= 0x80 >> (i & 7)
-    return BitString(bytes(data), bits.length)
+    return BitString(bits.value ^ 1 << (bits.length - 1 - i), bits.length)
 
 
 # -- single-bit corruption inventory -----------------------------------------

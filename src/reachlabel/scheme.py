@@ -23,19 +23,19 @@ schemes and the node count for the warm-up, whose window runs over graph
 nodes. A composite header records the absolute bit offsets of the intra
 section and the blob, so the decoder can jump without scanning.
 
-One decoder reads every label: a LabelView loads the label once as an int,
-reads fields by shift and mask while counting 64-bit words, and builds the
-views of its sections (intra, blob, near and far sections, embedded
-sub-labels, neighbor sets) as a query needs them. ``query_lazy`` builds two
-fresh views, so a single query reads only the bits it touches and reports
-the words read. ``parse_label`` first walks the whole view: it checks the
-header offsets and the intra section, reads the blob's bounds table and
-its section classes with one read each, and builds each section's view
-from its bounds and class, checking that the content the view decodes
-exactly fills the section. That rejects a corrupt label with ValueError
-and keeps the walked views for bulk queries. Field widths that follow
-from the header n are computed once per n (``bitio.widths``).
-``query`` answers from either kind.
+One decoder reads every label: a label is an int in memory (bytes only in
+the label file), and a LabelView reads its fields by shift and mask while
+counting 64-bit words, and builds the views of its sections (intra, blob,
+near and far sections, embedded sub-labels, neighbor sets) as a query
+needs them. ``query_lazy`` builds two fresh views, so a single query reads
+only the bits it touches and reports the words read. ``parse_label`` first
+walks the whole view: it checks the header offsets and the intra section,
+reads the blob's bounds table and its section classes with one read each,
+and builds each section's view from its bounds and class, checking that
+the content the view decodes exactly fills the section. That rejects a
+corrupt label with ValueError and keeps the walked views for bulk queries.
+Field widths that follow from the header n are computed once per n
+(``bitio.widths``). ``query`` answers from either kind.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .bitio import (
     LabelReader,
     count_width,
     index_width,
-    read_fixed,
     widths,
 )
 from .crosslabel import (
@@ -242,8 +241,7 @@ def encode(
         LabelHeader(sid, n, (intra_off, blob_off)).write(w)
         w.write(c, iw)
         write_inner(w, gl, n)
-        if len(blob):
-            w.write(read_fixed(blob, 0, len(blob)), len(blob))
+        w.append(blob)
         labels.append(w.finish())
     x = pl.scc.expand
     by_node = replace(cl, entry=x(cl.entry), removed_iter=x(cl.removed_iter),

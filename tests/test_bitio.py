@@ -74,6 +74,16 @@ def test_writer_reader_round_trip(vals):
     for value, width in vals:
         assert read_fixed(bits, off, width) == value
         off += width
+    # appending the finished string writes the same bits as its fields
+    outer, direct = BitWriter(), BitWriter()
+    for wr in (outer, direct):
+        wr.write(1, 1)
+    outer.append(bits)
+    for value, width in vals:
+        direct.write(value, width)
+    for wr in (outer, direct):
+        wr.write(1, 2)
+    assert outer.finish() == direct.finish()
 
 
 @given(fields)
@@ -98,12 +108,32 @@ def test_read_fixed_bounds():
         read_fixed(bits, 0, 1)
 
 
-def test_bitstring_equality_ignores_padding():
-    a = BitString(bytes([0b10100000]), 3)
-    b = BitString(bytes([0b10111111]), 3)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != BitString(bytes([0b11100000]), 3)
+def test_bitstring_rejects_a_value_wider_than_its_length():
+    assert BitString(0b101, 3) == BitString(0b101, 3)
+    assert hash(BitString(0b101, 3)) == hash(BitString(0b101, 3))
+    assert BitString(0b101, 3) != BitString(0b101, 4)
+    for value, length in ((0b1000, 3), (1, 0), (-1, 8), (0, -1)):
+        with pytest.raises(ValueError):
+            BitString(value, length)
+    with pytest.raises(ValueError):
+        BitString.from_bytes(b"\xa0\x00", 3)  # a byte past the last bit
+
+
+def test_label_file_padding_bits_must_be_zero(tmp_path):
+    w = BitWriter()
+    w.write(0b101, 3)
+    labels = [w.finish()] * 2
+    path = tmp_path / "pad.rlbl"
+    write_label_file(str(path), 2, 2, labels)
+    good = path.read_bytes()
+    assert good[-1] == 0b10100000
+    for bit in range(5):  # each padding bit of node 1's only byte
+        path.write_bytes(good[:-1] + bytes([good[-1] | 1 << bit]))
+        with pytest.raises(ValueError, match="padding"):
+            read_label_file(str(path))
+        with pytest.raises(ValueError, match="padding"):
+            read_labels_at(str(path), [1])
+        assert read_labels_at(str(path), [0])[2] == {0: labels[0]}
 
 
 def test_header_round_trip():
@@ -124,8 +154,8 @@ def test_header_rejects_out_of_range():
 
 
 label_lists = st.lists(
-    st.tuples(st.binary(max_size=12), st.integers(min_value=0, max_value=7)).map(
-        lambda t: BitString(t[0], max(0, len(t[0]) * 8 - t[1]))
+    st.integers(min_value=0, max_value=96).flatmap(
+        lambda n: st.builds(BitString, st.integers(min_value=0, max_value=(1 << n) - 1), st.just(n))
     ),
     min_size=1,
     max_size=9,
@@ -134,6 +164,12 @@ label_lists = st.lists(
 
 @given(labels=label_lists, sid=st.integers(min_value=1, max_value=3))
 def test_label_file_round_trip(tmp_path_factory, labels, sid):
+    for b in labels:
+        raw = b.to_bytes()
+        pad = 8 * len(raw) - len(b)
+        assert 0 <= pad < 8
+        assert int.from_bytes(raw, "big") == b.value << pad  # zero padded
+        assert BitString.from_bytes(raw, len(b)) == b
     path = tmp_path_factory.mktemp("rt") / "labels.rlbl"
     write_label_file(str(path), sid, len(labels), labels)
     got_sid, got_n, back = read_label_file(str(path))
@@ -143,9 +179,9 @@ def test_label_file_round_trip(tmp_path_factory, labels, sid):
 
 def test_label_file_round_trip_concrete(tmp_path):
     labels = [
-        BitString(bytes([0b10110000]), 4),
-        BitString(b"", 0),
-        BitString(b"\xff\x01", 16),
+        BitString(0b1011, 4),
+        BitString(0, 0),
+        BitString(0xFF01, 16),
     ]
     path = tmp_path / "x.rlbl"
     write_label_file(str(path), 2, 3, labels)
@@ -155,7 +191,7 @@ def test_label_file_round_trip_concrete(tmp_path):
 
 
 def test_read_labels_at_loads_subset(tmp_path):
-    labels = [BitString(bytes([i]), 8) for i in range(6)]
+    labels = [BitString(i, 8) for i in range(6)]
     path = tmp_path / "y.rlbl"
     write_label_file(str(path), 1, 6, labels)
     sid, n, got = read_labels_at(str(path), [4, 1])
@@ -167,7 +203,7 @@ def test_read_labels_at_loads_subset(tmp_path):
 
 def test_read_labels_at_rejects_bad_index(tmp_path):
     path = tmp_path / "z.rlbl"
-    write_label_file(str(path), 1, 2, [BitString(b"", 0)] * 2)
+    write_label_file(str(path), 1, 2, [BitString(0, 0)] * 2)
     with pytest.raises(ValueError):
         read_labels_at(str(path), [2])
 
@@ -193,7 +229,7 @@ def test_empty_label_file_must_end_at_its_header(tmp_path):
 
 
 def test_label_file_offset_table_points_at_each_record(tmp_path):
-    labels = [BitString(bytes([0xA0]), 3), BitString(b"", 0), BitString(b"\xff\x01", 16)]
+    labels = [BitString(0b101, 3), BitString(0, 0), BitString(0xFF01, 16)]
     path = tmp_path / "t.rlbl"
     write_label_file(str(path), 2, 3, labels)
     raw = path.read_bytes()
@@ -204,7 +240,9 @@ def test_label_file_offset_table_points_at_each_record(tmp_path):
 
 
 def test_corrupted_offset_table_raises_value_error(tmp_path):
-    labels = [BitString(bytes(range(i + 1)), 8 * i + 3) for i in range(4)]
+    labels = [  # the first 8i + 3 bits of the bytes 0, 1, ..., i
+        BitString(int.from_bytes(bytes(range(i + 1)), "big") >> 5, 8 * i + 3) for i in range(4)
+    ]
     path = tmp_path / "c.rlbl"
     write_label_file(str(path), 3, 4, labels)
     good = path.read_bytes()

@@ -79,6 +79,22 @@ def test_query_on_a_corrupted_offset_table_exits_2(tmp_path, capsys):
     assert "offset table entry of node 1" in err and not out
 
 
+def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
+    graph = write_chain(tmp_path, 3)
+    labels = tmp_path / "c.rlbl"
+    run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
+    good = labels.read_bytes()
+    # node 2's 182-bit label ends the file: its last byte has 2 padding bits
+    assert int.from_bytes(good[-27:-23], "little") == 182 and good[-1] & 0b11 == 0
+    labels.write_bytes(good[:-1] + bytes([good[-1] | 1]))
+    assert run(capsys, "query", str(labels), "0", "1")[:2] == (0, "true\n")
+    for argv in (("query", str(labels), "2", "0"), ("query", str(labels), "0", "2"),
+                 ("stats", "--labels", str(labels))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "padding bits are not zero" in err and not out
+
+
 def test_empty_label_file_with_trailing_bytes_exits_2(tmp_path, capsys):
     labels = tmp_path / "empty.rlbl"
     write_label_file(str(labels), 2, 0, [])

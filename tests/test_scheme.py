@@ -153,7 +153,7 @@ def test_parse_rejects_unknown_scheme_id():
 def test_parse_rejects_truncated_label():
     g = Digraph(5, [(0, 1), (1, 2)])
     bits = encode(g, "third").labels[0]
-    clipped = BitString(bits.data, len(bits) - 1)
+    clipped = prefix(bits, len(bits) - 1)
     with pytest.raises(ValueError):
         parse_label(clipped)
 
@@ -282,6 +282,11 @@ def test_lazy_word_totals_are_pinned(spec, scheme, profile, words):
 # -- layout checks of parse_label ----------------------------------------------
 
 
+def prefix(bits: BitString, t: int) -> BitString:
+    """The first ``t`` bits of ``bits``."""
+    return BitString(bits.value >> len(bits) - t, t)
+
+
 def with_field(bits: BitString, off: int, width: int, value: int) -> BitString:
     """Copy of ``bits`` with the ``width``-bit field at ``off`` set to ``value``."""
     shift = len(bits) - off - width
@@ -321,7 +326,7 @@ def intra_offset_off() -> BitString:
 
 def blob_overruns() -> BitString:
     bits = poset_labels().labels[0]
-    return BitString(bits.data, LabelHeader.read(bits).offsets[1] + 4)
+    return prefix(bits, LabelHeader.read(bits).offsets[1] + 4)
 
 
 def bounds_decrease() -> BitString:
@@ -419,7 +424,7 @@ def test_corruption_verdicts_are_pinned(spec, scheme, profile, rejected, digest)
     verdicts = []
     for bits in dict.fromkeys(encode(generate(spec), scheme, profile).labels):
         copies = [flip_bit(bits, i) for i in range(len(bits))]
-        copies += [BitString(bits.data, t) for t in range(len(bits))]
+        copies += [prefix(bits, t) for t in range(len(bits))]
         for copy in copies:
             try:
                 parse_label(copy)
@@ -462,7 +467,7 @@ def test_corrupted_label_answers_or_raises_value_error(scheme, u, v, first, mode
     if mode == "flip":
         pair[side] = flip_bit(bits, at % len(bits))
     else:
-        pair[side] = BitString(bits.data, at % len(bits))
+        pair[side] = prefix(bits, at % len(bits))
     for decode in (
         lambda a, b: query(parse_label(a), parse_label(b)),
         lambda a, b: query_lazy(a, b)[0],
