@@ -1,17 +1,24 @@
 """Command-line surface: generate, encode, query, stats, verify.
 
 Graph files are plain text: a first line "n m", then m lines "u v" with
-0-based node ids. Label files use the binary RLBL layout from bitio. Exit
-codes: 0 success, 1 verification mismatch, 2 usage or format error.
+0-based node ids. The reader takes the edge lines in bounded chunks: a
+chunk of plain "u v" lines with canonical in-range ids and no duplicate
+edge is taken whole, any other chunk one line at a time, so an error names
+the first bad line and duplicate edges warn in file order. Label files use
+the binary RLBL layout from bitio. Exit codes: 0 success, 1 verification
+mismatch, 2 usage or format error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import reduce
+from itertools import compress, groupby, islice
+from operator import or_
 
 from .bitio import read_label_file, read_labels_at, write_label_file
-from .graph import Digraph, _iter_bits
+from .graph import Digraph
 from .oracle import KINDS, GenSpec, generate, report_lines, verify
 from .scheme import (
     PROFILES,
@@ -24,18 +31,27 @@ from .scheme import (
     stats,
 )
 
+# size hint, in characters, of one chunk of edge lines: the reader holds one
+# chunk at a time, so its memory does not grow with the file
+READ_CHUNK = 1 << 16
+
+# the bit offsets set in each byte value, lowest first
+_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+
 
 class GraphFormatError(ValueError):
     pass
 
 
 def read_graph_file(path: str) -> Digraph:
-    """Parse "n m" + edge lines into bitmask rows; duplicates warn,
-    malformed lines raise."""
+    """Parse "n m" + edge lines into bitmask rows; duplicates warn, the
+    first malformed line raises. Each chunk of edge lines is taken whole by
+    _take_chunk or, when that refuses it, line by line by _read_lines."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = ((no, line.strip()) for no, line in enumerate(fh, start=1))
-        lines = ((no, line) for no, line in lines if line)
-        head_no, head = next(lines, (1, ""))
+        head_no, head = 1, fh.readline()
+        while head and not head.strip():
+            head_no, head = head_no + 1, fh.readline()
+        head = head.strip()
         if not head:
             raise GraphFormatError("line 1: empty graph file, expected 'n m'")
         parts = head.split()
@@ -50,29 +66,13 @@ def read_graph_file(path: str) -> Digraph:
         if n < 0 or m < 0:
             raise GraphFormatError(f"line {head_no}: n and m must be non-negative")
         rows = [0] * n
+        ids = {str(v): v for v in range(n)}
         count = 0
-        for no, line in lines:
-            count += 1
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {no}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {no}: expected two integers, got {line!r}"
-                )
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(
-                    f"line {no}: edge ({u},{v}) out of range for n={n}"
-                )
-            if rows[u] >> v & 1:
-                print(
-                    f"warning: line {no}: duplicate edge {u} {v} ignored",
-                    file=sys.stderr,
-                )
-                continue
-            rows[u] |= 1 << v
+        no = head_no
+        while lines := fh.readlines(READ_CHUNK):
+            got = _take_chunk(lines, ids, rows)
+            count += _read_lines(lines, no, rows) if got is None else got
+            no += len(lines)
     if count != m:
         raise GraphFormatError(
             f"line {head_no}: header promises {m} edges, file has {count}"
@@ -80,16 +80,87 @@ def read_graph_file(path: str) -> Digraph:
     return Digraph(n, rows=rows)
 
 
+def _take_chunk(lines: list[str], ids: dict[str, int], rows: list[int]) -> int | None:
+    """OR a chunk's edges into ``rows`` and return their count, or return
+    None and leave ``rows`` as it was. The chunk is taken only if every line
+    is blank or "u v", every id is a key of ``ids`` (canonical and in range)
+    and no edge repeats one read before: each run of lines with one source
+    gives one mask, whose popcount must be the run's length and which must
+    miss the row so far."""
+    if not {0, 2}.issuperset(map(len, map(str.split, lines))):
+        return None
+    try:
+        ends = list(map(ids.__getitem__, "".join(lines).split()))
+    except KeyError:
+        return None
+    targets = iter(ends[1::2])
+    taken: dict[int, int] = {}
+    for u, run in groupby(ends[0::2]):
+        k = len(list(run))
+        mask = reduce(or_, map((1).__lshift__, islice(targets, k)))
+        row = taken.get(u, rows[u])
+        if row & mask or mask.bit_count() != k:
+            return None
+        taken[u] = row | mask
+    for u, row in taken.items():
+        rows[u] = row
+    return len(ends) >> 1
+
+
+def _read_lines(lines: list[str], no: int, rows: list[int]) -> int:
+    """OR a chunk's edges into ``rows`` one line at a time, the lines
+    numbered from ``no + 1``, and return their count; a duplicate warns, a
+    malformed or out-of-range line raises."""
+    n = len(rows)
+    count = 0
+    for no, line in enumerate(lines, start=no + 1):
+        line = line.strip()
+        if not line:
+            continue
+        count += 1
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {no}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {no}: expected two integers, got {line!r}"
+            )
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(
+                f"line {no}: edge ({u},{v}) out of range for n={n}"
+            )
+        if rows[u] >> v & 1:
+            print(
+                f"warning: line {no}: duplicate edge {u} {v} ignored",
+                file=sys.stderr,
+            )
+            continue
+        rows[u] |= 1 << v
+    return count
+
+
 def write_graph_file(path: str, g: Digraph) -> None:
     """The "n m" line, then one "u v" line per edge, rows in order and each
-    row's targets ascending; each row goes out as one joined string."""
+    row's targets ascending; each row goes out as one joined string. The
+    targets are read a byte at a time: each nonzero byte of the row picks
+    the names of its eight nodes, and _BYTE_BITS those of its set bits."""
     names = [str(v) for v in range(g.n)]
+    octets = [names[k : k + 8] for k in range(0, g.n, 8)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.edge_count()}\n")
         for u, row in enumerate(g.rows):
             if row:
+                data = row.to_bytes(len(octets), "little")
+                nonzero = data.translate(None, b"\0")
+                targets = [
+                    octet[j]
+                    for octet, b in zip(compress(octets, data), nonzero)
+                    for j in _BYTE_BITS[b]
+                ]
                 head = f"{u} "
-                fh.write(head + f"\n{head}".join([names[v] for v in _iter_bits(row)]) + "\n")
+                fh.write(head + f"\n{head}".join(targets) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -153,6 +224,8 @@ def cmd_verify(args) -> int:
         return 0
 
     trials = args.trials
+    if trials < 1:
+        raise ValueError("--trials must be at least 1")
     print(f"instances={trials}")
     bad = 0
     for seed in range(args.seed, args.seed + trials):

@@ -62,6 +62,8 @@ def generate(spec: GenSpec) -> Digraph:
         raise ValueError("n must be at least 1")
     if not 0.0 <= spec.p <= 1.0:
         raise ValueError("edge density must be in [0, 1]")
+    if spec.layer_count is not None and spec.layer_count < 1:
+        raise ValueError("layer count must be at least 1")
     rng = random.Random(spec.seed)
     rnd = rng.random
     p = spec.p

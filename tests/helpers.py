@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
+from reachlabel.cli import GraphFormatError
 from reachlabel.crosslabel import RATE_BITS
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
@@ -179,6 +182,74 @@ def ref_warmup_labels(layered, sizes) -> list[tuple[int, int, int]]:
                 t |= 1 << j
         out.append((n, iu, t))
     return out
+
+
+# -- per-line and per-bit reference implementations of the graph file IO -----
+# The package reads chunks whole and writes rows a byte at a time; the tests
+# require equal rows, errors, warnings and bytes.
+
+
+def ref_read_graph_file(path: str) -> Digraph:
+    """Parse "n m" + edge lines into bitmask rows; duplicates warn,
+    malformed lines raise."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = ((no, line.strip()) for no, line in enumerate(fh, start=1))
+        lines = ((no, line) for no, line in lines if line)
+        head_no, head = next(lines, (1, ""))
+        if not head:
+            raise GraphFormatError("line 1: empty graph file, expected 'n m'")
+        parts = head.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {head_no}: expected 'n m', got {head!r}")
+        try:
+            n, m = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {head_no}: expected two integers, got {head!r}"
+            )
+        if n < 0 or m < 0:
+            raise GraphFormatError(f"line {head_no}: n and m must be non-negative")
+        rows = [0] * n
+        count = 0
+        for no, line in lines:
+            count += 1
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {no}: expected 'u v', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {no}: expected two integers, got {line!r}"
+                )
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(
+                    f"line {no}: edge ({u},{v}) out of range for n={n}"
+                )
+            if rows[u] >> v & 1:
+                print(
+                    f"warning: line {no}: duplicate edge {u} {v} ignored",
+                    file=sys.stderr,
+                )
+                continue
+            rows[u] |= 1 << v
+    if count != m:
+        raise GraphFormatError(
+            f"line {head_no}: header promises {m} edges, file has {count}"
+        )
+    return Digraph(n, rows=rows)
+
+
+def ref_write_graph_file(path: str, g: Digraph) -> None:
+    """The "n m" line, then one "u v" line per edge, rows in order and each
+    row's targets ascending; each row goes out as one joined string."""
+    names = [str(v) for v in range(g.n)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{g.n} {g.edge_count()}\n")
+        for u, row in enumerate(g.rows):
+            if row:
+                head = f"{u} "
+                fh.write(head + f"\n{head}".join([names[v] for v in _iter_bits(row)]) + "\n")
 
 
 def bounds_table(bits: BitString) -> tuple[int, int]:

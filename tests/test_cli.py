@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from helpers import bounds_table
+from helpers import bounds_table, ref_read_graph_file, ref_write_graph_file
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reachlabel.cli as cli
 from reachlabel.bitio import write_label_file
@@ -280,3 +288,164 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
                        "--output", str(tmp_path / "x"))
     assert code == 2
     assert err.strip()
+
+
+def test_verify_rejects_a_trial_count_below_1(capsys):
+    for trials in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--scheme", "third", "--trials", trials)
+        assert code == 2 and not out
+        assert err == "error: --trials must be at least 1\n"
+
+
+def test_generate_rejects_a_layer_count_below_1(tmp_path, capsys):
+    for layers in ("0", "-2"):
+        code, out, err = run(
+            capsys, "generate", "--kind", "layered", "--n", "10", "--p", "0.5",
+            "--layers", layers, "--output", str(tmp_path / "g.txt"),
+        )
+        assert code == 2 and not out
+        assert err == "error: layer count must be at least 1\n"
+    assert not (tmp_path / "g.txt").exists()
+
+
+# -- the chunked graph reader and the byte-table writer against references -----
+
+
+def read_outcome(reader, path):
+    """(rows, or the GraphFormatError message; everything printed to stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            got = reader(path).rows
+        except GraphFormatError as exc:
+            got = str(exc)
+    return got, err.getvalue()
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph-file text: "u v" lines over few ids, so duplicates and
+    self-loops are common, and blank and padded lines; in half the files
+    also non-canonical, malformed and out-of-range lines. Some files have
+    CRLF endings or a wrong m."""
+    n = draw(st.integers(0, 9))
+    name = st.integers(0, max(n - 1, 0)).map(str)
+    odd = st.sampled_from(["007", "+3", "-0", "00", "1_0", "x", str(n), str(n + 4), "-1"])
+    token = st.one_of(name, name, name, name, odd)
+    pad = st.sampled_from(["", "", "", " ", "\t", " \t "])
+    sep = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
+    edge = st.tuples(pad, name, sep, name, pad).map("".join)
+    line = st.one_of(edge, edge, edge, edge, pad)
+    if draw(st.booleans()):
+        line = st.one_of(
+            line, line,
+            st.tuples(pad, token, sep, token, pad).map("".join),
+            token,
+            st.tuples(token, sep, token, sep, token).map("".join),
+        )
+    body = draw(st.lists(line, max_size=40))
+    m = sum(1 for x in body if x.strip()) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    lines = [""] * draw(st.integers(0, 2)) + [f"{n} {m}"] + body
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(x + e for x, e in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@given(graph_texts(), st.integers(1, 40))
+@example("3 3\n0 1\n1 2\n0 2\n", 40)  # one source in two runs of a chunk
+@example("3 3\n0 1\n1 2\n0 1\n", 40)  # ... repeating an edge of the first
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_the_per_line_reference(text, chunk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(text.encode())
+        want = read_outcome(ref_read_graph_file, str(path))
+        with mock.patch.object(cli, "READ_CHUNK", chunk):
+            assert read_outcome(read_graph_file, str(path)) == want
+
+
+@given(
+    st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17]).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(
+            st.one_of(
+                st.just(0),
+                st.just((1 << n) - 1),
+                st.integers(0, max(n - 1, 0)).map(lambda v: 1 << v if n else 0),
+                st.integers(0, (1 << n) - 1),
+            ),
+            min_size=n, max_size=n,
+        ))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_the_per_bit_reference(case):
+    n, rows = case
+    g = Digraph(n, rows=rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.txt", Path(tmp) / "ref.txt"
+        write_graph_file(str(ours), g)
+        ref_write_graph_file(str(ref), g)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert read_graph_file(str(ours)).rows == g.rows
+
+
+def chunked_file(tmp_path, edit):
+    """A 250 x 130 complete bipartite graph file, several READ_CHUNKs long,
+    with ``edit(lines)`` applied to its edge lines; the header counts them."""
+    lines = [f"{u} {v}" for u in range(250) for v in range(250, 380)]
+    edit(lines)
+    path = tmp_path / "big.txt"
+    path.write_text(f"380 {len(lines)}\n" + "".join(x + "\n" for x in lines))
+    assert path.stat().st_size > 3 * cli.READ_CHUNK
+    return path
+
+
+def test_duplicate_past_the_first_chunk_warns_with_its_line(tmp_path, capsys):
+    at = 30000  # 0-based edge line: file line at + 2, chunks after the first copy
+    path = chunked_file(tmp_path, lambda lines: lines.insert(at, "0 251"))
+    g = read_graph_file(str(path))
+    assert capsys.readouterr().err == f"warning: line {at + 2}: duplicate edge 0 251 ignored\n"
+    assert g.rows == [((1 << 130) - 1) << 250] * 250 + [0] * 130
+
+
+def test_malformed_line_past_the_first_chunk_names_its_line(tmp_path, capsys):
+    at = 32400
+
+    def spoil(lines):
+        lines[at] = "7 x"
+
+    path = chunked_file(tmp_path, spoil)
+    with pytest.raises(GraphFormatError) as exc:
+        read_graph_file(str(path))
+    assert str(exc.value) == f"line {at + 2}: expected two integers, got '7 x'"
+    code, out, err = run(capsys, "encode", "--scheme", "third", "--input", str(path),
+                         "--output", str(tmp_path / "x"))
+    assert code == 2 and not out
+    assert err == f"error: line {at + 2}: expected two integers, got '7 x'\n"
+
+
+def test_dense_poset_file_reads_back_to_its_rows(tmp_path):
+    g = generate(GenSpec("poset", 1000, 0.5, 1))
+    path = tmp_path / "poset.txt"
+    write_graph_file(str(path), g)
+    assert read_graph_file(str(path)).rows == g.rows
+
+
+def test_reader_memory_does_not_grow_with_the_file(tmp_path):
+    g = generate(GenSpec("poset", 500, 0.5, 1))
+    peaks = []
+    for k in (125, 500):  # the first k rows: 0.2 and 0.9 MB files
+        part = Digraph(500, rows=g.rows[:k] + [0] * (500 - k))
+        path = tmp_path / f"rows{k}.txt"
+        write_graph_file(str(path), part)
+        tracemalloc.start()
+        try:
+            back = read_graph_file(str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert back.rows == part.rows
+    short, long = peaks
+    assert long <= 4 << 20
+    assert long < 1.1 * short, peaks
