@@ -282,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("stats", help="label size table (CSV)")
-    p.add_argument("--labels")
-    p.add_argument("--input")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--labels")
+    source.add_argument("--input")
     p.add_argument("--scheme", choices=sorted(SCHEME_IDS), default="third")
     p.add_argument("--biclique-profile", choices=PROFILES, default="paper")
     p.set_defaults(func=cmd_stats)

@@ -25,10 +25,11 @@ Every node also records its entry group and the iteration that retired it;
 together these pin down the single iteration able to answer a query pair,
 so decoding touches one near and one far section per label.
 
-Edge sets are bitmask rows throughout: each iteration record keeps its
-consumed near and far edges as node -> mask-of-targets rows, and both pair
-tables (near over the matched sides, far over the pair graph) are built as
-A-side rows over ranks on the B side.
+Edge sets are bitmask rows throughout: the biclique search takes each front
+node's row into the second group, each iteration record keeps its consumed
+near and far edges and its kept rest neighbors as node -> mask rows, and
+both pair tables (near over the matched sides, far over the pair graph) are
+built as A-side rows over ranks on the B side.
 
 Section layout (offsets into the per-node blob are kept in a small table,
 so a decoder can jump straight to one section):
@@ -55,7 +56,7 @@ from .bipartite import (
 from .biclique import build_n_rest, find_bicliques, get_profile
 from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_width
 from .dictionary import SetView, build_set
-from .graph import LayeredDag, _iter_bits, gatherer, transpose
+from .graph import LayeredDag, _iter_bits, _mask_of, gatherer, transpose
 
 # Node classes within one iteration, stored in 3 bits at each section start.
 CLS_RETIRED = 0
@@ -71,13 +72,6 @@ RATE_BITS = 6  # width of the offset-width field
 VARIANTS = ("third", "average")
 
 
-def _mask_of(nodes) -> int:
-    m = 0
-    for u in nodes:
-        m |= 1 << u
-    return m
-
-
 @dataclass(eq=False)
 class IterationRecord:
     """Everything one peeling iteration decided, for encoding and audits.
@@ -86,7 +80,8 @@ class IterationRecord:
     that this iteration consumed; together they are exactly the edges the
     iteration removed from the live graph.
     ``pair_rows[j]`` is pair j's row in the pair graph, bit r standing for
-    ``outside[r]``.
+    ``outside[r]``. ``rest_rows`` maps each unmatched front or second node to
+    the node-id mask of the rest neighbors its near section stores.
     """
 
     s: int
@@ -94,8 +89,6 @@ class IterationRecord:
     live: tuple[int, ...]
     front_match: tuple[int, ...]
     second_match: tuple[int, ...]
-    front_rest: tuple[int, ...]
-    second_rest: tuple[int, ...]
     cls: dict[int, int]
     bicliques: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     pairs: tuple[tuple[int, int], ...]
@@ -109,7 +102,7 @@ class IterationRecord:
     near_rows: dict[int, int]
     far_rows: dict[int, int]
     pair_rows: tuple[int, ...]
-    rest_map: object
+    rest_rows: dict[int, int]
     near_inst: BipartiteInstance | None
     far_inst: BipartiteInstance | None
 
@@ -175,10 +168,7 @@ def peel_cross(
         second_mask = _mask_of(second)
         upper_mask = _mask_of(upper)
 
-        edges_here = [
-            (a, b) for a in front for b in _iter_bits(live_rows[a] & second_mask)
-        ]
-        dec = find_bicliques(front, second, edges_here, prof, n)
+        dec = find_bicliques(front, second, [live_rows[a] & second_mask for a in front], prof, n)
         bicliques = tuple(
             (
                 tuple(sorted(a_side, key=pos.__getitem__)),
@@ -205,17 +195,9 @@ def peel_cross(
         second_match = tuple(v for v in second if v in pair_of)
         second_rest = tuple(v for v in second if v not in pair_of)
 
-        cls: dict[int, int] = {}
-        for u in front_match:
-            cls[u] = CLS_FRONT_MATCH
-        for u in front_rest:
-            cls[u] = CLS_FRONT_REST
-        for v in second_match:
-            cls[v] = CLS_SECOND_MATCH
-        for v in second_rest:
-            cls[v] = CLS_SECOND_REST
-        for v in upper:
-            cls[v] = CLS_UPPER
+        cls = {u: CLS_FRONT_MATCH if u in pair_of else CLS_FRONT_REST for u in front}
+        cls.update((v, CLS_SECOND_MATCH if v in pair_of else CLS_SECOND_REST) for v in second)
+        cls.update(dict.fromkeys(upper, CLS_UPPER))
 
         # Right side of the pair graph: every live node that is not matched,
         # in topological order (front < second < upper positions).
@@ -259,12 +241,11 @@ def peel_cross(
             row_a = live_rows[aj]
             hits = row_a & sr_mask | live_rows[bj] & fluff | row_a & upper_mask & ~fluff
             pair_rows.append(to_outside(hits))
-        for u in front_rest:
-            bit = 1 << outside_rank[u]
-            for bj in _iter_bits(live_rows[u] & sm_mask):
-                pair_rows[pair_of[bj]] |= bit
-
-        rest_map = build_n_rest(dec)
+        # Front rest nodes hold outside ranks 0..len(front_rest)-1, so the
+        # columns of their rows into the matched second side are those bits.
+        cols = transpose([live_rows[u] & sm_mask for u in front_rest], sm_mask.bit_length())
+        for v in second_match:
+            pair_rows[pair_of[v]] |= cols[v]
 
         near_inst = None
         if n_bic:
@@ -280,8 +261,6 @@ def peel_cross(
                 live=live,
                 front_match=front_match,
                 second_match=second_match,
-                front_rest=front_rest,
-                second_rest=second_rest,
                 cls=cls,
                 bicliques=bicliques,
                 pairs=tuple(pairs),
@@ -295,7 +274,7 @@ def peel_cross(
                 near_rows=near_rows,
                 far_rows=far_rows,
                 pair_rows=tuple(pair_rows),
-                rest_map=rest_map,
+                rest_rows=build_n_rest(dec),
                 near_inst=near_inst,
                 far_inst=None,
             )
@@ -413,7 +392,7 @@ def _encode_near_sections(n, k, pos, records):
             elif c == CLS_SECOND_MATCH:
                 write_embedded(w, near_labels[rec.n_pairs + sm_rank[u]], n)
             elif c in (CLS_FRONT_REST, CLS_SECOND_REST):
-                build_set((pos[x] for x in rec.rest_map.get(u)), n).write(w)
+                build_set((pos[x] for x in _iter_bits(rec.rest_rows[u])), n).write(w)
             per_node[u][rec.s - 1] = w.finish()
     return tuple(tuple(secs) for secs in per_node)
 

@@ -45,6 +45,13 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _mask_of(nodes) -> int:
+    m = 0
+    for u in nodes:
+        m |= 1 << u
+    return m
+
+
 def gatherer(positions, width: int):
     """The map from a ``width``-bit mask to the int whose bit r is bit
     ``positions[r]`` of the mask. Positions may repeat; a mask with a bit at
@@ -109,12 +116,11 @@ class Digraph:
                 raise ValueError("pass edges or rows, not both")
             if len(rows) != n:
                 raise ValueError("rows length must equal n")
-            full = (1 << n) - 1
             clean = []
             for u, row in enumerate(rows):
-                if row & ~full:
+                if row >> n:
                     raise ValueError(f"row {u} targets nodes outside 0..{n - 1}")
-                clean.append(row & ~(1 << u))
+                clean.append(row ^ 1 << u if row >> u & 1 else row)
             self._rows = clean
         else:
             es = set()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
 import sys
+from itertools import combinations
 
+from reachlabel.biclique import EXHAUSTIVE_LIMIT, _TRIALS, _qstar, get_profile
 from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
 from reachlabel.cli import GraphFormatError
@@ -147,6 +150,72 @@ def ref_columns(rows, width: int) -> list[int]:
         for j in _iter_bits(row):
             cols[j] |= 1 << u
     return cols
+
+
+def _ref_find_biclique(adj_a: dict, adj_b: dict, q: int):
+    """One K_{q,q} over neighbor sets, as (a_side, b_side) sorted id tuples,
+    or None: the same candidates, branch choice and seed as the mask finder."""
+    ac = sorted(a for a, nb in adj_a.items() if len(nb) >= q)
+    bc = sorted(b for b, nb in adj_b.items() if len(nb) >= q)
+    if len(ac) < q or len(bc) < q:
+        return None
+    w = len(adj_a) + len(adj_b)
+    if w <= EXHAUSTIVE_LIMIT:
+        from_a = len(ac) <= len(bc)
+        cands, adj = (ac, adj_a) if from_a else (bc, adj_b)
+        subsets = combinations(cands, q)
+    else:
+        m = sum(len(nb) for nb in adj_a.values())
+        avg_a = sum(len(adj_a[a]) for a in ac) / len(ac)
+        avg_b = sum(len(adj_b[b]) for b in bc) / len(bc)
+        from_a = avg_a >= avg_b
+        cands, adj = (ac, adj_a) if from_a else (bc, adj_b)
+        rng = random.Random((w << 40) ^ (m << 8) ^ q)
+        subsets = (tuple(sorted(rng.sample(cands, q))) for _ in range(_TRIALS))
+    for subset in subsets:
+        common = set(adj[subset[0]])
+        for x in subset[1:]:
+            common &= adj[x]
+        if len(common) >= q:
+            other = tuple(sorted(common)[:q])
+            return (subset, other) if from_a else (other, subset)
+    return None
+
+
+def ref_find_bicliques(a_nodes, b_nodes, edges, profile, n_ref: int):
+    """The stripping loop over (a, b) edge pairs and per-node neighbor sets.
+    Returns (bicliques, a_rest, b_rest, rest_edges, termination)."""
+    profile = get_profile(profile)
+    adj_a = {a: set() for a in a_nodes}
+    adj_b = {b: set() for b in b_nodes}
+    for a, b in edges:
+        adj_a[a].add(b)
+        adj_b[b].add(a)
+    thr = profile.size_threshold(n_ref)
+    bicliques = []
+    while True:
+        w = len(adj_a) + len(adj_b)
+        m = sum(len(nb) for nb in adj_a.values())
+        if not w > thr:
+            termination = "size"
+            break
+        if not profile.density_ok(w, m):
+            termination = "density"
+            break
+        for q in range(min(_qstar(w, m), len(adj_a), len(adj_b)), 0, -1):
+            got = _ref_find_biclique(adj_a, adj_b, q)
+            if got is not None:
+                break
+        a_side, b_side = got
+        for a in a_side:
+            for b in adj_a.pop(a):
+                adj_b[b].discard(a)
+        for b in b_side:
+            for a in adj_b.pop(b):
+                adj_a[a].discard(b)
+        bicliques.append((a_side, b_side))
+    rest_edges = frozenset((a, b) for a, nb in adj_a.items() for b in nb)
+    return tuple(bicliques), tuple(sorted(adj_a)), tuple(sorted(adj_b)), rest_edges, termination
 
 
 def ref_inner_tables(layered, s, inner_rows) -> list[int]:

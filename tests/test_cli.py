@@ -282,6 +282,16 @@ def test_stats_requires_a_source(capsys):
     assert err.strip()
 
 
+def test_stats_takes_one_source(tmp_path, capsys):
+    graph = write_chain(tmp_path)
+    labels = str(tmp_path / "chain.lbl")
+    assert run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", labels)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--labels", labels, "--input", graph])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "encode", "--scheme", "third",
                        "--input", str(tmp_path / "nope.txt"),

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import is_transitively_closed, split_edges
 from reachlabel.crosslabel import (
+    CLS_FRONT_REST,
     CLS_RETIRED,
+    CLS_SECOND_REST,
     assemble_cross,
     build_cross_labeling,
     CrossView,
@@ -60,8 +62,8 @@ def test_complete_bipartite_two_groups_frozen():
     assert rec.n_pairs == 1
     assert rec.front_match == (0,)
     assert rec.second_match == (2,)
-    assert rec.front_rest == (1,)
-    assert rec.second_rest == (3,)
+    assert [u for u in rec.live if rec.cls[u] == CLS_FRONT_REST] == [1]
+    assert [v for v in rec.live if rec.cls[v] == CLS_SECOND_REST] == [3]
     # one extraction consumes the whole cross edge set
     near, far = edges_of(rec.near_rows), edges_of(rec.far_rows)
     assert near | far == {(0, 2), (0, 3), (1, 2), (1, 3)}

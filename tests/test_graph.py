@@ -101,11 +101,19 @@ def brute_reach(g: Digraph) -> list[set[int]]:
 def test_digraph_drops_self_loops():
     g = Digraph(3, [(0, 0), (0, 1)])
     assert g.edges == frozenset({(0, 1)})
+    g = Digraph(3, rows=[0b011, 0b100, 0b100])
+    assert g.rows == [0b010, 0b100, 0b000]
+    assert g.edges == frozenset({(0, 1), (1, 2)})
 
 
 def test_digraph_rejects_out_of_range_edge():
     with pytest.raises(ValueError):
         Digraph(2, [(0, 2)])
+    # rows: a bit at n, or a negative row (bits at every position)
+    for rows in ([0b100, 0], [0, -1], [-2, 0]):
+        with pytest.raises(ValueError):
+            Digraph(2, rows=rows)
+    assert Digraph(2, rows=[0b10, 0b01]).rows == [0b10, 0b01]
 
 
 def test_dag_validate_rejects_cycle():
