@@ -12,8 +12,12 @@ rank j the j-th smallest B node id. Each live A node holds a mask over B
 ranks and each live B node a mask over A ranks, so a common neighborhood is
 one AND and "the q smallest common neighbors" are its q lowest set bits.
 An extraction clears the removed nodes' bits only from the rows and columns
-they touched. The rest graph comes back as masks over node ids, one per
-unmatched node of either side (``BicliqueDecomposition.rest``).
+they touched, and lowers the kept degrees of exactly those nodes: each side
+keeps its live nodes of nonzero degree, in rank order, with their degrees.
+The finder takes its candidates from these, not from a pass over every row,
+and at q = 1 each side's candidate degrees sum to the edge count. The rest
+graph comes back as masks over node ids, one per unmatched node of either
+side (``BicliqueDecomposition.rest``).
 
 The target size q starts at max(1, floor(log2 w / max(1, log2(w^2/|E|))))
 and decrements on failure; with at least one edge present, q = 1 always
@@ -99,18 +103,28 @@ def _qstar(w: int, m: int) -> int:
     return max(1, int(math.log2(w) / denom))
 
 
-def find_biclique(arows: dict, bcols: dict, q: int, m: int):
+def _degrees(rows: dict) -> dict:
+    """Degree of each node with a nonzero row, in the rows' order."""
+    return {x: row.bit_count() for x, row in rows.items() if row}
+
+
+def find_biclique(arows: dict, bcols: dict, adeg: dict, bdeg: dict, q: int, m: int):
     """One K_{q,q} as (a_side, b_side) sorted rank tuples, or None.
 
     ``arows`` maps each live A rank to its mask over B ranks, ``bcols`` each
-    live B rank to its mask over A ranks, and ``m`` is their edge count.
-    Exhaustive over the smaller candidate side when the graph is tiny,
-    otherwise a fixed number of seeded random neighborhood intersections.
+    live B rank to its mask over A ranks, ``adeg`` and ``bdeg`` the live
+    ranks of nonzero degree to their degrees, in the rows' order, and ``m``
+    is the edge count. Exhaustive over the smaller candidate side when the
+    graph is tiny, otherwise a fixed number of seeded random neighborhood
+    intersections.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    ac = [a for a, row in arows.items() if row.bit_count() >= q]
-    bc = [b for b, col in bcols.items() if col.bit_count() >= q]
+    if q == 1:
+        ac, bc = list(adeg), list(bdeg)
+    else:
+        ac = [a for a, d in adeg.items() if d >= q]
+        bc = [b for b, d in bdeg.items() if d >= q]
     if len(ac) < q or len(bc) < q:
         return None
 
@@ -119,8 +133,11 @@ def find_biclique(arows: dict, bcols: dict, q: int, m: int):
     if tiny:
         from_a = len(ac) <= len(bc)
     else:
-        avg_a = sum(arows[a].bit_count() for a in ac) / len(ac)
-        from_a = avg_a >= sum(bcols[b].bit_count() for b in bc) / len(bc)
+        # at q = 1 every node of nonzero degree is a candidate, so each
+        # side's candidate degrees sum to m
+        sum_a = m if q == 1 else sum(map(adeg.__getitem__, ac))
+        sum_b = m if q == 1 else sum(map(bdeg.__getitem__, bc))
+        from_a = sum_a / len(ac) >= sum_b / len(bc)
     cands, adj = (ac, arows) if from_a else (bc, bcols)
     if tiny:
         subsets = combinations(cands, q)
@@ -137,19 +154,26 @@ def find_biclique(arows: dict, bcols: dict, q: int, m: int):
     return None
 
 
-def _remove(rows: dict, cols: dict, nodes) -> int:
-    """Drop ``nodes`` from one side: pop their rows and clear their bits from
-    the other side's rows that they touched. Returns the edges removed."""
+def _remove(rows: dict, cols: dict, rdeg: dict, cdeg: dict, nodes) -> int:
+    """Drop ``nodes`` from one side: pop their rows and degrees, clear their
+    bits from the other side's rows that they touched and lower those rows'
+    degrees, dropping any that reach 0. Returns the edges removed."""
     gone = hit = 0
     for x in nodes:
         hit |= rows.pop(x)
+        rdeg.pop(x, None)
         gone |= 1 << x
     keep = ~gone
     removed = 0
     for y in _iter_bits(hit):
         col = cols[y]
         cols[y] = col & keep
-        removed += (col & gone).bit_count()
+        cut = (col & gone).bit_count()
+        removed += cut
+        if cdeg[y] == cut:
+            del cdeg[y]
+        else:
+            cdeg[y] -= cut
     return removed
 
 
@@ -166,7 +190,8 @@ def find_bicliques(a_nodes, b_nodes, rows, profile, n_ref: int) -> BicliqueDecom
     gather = gatherer(b_ids, b_all.bit_length())
     arows = dict(enumerate(map(gather, rows)))
     bcols = dict(enumerate(transpose(list(arows.values()), len(b_ids))))
-    m = sum(row.bit_count() for row in arows.values())
+    adeg, bdeg = _degrees(arows), _degrees(bcols)
+    m = sum(adeg.values())
 
     thr = profile.size_threshold(n_ref)
     bicliques = []
@@ -180,13 +205,13 @@ def find_bicliques(a_nodes, b_nodes, rows, profile, n_ref: int) -> BicliqueDecom
             break
         got = None
         for q in range(min(_qstar(w, m), len(arows), len(bcols)), 0, -1):
-            got = find_biclique(arows, bcols, q, m)
+            got = find_biclique(arows, bcols, adeg, bdeg, q, m)
             if got is not None:
                 break
         assert got is not None, "q=1 with an edge present cannot fail"
         a_side, b_side = got
-        m -= _remove(arows, bcols, a_side)
-        m -= _remove(bcols, arows, b_side)
+        m -= _remove(arows, bcols, adeg, bdeg, a_side)
+        m -= _remove(bcols, arows, bdeg, adeg, b_side)
         bicliques.append(
             (tuple(a_ids[a] for a in a_side), tuple(b_ids[b] for b in b_side))
         )

@@ -128,11 +128,10 @@ def embedded_width(limit: int, alpha_or_beta: int) -> int:
 def write_embedded(w: BitWriter, lab: BipartiteLabel, limit: int) -> None:
     iw = index_width(limit)
     pw = count_width(limit)
-    w.write(lab.index, iw)
-    w.write(lab.a, pw)
-    w.write(lab.b, pw)
-    w.write(lab.alpha, pw)
-    w.write(lab.beta, pw)
+    if lab.index >> iw or (lab.a | lab.b | lab.alpha | lab.beta) >> pw:
+        raise ValueError(f"sub-label header does not fit the widths of limit {limit}")
+    head = (((lab.index << pw | lab.a) << pw | lab.b) << pw | lab.alpha) << pw | lab.beta
+    w.write(head, iw + 4 * pw)  # the one read EmbeddedView takes it back with
     w.write_table(lab.table, lab.table_len)
 
 

@@ -6,6 +6,12 @@ for a displacement that lands all its keys on free slots. Slots store the key
 itself, so answers are exact in both directions. If any bucket exhausts the
 seed budget the whole set falls back to a sorted array with binary search.
 
+Placement is memoised per encode (``SetMemo``): the bucket hash of a key and
+its slot hash under each displacement tried do not depend on the set, so the
+sets of one encode share them, and a repeated key set is placed once. The
+seeds, slots and fallback are the same as placing every set afresh, which is
+what ``build_set`` does when it is given no memo.
+
 Serialized form (key width kw = index_width(universe_bound))::
 
     m      count_width(universe_bound) bits
@@ -137,18 +143,49 @@ class SetView:
         return False
 
 
-def build_set(keys, universe_bound: int) -> StaticSet:
+class SetMemo:
+    """Hashes and finished sets shared by the ``build_set`` calls of one
+    encode, with entries only for the keys seen and the (key, d) pairs
+    probed. Make one per encode and drop it after: kept across encodes, it
+    would make every encode after the first cheaper than a single one is."""
+
+    __slots__ = ("bucket", "slot", "sets")
+
+    def __init__(self):
+        self.bucket: dict[int, int] = {}  # key -> _mix(key, _BUCKET_SEED)
+        self.slot: dict[int, int] = {}  # key << 8 | d -> _mix(key, _SLOT_SALT + d), d < 256
+        self.sets: dict[tuple[int, ...], StaticSet] = {}  # (bound, *keys) -> set
+
+
+def build_set(keys, universe_bound: int, memo: SetMemo | None = None) -> StaticSet:
+    """The set of ``keys``, placed through ``memo`` (a fresh one if None)."""
     ks = sorted(set(keys))
-    for k in ks:
-        if not 0 <= k < universe_bound:
-            raise ValueError(f"key {k} outside universe [0,{universe_bound})")
+    if ks and (ks[0] < 0 or ks[-1] >= universe_bound):
+        bad = next(k for k in ks if not 0 <= k < universe_bound)
+        raise ValueError(f"key {bad} outside universe [0,{universe_bound})")
     m = len(ks)
     if m == 0:
         return StaticSet(universe_bound, 0, 1, (), 0, ())
+    if memo is None:
+        memo = SetMemo()
+    whole = (universe_bound, *ks)
+    done = memo.sets.get(whole)
+    if done is None:
+        done = memo.sets[whole] = _place(ks, universe_bound, memo)
+    return done
 
+
+def _place(ks: list[int], universe_bound: int, memo: SetMemo) -> StaticSet:
+    """Hash-and-displace placement of the sorted, distinct keys ``ks``."""
+    m = len(ks)
+    bucket_of = memo.bucket
+    slot_of = memo.slot
     buckets: list[list[int]] = [[] for _ in range(m)]
     for k in ks:
-        buckets[_mix(k, _BUCKET_SEED) % m].append(k)
+        h = bucket_of.get(k)
+        if h is None:
+            h = bucket_of[k] = _mix(k, _BUCKET_SEED)
+        buckets[h % m].append(k)
     order = sorted((b for b in range(m) if buckets[b]), key=lambda b: (-len(buckets[b]), b))
 
     seeds = [0] * m
@@ -156,30 +193,23 @@ def build_set(keys, universe_bound: int) -> StaticSet:
     occ = 0
     for b in order:
         bk = buckets[b]
-        placed = None
         for d in range(_MAX_DISPLACEMENT + 1):
-            salt = _SLOT_SALT + d
             taken = occ
-            # inlined _mix; keep the constants in sync with it
             for k in bk:
-                z = (k * 0x9E3779B97F4A7C15 + salt) & _MASK64
-                z ^= z >> 30
-                z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-                z ^= z >> 27
-                z = (z * 0x94D049BB133111EB) & _MASK64
-                z ^= z >> 31
-                s = 1 << (z % m)
+                kd = k << 8 | d
+                z = slot_of.get(kd)
+                if z is None:
+                    z = slot_of[kd] = _mix(k, _SLOT_SALT + d)
+                s = 1 << z % m
                 if taken & s:
                     break
                 taken |= s
             else:
-                placed = d
                 break
-        if placed is None:
+        else:
             return StaticSet(universe_bound, m, 1, (), 0, tuple(ks))
-        seeds[b] = placed
+        seeds[b] = d
+        occ = taken
         for k in bk:
-            s = _mix(k, _SLOT_SALT + placed) % m
-            slots[s] = k
-            occ |= 1 << s
+            slots[slot_of[k << 8 | d] % m] = k
     return StaticSet(universe_bound, m, 0, tuple(seeds), occ, tuple(slots))

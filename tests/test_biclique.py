@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reachlabel.biclique import (
     EXHAUSTIVE_LIMIT,
     BicliqueDecomposition,
+    _degrees,
     big_threshold,
     build_n_rest,
     find_biclique,
@@ -91,14 +92,16 @@ def test_find_biclique_exact_on_small():
     # ranks: A nodes 0, 1, 2; B ranks 0 and 1 stand for nodes 3 and 4
     arows = {0: 0b11, 1: 0b11, 2: 0b10}
     bcols = {0: 0b011, 1: 0b111}
-    got = find_biclique(arows, bcols, 2, 5)
+    adeg, bdeg = _degrees(arows), _degrees(bcols)
+    assert (adeg, bdeg) == ({0: 2, 1: 2, 2: 1}, {0: 2, 1: 3})
+    got = find_biclique(arows, bcols, adeg, bdeg, 2, 5)
     assert got is not None
     sa, sb = got
     assert len(sa) == len(sb) == 2
     for u in sa:
         for v in sb:
             assert arows[u] >> v & 1
-    assert find_biclique(arows, bcols, 3, 5) is None
+    assert find_biclique(arows, bcols, adeg, bdeg, 3, 5) is None
 
 
 @st.composite
@@ -156,6 +159,11 @@ def complete(a_nodes, b_nodes):
 @settings(max_examples=150, deadline=None)
 @example(complete([0, 1], list(range(2, 40))), "force")
 @example(complete(list(range(2, 40)), [0, 1]), "force")
+# extracting (0, 2) leaves B node 3 live with degree 0: it is no candidate
+@example(([0, 1], [2, 3, 4], frozenset({(0, 2), (0, 3), (1, 4)})), "force")
+# a perfect matching past the exhaustive limit: at q = 1 both sides have 13
+# candidates, and each extraction drops its B node to degree 0 first
+@example((list(range(13)), list(range(13, 26)), frozenset((i, 13 + i) for i in range(13))), "force")
 def test_mask_finder_matches_set_reference(case, profile):
     """Same bicliques, rest sides, rest edges and stop as the set-based finder,
     on graphs up to w = 72, past the exhaustive limit."""

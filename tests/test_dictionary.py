@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from helpers import ref_build_set
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachlabel.bitio import BitWriter, LabelReader, Widths
-from reachlabel.dictionary import SetView, StaticSet, build_set
+from reachlabel.dictionary import SetMemo, SetView, StaticSet, build_set
 
 
 def roundtrip(s: StaticSet, universe_bound: int) -> SetView:
@@ -82,3 +85,64 @@ def test_serialized_round_trip(case):
 def test_build_set_rejects_out_of_range():
     with pytest.raises(ValueError):
         build_set([5], 5)
+
+
+# A key set whose last bucket finds no free slot within the 256 seeds: it is
+# stored sorted.
+FALLBACK = (2000, frozenset(range(5, 48)))
+
+
+def test_fallback_example_is_sorted():
+    s = build_set(FALLBACK[1], FALLBACK[0])
+    assert (s.size, s.mode) == (43, 1)
+    assert s == ref_build_set(FALLBACK[1], FALLBACK[0])
+
+
+bounded_sets = st.integers(min_value=1, max_value=2000).flatmap(
+    lambda bound: st.tuples(
+        st.just(bound),
+        st.frozensets(st.integers(min_value=0, max_value=bound - 1), max_size=80),
+    )
+)
+# a few distinct sets, then a batch that draws from them with repeats
+batches = st.lists(bounded_sets, min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+)
+
+
+@given(batches)
+@settings(max_examples=100, deadline=None)
+@example([FALLBACK, (50, frozenset({3, 7})), FALLBACK, (10, frozenset({3, 7}))])
+def test_memoised_batch_matches_reference(batch):
+    """Sets built through one shared memo, in the drawn order, equal sets
+    placed one by one with every hash computed afresh."""
+    memo = SetMemo()
+    for bound, keys in batch:
+        assert build_set(keys, bound, memo) == ref_build_set(keys, bound)
+
+
+def test_warm_memo_still_rejects_out_of_range():
+    memo = SetMemo()
+    assert build_set([3, 7], 10, memo).size == 2
+    build_set([5], 6, memo)
+    with pytest.raises(ValueError):
+        build_set([3, 7], 5, memo)  # placed before under a larger bound
+    with pytest.raises(ValueError):
+        build_set([5], 5, memo)
+    with pytest.raises(ValueError):
+        build_set([-1, 3], 10, memo)
+
+
+def test_memo_grows_with_probes_not_with_the_universe():
+    # a handful of small sets over a 200 000-key universe
+    bound = 200_000
+    tracemalloc.start()
+    try:
+        memo = SetMemo()
+        for i in range(8):
+            build_set(range(i * 24_000, bound, 23_000 + i), bound, memo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(memo.bucket) <= 8 * 9
+    assert peak < 256 * 1024

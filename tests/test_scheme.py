@@ -25,6 +25,7 @@ from reachlabel.bitio import (
     write_label_file,
 )
 from reachlabel.cli import main
+from reachlabel import crosslabel
 from reachlabel.crosslabel import CLS_UPPER
 from reachlabel.graph import Digraph, reach_rows
 from reachlabel.oracle import GenSpec, flip_bit, generate
@@ -260,6 +261,31 @@ def test_label_file_bytes_are_pinned(tmp_path, spec, scheme, profile, digest):
     path = tmp_path / "pinned.rlbl"
     write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
+    """A sparse DAG whose labels hold hundreds of rest sets: placements that
+    took displacements up to the last seeds, key sets that repeat, and sets
+    that fell back to sorted mode. The digest pins every seed and slot."""
+    real = crosslabel.build_set
+    built = []
+
+    def recording(*args):
+        out = real(*args)
+        if out.size:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(crosslabel, "build_set", recording)
+    ls = encode(generate(GenSpec("dag", 500, 0.04, 5)), "third", "paper")
+    assert max(max(s.seeds) for s in built if s.mode == 0) > 200
+    assert sum(s.mode == 1 for s in built) == 3
+    assert len(set(built)) < len(built)  # some key sets repeat
+    path = tmp_path / "pinned.rlbl"
+    write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "60ed558b9960c82a259894cc1b72d4ac8772e27789f94b8c17f7c51973f8f81c"
+    )
 
 
 # Words read by query_lazy, summed over all ordered node pairs of each pinned
