@@ -12,7 +12,7 @@ fields are fixed width; widths are pure functions of values already decoded
 Label file layout (little endian where noted)::
 
     magic    4 bytes  b"RLBL"
-    version  1 byte   (currently 2)
+    version  1 byte   (currently 3)
     scheme   1 byte
     n        4 bytes  u32 LE
     offsets  8n bytes, u64 LE per node in id order: the file position of
@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"RLBL"
-FILE_VERSION = 2
+FILE_VERSION = 3
 
 
 def index_width(n: int) -> int:

@@ -199,6 +199,9 @@ def cmd_stats(args) -> int:
         scheme_id, n, labels = read_label_file(args.labels)
         if scheme_id not in SCHEME_NAMES:
             raise GraphFormatError(f"unknown scheme id {scheme_id} in label file")
+        for bits in dict.fromkeys(labels):  # the members of a component share one label
+            if parse_label(bits).scheme_id != scheme_id:
+                raise ValueError(f"a label's scheme id differs from the file's {scheme_id}")
         ls = LabelSet(SCHEME_NAMES[scheme_id], scheme_id, n, labels)
     else:
         g = read_graph_file(args.input)

@@ -55,7 +55,7 @@ from .bipartite import (
 )
 from .biclique import build_n_rest, find_bicliques, get_profile
 from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_width
-from .dictionary import SetMemo, SetView, build_set
+from .dictionary import SetView, build_set
 from .graph import LayeredDag, _iter_bits, _mask_of, gatherer, transpose
 
 # Node classes within one iteration, stored in 3 bits at each section start.
@@ -379,7 +379,6 @@ def build_cross_labeling(
 def _encode_near_sections(n, k, pos, records):
     retired_bits = BitString(CLS_RETIRED, CLASS_BITS)
     per_node = [[retired_bits] * (k - 1) for _ in range(n)]
-    memo = SetMemo()  # this encode's rest sets share their hashes
     for rec in records:
         near_labels = encode_bipartite(rec.near_inst) if rec.n_pairs else []
         fm_rank = {u: r for r, u in enumerate(rec.front_match)}
@@ -393,7 +392,7 @@ def _encode_near_sections(n, k, pos, records):
             elif c == CLS_SECOND_MATCH:
                 write_embedded(w, near_labels[rec.n_pairs + sm_rank[u]], n)
             elif c in (CLS_FRONT_REST, CLS_SECOND_REST):
-                build_set((pos[x] for x in _iter_bits(rec.rest_rows[u])), n, memo).write(w)
+                build_set((pos[x] for x in _iter_bits(rec.rest_rows[u])), n).write(w)
             per_node[u][rec.s - 1] = w.finish()
     return tuple(tuple(secs) for secs in per_node)
 

@@ -216,8 +216,9 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
         probe to the other copy, or the other side's window answers first),
       * the wrapped half-window slot that the opposite window owns when n
         is even,
-      * set-membership payloads (hash seeds and slot arrays share bits
-        between keys, so one flip is not pinned to one query).
+      * set-membership payloads (a flipped key or size also moves the
+        binary search for other keys, so one flip is not pinned to one
+        query).
 
     Bits are found per component and reported at its smallest member.
     Every returned offset is re-read from the serialized label and checked

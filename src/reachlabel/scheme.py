@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .biclique import get_profile
 from .bitio import (
@@ -93,66 +94,46 @@ class Pipeline:
 
     def __init__(self, g: Digraph):
         self.g = g
-        self._scc = None
-        self._closed = None
-        self._layered = None
-        self._slayer = None
-        self._split = None
-        self._inner = None
-        self._warm = None
         self._cross: dict[tuple[str, str], CrossLabeling] = {}
         self._peels: dict[str, PeelResult] = {}
 
-    @property
+    @cached_property
     def scc(self):
-        if self._scc is None:
-            self._scc = scc_condense(self.g)
-        return self._scc
+        return scc_condense(self.g)
 
-    @property
+    @cached_property
     def closed(self):
-        if self._closed is None:
-            self._closed = transitive_closure(self.scc.dag)
-        return self._closed
+        return transitive_closure(self.scc.dag)
 
-    @property
+    @cached_property
     def layered(self):
-        if self._layered is None:
-            self._layered = longest_path_layers(self.closed)
-        return self._layered
+        return longest_path_layers(self.closed)
 
-    @property
+    @cached_property
     def slayer(self):
-        if self._slayer is None:
-            self._slayer = build_superlayers(self.layered)
-        return self._slayer
+        return build_superlayers(self.layered)
 
-    def _rows(self):
-        if self._split is None:
-            self._split = split_rows(self.layered, self.slayer)
-        return self._split
+    @cached_property
+    def _split(self):
+        return split_rows(self.layered, self.slayer)
 
     @property
     def inner_rows(self) -> list[int]:
-        return self._rows()[0]
+        return self._split[0]
 
     @property
     def cross_rows(self) -> list[int]:
-        return self._rows()[1]
+        return self._split[1]
 
-    @property
+    @cached_property
     def inner_labels(self) -> list[GroupLabel]:
-        if self._inner is None:
-            inner = encode_inner(self.layered, self.slayer, self.inner_rows)
-            self._inner = self.scc.expand(inner)
-        return self._inner
+        inner = encode_inner(self.layered, self.slayer, self.inner_rows)
+        return self.scc.expand(inner)
 
-    @property
+    @cached_property
     def warm_labels(self) -> list[WarmupLabel]:
-        if self._warm is None:
-            sizes = Counter(self.scc.scc_id)  # members per component
-            self._warm = self.scc.expand(encode_warmup(self.layered, sizes))
-        return self._warm
+        sizes = Counter(self.scc.scc_id)  # members per component
+        return self.scc.expand(encode_warmup(self.layered, sizes))
 
     def peel(self, profile: str) -> PeelResult:
         name = get_profile(profile).name

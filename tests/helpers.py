@@ -11,7 +11,6 @@ from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
 from reachlabel.cli import GraphFormatError
 from reachlabel.crosslabel import RATE_BITS
-from reachlabel.dictionary import _BUCKET_SEED, _MAX_DISPLACEMENT, _SLOT_SALT, StaticSet, _mix
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
 
@@ -217,47 +216,6 @@ def ref_find_bicliques(a_nodes, b_nodes, edges, profile, n_ref: int):
         bicliques.append((a_side, b_side))
     rest_edges = frozenset((a, b) for a, nb in adj_a.items() for b in nb)
     return tuple(bicliques), tuple(sorted(adj_a)), tuple(sorted(adj_b)), rest_edges, termination
-
-
-def ref_build_set(keys, universe_bound: int) -> StaticSet:
-    """Hash-and-displace placement of one set on its own, every hash computed
-    where it is probed: the construction the memoised ``build_set`` must
-    reproduce bit for bit."""
-    ks = sorted(set(keys))
-    for k in ks:
-        if not 0 <= k < universe_bound:
-            raise ValueError(f"key {k} outside universe [0,{universe_bound})")
-    m = len(ks)
-    if m == 0:
-        return StaticSet(universe_bound, 0, 1, (), 0, ())
-    buckets: list[list[int]] = [[] for _ in range(m)]
-    for k in ks:
-        buckets[_mix(k, _BUCKET_SEED) % m].append(k)
-    order = sorted((b for b in range(m) if buckets[b]), key=lambda b: (-len(buckets[b]), b))
-    seeds = [0] * m
-    slots = [0] * m
-    occ = 0
-    for b in order:
-        bk = buckets[b]
-        placed = None
-        for d in range(_MAX_DISPLACEMENT + 1):
-            taken = occ
-            for k in bk:
-                s = 1 << _mix(k, _SLOT_SALT + d) % m
-                if taken & s:
-                    break
-                taken |= s
-            else:
-                placed = d
-                break
-        if placed is None:
-            return StaticSet(universe_bound, m, 1, (), 0, tuple(ks))
-        seeds[b] = placed
-        for k in bk:
-            s = _mix(k, _SLOT_SALT + placed) % m
-            slots[s] = k
-            occ |= 1 << s
-    return StaticSet(universe_bound, m, 0, tuple(seeds), occ, tuple(slots))
 
 
 def ref_inner_tables(layered, s, inner_rows) -> list[int]:

@@ -233,7 +233,7 @@ def test_label_file_offset_table_points_at_each_record(tmp_path):
     path = tmp_path / "t.rlbl"
     write_label_file(str(path), 2, 3, labels)
     raw = path.read_bytes()
-    assert raw[4] == FILE_VERSION == 2
+    assert raw[4] == FILE_VERSION == 3
     offsets = struct.unpack("<3Q", raw[10:34])
     assert offsets == (34, 34 + 4 + 1, 34 + 4 + 1 + 4)
     assert len(raw) == offsets[2] + 4 + 2
@@ -270,13 +270,14 @@ def test_corrupted_offset_table_raises_value_error(tmp_path):
         read_labels_at(str(path), [1])
     with pytest.raises(ValueError):
         read_labels_at(str(path), [0])
-    # a table cut short, and a version 1 file
+    # a table cut short, and files of versions 1 and 2
     corrupt(good[:10 + 8 * 2 + 3])
     with pytest.raises(ValueError):
         read_labels_at(str(path), [3])
-    corrupt(good[:4] + b"\x01" + good[5:])
-    with pytest.raises(ValueError):
-        read_labels_at(str(path), [0])
+    for old in (b"\x01", b"\x02"):
+        corrupt(good[:4] + old + good[5:])
+        with pytest.raises(ValueError, match="version"):
+            read_labels_at(str(path), [0])
     # the untouched file still reads back
     path.write_bytes(good)
     assert read_label_file(str(path))[2] == labels

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reachlabel.cli as cli
-from reachlabel.bitio import write_label_file
+from reachlabel.bitio import BitString, read_label_file, write_label_file
 from reachlabel.cli import GraphFormatError, main, read_graph_file, write_graph_file
 from reachlabel.graph import Digraph
 from reachlabel.oracle import GenSpec, VerifyReport, generate
@@ -88,19 +88,54 @@ def test_query_on_a_corrupted_offset_table_exits_2(tmp_path, capsys):
 
 
 def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
-    graph = write_chain(tmp_path, 3)
+    graph = write_chain(tmp_path, 4)
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     good = labels.read_bytes()
-    # node 2's 182-bit label ends the file: its last byte has 2 padding bits
-    assert int.from_bytes(good[-27:-23], "little") == 182 and good[-1] & 0b11 == 0
+    # node 3's 165-bit label ends the file: its last byte has 3 padding bits
+    assert int.from_bytes(good[-25:-21], "little") == 165 and good[-1] & 0b111 == 0
     labels.write_bytes(good[:-1] + bytes([good[-1] | 1]))
     assert run(capsys, "query", str(labels), "0", "1")[:2] == (0, "true\n")
-    for argv in (("query", str(labels), "2", "0"), ("query", str(labels), "0", "2"),
+    for argv in (("query", str(labels), "3", "0"), ("query", str(labels), "0", "3"),
                  ("stats", "--labels", str(labels))):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "padding bits are not zero" in err and not out
+
+
+def test_version_2_label_file_exits_2(tmp_path, capsys):
+    graph = write_chain(tmp_path, 3)
+    labels = tmp_path / "c.rlbl"
+    run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
+    data = bytearray(labels.read_bytes())
+    data[4] = 2  # the version byte
+    labels.write_bytes(bytes(data))
+    code, out, err = run(capsys, "query", str(labels), "0", "2")
+    assert code == 2
+    assert "unsupported label file version 2" in err and not out
+
+
+def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):
+    graph = write_chain(tmp_path, 3)
+    labels = tmp_path / "c.rlbl"
+    run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
+    scheme_id, n, bits = read_label_file(str(labels))
+    head = bits[0]
+    # node 0's blob offset, the second 32-bit offset after the 48 fixed header bits
+    shift = len(head) - (48 + 64)
+    old = head.value >> shift & 0xFFFFFFFF
+    bits[0] = BitString(head.value ^ (old ^ 5000) << shift, len(head))
+    write_label_file(str(labels), scheme_id, n, bits)
+    for argv in (("stats", "--labels", str(labels)), ("query", str(labels), "0", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "blob offset mismatch" in err and not out
+    # a label of another scheme in a third file
+    warm = encode(Digraph(3, [(0, 1), (1, 2)]), "warmup").labels
+    write_label_file(str(labels), scheme_id, n, [warm[0], *bits[1:]])
+    code, out, err = run(capsys, "stats", "--labels", str(labels))
+    assert code == 2
+    assert "scheme id" in err and not out
 
 
 def test_empty_label_file_with_trailing_bytes_exits_2(tmp_path, capsys):

@@ -5,12 +5,11 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from helpers import ref_build_set
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachlabel.bitio import BitWriter, LabelReader, Widths
-from reachlabel.dictionary import SetMemo, SetView, StaticSet, build_set
+from reachlabel.dictionary import SetView, StaticSet, build_set
 
 
 def roundtrip(s: StaticSet, universe_bound: int) -> SetView:
@@ -29,8 +28,8 @@ def members(view: SetView, universe_bound: int) -> list[int]:
 
 def test_two_element_set_frozen():
     s = build_set([3, 7], 10)
-    assert (s.size, s.mode) == (2, 0)
-    assert sorted(k for i, k in enumerate(s.slots) if s.occupied >> i & 1) == [3, 7]
+    assert (s.size, s.mode, s.keys) == (2, 1, (3, 7))
+    assert s.bit_length() == 4 + 2 * 4
     assert members(roundtrip(s, 10), 10) == [3, 7]
 
 
@@ -64,13 +63,12 @@ def test_membership_and_serialized_probe_agree(case):
     s.write(w)
     read = LabelReader(w.finish())
     view = SetView(read, 3, Widths(bound))
-    assert read.words == 1  # size and mode
-    for x in range(bound):
+    assert read.words == 1  # the size
+    for x in range(bound):  # every member and every non-member
         before = read.words
         assert view.contains(x) == (x in keys)
-        # a hashed probe fetches a seed, an occupancy bit and maybe a key;
-        # a sorted one a key per binary-search step
-        assert read.words - before <= (3 if s.mode == 0 else max(1, s.size).bit_length())
+        # one key per binary-search step
+        assert read.words - before <= max(1, s.size.bit_length())
     with pytest.raises(ValueError):
         view.contains(bound)
 
@@ -85,64 +83,20 @@ def test_serialized_round_trip(case):
 def test_build_set_rejects_out_of_range():
     with pytest.raises(ValueError):
         build_set([5], 5)
-
-
-# A key set whose last bucket finds no free slot within the 256 seeds: it is
-# stored sorted.
-FALLBACK = (2000, frozenset(range(5, 48)))
-
-
-def test_fallback_example_is_sorted():
-    s = build_set(FALLBACK[1], FALLBACK[0])
-    assert (s.size, s.mode) == (43, 1)
-    assert s == ref_build_set(FALLBACK[1], FALLBACK[0])
-
-
-bounded_sets = st.integers(min_value=1, max_value=2000).flatmap(
-    lambda bound: st.tuples(
-        st.just(bound),
-        st.frozensets(st.integers(min_value=0, max_value=bound - 1), max_size=80),
-    )
-)
-# a few distinct sets, then a batch that draws from them with repeats
-batches = st.lists(bounded_sets, min_size=1, max_size=5).flatmap(
-    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
-)
-
-
-@given(batches)
-@settings(max_examples=100, deadline=None)
-@example([FALLBACK, (50, frozenset({3, 7})), FALLBACK, (10, frozenset({3, 7}))])
-def test_memoised_batch_matches_reference(batch):
-    """Sets built through one shared memo, in the drawn order, equal sets
-    placed one by one with every hash computed afresh."""
-    memo = SetMemo()
-    for bound, keys in batch:
-        assert build_set(keys, bound, memo) == ref_build_set(keys, bound)
-
-
-def test_warm_memo_still_rejects_out_of_range():
-    memo = SetMemo()
-    assert build_set([3, 7], 10, memo).size == 2
-    build_set([5], 6, memo)
     with pytest.raises(ValueError):
-        build_set([3, 7], 5, memo)  # placed before under a larger bound
+        build_set([3, 7], 5)
     with pytest.raises(ValueError):
-        build_set([5], 5, memo)
-    with pytest.raises(ValueError):
-        build_set([-1, 3], 10, memo)
+        build_set([-1, 3], 10)
 
 
-def test_memo_grows_with_probes_not_with_the_universe():
+def test_set_grows_with_its_keys_not_with_the_universe():
     # a handful of small sets over a 200 000-key universe
     bound = 200_000
     tracemalloc.start()
     try:
-        memo = SetMemo()
-        for i in range(8):
-            build_set(range(i * 24_000, bound, 23_000 + i), bound, memo)
+        built = [build_set(range(i * 24_000, bound, 23_000 + i), bound) for i in range(8)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(memo.bucket) <= 8 * 9
+    assert sum(s.size for s in built) <= 8 * 9
     assert peak < 256 * 1024

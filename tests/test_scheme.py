@@ -226,29 +226,27 @@ def test_pipeline_shares_one_peeling_per_profile():
 
 # Label file digests of three seeded graphs. The encoder promises identical
 # bytes across refactors; a deliberate format change updates these pins.
-# Last re-pinned when the label file gained its offset table (version 2) and
-# labels moved to the SCC quotient: the component field of an acyclic graph's
-# labels now holds the node id, every other label bit of the dag and poset
-# entries is unchanged, and the digraph's 31 components are labeled as a
-# 31-node DAG.
+# Last re-pinned when rest sets became sorted key arrays (version 3). The
+# warm-up dag's labels hold no set, so only its version byte changed: with
+# byte 4 set back to 2 its file hashes to the version-2 pin, 09b8d7f2...
 PINNED_DIGESTS = [
     (
         GenSpec("dag", 60, 0.1, 3),
         "warmup",
         "paper",
-        "09b8d7f2c35a33799b83ee1e1c10b704dc9eeb9d356da339aedd8dd12950c88b",
+        "d02cbab4b4e91c45a33ac6ad3a09ae1f1a9b43db9cf4bc070f1c878c4f172b9a",
     ),
     (
         GenSpec("digraph", 80, 0.03, 5),  # 31 components, the largest of 50
         "third",
         "paper",
-        "ba0696ee368500be6a5bf0eb2e0f72d33c580ba0006746df5fc7be7bed23afa4",
+        "2af3ce3f9751650f224dc332a0a6223a195d0d293fc42df2c940af8145df6034",
     ),
     (
         GenSpec("poset", 70, 0.5, 7),
         "average",
         "force",
-        "38b3aab8e4f40c83762b12815e8139a6130d4c790dbf080201fda1a7e6761167",
+        "9e3db8a3a2d415c64a2b5e471af231638d9747fe52f34a7699d8cb34c3a4f658",
     ),
 ]
 
@@ -264,9 +262,9 @@ def test_label_file_bytes_are_pinned(tmp_path, spec, scheme, profile, digest):
 
 
 def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
-    """A sparse DAG whose labels hold hundreds of rest sets: placements that
-    took displacements up to the last seeds, key sets that repeat, and sets
-    that fell back to sorted mode. The digest pins every seed and slot."""
+    """A sparse DAG whose labels hold hundreds of rest sets, the largest of
+    83 keys, so a probe may take seven binary-search steps. The digest pins
+    every key."""
     real = crosslabel.build_set
     built = []
 
@@ -278,21 +276,21 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(crosslabel, "build_set", recording)
     ls = encode(generate(GenSpec("dag", 500, 0.04, 5)), "third", "paper")
-    assert max(max(s.seeds) for s in built if s.mode == 0) > 200
-    assert sum(s.mode == 1 for s in built) == 3
-    assert len(set(built)) < len(built)  # some key sets repeat
+    assert max(s.size for s in built) == 83
     path = tmp_path / "pinned.rlbl"
     write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "60ed558b9960c82a259894cc1b72d4ac8772e27789f94b8c17f7c51973f8f81c"
+        "678045fea793699ed16811be3fc5fc6812b084d9175a9a7c9202e78c91da0fe4"
     )
 
 
 # Words read by query_lazy, summed over all ordered node pairs of each pinned
 # graph, as counted by the decoder before its eager and lazy halves merged.
 # Criterion 9 bounds only the largest count; these totals catch any drift in
-# what a query reads or in how the reads are counted.
-PINNED_WORDS = [16170, 77812, 81030]
+# what a query reads or in how the reads are counted. The digraph and poset
+# totals were re-pinned when rest sets became sorted key arrays, probed by
+# binary search at one word per step.
+PINNED_WORDS = [16170, 75857, 81028]
 
 
 @pytest.mark.parametrize(
@@ -432,11 +430,13 @@ def test_parse_rejects_corrupt_layout(corrupt, message):
 # walk that read each section's bounds on its own; a faster walk must reject
 # exactly the same copies. The dag pin then rose from 8220 to 8236 when the
 # check began to reject warm-up indices of n or more, adding 16 flipped
-# copies and keeping every copy rejected before.
+# copies and keeping every copy rejected before. The digraph and poset pins
+# were re-pinned when rest sets became sorted key arrays: their labels lost
+# the sets' mode bits, seeds and occupancy bits.
 PINNED_VERDICTS = [
     (8236, "361b722f99c40aff1f7bb6077bae6fa7a52d7992ff2d5df0235075144f3c3682"),
-    (20983, "a942ef53eca4353045af6816c24a5169dcf4140525679b5b9ec34bc106a68a2c"),
-    (51719, "950320659ff35793d4b0997ae6edf54fed93b1523ac5bcc64b45887b6200c4cc"),
+    (16712, "ed30e826c7e470cb1552b3d4b241973bcfe5ad6cfc4a3aeede6d78d70e894420"),
+    (51672, "eba41a0175fac9bb428e9eea868ef751b76243c802b6b124ff7d29005cced962"),
 ]
 
 
