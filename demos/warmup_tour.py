@@ -28,9 +28,8 @@ for u in range(g.n):
     bits = ls.labels[u]
     comp = read_fixed(bits, fixed, iw)
     idx = read_fixed(bits, fixed + iw, iw)
-    window = "".join(
-        str(read_fixed(bits, fixed + 2 * iw + j, 1)) for j in range(g.n // 2)
-    )
+    table = read_fixed(bits, fixed + 2 * iw, g.n // 2)  # bit j is window bit j
+    window = "".join(str(table >> j & 1) for j in range(g.n // 2))
     print(f"  node {u}: {len(bits)} bits, component {comp}, "
           f"position {idx}, window {window}")
 

@@ -132,7 +132,7 @@ def write_embedded(w: BitWriter, lab: BipartiteLabel, limit: int) -> None:
         raise ValueError(f"sub-label header does not fit the widths of limit {limit}")
     head = (((lab.index << pw | lab.a) << pw | lab.b) << pw | lab.alpha) << pw | lab.beta
     w.write(head, iw + 4 * pw)  # the one read EmbeddedView takes it back with
-    w.write_table(lab.table, lab.table_len)
+    w.write(lab.table, lab.table_len)
 
 
 class EmbeddedView(TableView):

@@ -12,7 +12,7 @@ fields are fixed width; widths are pure functions of values already decoded
 Label file layout (little endian where noted)::
 
     magic    4 bytes  b"RLBL"
-    version  1 byte   (currently 3)
+    version  1 byte   (currently 4)
     scheme   1 byte
     n        4 bytes  u32 LE
     offsets  8n bytes, u64 LE per node in id order: the file position of
@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"RLBL"
-FILE_VERSION = 3
+FILE_VERSION = 4
 
 
 def index_width(n: int) -> int:
@@ -136,11 +136,6 @@ class BitWriter:
         self._acc = self._acc << bits.length | bits.value
         self._len += bits.length
 
-    def write_table(self, table: int, width: int) -> None:
-        """Write bits 0..width-1 of ``table`` in that order, bit 0 first."""
-        if width:
-            self.write(int(format(table, f"0{width}b")[::-1], 2), width)
-
     def finish(self) -> BitString:
         return BitString(self._acc, self._len)
 
@@ -195,7 +190,8 @@ class LabelReader:
 
 
 class TableView:
-    """A ``width``-bit table at ``offset`` of a label, bit i stored i-th.
+    """A ``width``-bit table at ``offset`` of a label, written as the int
+    whose bit i is table bit i (so bit i sits at field position width-1-i).
 
     The table is taken from the label once; each ``bit`` probe is charged
     one word, the fetch a pointer-based decoder would make for it.
@@ -212,7 +208,7 @@ class TableView:
         self._read.words += 1
         if not 0 <= i < self._len:
             raise ValueError(f"table probe {i} out of range {self._len}")
-        return self._table >> self._len - 1 - i & 1
+        return self._table >> i & 1
 
 
 @dataclass(frozen=True)

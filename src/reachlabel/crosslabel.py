@@ -31,14 +31,17 @@ near and far edges and its kept rest neighbors as node -> mask rows, and
 both pair tables (near over the matched sides, far over the pair graph) are
 built as A-side rows over ranks on the B side.
 
-Section layout (offsets into the per-node blob are kept in a small table,
-so a decoder can jump straight to one section):
+A node that retires at iteration r is live in iterations 1..min(r, k-1)
+and holds sections for exactly those, the ones a query can read. Their
+offsets are kept in a small table, so a decoder can jump straight to one;
+a far section repeats its near section's class:
 
   near: class[3]  then  matched -> embedded bipartite sub-label
                         leftover -> exact neighbor-position set
-                        upper/retired -> nothing
+                        upper -> nothing
   far:  class[3]  then  matched -> biclique number + embedded pair label
-                        other live -> embedded right label + flag bits
+                        leftover -> embedded right label
+                        upper -> embedded right label + one flag per biclique
         (a far section is bare when the iteration found no biclique)
 """
 
@@ -58,8 +61,8 @@ from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_w
 from .dictionary import SetView, build_set
 from .graph import LayeredDag, _iter_bits, _mask_of, gatherer, transpose
 
-# Node classes within one iteration, stored in 3 bits at each section start.
-CLS_RETIRED = 0
+# Node classes within one iteration, stored in 3 bits at each section start;
+# codes 0, 6 and 7 do not occur.
 CLS_FRONT_MATCH = 1
 CLS_SECOND_MATCH = 2
 CLS_FRONT_REST = 3
@@ -80,8 +83,10 @@ class IterationRecord:
     that this iteration consumed; together they are exactly the edges the
     iteration removed from the live graph.
     ``pair_rows[j]`` is pair j's row in the pair graph, bit r standing for
-    ``outside[r]``. ``rest_rows`` maps each unmatched front or second node to
-    the node-id mask of the rest neighbors its near section stores.
+    ``outside[r]``; ``pair_bic[j]`` is the biclique pair j came from.
+    ``rest_rows`` maps each unmatched front or second node to the node-id
+    mask of the rest neighbors its near section stores. ``via_second`` maps
+    each upper node to its flags, bit i for biclique i.
     """
 
     s: int
@@ -92,12 +97,9 @@ class IterationRecord:
     cls: dict[int, int]
     bicliques: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     pairs: tuple[tuple[int, int], ...]
-    pair_of: dict[int, int]
-    bic_of: dict[int, int]
     pair_bic: tuple[int, ...]
     n_pairs: int
     outside: tuple[int, ...]
-    outside_rank: dict[int, int]
     via_second: dict[int, int]
     near_rows: dict[int, int]
     far_rows: dict[int, int]
@@ -116,7 +118,8 @@ class CrossLabeling:
     entry: tuple[int, ...]         # node -> 1-based group it starts in
     removed_iter: tuple[int, ...]  # node -> iteration that retired it (k if none)
     records: tuple[IterationRecord, ...]
-    sections: tuple[tuple[BitString, ...], ...]  # [node][near^1, far^1, near^2, ...]
+    # [node][near^1, far^1, ..., near^m, far^m], m = min(removed_iter, k-1)
+    sections: tuple[tuple[BitString, ...], ...]
     pos: tuple[int, ...]           # node -> topological index
 
 
@@ -178,34 +181,26 @@ def peel_cross(
         )
         n_bic = len(bicliques)
 
-        pairs: list[tuple[int, int]] = []
-        pair_of: dict[int, int] = {}
-        bic_of: dict[int, int] = {}
-        pair_bic: list[int] = []
-        for i, (a_side, b_side) in enumerate(bicliques):
-            for aj, bj in zip(a_side, b_side):
-                pair_of[aj] = pair_of[bj] = len(pairs)
-                bic_of[aj] = bic_of[bj] = i
-                pair_bic.append(i)
-                pairs.append((aj, bj))
+        pairs = [pair for a_side, b_side in bicliques for pair in zip(a_side, b_side)]
+        pair_bic = [i for i, sides in enumerate(bicliques) for _ in zip(*sides)]
+        matched = {u for pair in pairs for u in pair}
         n_pairs = len(pairs)
 
-        front_match = tuple(u for u in front if u in pair_of)
-        front_rest = tuple(u for u in front if u not in pair_of)
-        second_match = tuple(v for v in second if v in pair_of)
-        second_rest = tuple(v for v in second if v not in pair_of)
+        front_match = tuple(u for u in front if u in matched)
+        front_rest = tuple(u for u in front if u not in matched)
+        second_match = tuple(v for v in second if v in matched)
+        second_rest = tuple(v for v in second if v not in matched)
 
-        cls = {u: CLS_FRONT_MATCH if u in pair_of else CLS_FRONT_REST for u in front}
-        cls.update((v, CLS_SECOND_MATCH if v in pair_of else CLS_SECOND_REST) for v in second)
+        cls = {u: CLS_FRONT_MATCH if u in matched else CLS_FRONT_REST for u in front}
+        cls.update((v, CLS_SECOND_MATCH if v in matched else CLS_SECOND_REST) for v in second)
         cls.update(dict.fromkeys(upper, CLS_UPPER))
 
         # Right side of the pair graph: every live node that is not matched,
         # in topological order (front < second < upper positions).
         outside = front_rest + second_rest + tuple(upper)
-        outside_rank = {v: r for r, v in enumerate(outside)}
 
         # Per-biclique reach of its matched second side, restricted to upper
-        # nodes; rest-class flags stay zero (nothing ever reads them).
+        # nodes, the only class whose far sections hold flags.
         upper_hit_mask = []
         for _, b_side in bicliques:
             m = 0
@@ -213,7 +208,7 @@ def peel_cross(
                 m |= live_rows[b]
             upper_hit_mask.append(m & upper_mask)
         flags = transpose(upper_hit_mask, n)
-        via_second = {v: flags[v] for v in outside}
+        via_second = {v: flags[v] for v in upper}
 
         sm_mask = _mask_of(second_match)
         sr_mask = _mask_of(second_rest)
@@ -223,29 +218,27 @@ def peel_cross(
         # rest edges). Far: every other edge leaving a matched node, plus the
         # front rest nodes' edges into the matched second side.
         near_rows = {
-            u: live_rows[u] & (sm_mask if u in pair_of else sr_mask) for u in front
+            u: live_rows[u] & (sm_mask if u in matched else sr_mask) for u in front
         }
         far_rows = {
-            u: live_rows[u] & (sr_mask | upper_mask if u in pair_of else sm_mask)
+            u: live_rows[u] & (sr_mask | upper_mask if u in matched else sm_mask)
             for u in front
         }
         far_rows.update((v, live_rows[v] & upper_mask) for v in second_match)
 
         # Pair graph: row j is the j-th matched pair, bit r the r-th outside
         # node; the bit answers the one far edge case that applies to that
-        # node's class (and, for upper nodes, to the flag).
+        # node's class (and, for upper nodes, to the flag). Front rest nodes
+        # hold outside ranks 0..len(front_rest)-1, so the columns of their
+        # rows into the matched second side are those bits.
+        cols = transpose([live_rows[u] & sm_mask for u in front_rest], sm_mask.bit_length())
         to_outside = gatherer(outside, n)
         pair_rows = []
-        for j, (aj, bj) in enumerate(pairs):
-            fluff = upper_hit_mask[pair_bic[j]]
+        for (aj, bj), i in zip(pairs, pair_bic):
+            fluff = upper_hit_mask[i]
             row_a = live_rows[aj]
             hits = row_a & sr_mask | live_rows[bj] & fluff | row_a & upper_mask & ~fluff
-            pair_rows.append(to_outside(hits))
-        # Front rest nodes hold outside ranks 0..len(front_rest)-1, so the
-        # columns of their rows into the matched second side are those bits.
-        cols = transpose([live_rows[u] & sm_mask for u in front_rest], sm_mask.bit_length())
-        for v in second_match:
-            pair_rows[pair_of[v]] |= cols[v]
+            pair_rows.append(to_outside(hits) | cols[bj])
 
         near_inst = None
         if n_bic:
@@ -264,12 +257,9 @@ def peel_cross(
                 cls=cls,
                 bicliques=bicliques,
                 pairs=tuple(pairs),
-                pair_of=pair_of,
-                bic_of=bic_of,
                 pair_bic=tuple(pair_bic),
                 n_pairs=n_pairs,
                 outside=outside,
-                outside_rank=outside_rank,
                 via_second=via_second,
                 near_rows=near_rows,
                 far_rows=far_rows,
@@ -353,15 +343,11 @@ def build_cross_labeling(
         replace(rec, far_inst=_far_instance(rec, variant)) for rec in peel.records
     )
     if peel.near_sections is None:
-        peel.near_sections = _encode_near_sections(n, k, pos, peel.records)
-    far = _encode_far_sections(n, k, records)
+        peel.near_sections = _encode_near_sections(n, pos, peel.records)
+    far = _encode_far_sections(n, records)
     near = peel.near_sections
     sections = tuple(
-        tuple(
-            near[u][i // 2] if i % 2 == 0 else far[u][i // 2]
-            for i in range(2 * (k - 1))
-        )
-        for u in range(n)
+        tuple(sec for pair in zip(near[u], far[u]) for sec in pair) for u in range(n)
     )
     return CrossLabeling(
         n=n,
@@ -376,48 +362,47 @@ def build_cross_labeling(
     )
 
 
-def _encode_near_sections(n, k, pos, records):
-    retired_bits = BitString(CLS_RETIRED, CLASS_BITS)
-    per_node = [[retired_bits] * (k - 1) for _ in range(n)]
+def _encode_near_sections(n, pos, records):
+    """Each node's near sections, one per iteration it is live in: those
+    are iterations 1..min(removed_iter, k-1), the ones a query can read."""
+    per_node = [[] for _ in range(n)]
     for rec in records:
         near_labels = encode_bipartite(rec.near_inst) if rec.n_pairs else []
-        fm_rank = {u: r for r, u in enumerate(rec.front_match)}
-        sm_rank = {v: r for r, v in enumerate(rec.second_match)}
+        sub = dict(zip(rec.front_match + rec.second_match, near_labels))
         for u in rec.live:
-            c = rec.cls[u]
             w = BitWriter()
-            w.write(c, CLASS_BITS)
-            if c == CLS_FRONT_MATCH:
-                write_embedded(w, near_labels[fm_rank[u]], n)
-            elif c == CLS_SECOND_MATCH:
-                write_embedded(w, near_labels[rec.n_pairs + sm_rank[u]], n)
-            elif c in (CLS_FRONT_REST, CLS_SECOND_REST):
+            w.write(rec.cls[u], CLASS_BITS)
+            if u in sub:
+                write_embedded(w, sub[u], n)
+            elif u in rec.rest_rows:
                 build_set((pos[x] for x in _iter_bits(rec.rest_rows[u])), n).write(w)
-            per_node[u][rec.s - 1] = w.finish()
+            per_node[u].append(w.finish())
     return tuple(tuple(secs) for secs in per_node)
 
 
-def _encode_far_sections(n, k, records):
+def _encode_far_sections(n, records):
+    """Each node's far sections, iteration by iteration as above: matched
+    nodes get their pair's label, walked pair by pair, and outside nodes
+    their right label, followed by flags for an upper node."""
     iw = index_width(n)
-    retired_bits = BitString(CLS_RETIRED, CLASS_BITS)
-    per_node = [[retired_bits] * (k - 1) for _ in range(n)]
+    per_node = [[] for _ in range(n)]
     for rec in records:
         far_labels = encode_bipartite(rec.far_inst) if rec.n_pairs else []
+        for pair, i, lab in zip(rec.pairs, rec.pair_bic, far_labels):
+            for u in pair:
+                w = BitWriter()
+                w.write(rec.cls[u] << iw | i, CLASS_BITS + iw)
+                write_embedded(w, lab, n)
+                per_node[u].append(w.finish())
         nb = len(rec.bicliques)
-        for u in rec.live:
-            c = rec.cls[u]
+        for r, u in enumerate(rec.outside, rec.n_pairs):
             w = BitWriter()
-            w.write(c, CLASS_BITS)
+            w.write(rec.cls[u], CLASS_BITS)
             if rec.n_pairs:
-                if c in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
-                    w.write(rec.bic_of[u], iw)
-                    write_embedded(w, far_labels[rec.pair_of[u]], n)
-                else:
-                    write_embedded(
-                        w, far_labels[rec.n_pairs + rec.outside_rank[u]], n
-                    )
-                    w.write_table(rec.via_second[u], nb)
-            per_node[u][rec.s - 1] = w.finish()
+                write_embedded(w, far_labels[r], n)
+                if u in rec.via_second:
+                    w.write(rec.via_second[u], nb)
+            per_node[u].append(w.finish())
     return tuple(tuple(secs) for secs in per_node)
 
 
@@ -425,9 +410,9 @@ def _encode_far_sections(n, k, records):
 #
 # blob := k[count_width(n)] ow[6] removed_iter[cw] entry[cw] bounds payload
 # with cw = count_width(k), ow = count_width(total payload bits), and
-# bounds = 2(k-1)+1 cumulative section boundaries of ow bits each; sections
-# are laid out near^1, far^1, near^2, far^2, ... with boundary fenceposts
-# around them.
+# bounds = 2m+1 cumulative section boundaries of ow bits each, where
+# m = min(removed_iter, k-1); sections are laid out near^1, far^1, ...,
+# near^m, far^m with boundary fenceposts around them.
 
 
 def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
@@ -490,7 +475,8 @@ class NearView:
 
 class FarView:
     """One far section: its class, then (when the iteration found bicliques)
-    a biclique number and pair sub-label, or a right sub-label and flags."""
+    a biclique number and pair sub-label, or a right sub-label and, for an
+    upper node, flags."""
 
     __slots__ = ("_read", "_off", "_end", "_wd", "inf", "is_empty", "_bic", "_bip", "_flags")
 
@@ -533,13 +519,14 @@ class FarView:
 class CrossView:
     """One node's blob: group count, retirement, entry and section bounds.
 
+    The blob holds ``m`` = min(removed_iter, k-1) iterations of sections.
     Each section access reads its two bounds and its class and builds a
     fresh view until ``check`` has walked them all; from then on the walked
     views answer.
     """
 
-    __slots__ = ("_read", "_wd", "k", "_ow", "removed_iter", "entry", "_tab", "_payload",
-                 "_near", "_far")
+    __slots__ = ("_read", "_wd", "k", "_ow", "removed_iter", "entry", "m", "_tab",
+                 "_payload", "_near", "_far")
 
     def __init__(self, read, base: int, wd: Widths):
         head = read(base, wd.cw + RATE_BITS)
@@ -551,16 +538,17 @@ class CrossView:
         both = read(base + wd.cw + RATE_BITS, 2 * cw)
         self.removed_iter = both >> cw
         self.entry = both & (1 << cw) - 1
+        self.m = min(self.removed_iter, self.k - 1)
         self._read = read
         self._wd = wd
         self._tab = base + wd.cw + RATE_BITS + 2 * cw
-        self._payload = self._tab + (2 * (self.k - 1) + 1) * self._ow
+        self._payload = self._tab + (2 * self.m + 1) * self._ow
         self._near = self._far = ()
 
     def _section(self, idx: int) -> tuple[int, int, int]:
         """(start, end, class) of section ``idx``."""
-        if not 0 <= idx < 2 * (self.k - 1):
-            raise ValueError(f"no section {idx} in a blob of {self.k} groups")
+        if not 0 <= idx < 2 * self.m:
+            raise ValueError(f"no section {idx} in a blob of {self.m} iterations")
         ow = self._ow
         both = self._read(self._tab + idx * ow, 2 * ow)
         start = self._payload + (both >> ow)
@@ -585,16 +573,19 @@ class CrossView:
 
         The bounds table and the section classes take one read each; the
         table's leading fencepost must be 0, so no bit lies between the
-        table and the first section. Each section view is built from its
-        bounds and class, and its content ends where its sub-label or set
-        view says (``end_offset``); a far section's flags take the rest of
-        it. The views keep their sub-labels, sets and flags for the queries
-        to come.
+        table and the first section. A node cannot retire before the
+        iteration ahead of its entry group, so the table holds every section
+        a query can ask for. Each section view is built from its bounds and
+        a defined class, which its far section repeats, and its content ends
+        where its sub-label or checked set view says (``end_offset``); only
+        an upper node's far section has flags, which take the rest of it.
+        The views keep their sub-labels, sets and flags for the queries to
+        come.
         """
         k, ow, read, wd = self.k, self._ow, self._read, self._wd
-        if not (1 <= self.entry <= k and 1 <= self.removed_iter <= k):
+        if not (1 <= self.entry <= k and max(1, self.entry - 1) <= self.removed_iter <= k):
             raise ValueError("entry or retirement outside the blob's groups")
-        last = 2 * (k - 1)
+        last = 2 * self.m
         table = read(self._tab, (last + 1) * ow)
         if table >> last * ow:
             raise ValueError("bounds table does not start at 0")
@@ -607,20 +598,23 @@ class CrossView:
         for i in range(0, last, 2):
             start, mid, end = at[i], at[i + 1], at[i + 2]
             inf = cls[i]
+            if not CLS_FRONT_MATCH <= inf <= CLS_UPPER:
+                raise ValueError(f"undefined class {inf}")
             sec = NearView(read, start, wd, inf)
             if inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
                 got = sec.bip().end_offset
             elif inf in (CLS_FRONT_REST, CLS_SECOND_REST):
-                got = sec.keys().end_offset
+                got = sec.keys().check()
             else:
                 got = start + CLASS_BITS
             if got != mid:
                 raise ValueError(f"near section length {mid - start}, parsed {got - start}")
             near.append(sec)
-            inf = cls[i + 1]
+            if cls[i + 1] != inf:
+                raise ValueError(f"far class {cls[i + 1]} differs from near class {inf}")
             sec = FarView(read, mid, end, wd, inf)
             if not sec.is_empty:
-                if inf not in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
+                if inf == CLS_UPPER:
                     sec.flags()
                 elif sec.bip().end_offset != end:
                     raise ValueError("far section length mismatch")

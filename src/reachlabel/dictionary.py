@@ -66,6 +66,16 @@ class SetView:
         self._keys = read.peek(pos, kw * m)
         self.end_offset = pos + kw * m
 
+    def check(self) -> int:
+        """Raise ValueError unless the keys ascend below the universe bound,
+        as the binary search assumes; returns ``end_offset``. A label's check
+        walk calls this, a lazy probe does not."""
+        kw, keys, kmask = self._kw, self._keys, (1 << self._kw) - 1
+        ks = [keys >> kw * i & kmask for i in range(self._m - 1, -1, -1)] + [self._bound]
+        if any(a >= b for a, b in zip(ks, ks[1:])):
+            raise ValueError(f"set keys do not ascend below {self._bound}")
+        return self.end_offset
+
     def contains(self, x: int) -> bool:
         if not 0 <= x < self._bound:
             raise ValueError(f"key {x} outside universe [0,{self._bound})")

@@ -133,7 +133,7 @@ def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
     w.write(gl.end, count_width(n))
     w.write(1 if gl.thick else 0, 1)
     if not gl.thick:
-        w.write_table(gl.table, gl.end - gl.beg)
+        w.write(gl.table, gl.end - gl.beg)
 
 
 class InnerView(TableView):

@@ -220,8 +220,9 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
         binary search for other keys, so one flip is not pinned to one
         query).
 
-    Bits are found per component and reported at its smallest member.
-    Every returned offset is re-read from the serialized label and checked
+    A table's bit i sits at field position width-1-i. Bits are found per
+    component and reported at its smallest member. Every returned offset
+    is re-read from the serialized label and checked
     against the encoder's structures, so the arithmetic here cannot drift
     from the layout.
     """
@@ -255,7 +256,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                 t = iu + j + 1
                 if t >= n and j >= wrap_dead or t % n not in starts:
                     continue
-                emit(c, base + j, warm[u].table >> j & 1)
+                emit(c, base + half - 1 - j, warm[u].table >> j & 1)
         return out
 
     if ls.cross is None:
@@ -272,13 +273,13 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
         gl = inner[u]
         if gl.thick:
             continue
+        top = tab_off + gl.end - gl.beg - 1
         for j in range(gl.end - gl.beg):
             if inv[gl.beg + j] != c:
-                emit(c, tab_off + j, gl.table >> j & 1)
+                emit(c, top - j, gl.table >> j & 1)
 
     # absolute start offset of every blob section, per component
-    k = cl.k
-    cwk = count_width(k)
+    cwk = count_width(cl.k)
     emb_head = iw + 4 * cw
     sec_starts: list[list[int]] = []
     for c, u in enumerate(lead):
@@ -286,7 +287,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
         blob_off = tab_off + (0 if gl.thick else gl.end - gl.beg)
         secs = cl.sections[c]
         ow = count_width(sum(len(b) for b in secs))
-        acc = [blob_off + cw + RATE_BITS + 2 * cwk + (2 * (k - 1) + 1) * ow]
+        acc = [blob_off + cw + RATE_BITS + 2 * cwk + (len(secs) + 1) * ow]
         for sec in secs:
             acc.append(acc[-1] + len(sec))
         sec_starts.append(acc)
@@ -299,20 +300,20 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
             fm, sm = rec.front_match, rec.second_match
             a_n, b_n, al_n, be_n = ni.a, ni.b, ni.alpha, ni.beta
             for r_a, u in enumerate(fm):
-                toff = sec_starts[u][idx_near] + CLASS_BITS + emb_head
+                top = sec_starts[u][idx_near] + CLASS_BITS + emb_head + al_n - 1
                 base = ceil_div(b_n * r_a, a_n)
                 for i in range(min(al_n, b_n)):
                     ib = (base + i) % b_n
-                    emit(u, toff + i, ni.rows[r_a] >> ib & 1)
+                    emit(u, top - i, ni.rows[r_a] >> ib & 1)
             for r_b, v in enumerate(sm):
-                toff = sec_starts[v][idx_near] + CLASS_BITS + emb_head
+                top = sec_starts[v][idx_near] + CLASS_BITS + emb_head + be_n - 1
                 base = ceil_div(a_n * r_b, b_n)
                 for j in range(min(be_n, a_n)):
                     ia = (base + j) % a_n
                     i_probe, _ = index_pair(ia, r_b, a_n, b_n)
                     if i_probe < al_n:
                         continue  # the A-side window answers this pair
-                    emit(v, toff + j, ni.rows[ia] >> r_b & 1)
+                    emit(v, top - j, ni.rows[ia] >> r_b & 1)
         if fi is not None:
             outside = rec.outside
             pairs = rec.pairs
@@ -320,28 +321,21 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
             for j_p, (a_j, b_j) in enumerate(pairs):
                 base = ceil_div(b_f * j_p, a_f)
                 bic = rec.pair_bic[j_p]
-                for holder, is_first_copy in ((a_j, True), (b_j, False)):
-                    toff = (
-                        sec_starts[holder][idx_far] + CLASS_BITS + iw + emb_head
-                    )
+                for holder, rest_cls, first in ((a_j, CLS_SECOND_REST, 1), (b_j, CLS_FRONT_REST, 0)):
+                    top = sec_starts[holder][idx_far] + CLASS_BITS + iw + emb_head + al_f - 1
                     for i in range(min(al_f, b_f)):
                         ib = (base + i) % b_f
                         v = outside[ib]
                         cv = rec.cls[v]
-                        flagged = rec.via_second[v] >> bic & 1
-                        if is_first_copy:
-                            live = cv == CLS_SECOND_REST or (
-                                cv == CLS_UPPER and not flagged
-                            )
+                        if cv == CLS_UPPER:
+                            # a set flag sends the probe to the second copy
+                            live = rec.via_second[v] >> bic & 1 != first
                         else:
-                            live = cv == CLS_FRONT_REST or (
-                                cv == CLS_UPPER and flagged
-                            )
+                            live = cv == rest_cls
                         if live:
-                            emit(holder, toff + i, fi.rows[j_p] >> ib & 1)
+                            emit(holder, top - i, fi.rows[j_p] >> ib & 1)
             n_bic = len(rec.bicliques)
             for r_o, v in enumerate(outside):
-                cv = rec.cls[v]
                 toff = sec_starts[v][idx_far] + CLASS_BITS + emb_head
                 base = ceil_div(a_f * r_o, b_f)
                 for j in range(min(be_f, a_f)):
@@ -349,11 +343,11 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                     i_probe, _ = index_pair(ia, r_o, a_f, b_f)
                     if i_probe < al_f:
                         continue  # the matched side's window answers this pair
-                    emit(v, toff + j, fi.rows[ia] >> r_o & 1)
-                if cv == CLS_UPPER:
-                    floff = toff + be_f
+                    emit(v, toff + be_f - 1 - j, fi.rows[ia] >> r_o & 1)
+                if v in rec.via_second:
+                    top = toff + be_f + n_bic - 1
                     for bi in range(n_bic):
-                        emit(v, floff + bi, rec.via_second[v] >> bi & 1)
+                        emit(v, top - bi, rec.via_second[v] >> bi & 1)
     return out
 
 

@@ -203,7 +203,7 @@ def encode(
             w.write(c, iw)
             wl = warm[u]
             w.write(wl.index, iw)
-            w.write_table(wl.table, wl.table_len)
+            w.write(wl.table, wl.table_len)
             labels.append(w.finish())
         return LabelSet(scheme, sid, g.n, pl.scc.expand(labels), pipeline=pl)
 

@@ -13,6 +13,21 @@ from reachlabel.cli import GraphFormatError
 from reachlabel.crosslabel import RATE_BITS
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
+from reachlabel.oracle import GenSpec, generate
+
+P_GRID = (0.02, 0.1, 0.5, 0.9)
+
+
+def mixed_corpus():
+    """Thirty graphs exercising every termination and class combination."""
+    specs = []
+    for i in range(10):
+        specs.append(GenSpec("digraph", 20 + 7 * i, P_GRID[i % 4], seed=100 + i))
+    for i in range(10):
+        specs.append(GenSpec("poset", 15 + 6 * i, 0.2 + 0.07 * i, seed=200 + i))
+    for i in range(10):
+        specs.append(GenSpec("layered", 18 + 8 * i, 0.3 + 0.06 * i, seed=300 + i))
+    return [generate(s) for s in specs]
 
 
 def is_transitively_closed(d: Digraph) -> bool:

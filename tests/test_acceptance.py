@@ -19,7 +19,13 @@ import random
 import time
 from itertools import product
 
-from helpers import decode_bipartite, is_transitively_closed, split_edges
+from helpers import (
+    P_GRID,
+    decode_bipartite,
+    is_transitively_closed,
+    mixed_corpus,
+    split_edges,
+)
 from reachlabel.bipartite import (
     BipartiteInstance,
     ceil_div,
@@ -28,7 +34,7 @@ from reachlabel.bipartite import (
     index_pair,
 )
 from reachlabel.bitio import index_width
-from reachlabel.crosslabel import CLASS_BITS
+from reachlabel.crosslabel import CLASS_BITS, CLS_UPPER
 from reachlabel.flatten import build_superlayers
 from reachlabel.graph import (
     Digraph,
@@ -39,8 +45,6 @@ from reachlabel.graph import (
 )
 from reachlabel.oracle import GenSpec, corruption_trial, generate
 from reachlabel.scheme import Pipeline, encode, parse_label, query, query_lazy
-
-P_GRID = (0.02, 0.1, 0.5, 0.9)
 
 
 def corpus_instance(t: int) -> GenSpec:
@@ -67,18 +71,6 @@ def minimal_budgets(a: int, b: int) -> list[tuple[int, int]]:
 def transcript(g: Digraph, profile: str, variant: str):
     pl = Pipeline(g)
     return pl, pl.cross_labeling(profile, variant)
-
-
-def mixed_corpus():
-    """Thirty graphs exercising every termination and class combination."""
-    specs = []
-    for i in range(10):
-        specs.append(GenSpec("digraph", 20 + 7 * i, P_GRID[i % 4], seed=100 + i))
-    for i in range(10):
-        specs.append(GenSpec("poset", 15 + 6 * i, 0.2 + 0.07 * i, seed=200 + i))
-    for i in range(10):
-        specs.append(GenSpec("layered", 18 + 8 * i, 0.3 + 0.06 * i, seed=300 + i))
-    return [generate(s) for s in specs]
 
 
 def test_criterion_01_master_correctness():
@@ -258,10 +250,11 @@ def test_criterion_06_per_iteration_section_sizes():
                         assert len(far_bits) == CLASS_BITS + iw + embedded_width(
                             n, far.alpha
                         )
-                    else:
+                    else:  # flags for upper nodes only
+                        flags = n_bic if rec.cls[u] == CLS_UPPER else 0
                         assert len(far_bits) == CLASS_BITS + embedded_width(
                             n, far.beta
-                        ) + n_bic
+                        ) + flags
                     checked += 1
     print(f"criterion 6: exact table sizes on {checked} live node-iterations")
     assert checked > 0
@@ -308,10 +301,11 @@ def test_criterion_08_average_variant_structure():
                         assert len(far_bits) == CLASS_BITS + index_width(
                             n
                         ) + embedded_width(n, 0)
-                    else:
+                    else:  # flags for upper nodes only
+                        flags = n_bic if rec.cls[u] == CLS_UPPER else 0
                         assert len(far_bits) == CLASS_BITS + embedded_width(
                             n, rec.n_pairs + 1
-                        ) + n_bic
+                        ) + flags
 
     # oracle equivalence for this scheme runs inside criterion 1's sweep;
     # re-check a small slice here so this test stands alone

@@ -103,16 +103,16 @@ def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
         assert "padding bits are not zero" in err and not out
 
 
-def test_version_2_label_file_exits_2(tmp_path, capsys):
+def test_version_3_label_file_exits_2(tmp_path, capsys):
     graph = write_chain(tmp_path, 3)
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     data = bytearray(labels.read_bytes())
-    data[4] = 2  # the version byte
+    data[4] = 3  # the version byte
     labels.write_bytes(bytes(data))
     code, out, err = run(capsys, "query", str(labels), "0", "2")
     assert code == 2
-    assert "unsupported label file version 2" in err and not out
+    assert "unsupported label file version 3" in err and not out
 
 
 def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):

@@ -8,18 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_transitively_closed, split_edges
+from helpers import is_transitively_closed, mixed_corpus, split_edges
+from reachlabel.bipartite import embedded_width
 from reachlabel.crosslabel import (
+    CLASS_BITS,
     CLS_FRONT_REST,
-    CLS_RETIRED,
     CLS_SECOND_REST,
+    CLS_UPPER,
+    RATE_BITS,
     assemble_cross,
     build_cross_labeling,
     CrossView,
     decode_cross,
     peel_cross,
 )
-from reachlabel.bitio import LabelReader, Widths
+from reachlabel.bitio import LabelReader, Widths, count_width
 from reachlabel.flatten import build_superlayers, split_rows
 from reachlabel.graph import (
     Dag,
@@ -28,6 +31,7 @@ from reachlabel.graph import (
     longest_path_layers,
     transitive_closure,
 )
+from reachlabel.scheme import Pipeline
 
 
 def peeled(n, edges, profile="force", gamma=None):
@@ -171,19 +175,39 @@ def test_blob_decode_matches_cross_membership(case, variant):
             assert got == ((u, v) in cross_edges), (u, v)
 
 
-def test_sections_default_to_retired():
-    # a node that was never live in an iteration carries the 3-bit marker
-    lay, sl, cross, _ = peeled(4, [(0, 2), (0, 3), (1, 2), (1, 3)], gamma=4)
-    cl = build_cross_labeling(lay, sl, cross, variant="third")
-    blob = assemble_cross(cl, 0)
-    pc = CrossView(LabelReader(blob), 0, Widths(4))
-    # node 0 is removed in iteration 1; there is exactly one iteration here
-    assert pc.sec_near(1).inf != CLS_RETIRED
+def test_blobs_hold_only_the_sections_a_query_reads():
+    # a node's sections stop at min(removed_iter, k-1), and of the outside
+    # nodes' far sections only an upper node's holds flags, one per biclique
+    outside_secs = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        for profile in ("paper", "force"):
+            for variant in ("third", "average"):
+                cl = pl.cross_labeling(profile, variant)
+                n, k = cl.n, cl.k
+                for u in range(n):
+                    m = min(cl.removed_iter[u], k - 1)
+                    assert len(cl.sections[u]) == 2 * m
+                    # the bounds table has 2m+1 entries
+                    head = count_width(n) + RATE_BITS + 2 * count_width(k)
+                    payload = sum(len(sec) for sec in cl.sections[u])
+                    ow = count_width(payload)
+                    assert len(assemble_cross(cl, u)) == head + (2 * m + 1) * ow + payload
+                for rec in cl.records:
+                    if not rec.n_pairs:
+                        continue
+                    bare = CLASS_BITS + embedded_width(n, rec.far_inst.beta)
+                    for v in rec.outside:
+                        far = cl.sections[v][2 * rec.s - 1]
+                        flags = len(rec.bicliques) if rec.cls[v] == CLS_UPPER else 0
+                        assert len(far) == bare + flags
+                        outside_secs += 1
+    assert outside_secs > 0
 
 
 @dataclass
 class _StubSection:
-    inf: int = CLS_RETIRED
+    inf: int = CLS_UPPER
     is_empty: bool = True
 
 

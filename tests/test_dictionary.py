@@ -80,6 +80,21 @@ def test_serialized_round_trip(case):
     assert members(roundtrip(s, bound), bound) == sorted(keys)
 
 
+@given(sets)
+def test_check_accepts_every_built_set(case):
+    bound, keys = case
+    view = roundtrip(build_set(keys, bound), bound)
+    assert view.check() == view.end_offset
+
+
+@pytest.mark.parametrize("keys", [(5, 2), (4, 4), (2, 10), (0, 3, 12)])
+def test_check_rejects_keys_that_do_not_ascend_below_the_bound(keys):
+    # 4-bit keys over a universe of 10, written as they are
+    view = roundtrip(StaticSet(10, keys), 10)
+    with pytest.raises(ValueError, match="do not ascend below 10"):
+        view.check()
+
+
 def test_build_set_rejects_out_of_range():
     with pytest.raises(ValueError):
         build_set([5], 5)

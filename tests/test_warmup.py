@@ -16,7 +16,7 @@ def closed_layering(n, edges):
 def view(wl):
     """The decode view of an encoder label, through its serialized window."""
     w = BitWriter()
-    w.write_table(wl.table, wl.table_len)
+    w.write(wl.table, wl.table_len)
     return WindowView(LabelReader(w.finish()), wl.n, wl.index, 0)
 
 
