@@ -12,13 +12,15 @@ always find the bit:
 
 Tables are written at exactly alpha (resp. beta) bits even when that exceeds
 the far side's size; the surplus bits are zeros and are never probed.
+Embedded in a composite label, a sub-label is its index and its table only:
+the label derives a, b, alpha and beta from fields it has already read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, TableView, Widths, count_width, index_width
+from .bitio import BitWriter, TableView, index_width
 from .graph import cyclic_window, transpose
 
 
@@ -116,43 +118,40 @@ def probe_pair(la, lb) -> bool:
 # -- embedded serialization ------------------------------------------------
 #
 # Inside a composite label a sub-label is stored as
-#   index[iw] a[pw] b[pw] alpha[pw] beta[pw] table[alpha or beta]
-# with iw = index_width(limit) and pw = count_width(limit); ``limit`` is the
-# enclosing scheme's node count, which bounds every parameter here.
+#   index[index_width(limit)] table[alpha or beta]
+# where ``limit`` bounds the index: the enclosing label derives the
+# instance's a, b, alpha and beta from fields it has already read, and
+# writes with limit = a + b.
 
 
 def embedded_width(limit: int, alpha_or_beta: int) -> int:
-    return index_width(limit) + 4 * count_width(limit) + alpha_or_beta
+    return index_width(limit) + alpha_or_beta
 
 
 def write_embedded(w: BitWriter, lab: BipartiteLabel, limit: int) -> None:
     iw = index_width(limit)
-    pw = count_width(limit)
-    if lab.index >> iw or (lab.a | lab.b | lab.alpha | lab.beta) >> pw:
-        raise ValueError(f"sub-label header does not fit the widths of limit {limit}")
-    head = (((lab.index << pw | lab.a) << pw | lab.b) << pw | lab.alpha) << pw | lab.beta
-    w.write(head, iw + 4 * pw)  # the one read EmbeddedView takes it back with
+    if lab.index >> iw:
+        raise ValueError(f"sub-label index {lab.index} does not fit the width of limit {limit}")
+    w.write(lab.index, iw)
     w.write(lab.table, lab.table_len)
 
 
 class EmbeddedView(TableView):
     """Decode view of one embedded sub-label, with the probe surface of
-    BipartiteLabel; the fixed header costs one counted read. ``wd`` holds
-    the widths of the enclosing label (``limit`` above is its ``wd.n``)."""
+    BipartiteLabel. ``sizes`` is the instance's (a, b, alpha, beta), which
+    the enclosing label derives; the index costs one counted read and must
+    lie on ``side``, else ValueError."""
 
     __slots__ = ("index", "a", "b", "alpha", "beta", "end_offset")
 
-    def __init__(self, read, offset: int, wd: Widths, side: str):
-        iw = wd.iw
-        pw = wd.cw
-        head = read(offset, iw + 4 * pw)
-        pm = (1 << pw) - 1
-        self.beta = head & pm
-        self.alpha = head >> pw & pm
-        self.b = head >> 2 * pw & pm
-        self.a = head >> 3 * pw & pm
-        self.index = head >> 4 * pw
-        start = offset + iw + 4 * pw
-        width = self.alpha if side == "A" else self.beta
-        super().__init__(read, start, width)
-        self.end_offset = start + width
+    def __init__(self, read, offset: int, side: str, sizes: tuple[int, int, int, int]):
+        a, b, alpha, beta = sizes
+        iw = index_width(a + b)
+        index = read(offset, iw)
+        if not (index < a if side == "A" else a <= index < a + b):
+            raise ValueError(f"sub-label index {index} outside side {side} (a={a}, b={b})")
+        self.index = index
+        self.a, self.b, self.alpha, self.beta = sizes
+        width = alpha if side == "A" else beta
+        super().__init__(read, offset + iw, width)
+        self.end_offset = offset + iw + width

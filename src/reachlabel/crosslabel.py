@@ -33,21 +33,26 @@ built as A-side rows over ranks on the B side.
 
 A node that retires at iteration r is live in iterations 1..min(r, k-1)
 and holds sections for exactly those, the ones a query can read. Their
-offsets are kept in a small table, so a decoder can jump straight to one;
-a far section repeats its near section's class:
+offsets are kept in a small table, so a decoder can jump straight to one.
+Nothing in a section says what it holds: a node's class at iteration s
+follows from its entry group and retirement (``node_class``), and the sizes
+and budgets of the iteration's two pair instances follow from the count of
+pairs matched before and at s (``instance_sizes``), which the blob keeps as
+a cumulative schedule:
 
-  near: class[3]  then  matched -> embedded bipartite sub-label
-                        leftover -> exact neighbor-position set
-                        upper -> nothing
-  far:  class[3]  then  matched -> biclique number + embedded pair label
-                        leftover -> embedded right label
-                        upper -> embedded right label + one flag per biclique
-        (a far section is bare when the iteration found no biclique)
+  near: matched -> embedded bipartite sub-label
+        rest    -> exact neighbor-position set
+        upper   -> nothing
+  far:  matched -> biclique number + embedded pair label
+        rest    -> embedded right label
+        upper   -> embedded right label + one flag per biclique
+        (a far section is empty when the iteration matched no pair)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .bipartite import (
     BipartiteInstance,
@@ -61,18 +66,42 @@ from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_w
 from .dictionary import SetView, build_set
 from .graph import LayeredDag, _iter_bits, _mask_of, gatherer, transpose
 
-# Node classes within one iteration, stored in 3 bits at each section start;
-# codes 0, 6 and 7 do not occur.
+# Node classes within one iteration; no label stores them (``node_class``).
 CLS_FRONT_MATCH = 1
 CLS_SECOND_MATCH = 2
 CLS_FRONT_REST = 3
 CLS_SECOND_REST = 4
 CLS_UPPER = 5
+MATCHED = (CLS_FRONT_MATCH, CLS_SECOND_MATCH)
 
-CLASS_BITS = 3
 RATE_BITS = 6  # width of the offset-width field
 
 VARIANTS = ("third", "average")
+
+
+def node_class(s: int, entry: int, removed_iter: int) -> int:
+    """A node's class at iteration s: group s+1 is the second group, the
+    groups below it form the front, and a node is matched where it retires."""
+    if s < entry - 1:
+        return CLS_UPPER
+    if s == entry - 1:
+        return CLS_SECOND_MATCH if s == removed_iter else CLS_SECOND_REST
+    return CLS_FRONT_MATCH if s == removed_iter else CLS_FRONT_REST
+
+
+def instance_sizes(kind: str, p: int, live: int) -> tuple[int, int, int, int]:
+    """(a, b, alpha, beta) of the near instance (``kind`` "near") or the far
+    instance under size variant ``kind`` of an iteration that matched p pairs
+    among ``live`` nodes; the far right side is every node not matched."""
+    b = p if kind == "near" else live - 2 * p
+    if p < 0 or b < 0:
+        raise ValueError(f"pair schedule gives an instance of sizes {p} and {b}")
+    if kind == "near":
+        half = (p + 1) // 2 + 1
+        return p, p, half, half
+    if kind == "third":
+        return p, b, (2 * live - 3 * p + 5) // 6, (2 * p + 2) // 3
+    return p, b, 0, p + 1
 
 
 @dataclass(eq=False)
@@ -94,7 +123,6 @@ class IterationRecord:
     live: tuple[int, ...]
     front_match: tuple[int, ...]
     second_match: tuple[int, ...]
-    cls: dict[int, int]
     bicliques: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     pairs: tuple[tuple[int, int], ...]
     pair_bic: tuple[int, ...]
@@ -191,10 +219,6 @@ def peel_cross(
         second_match = tuple(v for v in second if v in matched)
         second_rest = tuple(v for v in second if v not in matched)
 
-        cls = {u: CLS_FRONT_MATCH if u in matched else CLS_FRONT_REST for u in front}
-        cls.update((v, CLS_SECOND_MATCH if v in matched else CLS_SECOND_REST) for v in second)
-        cls.update(dict.fromkeys(upper, CLS_UPPER))
-
         # Right side of the pair graph: every live node that is not matched,
         # in topological order (front < second < upper positions).
         outside = front_rest + second_rest + tuple(upper)
@@ -244,8 +268,7 @@ def peel_cross(
         if n_bic:
             to_second = gatherer(second_match, n)
             rows = tuple(to_second(near_rows[u]) for u in front_match)
-            half = (n_pairs + 1) // 2 + 1
-            near_inst = BipartiteInstance(n_pairs, n_pairs, half, half, rows)
+            near_inst = BipartiteInstance(*instance_sizes("near", n_pairs, len(live)), rows)
 
         records.append(
             IterationRecord(
@@ -254,7 +277,6 @@ def peel_cross(
                 live=live,
                 front_match=front_match,
                 second_match=second_match,
-                cls=cls,
                 bicliques=bicliques,
                 pairs=tuple(pairs),
                 pair_bic=tuple(pair_bic),
@@ -306,21 +328,6 @@ def peel_cross(
     )
 
 
-def _far_instance(rec: IterationRecord, variant: str) -> BipartiteInstance | None:
-    """Pair-graph budgets for one iteration under the chosen size variant."""
-    if not rec.n_pairs:
-        return None
-    n_pairs = rec.n_pairs
-    if variant == "third":
-        a_bits = (2 * len(rec.live) - 3 * n_pairs + 5) // 6
-        b_bits = (2 * n_pairs + 2) // 3
-        assert a_bits >= 1
-    else:
-        a_bits = 0
-        b_bits = n_pairs + 1
-    return BipartiteInstance(n_pairs, len(rec.outside), a_bits, b_bits, rec.pair_rows)
-
-
 def build_cross_labeling(
     layered: LayeredDag,
     slayer,
@@ -340,11 +347,14 @@ def build_cross_labeling(
         peel = peel_cross(layered, slayer, cross_rows, profile)
     n, k, pos = peel.n, peel.k, peel.pos
     records = tuple(
-        replace(rec, far_inst=_far_instance(rec, variant)) for rec in peel.records
+        replace(rec, far_inst=BipartiteInstance(
+            *instance_sizes(variant, rec.n_pairs, len(rec.live)), rec.pair_rows
+        ) if rec.n_pairs else None)
+        for rec in peel.records
     )
     if peel.near_sections is None:
-        peel.near_sections = _encode_near_sections(n, pos, peel.records)
-    far = _encode_far_sections(n, records)
+        peel.near_sections = _encode_near_sections(peel)
+    far = _encode_far_sections(peel, records)
     near = peel.near_sections
     sections = tuple(
         tuple(sec for pair in zip(near[u], far[u]) for sec in pair) for u in range(n)
@@ -362,57 +372,61 @@ def build_cross_labeling(
     )
 
 
-def _encode_near_sections(n, pos, records):
+def _encode_near_sections(peel: PeelResult):
     """Each node's near sections, one per iteration it is live in: those
     are iterations 1..min(removed_iter, k-1), the ones a query can read."""
-    per_node = [[] for _ in range(n)]
-    for rec in records:
+    entry, removed, pos = peel.entry, peel.removed_iter, peel.pos
+    per_node = [[] for _ in range(peel.n)]
+    for rec in peel.records:
         near_labels = encode_bipartite(rec.near_inst) if rec.n_pairs else []
         sub = dict(zip(rec.front_match + rec.second_match, near_labels))
         for u in rec.live:
             w = BitWriter()
-            w.write(rec.cls[u], CLASS_BITS)
-            if u in sub:
-                write_embedded(w, sub[u], n)
-            elif u in rec.rest_rows:
-                build_set((pos[x] for x in _iter_bits(rec.rest_rows[u])), n).write(w)
+            cls = node_class(rec.s, entry[u], removed[u])
+            if cls in MATCHED:
+                lab = sub[u]
+                write_embedded(w, lab, lab.a + lab.b)
+            elif cls != CLS_UPPER:
+                build_set((pos[x] for x in _iter_bits(rec.rest_rows[u])), peel.n).write(w)
             per_node[u].append(w.finish())
     return tuple(tuple(secs) for secs in per_node)
 
 
-def _encode_far_sections(n, records):
+def _encode_far_sections(peel: PeelResult, records):
     """Each node's far sections, iteration by iteration as above: matched
     nodes get their pair's label, walked pair by pair, and outside nodes
     their right label, followed by flags for an upper node."""
-    iw = index_width(n)
-    per_node = [[] for _ in range(n)]
+    entry, removed = peel.entry, peel.removed_iter
+    per_node = [[] for _ in range(peel.n)]
     for rec in records:
         far_labels = encode_bipartite(rec.far_inst) if rec.n_pairs else []
         for pair, i, lab in zip(rec.pairs, rec.pair_bic, far_labels):
             for u in pair:
                 w = BitWriter()
-                w.write(rec.cls[u] << iw | i, CLASS_BITS + iw)
-                write_embedded(w, lab, n)
+                w.write(i, index_width(rec.n_pairs))
+                write_embedded(w, lab, lab.a + lab.b)
                 per_node[u].append(w.finish())
-        nb = len(rec.bicliques)
         for r, u in enumerate(rec.outside, rec.n_pairs):
             w = BitWriter()
-            w.write(rec.cls[u], CLASS_BITS)
             if rec.n_pairs:
-                write_embedded(w, far_labels[r], n)
-                if u in rec.via_second:
-                    w.write(rec.via_second[u], nb)
+                write_embedded(w, far_labels[r], rec.far_inst.a + rec.far_inst.b)
+                if node_class(rec.s, entry[u], removed[u]) == CLS_UPPER:
+                    w.write(rec.via_second[u], len(rec.bicliques))
             per_node[u].append(w.finish())
     return tuple(tuple(secs) for secs in per_node)
 
 
 # -- per-node blob assembly -------------------------------------------------
 #
-# blob := k[count_width(n)] ow[6] removed_iter[cw] entry[cw] bounds payload
-# with cw = count_width(k), ow = count_width(total payload bits), and
-# bounds = 2m+1 cumulative section boundaries of ow bits each, where
-# m = min(removed_iter, k-1); sections are laid out near^1, far^1, ...,
-# near^m, far^m with boundary fenceposts around them.
+# blob := k[count_width(n)] ow[6] removed_iter[cw] entry[cw] schedule bounds
+#         payload
+# with cw = count_width(k) and m = min(removed_iter, k-1). The schedule holds
+# P_1..P_m at count_width(n) bits each, P_s the number of pairs matched in
+# iterations 1..s (P_0 = 0), so iteration s matched p = P_s - P_{s-1} pairs
+# among n - 2*P_{s-1} live nodes. The bounds are 2m+1 cumulative section
+# boundaries of ow = count_width(total payload bits) bits each; sections are
+# laid out near^1, far^1, ..., near^m, far^m with boundary fenceposts around
+# them.
 
 
 def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
@@ -420,6 +434,7 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
     kf = count_width(n)
     cw = count_width(k)
     secs = cl.sections[u]
+    m = len(secs) // 2
     payload = sum(len(b) for b in secs)
     ow = count_width(payload)
     w = BitWriter()
@@ -427,6 +442,10 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
     w.write(ow, RATE_BITS)
     w.write(cl.removed_iter[u], cw)
     w.write(cl.entry[u], cw)
+    acc = 0
+    for upto in accumulate(rec.n_pairs for rec in cl.records[:m]):
+        acc = acc << kf | upto
+    w.write(acc, m * kf)
     bound = 0
     acc = 0
     for sec in secs:
@@ -440,73 +459,66 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
 
 # -- decode views ----------------------------------------------------------
 #
-# One family of views serves both decode surfaces. A section view is built
-# from its bounds and its class; it reads its other fields, and builds its
-# sub-label or set view, on first use, so a single query pays only for the
-# words it touches. ``CrossView.check`` reads the bounds table and every
-# section's class once each, builds each section's content view and checks
-# it against the bounds, and keeps the views, which bulk queries then answer
-# from. Field widths come from the label's Widths, computed once per n.
+# One family of views serves both decode surfaces. A node's two sections of
+# iteration s share one view, built from their bounds, the schedule entries
+# and the node's class; it reads its fields, and builds its sub-label or set
+# views, on first use, so a single query pays only for the words it touches.
+# ``CrossView.check`` builds and checks every view once, and bulk queries
+# answer from them.
 
 
-class NearView:
-    """One near section: its class, then a sub-label or a neighbor set."""
+class IterationView:
+    """A node's near and far sections of iteration s, which matched ``p``
+    pairs among ``live`` nodes. The near section (start..mid) holds a matched
+    node's sub-label, a rest node's neighbor set, or nothing for an upper
+    node. The far section (mid..end) holds a biclique number and pair
+    sub-label, or a right sub-label and, for an upper node, flags; it is
+    empty when p is 0."""
 
-    __slots__ = ("_read", "_off", "_wd", "inf", "_bip", "_keys")
+    __slots__ = ("_read", "_wd", "_variant", "inf", "_p", "_live", "_start", "_mid", "_end",
+                 "is_empty", "_near", "_keys", "_bic", "_far", "_flags")
 
-    def __init__(self, read, off: int, wd: Widths, inf: int):
-        self._read = read
-        self._off = off
-        self._wd = wd
-        self.inf = inf
-        self._bip = self._keys = None
+    def __init__(self, cv: CrossView, s: int, before: int, upto: int,
+                 start: int, mid: int, end: int):
+        self._read, self._wd, self._variant = cv.read, cv.wd, cv.variant
+        self.inf = node_class(s, cv.entry, cv.removed_iter)
+        self._p = upto - before  # P_s - P_{s-1}
+        self._live = cv.wd.n - 2 * before
+        self._start, self._mid, self._end = start, mid, end
+        self.is_empty = self._p == 0
+        self._near = self._keys = self._bic = self._far = self._flags = None
 
-    def bip(self) -> EmbeddedView:
-        if self._bip is None:
+    def near(self) -> EmbeddedView:
+        if self._near is None:
             side = "A" if self.inf == CLS_FRONT_MATCH else "B"
-            self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._wd, side)
-        return self._bip
+            sizes = instance_sizes("near", self._p, 0)
+            self._near = EmbeddedView(self._read, self._start, side, sizes)
+        return self._near
 
     def keys(self) -> SetView:
         if self._keys is None:
-            self._keys = SetView(self._read, self._off + CLASS_BITS, self._wd)
+            self._keys = SetView(self._read, self._start, self._wd)
         return self._keys
-
-
-class FarView:
-    """One far section: its class, then (when the iteration found bicliques)
-    a biclique number and pair sub-label, or a right sub-label and, for an
-    upper node, flags."""
-
-    __slots__ = ("_read", "_off", "_end", "_wd", "inf", "is_empty", "_bic", "_bip", "_flags")
-
-    def __init__(self, read, off: int, end: int, wd: Widths, inf: int):
-        self._read = read
-        self._off = off
-        self._end = end
-        self._wd = wd
-        self.inf = inf
-        self.is_empty = end - off == CLASS_BITS
-        self._bic = self._bip = self._flags = None
 
     def bic(self) -> int:
         if self._bic is None:
-            self._bic = self._read(self._off + CLASS_BITS, self._wd.iw)
+            self._bic = self._read(self._mid, index_width(self._p))
         return self._bic
 
-    def bip(self) -> EmbeddedView:
-        if self._bip is None:
-            if self.inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
-                start = self._off + CLASS_BITS + self._wd.iw
-                self._bip = EmbeddedView(self._read, start, self._wd, "A")
+    def far(self) -> EmbeddedView:
+        if self._far is None:
+            sizes = instance_sizes(self._variant, self._p, self._live)
+            if self.inf in MATCHED:
+                start = self._mid + index_width(self._p)
+                self._far = EmbeddedView(self._read, start, "A", sizes)
             else:
-                self._bip = EmbeddedView(self._read, self._off + CLASS_BITS, self._wd, "B")
-        return self._bip
+                self._far = EmbeddedView(self._read, self._mid, "B", sizes)
+        return self._far
 
     def flags(self) -> TableView:
-        """The flags: every bit between the sub-label and the section end."""
+        """The flags: every bit between the far sub-label and the section end."""
         if self._flags is None:
-            start = self.bip().end_offset
+            start = self.far().end_offset
             if start > self._end:
                 raise ValueError("far section length mismatch")
             self._flags = TableView(self._read, start, self._end - start)
@@ -515,20 +527,45 @@ class FarView:
     def via_second(self, i: int) -> int:
         return (self._flags or self.flags()).bit(i)
 
+    def check(self) -> None:
+        """Raise ValueError unless each section's content ends exactly at
+        its bound: a sub-label or checked set view ends at its
+        ``end_offset``, an upper node's near section is empty, and only its
+        far section has flags, which take the rest of it."""
+        start, mid, end, inf = self._start, self._mid, self._end, self.inf
+        if inf in MATCHED:
+            got = self.near().end_offset
+        elif inf == CLS_UPPER:
+            got = start
+        else:
+            got = self.keys().check()
+        if got != mid:
+            raise ValueError(f"near section length {mid - start}, parsed {got - start}")
+        if self.is_empty:
+            got = mid
+        elif inf == CLS_UPPER:
+            self.flags()  # the flags take the rest of the section
+            got = end
+        else:
+            got = self.far().end_offset
+        if got != end:
+            raise ValueError("far section length mismatch")
+
 
 class CrossView:
-    """One node's blob: group count, retirement, entry and section bounds.
+    """One node's blob: group count, retirement, entry, pair schedule and
+    section bounds, for the size ``variant`` of the label's scheme.
 
     The blob holds ``m`` = min(removed_iter, k-1) iterations of sections.
-    Each section access reads its two bounds and its class and builds a
-    fresh view until ``check`` has walked them all; from then on the walked
-    views answer.
+    Each ``iteration`` call reads that iteration's schedule entries and
+    bounds and builds a fresh view until ``check`` has walked them all; from
+    then on the walked views answer.
     """
 
-    __slots__ = ("_read", "_wd", "k", "_ow", "removed_iter", "entry", "m", "_tab",
-                 "_payload", "_near", "_far")
+    __slots__ = ("read", "wd", "variant", "k", "_ow", "removed_iter", "entry", "m",
+                 "_sched", "_tab", "_payload", "_iters")
 
-    def __init__(self, read, base: int, wd: Widths):
+    def __init__(self, read, base: int, wd: Widths, variant: str):
         head = read(base, wd.cw + RATE_BITS)
         self.k = head >> RATE_BITS
         if self.k < 1:
@@ -539,87 +576,58 @@ class CrossView:
         self.removed_iter = both >> cw
         self.entry = both & (1 << cw) - 1
         self.m = min(self.removed_iter, self.k - 1)
-        self._read = read
-        self._wd = wd
-        self._tab = base + wd.cw + RATE_BITS + 2 * cw
+        self.read, self.wd, self.variant = read, wd, variant
+        self._sched = base + wd.cw + RATE_BITS + 2 * cw
+        self._tab = self._sched + self.m * wd.cw
         self._payload = self._tab + (2 * self.m + 1) * self._ow
-        self._near = self._far = ()
+        self._iters = ()
 
-    def _section(self, idx: int) -> tuple[int, int, int]:
-        """(start, end, class) of section ``idx``."""
-        if not 0 <= idx < 2 * self.m:
-            raise ValueError(f"no section {idx} in a blob of {self.m} iterations")
-        ow = self._ow
-        both = self._read(self._tab + idx * ow, 2 * ow)
-        start = self._payload + (both >> ow)
-        return start, self._payload + (both & (1 << ow) - 1), self._read(start, CLASS_BITS)
-
-    def sec_near(self, s: int) -> NearView:
-        if self._near:
-            return self._near[s - 1]
-        start, _, inf = self._section(2 * s - 2)
-        return NearView(self._read, start, self._wd, inf)
-
-    def sec_far(self, s: int) -> FarView:
-        if self._far:
-            return self._far[s - 1]
-        start, end, inf = self._section(2 * s - 1)
-        return FarView(self._read, start, end, self._wd, inf)
+    def iteration(self, s: int) -> IterationView:
+        if self._iters:
+            return self._iters[s - 1]
+        if not 1 <= s <= self.m:
+            raise ValueError(f"no iteration {s} in a blob of {self.m} iterations")
+        read, ow, cw = self.read, self._ow, self.wd.cw
+        lo = max(s - 2, 0)  # P_{s-1} and P_s, or P_1 alone (P_0 = 0)
+        both = read(self._sched + lo * cw, (s - lo) * cw)
+        three = read(self._tab + (2 * s - 2) * ow, 3 * ow)
+        mask = (1 << ow) - 1
+        at = self._payload
+        return IterationView(self, s, both >> cw, both & (1 << cw) - 1, at + (three >> 2 * ow),
+                             at + (three >> ow & mask), at + (three & mask))
 
     def check(self) -> int:
         """Walk every section, raising ValueError unless its content exactly
-        fills its bounds, and keep the views; returns the bit offset where
-        the blob ends.
+        fills its bounds (``IterationView.check``), and keep the views;
+        returns the bit offset where the blob ends.
 
-        The bounds table and the section classes take one read each; the
-        table's leading fencepost must be 0, so no bit lies between the
-        table and the first section. A node cannot retire before the
-        iteration ahead of its entry group, so the table holds every section
-        a query can ask for. Each section view is built from its bounds and
-        a defined class, which its far section repeats, and its content ends
-        where its sub-label or checked set view says (``end_offset``); only
-        an upper node's far section has flags, which take the rest of it.
-        The views keep their sub-labels, sets and flags for the queries to
-        come.
+        The schedule and the bounds table take one read each. The schedule
+        must not decrease or pair more than the n nodes, and the table's
+        leading fencepost must be 0, so no bit lies between the table and
+        the first section. A node cannot retire before the iteration ahead
+        of its entry group, so the table holds every section a query can
+        ask for. The views keep their sub-labels, sets and flags for the
+        queries to come.
         """
-        k, ow, read, wd = self.k, self._ow, self._read, self._wd
+        k, ow, read, m, cw = self.k, self._ow, self.read, self.m, self.wd.cw
         if not (1 <= self.entry <= k and max(1, self.entry - 1) <= self.removed_iter <= k):
             raise ValueError("entry or retirement outside the blob's groups")
-        last = 2 * self.m
+        sched = read(self._sched, m * cw)
+        upto = [0] + [sched >> cw * i & (1 << cw) - 1 for i in range(m - 1, -1, -1)]
+        if any(a > b for a, b in zip(upto, upto[1:])) or 2 * upto[-1] > self.wd.n:
+            raise ValueError("pair schedule decreases or pairs more than n nodes")
+        last = 2 * m
         table = read(self._tab, (last + 1) * ow)
         if table >> last * ow:
             raise ValueError("bounds table does not start at 0")
         mask = (1 << ow) - 1
-        payload = self._payload
-        at = [payload + (table >> ow * i & mask) for i in range(last, -1, -1)]
-        cls = read.fields(at[:last], CLASS_BITS)
-        near = []
-        far = []
-        for i in range(0, last, 2):
-            start, mid, end = at[i], at[i + 1], at[i + 2]
-            inf = cls[i]
-            if not CLS_FRONT_MATCH <= inf <= CLS_UPPER:
-                raise ValueError(f"undefined class {inf}")
-            sec = NearView(read, start, wd, inf)
-            if inf in (CLS_FRONT_MATCH, CLS_SECOND_MATCH):
-                got = sec.bip().end_offset
-            elif inf in (CLS_FRONT_REST, CLS_SECOND_REST):
-                got = sec.keys().check()
-            else:
-                got = start + CLASS_BITS
-            if got != mid:
-                raise ValueError(f"near section length {mid - start}, parsed {got - start}")
-            near.append(sec)
-            if cls[i + 1] != inf:
-                raise ValueError(f"far class {cls[i + 1]} differs from near class {inf}")
-            sec = FarView(read, mid, end, wd, inf)
-            if not sec.is_empty:
-                if inf == CLS_UPPER:
-                    sec.flags()
-                elif sec.bip().end_offset != end:
-                    raise ValueError("far section length mismatch")
-            far.append(sec)
-        self._near, self._far = tuple(near), tuple(far)
+        at = [self._payload + (table >> ow * i & mask) for i in range(last, -1, -1)]
+        iters = []
+        for s in range(1, m + 1):
+            view = IterationView(self, s, upto[s - 1], upto[s], *at[2 * s - 2 : 2 * s + 1])
+            view.check()
+            iters.append(view)
+        self._iters = tuple(iters)
         return at[last]
 
 
@@ -629,7 +637,7 @@ class CrossView:
 def decode_near(su, sv, pos_u: int, pos_v: int) -> bool:
     cu, cv = su.inf, sv.inf
     if cu == CLS_FRONT_MATCH and cv == CLS_SECOND_MATCH:
-        return probe_pair(su.bip(), sv.bip())
+        return probe_pair(su.near(), sv.near())
     if cu == CLS_FRONT_REST and cv == CLS_SECOND_REST:
         return su.keys().contains(pos_v) or sv.keys().contains(pos_u)
     return False
@@ -640,16 +648,16 @@ def decode_far(su, sv) -> bool:
         return False
     cu, cv = su.inf, sv.inf
     if cu == CLS_FRONT_MATCH and cv == CLS_SECOND_REST:
-        return probe_pair(su.bip(), sv.bip())
+        return probe_pair(su.far(), sv.far())
     if cu == CLS_FRONT_REST and cv == CLS_SECOND_MATCH:
-        return probe_pair(sv.bip(), su.bip())
+        return probe_pair(sv.far(), su.far())
     if cu == CLS_FRONT_MATCH and cv == CLS_UPPER:
         if sv.via_second(su.bic()):
             return True
-        return probe_pair(su.bip(), sv.bip())
+        return probe_pair(su.far(), sv.far())
     if cu == CLS_SECOND_MATCH and cv == CLS_UPPER:
         if sv.via_second(su.bic()):
-            return probe_pair(su.bip(), sv.bip())
+            return probe_pair(su.far(), sv.far())
         return False
     return False
 
@@ -666,6 +674,5 @@ def decode_cross(lu, lv, pos_u: int, pos_v: int) -> bool:
     if lu.entry >= lv.entry:
         return False
     s = min(lu.removed_iter, lv.entry - 1)
-    if decode_near(lu.sec_near(s), lv.sec_near(s), pos_u, pos_v):
-        return True
-    return decode_far(lu.sec_far(s), lv.sec_far(s))
+    su, sv = lu.iteration(s), lv.iteration(s)
+    return decode_near(su, sv, pos_u, pos_v) or decode_far(su, sv)

@@ -27,14 +27,8 @@ import random
 from dataclasses import dataclass
 
 from .bipartite import ceil_div, index_pair
-from .bitio import BitString, LabelHeader, count_width, index_width, read_fixed
-from .crosslabel import (
-    CLASS_BITS,
-    CLS_FRONT_REST,
-    CLS_SECOND_REST,
-    CLS_UPPER,
-    RATE_BITS,
-)
+from .bitio import BitString, LabelHeader, index_width, read_fixed
+from .crosslabel import CLS_FRONT_REST, CLS_SECOND_REST, CLS_UPPER, node_class
 from .graph import Dag, Digraph, reach_rows, transitive_closure
 from .scheme import SCHEME_IDS, LabelSet, encode, parse_label, query
 
@@ -220,11 +214,13 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
         binary search for other keys, so one flip is not pinned to one
         query).
 
-    A table's bit i sits at field position width-1-i. Bits are found per
-    component and reported at its smallest member. Every returned offset
-    is re-read from the serialized label and checked
-    against the encoder's structures, so the arithmetic here cannot drift
-    from the layout.
+    A table's bit i sits at field position width-1-i, so bit i of a table
+    that ends at offset e is at e-1-i. A composite label's tables are found
+    through its checked views (``parse_label``): the intra table ends where
+    the intra section does, a sub-label's table where the sub-label does, and
+    the flags start there. Bits are found per component and reported at its
+    smallest member. Every returned bit is re-read from the serialized label
+    and checked against the encoder's structures.
     """
     pl = ls.pipeline
     if pl is None:
@@ -262,51 +258,29 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
     if ls.cross is None:
         raise ValueError("label set carries no cross labeling")
     cl = pl.cross_labeling(ls.cross.profile, ls.cross.variant)
-    n = cl.n
-    iw = index_width(n)
-    cw = count_width(n)
     inner = pl.inner_labels
-    intra_off = fixed + 2 * LabelHeader.OFFSET_BITS + iw
-    tab_off = intra_off + 3 * iw + cw + 1
+    views = [parse_label(labels[u]) for u in lead]
 
     for c, u in enumerate(lead):
         gl = inner[u]
-        if gl.thick:
-            continue
-        top = tab_off + gl.end - gl.beg - 1
-        for j in range(gl.end - gl.beg):
+        top = views[c].inner.end_offset - 1
+        for j in range(0 if gl.thick else gl.end - gl.beg):
             if inv[gl.beg + j] != c:
                 emit(c, top - j, gl.table >> j & 1)
 
-    # absolute start offset of every blob section, per component
-    cwk = count_width(cl.k)
-    emb_head = iw + 4 * cw
-    sec_starts: list[list[int]] = []
-    for c, u in enumerate(lead):
-        gl = inner[u]
-        blob_off = tab_off + (0 if gl.thick else gl.end - gl.beg)
-        secs = cl.sections[c]
-        ow = count_width(sum(len(b) for b in secs))
-        acc = [blob_off + cw + RATE_BITS + 2 * cwk + (len(secs) + 1) * ow]
-        for sec in secs:
-            acc.append(acc[-1] + len(sec))
-        sec_starts.append(acc)
-
     for rec in cl.records:
-        idx_near = 2 * (rec.s - 1)
-        idx_far = idx_near + 1
+        its = {u: views[u].cross.iteration(rec.s) for u in rec.live}
         ni, fi = rec.near_inst, rec.far_inst
         if ni is not None:
-            fm, sm = rec.front_match, rec.second_match
             a_n, b_n, al_n, be_n = ni.a, ni.b, ni.alpha, ni.beta
-            for r_a, u in enumerate(fm):
-                top = sec_starts[u][idx_near] + CLASS_BITS + emb_head + al_n - 1
+            for r_a, u in enumerate(rec.front_match):
+                top = its[u].near().end_offset - 1
                 base = ceil_div(b_n * r_a, a_n)
                 for i in range(min(al_n, b_n)):
                     ib = (base + i) % b_n
                     emit(u, top - i, ni.rows[r_a] >> ib & 1)
-            for r_b, v in enumerate(sm):
-                top = sec_starts[v][idx_near] + CLASS_BITS + emb_head + be_n - 1
+            for r_b, v in enumerate(rec.second_match):
+                top = its[v].near().end_offset - 1
                 base = ceil_div(a_n * r_b, b_n)
                 for j in range(min(be_n, a_n)):
                     ia = (base + j) % a_n
@@ -316,36 +290,35 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                     emit(v, top - j, ni.rows[ia] >> r_b & 1)
         if fi is not None:
             outside = rec.outside
-            pairs = rec.pairs
+            cls = {v: node_class(rec.s, cl.entry[v], cl.removed_iter[v]) for v in outside}
             a_f, b_f, al_f, be_f = fi.a, fi.b, fi.alpha, fi.beta
-            for j_p, (a_j, b_j) in enumerate(pairs):
+            for j_p, (a_j, b_j) in enumerate(rec.pairs):
                 base = ceil_div(b_f * j_p, a_f)
                 bic = rec.pair_bic[j_p]
                 for holder, rest_cls, first in ((a_j, CLS_SECOND_REST, 1), (b_j, CLS_FRONT_REST, 0)):
-                    top = sec_starts[holder][idx_far] + CLASS_BITS + iw + emb_head + al_f - 1
+                    top = its[holder].far().end_offset - 1
                     for i in range(min(al_f, b_f)):
                         ib = (base + i) % b_f
                         v = outside[ib]
-                        cv = rec.cls[v]
-                        if cv == CLS_UPPER:
+                        if cls[v] == CLS_UPPER:
                             # a set flag sends the probe to the second copy
                             live = rec.via_second[v] >> bic & 1 != first
                         else:
-                            live = cv == rest_cls
+                            live = cls[v] == rest_cls
                         if live:
                             emit(holder, top - i, fi.rows[j_p] >> ib & 1)
             n_bic = len(rec.bicliques)
             for r_o, v in enumerate(outside):
-                toff = sec_starts[v][idx_far] + CLASS_BITS + emb_head
+                end = its[v].far().end_offset
                 base = ceil_div(a_f * r_o, b_f)
                 for j in range(min(be_f, a_f)):
                     ia = (base + j) % a_f
                     i_probe, _ = index_pair(ia, r_o, a_f, b_f)
                     if i_probe < al_f:
                         continue  # the matched side's window answers this pair
-                    emit(v, toff + be_f - 1 - j, fi.rows[ia] >> r_o & 1)
-                if v in rec.via_second:
-                    top = toff + be_f + n_bic - 1
+                    emit(v, end - 1 - j, fi.rows[ia] >> r_o & 1)
+                if cls[v] == CLS_UPPER:
+                    top = end + n_bic - 1  # the flags start where the sub-label ends
                     for bi in range(n_bic):
                         emit(v, top - bi, rec.via_second[v] >> bi & 1)
     return out

@@ -30,10 +30,11 @@ near and far sections, embedded sub-labels, neighbor sets) as a query
 needs them. ``query_lazy`` builds two fresh views, so a single query reads
 only the bits it touches and reports the words read. ``parse_label`` first
 walks the whole view: it checks the header offsets and the intra section,
-reads the blob's bounds table and its section classes with one read each,
-and builds each section's view from its bounds and class, checking that
-the content the view decodes exactly fills the section. That rejects a
-corrupt label with ValueError and keeps the walked views for bulk queries.
+reads the blob's pair schedule and its bounds table with one read each,
+and builds each section's view from its bounds, the node's class and the
+instance sizes the schedule gives (none of which a label stores), checking
+that the content the view decodes exactly fills the section. That rejects
+a corrupt label with ValueError and keeps the walked views for bulk queries.
 Field widths that follow from the header n are computed once per n
 (``bitio.widths``). ``query`` answers from either kind.
 """
@@ -277,7 +278,8 @@ class LabelView:
         return self.inner
 
     def view_cross(self) -> CrossView:
-        self.cross = CrossView(self.read, self._offsets[1], widths(self.n))
+        variant = SCHEME_NAMES[self.scheme_id]
+        self.cross = CrossView(self.read, self._offsets[1], widths(self.n), variant)
         return self.cross
 
     @property

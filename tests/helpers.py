@@ -336,11 +336,22 @@ def ref_write_graph_file(path: str, g: Digraph) -> None:
                 fh.write(head + f"\n{head}".join([names[v] for v in _iter_bits(row)]) + "\n")
 
 
-def bounds_table(bits: BitString) -> tuple[int, int]:
-    """(bit offset, field width) of a composite label's section bounds."""
+def schedule_at(bits: BitString) -> tuple[int, int, int]:
+    """(bit offset, entry width, entry count m) of a composite label's pair
+    schedule."""
     hdr = LabelHeader.read(bits)
     blob = hdr.offsets[1]
     kf = count_width(hdr.n)
     k = read_fixed(bits, blob, kf)
-    ow = read_fixed(bits, blob + kf, RATE_BITS)
-    return blob + kf + RATE_BITS + 2 * count_width(k), ow
+    cw = count_width(k)
+    removed_iter = read_fixed(bits, blob + kf + RATE_BITS, cw)
+    return blob + kf + RATE_BITS + 2 * cw, kf, min(removed_iter, k - 1)
+
+
+def bounds_table(bits: BitString) -> tuple[int, int]:
+    """(bit offset, field width) of a composite label's section bounds."""
+    hdr = LabelHeader.read(bits)
+    kf = count_width(hdr.n)
+    ow = read_fixed(bits, hdr.offsets[1] + kf, RATE_BITS)
+    at, width, m = schedule_at(bits)
+    return at + m * width, ow

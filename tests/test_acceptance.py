@@ -34,7 +34,7 @@ from reachlabel.bipartite import (
     index_pair,
 )
 from reachlabel.bitio import index_width
-from reachlabel.crosslabel import CLASS_BITS, CLS_UPPER
+from reachlabel.crosslabel import CLS_UPPER, node_class
 from reachlabel.flatten import build_superlayers
 from reachlabel.graph import (
     Digraph,
@@ -217,26 +217,26 @@ def test_criterion_05_flattening_structure():
 
 
 def test_criterion_06_per_iteration_section_sizes():
-    iw_cache = {}
     checked = 0
     for g in mixed_corpus():
         for profile in ("paper", "force"):
             pl, cl = transcript(g, profile, "third")
-            n = cl.n  # the labeled DAG's size: the component count
-            iw = iw_cache.setdefault(n, index_width(n))
             for rec in cl.records:
                 if rec.n_pairs == 0:
                     continue
                 a_prime = rec.n_pairs
                 v_s = len(rec.live)
                 far = rec.far_inst
+                assert (far.a, far.b) == (a_prime, v_s - 2 * a_prime)
                 assert far.alpha == ceil_div(2 * v_s - 3 * a_prime, 6) == (
                     2 * v_s - 3 * a_prime + 5
                 ) // 6
                 assert far.beta == ceil_div(2 * a_prime, 3)
                 near = rec.near_inst
+                assert near.a == near.b == a_prime
                 assert near.alpha == near.beta == ceil_div(a_prime, 2) + 1
-                # exact bit-level sizes: no truncation, no hidden padding
+                # exact bit-level sizes: no truncation, no hidden padding;
+                # a sub-label is its index below a + b and its table
                 fm = set(rec.front_match)
                 sm = set(rec.second_match)
                 n_bic = len(rec.bicliques)
@@ -244,17 +244,15 @@ def test_criterion_06_per_iteration_section_sizes():
                     near_bits = cl.sections[u][2 * (rec.s - 1)]
                     far_bits = cl.sections[u][2 * (rec.s - 1) + 1]
                     if u in fm or u in sm:
-                        assert len(near_bits) == CLASS_BITS + embedded_width(
-                            n, near.alpha
-                        )
-                        assert len(far_bits) == CLASS_BITS + iw + embedded_width(
-                            n, far.alpha
+                        assert len(near_bits) == embedded_width(2 * a_prime, near.alpha)
+                        assert len(far_bits) == index_width(a_prime) + embedded_width(
+                            v_s - a_prime, far.alpha
                         )
                     else:  # flags for upper nodes only
-                        flags = n_bic if rec.cls[u] == CLS_UPPER else 0
-                        assert len(far_bits) == CLASS_BITS + embedded_width(
-                            n, far.beta
-                        ) + flags
+                        upper = node_class(rec.s, cl.entry[u], cl.removed_iter[u]) == CLS_UPPER
+                        assert len(far_bits) == embedded_width(
+                            v_s - a_prime, far.beta
+                        ) + (n_bic if upper else 0)
                     checked += 1
     print(f"criterion 6: exact table sizes on {checked} live node-iterations")
     assert checked > 0
@@ -294,18 +292,19 @@ def test_criterion_08_average_variant_structure():
                 assert rec.far_inst.beta == rec.n_pairs + 1
                 fm = set(rec.front_match) | set(rec.second_match)
                 n_bic = len(rec.bicliques)
-                n = cl.n  # the labeled DAG's size: the component count
+                a_prime = rec.n_pairs
+                v_s = len(rec.live)
                 for u in rec.live:
                     far_bits = cl.sections[u][2 * (rec.s - 1) + 1]
                     if u in fm:
-                        assert len(far_bits) == CLASS_BITS + index_width(
-                            n
-                        ) + embedded_width(n, 0)
+                        assert len(far_bits) == index_width(a_prime) + embedded_width(
+                            v_s - a_prime, 0
+                        )
                     else:  # flags for upper nodes only
-                        flags = n_bic if rec.cls[u] == CLS_UPPER else 0
-                        assert len(far_bits) == CLASS_BITS + embedded_width(
-                            n, rec.n_pairs + 1
-                        ) + flags
+                        upper = node_class(rec.s, cl.entry[u], cl.removed_iter[u]) == CLS_UPPER
+                        assert len(far_bits) == embedded_width(
+                            v_s - a_prime, a_prime + 1
+                        ) + (n_bic if upper else 0)
 
     # oracle equivalence for this scheme runs inside criterion 1's sweep;
     # re-check a small slice here so this test stands alone

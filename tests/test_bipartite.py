@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import decode_bipartite
-from reachlabel.bitio import BitWriter, LabelReader, Widths
+from reachlabel.bitio import BitWriter, LabelReader
 from reachlabel.bipartite import (
     BipartiteInstance,
     BipartiteLabel,
@@ -178,16 +178,22 @@ def test_decode_matches_adjacency(inst):
 @given(instances(), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=120)
 def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
-    limit = inst.a + inst.b + limit_pad % 50 + 1
     labels = encode_bipartite(inst)
+    sizes = (inst.a, inst.b, inst.alpha, inst.beta)
+    limit = inst.a + inst.b
     for lab in labels:
+        # the writer takes any bound on the index; a view reads it at a + b
+        wide = limit + limit_pad % 50
+        w = BitWriter()
+        write_embedded(w, lab, wide)
+        assert len(w.finish()) == embedded_width(wide, lab.table_len)
         w = BitWriter()
         w.write(3, 2)  # non-zero start offset
         write_embedded(w, lab, limit)
         bits = w.finish()
         assert len(bits) == 2 + embedded_width(limit, lab.table_len)
         read = LabelReader(bits)
-        view = EmbeddedView(read, 2, Widths(limit), lab.side)
+        view = EmbeddedView(read, 2, lab.side, sizes)
         assert view.end_offset == len(bits)
         assert (view.index, view.a, view.b, view.alpha, view.beta) == (
             lab.index,
@@ -196,12 +202,16 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
             lab.alpha,
             lab.beta,
         )
-        assert read.words == 1  # the fixed header, in one read
+        assert read.words == 1  # the index, in one read
         for i in range(lab.table_len):
             assert view.bit(i) == lab.bit(i)
         assert read.words == 1 + lab.table_len  # one word per probe
         with pytest.raises(ValueError):
             view.bit(lab.table_len)
+        # an index off the view's side is refused
+        other = "B" if lab.side == "A" else "A"
+        with pytest.raises(ValueError, match="outside side"):
+            EmbeddedView(LabelReader(bits), 2, other, sizes)
 
 
 @given(instances())

@@ -92,8 +92,8 @@ def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     good = labels.read_bytes()
-    # node 3's 165-bit label ends the file: its last byte has 3 padding bits
-    assert int.from_bytes(good[-25:-21], "little") == 165 and good[-1] & 0b111 == 0
+    # node 3's 162-bit label ends the file: its last byte has 6 padding bits
+    assert int.from_bytes(good[-25:-21], "little") == 162 and good[-1] & 0b111111 == 0
     labels.write_bytes(good[:-1] + bytes([good[-1] | 1]))
     assert run(capsys, "query", str(labels), "0", "1")[:2] == (0, "true\n")
     for argv in (("query", str(labels), "3", "0"), ("query", str(labels), "0", "3"),
@@ -103,16 +103,16 @@ def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
         assert "padding bits are not zero" in err and not out
 
 
-def test_version_3_label_file_exits_2(tmp_path, capsys):
+def test_version_4_label_file_exits_2(tmp_path, capsys):
     graph = write_chain(tmp_path, 3)
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     data = bytearray(labels.read_bytes())
-    data[4] = 3  # the version byte
+    data[4] = 4  # the version byte
     labels.write_bytes(bytes(data))
     code, out, err = run(capsys, "query", str(labels), "0", "2")
     assert code == 2
-    assert "unsupported label file version 3" in err and not out
+    assert "unsupported label file version 4" in err and not out
 
 
 def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):

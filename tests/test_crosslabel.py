@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from helpers import is_transitively_closed, mixed_corpus, split_edges
 from reachlabel.bipartite import embedded_width
 from reachlabel.crosslabel import (
-    CLASS_BITS,
+    CLS_FRONT_MATCH,
     CLS_FRONT_REST,
+    CLS_SECOND_MATCH,
     CLS_SECOND_REST,
     CLS_UPPER,
     RATE_BITS,
@@ -20,6 +21,7 @@ from reachlabel.crosslabel import (
     build_cross_labeling,
     CrossView,
     decode_cross,
+    node_class,
     peel_cross,
 )
 from reachlabel.bitio import LabelReader, Widths, count_width
@@ -66,8 +68,8 @@ def test_complete_bipartite_two_groups_frozen():
     assert rec.n_pairs == 1
     assert rec.front_match == (0,)
     assert rec.second_match == (2,)
-    assert [u for u in rec.live if rec.cls[u] == CLS_FRONT_REST] == [1]
-    assert [v for v in rec.live if rec.cls[v] == CLS_SECOND_REST] == [3]
+    cls = [node_class(1, peel.entry[u], peel.removed_iter[u]) for u in range(4)]
+    assert cls == [CLS_FRONT_MATCH, CLS_FRONT_REST, CLS_SECOND_MATCH, CLS_SECOND_REST]
     # one extraction consumes the whole cross edge set
     near, far = edges_of(rec.near_rows), edges_of(rec.far_rows)
     assert near | far == {(0, 2), (0, 3), (1, 2), (1, 3)}
@@ -160,7 +162,7 @@ def test_blob_decode_matches_cross_membership(case, variant):
     parsed = []
     for u in range(n):
         blob = assemble_cross(cl, u)
-        pc = CrossView(LabelReader(blob), 0, Widths(n))
+        pc = CrossView(LabelReader(blob), 0, Widths(n), variant)
         assert pc.check() == len(blob)
         assert pc.k == cl.k
         assert pc.entry == cl.entry[u]
@@ -188,25 +190,100 @@ def test_blobs_hold_only_the_sections_a_query_reads():
                 for u in range(n):
                     m = min(cl.removed_iter[u], k - 1)
                     assert len(cl.sections[u]) == 2 * m
-                    # the bounds table has 2m+1 entries
-                    head = count_width(n) + RATE_BITS + 2 * count_width(k)
+                    # m schedule entries, and a bounds table of 2m+1 entries
+                    head = count_width(n) + RATE_BITS + 2 * count_width(k) + m * count_width(n)
                     payload = sum(len(sec) for sec in cl.sections[u])
                     ow = count_width(payload)
                     assert len(assemble_cross(cl, u)) == head + (2 * m + 1) * ow + payload
                 for rec in cl.records:
+                    for v in rec.live:
+                        if node_class(rec.s, cl.entry[v], cl.removed_iter[v]) == CLS_UPPER:
+                            assert len(cl.sections[v][2 * rec.s - 2]) == 0
                     if not rec.n_pairs:
                         continue
-                    bare = CLASS_BITS + embedded_width(n, rec.far_inst.beta)
+                    fi = rec.far_inst
+                    bare = embedded_width(fi.a + fi.b, fi.beta)
                     for v in rec.outside:
                         far = cl.sections[v][2 * rec.s - 1]
-                        flags = len(rec.bicliques) if rec.cls[v] == CLS_UPPER else 0
+                        cls = node_class(rec.s, cl.entry[v], cl.removed_iter[v])
+                        flags = len(rec.bicliques) if cls == CLS_UPPER else 0
                         assert len(far) == bare + flags
                         outside_secs += 1
     assert outside_secs > 0
 
 
+def test_class_rule_matches_the_peeling():
+    """``node_class``, from a node's entry group and retirement alone, gives
+    the class the peeling assigns at every live (node, iteration). The
+    peeling's front is group 1 and then whatever the last front and second
+    group left unmatched, its second group is group s+1, every later group
+    is upper, and a front or second node is matched when the iteration pairs
+    it."""
+    checked = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        inv = pl.layered.inv_topo
+        groups = [set(inv[grp.beg : grp.end]) for grp in pl.slayer.groups]
+        for profile in ("paper", "force"):
+            peel = pl.peel(profile)
+            front = groups[0]
+            for rec in peel.records:
+                s = rec.s
+                second = groups[s]
+                upper = set().union(*groups[s + 1 :])
+                assert set(rec.live) == front | second | upper
+                matched = set(rec.front_match) | set(rec.second_match)
+                assert set(rec.front_match) <= front and set(rec.second_match) <= second
+                for u in rec.live:
+                    if u in upper:
+                        want = CLS_UPPER
+                    elif u in second:
+                        want = CLS_SECOND_MATCH if u in matched else CLS_SECOND_REST
+                    else:
+                        want = CLS_FRONT_MATCH if u in matched else CLS_FRONT_REST
+                    assert node_class(s, peel.entry[u], peel.removed_iter[u]) == want, (u, s)
+                    checked += 1
+                front = (front | second) - matched
+    assert checked > 0
+
+
+def test_schedule_gives_the_encoders_instance_sizes():
+    """For every section of the corpus under both variants, the (a, b,
+    alpha, beta) that a checked blob view derives from its pair schedule are
+    those of the encoder's near and far instances, and a far section is
+    empty exactly when its iteration matched no pair."""
+
+    def sizes(x):
+        return x.a, x.b, x.alpha, x.beta
+
+    checked = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        for profile in ("paper", "force"):
+            for variant in ("third", "average"):
+                cl = pl.cross_labeling(profile, variant)
+                wd = Widths(cl.n)
+                views = []
+                for u in range(cl.n):
+                    blob = assemble_cross(cl, u)
+                    cv = CrossView(LabelReader(blob), 0, wd, variant)
+                    assert cv.check() == len(blob)
+                    views.append(cv)
+                for rec in cl.records:
+                    for u in rec.live:
+                        it = views[u].iteration(rec.s)
+                        if u in rec.front_match or u in rec.second_match:
+                            assert sizes(it.near()) == sizes(rec.near_inst)
+                            assert it.bic() < len(rec.bicliques)
+                        assert it.is_empty == (rec.n_pairs == 0)
+                        if rec.n_pairs:
+                            assert sizes(it.far()) == sizes(rec.far_inst)
+                        checked += 1
+    assert checked > 0
+
+
 @dataclass
-class _StubSection:
+class _StubIteration:
     inf: int = CLS_UPPER
     is_empty: bool = True
 
@@ -219,13 +296,9 @@ class _StubLabel:
         self.removed_iter = removed_iter
         self._log = log
 
-    def sec_near(self, s):
+    def iteration(self, s):
         self._log.append(s)
-        return _StubSection()
-
-    def sec_far(self, s):
-        self._log.append(s)
-        return _StubSection()
+        return _StubIteration()
 
 
 @pytest.mark.parametrize(
@@ -241,8 +314,8 @@ def test_answering_iteration_choice(entry_u, entry_v, removed_u, expect_s):
     lu = _StubLabel(entry_u, removed_u, log)
     lv = _StubLabel(entry_v, 9, log)
     assert decode_cross(lu, lv, 0, 1) is False
-    # both labels fetch their near and far sections of the same iteration
-    assert log == [expect_s] * 4
+    # both labels fetch their sections of the same iteration
+    assert log == [expect_s] * 2
 
 
 def test_wrong_direction_answers_false_without_probing():

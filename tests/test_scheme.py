@@ -10,7 +10,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from helpers import bounds_table
+from helpers import bounds_table, schedule_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from reachlabel.bitio import (
 )
 from reachlabel.cli import main
 from reachlabel import crosslabel
-from reachlabel.crosslabel import CLASS_BITS, CLS_FRONT_REST, CLS_UPPER
+from reachlabel.crosslabel import CLS_FRONT_MATCH, CLS_FRONT_REST, CLS_UPPER, node_class
 from reachlabel.graph import Digraph, reach_rows
 from reachlabel.oracle import GenSpec, flip_bit, generate
 from reachlabel.scheme import (
@@ -227,28 +227,30 @@ def test_pipeline_shares_one_peeling_per_profile():
 
 # Label file digests of three seeded graphs. The encoder promises identical
 # bytes across refactors; a deliberate format change updates these pins.
-# Last re-pinned at version 4, when blobs dropped the sections after a node
+# Re-pinned at version 4, when blobs dropped the sections after a node
 # retires and the flags of rest classes, and tables came to be written as
 # their ints (bit i at field position width-1-i), which also reorders the
-# warm-up dag's window bits.
+# warm-up dag's window bits. Last re-pinned at version 5, when blobs traded
+# section class codes and sub-label headers for a pair schedule (the
+# warm-up dag's labels are unchanged; its file's version byte is not).
 PINNED_DIGESTS = [
     (
         GenSpec("dag", 60, 0.1, 3),
         "warmup",
         "paper",
-        "9b3a9ab8728946438745b3701fa2d37bc7c225f2af943850308622daabef58d0",
+        "6a58b159fcab104caf6b3dd9ea0900482b4e8460bec5ae2e9083d3df7e4f7687",
     ),
     (
         GenSpec("digraph", 80, 0.03, 5),  # 31 components, the largest of 50
         "third",
         "paper",
-        "7fb73e22ba40433fb068cae8481b6116902a335e2ab1e29f373742f733abf8a8",
+        "33962877c67889c99450958cd5508b1ae0b79777c5c979b435dddf60e96fce0f",
     ),
     (
         GenSpec("poset", 70, 0.5, 7),
         "average",
         "force",
-        "dffdd6de1f9fe9f9e089193cd67f6c29569c481f2bcd2c7717364b4ac570271e",
+        "5cef0b3efb56244dbea6fd9b10f9fa3e5aed6079c9587db2ec3d9439e1e032b9",
     ),
 ]
 
@@ -282,7 +284,7 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "pinned.rlbl"
     write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "ccd9f423c21b6b95107e33c55597e3a491d24c9230e26531f20718e7e111f370"
+        "9223a721e23d9ae48718fa425014cabad85c92eef346e03cb5abbd01cf36695f"
     )
 
 
@@ -291,8 +293,11 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
 # Criterion 9 bounds only the largest count; these totals catch any drift in
 # what a query reads or in how the reads are counted. The digraph and poset
 # totals were re-pinned when rest sets became sorted key arrays, probed by
-# binary search at one word per step.
-PINNED_WORDS = [16170, 75857, 81028]
+# binary search at one word per step, and again at version 5, when a query
+# came to read an iteration's three bounds and its schedule entries, not two
+# bounds and a class per section, and a sub-label's index, not its header
+# (digraph 75857 -> 74549, poset 81028 -> 73956).
+PINNED_WORDS = [16170, 74549, 73956]
 
 
 @pytest.mark.parametrize(
@@ -343,8 +348,10 @@ def poset_labels():
 
 
 def near_one_bit_short() -> BitString:
-    # bound 1 ends node 0's first near section and starts its first far one
-    return shifted_bound(poset_labels().labels[0], 1, -1)
+    # bound 2r-1 ends node 0's near section of iteration r, where r retires
+    # it, and starts its far one; the near section holds a sub-label
+    ls = poset_labels()
+    return shifted_bound(ls.labels[0], 2 * ls.cross.removed_iter[0] - 1, -1)
 
 
 def matched_far_too_short() -> BitString:
@@ -370,13 +377,19 @@ def bounds_decrease() -> BitString:
     return with_field(bits, tab + ow, ow, read_fixed(bits, tab + 2 * ow, ow) + 1)
 
 
+def poset_class(u: int, s: int) -> int:
+    """Node u's class at iteration s in the pinned poset."""
+    cl = poset_labels().cross
+    return node_class(s, cl.entry[u], cl.removed_iter[u])
+
+
 def far_flags_overrun() -> BitString:
     # an upper node's far section ends one bit before its sub-label does,
     # so its flags would run past the section's bound
     ls = poset_labels()
     rec = next(r for r in ls.cross.records
-               if r.bicliques and any(r.cls[u] == CLS_UPPER for u in r.outside))
-    u = next(u for u in rec.outside if rec.cls[u] == CLS_UPPER)
+               if r.bicliques and any(poset_class(u, r.s) == CLS_UPPER for u in r.outside))
+    u = next(u for u in rec.outside if poset_class(u, rec.s) == CLS_UPPER)
     return shifted_bound(ls.labels[u], 2 * rec.s, -(len(rec.bicliques) + 1))
 
 
@@ -421,21 +434,75 @@ def poset_node(cls: int, *, bicliques=False) -> tuple[int, int]:
     ls = poset_labels()
     return next((u, rec.s) for rec in ls.cross.records if rec.bicliques or not bicliques
                 for u in rec.live
-                if rec.cls[u] == cls and len(ls.labels[u]) <= len(ls.labels[0]))
+                if poset_class(u, rec.s) == cls and len(ls.labels[u]) <= len(ls.labels[0]))
 
 
-def undefined_class(code: int) -> BitString:
-    # an upper node's near class set to a code no class has
+def short_poset_node(keep) -> int:
+    """The first poset node whose label is no longer than node 0's and for
+    which ``keep(removed_iter, m)`` holds, m its count of iterations."""
     ls = poset_labels()
-    u, s = poset_node(CLS_UPPER)
-    return with_field(ls.labels[u], section_start(ls, u, 2 * s - 2), CLASS_BITS, code)
+    cl = ls.cross
+    return next(u for u in range(ls.n) if len(ls.labels[u]) <= len(ls.labels[0])
+                and keep(cl.removed_iter[u], min(cl.removed_iter[u], cl.k - 1)))
 
 
-def far_class_differs() -> BitString:
-    # an upper node's far section (sub-label and flags) marked front rest
+def short_poset_m(u: int) -> int:
+    """Node u's count of iterations, min(removed_iter, k-1)."""
+    cl = poset_labels().cross
+    return min(cl.removed_iter[u], cl.k - 1)
+
+
+def with_schedule(u: int, entries: dict[int, int]) -> BitString:
+    """Node u's poset label with schedule entry P_s set to ``entries[s]``."""
+    bits = poset_labels().labels[u]
+    at, width, _ = schedule_at(bits)
+    for s, value in entries.items():
+        bits = with_field(bits, at + (s - 1) * width, width, value)
+    return bits
+
+
+def pairs_upto(s: int) -> int:
+    """P_s of the pinned poset: the pairs matched in iterations 1..s."""
+    return sum(rec.n_pairs for rec in poset_labels().cross.records[:s])
+
+
+def schedule_decreases() -> BitString:
+    # P_2 one below P_1, so iteration 2 would have matched -1 pairs
+    u = short_poset_node(lambda r, m: m >= 2)
+    assert pairs_upto(1) > 0
+    return with_schedule(u, {2: pairs_upto(1) - 1})
+
+
+def schedule_over_half() -> BitString:
+    # P_m = n/2 + 1: more nodes paired than there are
+    n = poset_labels().cross.n
+    u = short_poset_node(lambda r, m: m >= 1)
+    return with_schedule(u, {short_poset_m(u): n // 2 + 1})
+
+
+def far_b_negative() -> BitString:
+    # every entry from P_1 on raised to n/2 + 1 on a node live past
+    # iteration 1: the far instance of iteration 1 gets a right side of -2
+    n = poset_labels().cross.n
+    u = short_poset_node(lambda r, m: r > 1 and m >= 2)
+    return with_schedule(u, dict.fromkeys(range(1, short_poset_m(u) + 1), n // 2 + 1))
+
+
+def no_pairs_at_retirement() -> BitString:
+    # P_r = P_{r-1} for a node matched at iteration r >= 2: its near
+    # sub-label then has no side its index could lie on
+    u = short_poset_node(lambda r, m: r == m >= 2)
+    r = short_poset_m(u)
+    return with_schedule(u, {r: pairs_upto(r - 1)})
+
+
+def index_outside_side() -> BitString:
+    # a matched front node's near sub-label index set to a, the first index
+    # of the B side
     ls = poset_labels()
-    u, s = poset_node(CLS_UPPER, bicliques=True)
-    return with_field(ls.labels[u], section_start(ls, u, 2 * s - 1), CLASS_BITS, CLS_FRONT_REST)
+    u, s = poset_node(CLS_FRONT_MATCH)
+    p = ls.cross.records[s - 1].n_pairs
+    return with_field(ls.labels[u], section_start(ls, u, 2 * s - 2), index_width(2 * p), p)
 
 
 def retired_before_entry() -> BitString:
@@ -446,7 +513,7 @@ def retired_before_entry() -> BitString:
              if ls.cross.entry[u] >= 3 and len(ls.labels[u]) <= len(ls.labels[0]))
     bits = ls.labels[u]
     cwk = count_width(ls.cross.k)
-    return with_field(bits, bounds_table(bits)[0] - 2 * cwk, cwk, 1)
+    return with_field(bits, schedule_at(bits)[0] - 2 * cwk, cwk, 1)
 
 
 def rest_far_overlong() -> BitString:
@@ -461,7 +528,7 @@ def set_key_outside() -> BitString:
     ls = poset_labels()
     u, s = poset_node(CLS_FRONT_REST)
     n = ls.cross.n
-    at = section_start(ls, u, 2 * s - 2) + CLASS_BITS + count_width(n)
+    at = section_start(ls, u, 2 * s - 2) + count_width(n)
     return with_field(ls.labels[u], at, index_width(n), (1 << index_width(n)) - 1)
 
 
@@ -485,17 +552,19 @@ def warm_index() -> BitString:
         (far_flags_overrun, "far section length mismatch"),
         (leading_fencepost, "does not start at 0"),
         (warm_index, "warm-up index"),
-        (functools.partial(undefined_class, 0), "undefined class 0"),
-        (functools.partial(undefined_class, 6), "undefined class 6"),
-        (functools.partial(undefined_class, 7), "undefined class 7"),
-        (far_class_differs, "far class 3 differs from near class 5"),
+        (schedule_decreases, "pair schedule decreases or pairs more than n nodes"),
+        (schedule_over_half, "pair schedule decreases or pairs more than n nodes"),
+        (far_b_negative, "pair schedule decreases or pairs more than n nodes"),
+        (no_pairs_at_retirement, r"sub-label index \d+ outside side [AB] \(a=0, b=0\)"),
+        (index_outside_side, r"sub-label index \d+ outside side A"),
         (retired_before_entry, "entry or retirement outside"),
         (rest_far_overlong, "far section length mismatch"),
         (set_key_outside, "set keys do not ascend below 70"),
     ],
     ids=["near-short", "matched-far-length", "intra-offset", "blob-overrun",
          "bounds-decrease", "far-flags-overrun", "leading-fencepost", "warm-index",
-         "class-0", "class-6", "class-7", "far-class-differs", "retired-before-entry",
+         "schedule-decreases", "schedule-over-half", "far-b-negative",
+         "no-pairs-at-retirement", "index-outside-side", "retired-before-entry",
          "rest-far-overlong", "set-key-outside"],
 )
 def test_parse_rejects_corrupt_layout(corrupt, message):
@@ -506,6 +575,29 @@ def test_parse_rejects_corrupt_layout(corrupt, message):
         parse_label(bits)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [schedule_decreases, schedule_over_half, far_b_negative, no_pairs_at_retirement,
+     index_outside_side],
+    ids=["schedule-decreases", "schedule-over-half", "far-b-negative",
+         "no-pairs-at-retirement", "index-outside-side"],
+)
+def test_lazy_queries_refuse_hostile_schedules(corrupt):
+    """A lazy query builds only the views it reads, so it meets a hostile
+    schedule or index only at the iteration it asks about. There it raises
+    ValueError, never ZeroDivisionError or IndexError, and some query of
+    the corrupt label against the others does ask."""
+    bad = corrupt()
+    refused = 0
+    for other in dict.fromkeys(poset_labels().labels):
+        for pair in ((bad, other), (other, bad)):
+            try:
+                assert query_lazy(*pair)[0] in (True, False)
+            except ValueError:
+                refused += 1
+    assert refused > 0
+
+
 def test_descending_set_keys_are_rejected():
     """Node 5 of this sparse DAG keeps 27 rest neighbors at iteration 4, the
     first two keys 15 and 16. Flipping the first key's top bit (15 -> 143)
@@ -514,11 +606,11 @@ def test_descending_set_keys_are_rejected():
     ls = encode(generate(GenSpec("dag", 200, 0.04, 5)), "third", "paper")
     assert ls.cross.removed_iter[5] > 4 and ls.n == 200  # acyclic: node ids are component ids
     bits = ls.labels[5]
-    at = section_start(ls, 5, 6) + CLASS_BITS + count_width(200)  # near^4's first key
+    at = section_start(ls, 5, 6) + count_width(200)  # near^4's first key
     assert read_fixed(bits, at, 16) == 15 << 8 | 16
     bad = flip_bit(bits, at)
-    assert LabelView(bits).view_cross().sec_near(4).keys().contains(16)
-    assert not LabelView(bad).view_cross().sec_near(4).keys().contains(16)
+    assert LabelView(bits).view_cross().iteration(4).keys().contains(16)
+    assert not LabelView(bad).view_cross().iteration(4).keys().contains(16)
     with pytest.raises(ValueError, match="set keys do not ascend below 200"):
         parse_label(bad)
 
@@ -537,11 +629,15 @@ def test_descending_set_keys_are_rejected():
 # began to reject undefined or mismatched classes, retirement before entry,
 # rest far sections longer than their sub-label and set keys that do not
 # ascend below the bound (digraph: 3332 of 20044 copies accepted before,
-# 1257 after; poset: 14984 of 66656 before, 13645 of 60404 after).
+# 1257 after; poset: 14984 of 66656 before, 13645 of 60404 after). Both were
+# re-pinned at version 5: the labels lost their class codes and sub-label
+# headers, and the walk derives classes and instance sizes instead of
+# checking stored ones, refusing negative sizes and sub-label indices off
+# their side (digraph: 1179 of 19652 copies accepted; poset: 6139 of 42398).
 PINNED_VERDICTS = [
     (8236, "361b722f99c40aff1f7bb6077bae6fa7a52d7992ff2d5df0235075144f3c3682"),
-    (18787, "bb2a4f06c6b119ed4b90cf371bd59b27843d21134362068a4b9c9fa18a883057"),
-    (46759, "bfe1079d17a4a36ccdb2ec2922ce06b563f84eeb84b105936f856d28fe25f72d"),
+    (18473, "95869b912e8b4b9ff0c866d8bf83fc7c0d51dae0444ea9aa0d0758882d9aa265"),
+    (36259, "a1d99d514509791a104be475955cf248a112a039424ff5733e879431f6ecfad5"),
 ]
 
 
@@ -587,8 +683,8 @@ def fuzz_labels(scheme: str) -> tuple[BitString, ...]:
     st.integers(min_value=0, max_value=10**6),
 )
 @example("third", 1, 0, False, "flip", 46)  # section offset count 2 -> 0
-@example("third", 15, 2, True, "flip", 238)  # embedded a field 4 -> 0
-@example("average", 15, 2, True, "flip", 245)  # embedded b field 4 -> 0
+@example("third", 15, 2, True, "flip", 158)  # schedule entry P_2 9 -> 25, over n/2
+@example("average", 15, 2, True, "flip", 159)  # schedule entry P_2 9 -> 1, below P_1
 @settings(max_examples=400, deadline=None)
 def test_corrupted_label_answers_or_raises_value_error(scheme, u, v, first, mode, at):
     labels = fuzz_labels(scheme)
