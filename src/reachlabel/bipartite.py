@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, TableView, index_width
+from .bitio import BitWriter, index_width
 from .graph import cyclic_window, transpose
 
 
@@ -98,21 +98,25 @@ def encode_bipartite(inst: BipartiteInstance) -> list[BipartiteLabel]:
     return labels
 
 
-def probe_pair(la, lb) -> bool:
-    """Adjacency probe with la known to be A-side and lb B-side.
-
-    Works on any objects exposing .index/.a/.b/.alpha/.beta/.bit(i); used
-    both standalone and by the composite scheme's section views.
-    """
-    a, b, alpha, beta = la.a, la.b, la.alpha, la.beta
+def pair_window(i_a: int, i_b: int, sizes: tuple[int, int, int, int]) -> int:
+    """Where pair (i_a, i_b) of an instance of ``sizes`` (a, b, alpha, beta)
+    is stored, i_b counted from a: i >= 0 for bit i of the A node's window,
+    or ~j < 0 for bit j of the B node's."""
+    a, b, alpha, beta = sizes
     if a < 1 or b < 1:
         raise ValueError(f"empty side in pair probe: a={a}, b={b}")
-    i, j = index_pair(la.index, lb.index - a, a, b)
+    i, j = index_pair(i_a, i_b - a, a, b)
     if i < alpha:
-        return bool(la.bit(i))
+        return i
     if j >= beta:
         raise ValueError("pair covered by neither window; budget was violated")
-    return bool(lb.bit(j))
+    return ~j
+
+
+def probe_pair(la: BipartiteLabel, lb: BipartiteLabel) -> bool:
+    """Adjacency probe with la known to be A-side and lb B-side."""
+    i = pair_window(la.index, lb.index, (la.a, la.b, la.alpha, la.beta))
+    return bool(la.bit(i) if i >= 0 else lb.bit(~i))
 
 
 # -- embedded serialization ------------------------------------------------
@@ -136,22 +140,16 @@ def write_embedded(w: BitWriter, lab: BipartiteLabel, limit: int) -> None:
     w.write(lab.table, lab.table_len)
 
 
-class EmbeddedView(TableView):
-    """Decode view of one embedded sub-label, with the probe surface of
-    BipartiteLabel. ``sizes`` is the instance's (a, b, alpha, beta), which
-    the enclosing label derives; the index costs one counted read and must
-    lie on ``side``, else ValueError."""
-
-    __slots__ = ("index", "a", "b", "alpha", "beta", "end_offset")
-
-    def __init__(self, read, offset: int, side: str, sizes: tuple[int, int, int, int]):
-        a, b, alpha, beta = sizes
-        iw = index_width(a + b)
-        index = read(offset, iw)
-        if not (index < a if side == "A" else a <= index < a + b):
-            raise ValueError(f"sub-label index {index} outside side {side} (a={a}, b={b})")
-        self.index = index
-        self.a, self.b, self.alpha, self.beta = sizes
-        width = alpha if side == "A" else beta
-        super().__init__(read, offset + iw, width)
-        self.end_offset = offset + iw + width
+def read_embedded(read, offset: int, iw: int, side: str,
+                  sizes: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """(index, end offset, table) of the sub-label at ``offset`` of a label
+    read through ``read``, whose instance has ``sizes`` (a, b, alpha, beta)
+    and whose index is ``iw`` = index_width(a + b) bits wide. The index costs
+    one counted read and must lie on ``side``, else ValueError; the table is
+    taken from the label as one int, uncounted, as a TableView takes it."""
+    a, b, alpha, beta = sizes
+    index = read(offset, iw)
+    if not (index < a if side == "A" else a <= index < a + b):
+        raise ValueError(f"sub-label index {index} outside side {side} (a={a}, b={b})")
+    width = alpha if side == "A" else beta
+    return index, offset + iw + width, read.peek(offset + iw, width)

@@ -157,8 +157,8 @@ class LabelReader:
 
     ``read(offset, width)`` takes a field by shift and mask and counts the
     64-bit words a pointer-based decoder would fetch for it, at least one
-    per read; ``fields`` takes one field at each of several offsets, counted
-    the same way. ``peek`` takes a field without counting, for a TableView.
+    per read. ``peek`` takes a field without counting, for a table;
+    ``table_bit`` probes one bit of such a table, charged one word.
     """
 
     __slots__ = ("value", "length", "words")
@@ -175,16 +175,13 @@ class LabelReader:
             raise _overrun(offset, width, self.length)
         return self.value >> (self.length - end) & (1 << width) - 1
 
-    def fields(self, offsets: list[int], width: int) -> list[int]:
-        """The ``width``-bit field at each of ``offsets``, counted as one
-        read per field."""
-        self.words += len(offsets) * ((width + 63) >> 6 or 1)
-        top = self.length - width
-        if offsets and (min(offsets) < 0 or max(offsets) > top):
-            bad = next((o for o in offsets if not 0 <= o <= top), offsets[0])
-            raise _overrun(bad, width, self.length)
-        value, mask = self.value, (1 << width) - 1
-        return [value >> top - o & mask for o in offsets]
+    def table_bit(self, table: int, width: int, i: int) -> int:
+        """Bit i of a ``width``-bit table of this label, taken as one int
+        (see TableView), charged one word."""
+        self.words += 1
+        if not 0 <= i < width:
+            raise ValueError(f"table probe {i} out of range {width}")
+        return table >> i & 1
 
     peek = read_fixed  # a reader has the value and length a BitString has
 

@@ -51,19 +51,20 @@ a cumulative schedule:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .bipartite import (
     BipartiteInstance,
-    EmbeddedView,
     encode_bipartite,
-    probe_pair,
+    pair_window,
+    read_embedded,
     write_embedded,
 )
 from .biclique import build_n_rest, find_bicliques, get_profile
-from .bitio import BitString, BitWriter, TableView, Widths, count_width, index_width
-from .dictionary import SetView, build_set
+from .bitio import BitString, BitWriter, Widths, count_width, index_width
+from .dictionary import build_set, check_set, read_set, set_contains
 from .graph import LayeredDag, _iter_bits, _mask_of, gatherer, transpose
 
 # Node classes within one iteration; no label stores them (``node_class``).
@@ -457,99 +458,95 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
     return w.finish()
 
 
-# -- decode views ----------------------------------------------------------
+# -- decode records ----------------------------------------------------------
 #
-# One family of views serves both decode surfaces. A node's two sections of
-# iteration s share one view, built from their bounds, the schedule entries
-# and the node's class; it reads its fields, and builds its sub-label or set
-# views, on first use, so a single query pays only for the words it touches.
-# ``CrossView.check`` builds and checks every view once, and bulk queries
-# answer from them.
+# One record type serves both decode surfaces: an ``IterationView`` keeps a
+# node's two sections of iteration s as offsets, indices and table ints.
+# ``CrossView.check`` fills every record it walks, building no object for a
+# sub-label, a set or flags, and bulk queries answer from those fields; a
+# record built for a single query reads each field group on first use, so
+# the query pays only for the words it touches.
+
+
+@functools.lru_cache(maxsize=256)
+def section_layout(kind: str, p: int, live: int) -> tuple[tuple[int, int, int, int], int, int]:
+    """``instance_sizes(kind, p, live)``, the width of a sub-label index
+    into that instance and the width of a biclique number, computed once per
+    iteration shape: the labels of one encoding share their schedule."""
+    sizes = instance_sizes(kind, p, live)
+    return sizes, index_width(sizes[0] + sizes[1]), index_width(p)
 
 
 class IterationView:
     """A node's near and far sections of iteration s, which matched ``p``
-    pairs among ``live`` nodes. The near section (start..mid) holds a matched
-    node's sub-label, a rest node's neighbor set, or nothing for an upper
-    node. The far section (mid..end) holds a biclique number and pair
-    sub-label, or a right sub-label and, for an upper node, flags; it is
-    empty when p is 0."""
+    pairs among ``live`` nodes, at label offsets start..mid..end.
 
-    __slots__ = ("_read", "_wd", "_variant", "inf", "_p", "_live", "_start", "_mid", "_end",
-                 "is_empty", "_near", "_keys", "_bic", "_far", "_flags")
+    ``near`` keeps a matched node's sub-label as (index, end offset,
+    instance sizes, table) or a rest node's set as (size, end offset, keys);
+    an upper node's near section is empty. ``far`` keeps the far sub-label
+    the same way, after a matched node's biclique number ``bic``, plus an
+    upper node's flags, which take the rest of the section; it is empty when
+    p is 0. Tables, keys and flags are ints taken from the label uncounted,
+    and each probe of them is charged one word. The check walk fills
+    ``near`` and ``far``; a record built for one query leaves them None, and
+    the decoder reads them, like ``bic`` on any record, on first use
+    (``read_near``, ``read_far``, ``read_bic``).
+    """
+
+    __slots__ = ("read", "wd", "variant", "inf", "p", "live", "start", "mid", "end", "is_empty",
+                 "near", "far", "bic")
 
     def __init__(self, cv: CrossView, s: int, before: int, upto: int,
                  start: int, mid: int, end: int):
-        self._read, self._wd, self._variant = cv.read, cv.wd, cv.variant
+        self.read, self.wd, self.variant = cv.read, cv.wd, cv.variant
         self.inf = node_class(s, cv.entry, cv.removed_iter)
-        self._p = upto - before  # P_s - P_{s-1}
-        self._live = cv.wd.n - 2 * before
-        self._start, self._mid, self._end = start, mid, end
-        self.is_empty = self._p == 0
-        self._near = self._keys = self._bic = self._far = self._flags = None
+        self.p = upto - before  # P_s - P_{s-1}
+        self.live = cv.wd.n - 2 * before
+        self.start, self.mid, self.end = start, mid, end
+        self.is_empty = self.p == 0
+        self.near = self.far = self.bic = None
 
-    def near(self) -> EmbeddedView:
-        if self._near is None:
+    def read_near(self) -> tuple:
+        """Read a matched node's near sub-label index or a rest node's set
+        size, and keep it in ``near``."""
+        if self.inf in MATCHED:
+            sizes, iw, _ = section_layout("near", self.p, 0)
             side = "A" if self.inf == CLS_FRONT_MATCH else "B"
-            sizes = instance_sizes("near", self._p, 0)
-            self._near = EmbeddedView(self._read, self._start, side, sizes)
-        return self._near
+            index, end, table = read_embedded(self.read, self.start, iw, side, sizes)
+            self.near = (index, end, sizes, table)
+        else:
+            self.near = read_set(self.read, self.start, self.wd)
+        return self.near
 
-    def keys(self) -> SetView:
-        if self._keys is None:
-            self._keys = SetView(self._read, self._start, self._wd)
-        return self._keys
-
-    def bic(self) -> int:
-        if self._bic is None:
-            self._bic = self._read(self._mid, index_width(self._p))
-        return self._bic
-
-    def far(self) -> EmbeddedView:
-        if self._far is None:
-            sizes = instance_sizes(self._variant, self._p, self._live)
-            if self.inf in MATCHED:
-                start = self._mid + index_width(self._p)
-                self._far = EmbeddedView(self._read, start, "A", sizes)
-            else:
-                self._far = EmbeddedView(self._read, self._mid, "B", sizes)
-        return self._far
-
-    def flags(self) -> TableView:
-        """The flags: every bit between the far sub-label and the section end."""
-        if self._flags is None:
-            start = self.far().end_offset
-            if start > self._end:
+    def read_far(self) -> tuple:
+        """Read the far sub-label's index, after a matched node's biclique
+        number, and keep it in ``far``; an upper node's flags must take the
+        rest of the section."""
+        sizes, iw, bw = section_layout(self.variant, self.p, self.live)
+        if self.inf in MATCHED:
+            index, end, table = read_embedded(self.read, self.mid + bw, iw, "A", sizes)
+        else:
+            index, end, table = read_embedded(self.read, self.mid, iw, "B", sizes)
+        self.far = (index, end, sizes, table)
+        if self.inf == CLS_UPPER:
+            if end > self.end:
                 raise ValueError("far section length mismatch")
-            self._flags = TableView(self._read, start, self._end - start)
-        return self._flags
+            self.far += (self.read.peek(end, self.end - end),)  # the flags
+        return self.far
+
+    def read_bic(self) -> int:
+        self.bic = self.read(self.mid, index_width(self.p))
+        return self.bic
+
+    def contains(self, x: int) -> bool:
+        """Whether a rest node's neighbor set holds position ``x``."""
+        m, _, keys = self.near or self.read_near()
+        return set_contains(self.read, m, keys, self.wd, x)
 
     def via_second(self, i: int) -> int:
-        return (self._flags or self.flags()).bit(i)
-
-    def check(self) -> None:
-        """Raise ValueError unless each section's content ends exactly at
-        its bound: a sub-label or checked set view ends at its
-        ``end_offset``, an upper node's near section is empty, and only its
-        far section has flags, which take the rest of it."""
-        start, mid, end, inf = self._start, self._mid, self._end, self.inf
-        if inf in MATCHED:
-            got = self.near().end_offset
-        elif inf == CLS_UPPER:
-            got = start
-        else:
-            got = self.keys().check()
-        if got != mid:
-            raise ValueError(f"near section length {mid - start}, parsed {got - start}")
-        if self.is_empty:
-            got = mid
-        elif inf == CLS_UPPER:
-            self.flags()  # the flags take the rest of the section
-            got = end
-        else:
-            got = self.far().end_offset
-        if got != end:
-            raise ValueError("far section length mismatch")
+        """An upper node's flag of biclique i."""
+        far = self.far or self.read_far()
+        return self.read.table_bit(far[4], self.end - far[1], i)
 
 
 class CrossView:
@@ -558,8 +555,8 @@ class CrossView:
 
     The blob holds ``m`` = min(removed_iter, k-1) iterations of sections.
     Each ``iteration`` call reads that iteration's schedule entries and
-    bounds and builds a fresh view until ``check`` has walked them all; from
-    then on the walked views answer.
+    bounds and builds a fresh record until ``check`` has walked them all;
+    from then on the walked records answer.
     """
 
     __slots__ = ("read", "wd", "variant", "k", "_ow", "removed_iter", "entry", "m",
@@ -598,23 +595,29 @@ class CrossView:
 
     def check(self) -> int:
         """Walk every section, raising ValueError unless its content exactly
-        fills its bounds (``IterationView.check``), and keep the views;
-        returns the bit offset where the blob ends.
+        fills its bounds, and keep one filled record per iteration; returns
+        the bit offset where the blob ends.
 
         The schedule and the bounds table take one read each. The schedule
         must not decrease or pair more than the n nodes, and the table's
         leading fencepost must be 0, so no bit lies between the table and
         the first section. A node cannot retire before the iteration ahead
         of its entry group, so the table holds every section a query can
-        ask for. The views keep their sub-labels, sets and flags for the
-        queries to come.
+        ask for. Each iteration's record then reads its sections
+        (``read_near``, ``read_far``), which gives where each one's content
+        ends by arithmetic from the node's class and the memoised
+        ``section_layout``, and the walk checks those ends against the
+        bounds: a sub-label, whose index must lie on its side, ends where its
+        table does, a set, whose keys must ascend, where its last key does,
+        an upper node's near section at once, and only its far section has
+        flags, which take the rest of it.
         """
         k, ow, read, m, cw = self.k, self._ow, self.read, self.m, self.wd.cw
         if not (1 <= self.entry <= k and max(1, self.entry - 1) <= self.removed_iter <= k):
             raise ValueError("entry or retirement outside the blob's groups")
         sched = read(self._sched, m * cw)
         upto = [0] + [sched >> cw * i & (1 << cw) - 1 for i in range(m - 1, -1, -1)]
-        if any(a > b for a, b in zip(upto, upto[1:])) or 2 * upto[-1] > self.wd.n:
+        if upto != sorted(upto) or 2 * upto[-1] > self.wd.n:
             raise ValueError("pair schedule decreases or pairs more than n nodes")
         last = 2 * m
         table = read(self._tab, (last + 1) * ow)
@@ -624,9 +627,24 @@ class CrossView:
         at = [self._payload + (table >> ow * i & mask) for i in range(last, -1, -1)]
         iters = []
         for s in range(1, m + 1):
-            view = IterationView(self, s, upto[s - 1], upto[s], *at[2 * s - 2 : 2 * s + 1])
-            view.check()
-            iters.append(view)
+            start, mid, end = at[2 * s - 2], at[2 * s - 1], at[2 * s]
+            it = IterationView(self, s, upto[s - 1], upto[s], start, mid, end)
+            inf = it.inf
+            if inf == CLS_UPPER:
+                got = start
+            else:
+                got = it.read_near()[1]
+                if inf == CLS_FRONT_REST or inf == CLS_SECOND_REST:
+                    check_set(it.near[0], it.near[2], self.wd)
+            if got != mid:
+                raise ValueError(f"near section length {mid - start}, parsed {got - start}")
+            if it.p:
+                got = it.read_far()[1]
+                if inf == CLS_UPPER:
+                    got = end  # the flags take the rest of the section
+            if got != end:
+                raise ValueError("far section length mismatch")
+            iters.append(it)
         self._iters = tuple(iters)
         return at[last]
 
@@ -634,12 +652,27 @@ class CrossView:
 # -- decoding ----------------------------------------------------------------
 
 
+def _probe(sa: IterationView, a_side: tuple, sb: IterationView, b_side: tuple) -> bool:
+    """Pair probe between an A-side and a B-side sub-label of two records,
+    each given as (index, end offset, instance sizes, table, ...); the A
+    side's sizes place the pair."""
+    sizes = a_side[2]
+    i = pair_window(a_side[0], b_side[0], sizes)
+    if i >= 0:
+        return bool(sa.read.table_bit(a_side[3], sizes[2], i))
+    return bool(sb.read.table_bit(b_side[3], b_side[2][3], ~i))
+
+
+def _probe_far(sa: IterationView, sb: IterationView) -> bool:
+    return _probe(sa, sa.far or sa.read_far(), sb, sb.far or sb.read_far())
+
+
 def decode_near(su, sv, pos_u: int, pos_v: int) -> bool:
     cu, cv = su.inf, sv.inf
     if cu == CLS_FRONT_MATCH and cv == CLS_SECOND_MATCH:
-        return probe_pair(su.near(), sv.near())
+        return _probe(su, su.near or su.read_near(), sv, sv.near or sv.read_near())
     if cu == CLS_FRONT_REST and cv == CLS_SECOND_REST:
-        return su.keys().contains(pos_v) or sv.keys().contains(pos_u)
+        return su.contains(pos_v) or sv.contains(pos_u)
     return False
 
 
@@ -648,17 +681,16 @@ def decode_far(su, sv) -> bool:
         return False
     cu, cv = su.inf, sv.inf
     if cu == CLS_FRONT_MATCH and cv == CLS_SECOND_REST:
-        return probe_pair(su.far(), sv.far())
+        return _probe_far(su, sv)
     if cu == CLS_FRONT_REST and cv == CLS_SECOND_MATCH:
-        return probe_pair(sv.far(), su.far())
-    if cu == CLS_FRONT_MATCH and cv == CLS_UPPER:
-        if sv.via_second(su.bic()):
-            return True
-        return probe_pair(su.far(), sv.far())
-    if cu == CLS_SECOND_MATCH and cv == CLS_UPPER:
-        if sv.via_second(su.bic()):
-            return probe_pair(su.far(), sv.far())
-        return False
+        return _probe_far(sv, su)
+    if cu in MATCHED and cv == CLS_UPPER:
+        # a set flag answers a matched front source by transitivity, and
+        # sends a matched second source to the pair table
+        via = sv.via_second(su.read_bic() if su.bic is None else su.bic)
+        if cu == CLS_FRONT_MATCH:
+            return bool(via) or _probe_far(su, sv)
+        return bool(via) and _probe_far(su, sv)
     return False
 
 

@@ -43,56 +43,50 @@ class StaticSet:
         return count_width(self.universe_bound) + self.size * index_width(self.universe_bound)
 
 
-class SetView:
-    """Decode view of a serialized set.
+# A serialized set is read from the label it lies in: ``read_set`` takes its
+# size, the one counted read, and its key array as one int, uncounted, as a
+# TableView takes its table. ``wd`` holds the widths of a label over the
+# universe bound ``wd.n``. A key is at most 32 bits wide (the universe bound
+# is a 32-bit header field), so one word each.
 
-    ``wd`` holds the widths of a label over the universe bound ``wd.n``.
-    The size costs one counted read and the key array is taken from the
-    label once; ``contains`` charges one word for each key a pointer-based
-    binary search would fetch. A key is at most 32 bits wide (the universe
-    bound is a 32-bit header field), so one word each.
-    """
 
-    __slots__ = ("_read", "_bound", "_kw", "_m", "_keys", "end_offset")
+def read_set(read, offset: int, wd: Widths) -> tuple[int, int, int]:
+    """(size, end offset, keys) of the set at ``offset``, key i of the m
+    at bits kw*(m-1-i) of ``keys``."""
+    m = read(offset, wd.cw)
+    return m, offset + wd.cw + wd.iw * m, read.peek(offset + wd.cw, wd.iw * m)
 
-    def __init__(self, read, offset: int, wd: Widths):
-        kw = wd.iw
-        m = read(offset, wd.cw)
-        self._read = read
-        self._bound = wd.n
-        self._kw = kw
-        self._m = m
-        pos = offset + wd.cw
-        self._keys = read.peek(pos, kw * m)
-        self.end_offset = pos + kw * m
 
-    def check(self) -> int:
-        """Raise ValueError unless the keys ascend below the universe bound,
-        as the binary search assumes; returns ``end_offset``. A label's check
-        walk calls this, a lazy probe does not."""
-        kw, keys, kmask = self._kw, self._keys, (1 << self._kw) - 1
-        ks = [keys >> kw * i & kmask for i in range(self._m - 1, -1, -1)] + [self._bound]
-        if any(a >= b for a, b in zip(ks, ks[1:])):
-            raise ValueError(f"set keys do not ascend below {self._bound}")
-        return self.end_offset
+def check_set(m: int, keys: int, wd: Widths) -> None:
+    """Raise ValueError unless the ``m`` keys ascend below the universe
+    bound, as the binary search assumes. A label's check walk calls this, a
+    lazy probe does not."""
+    kw = wd.iw
+    kmask = (1 << kw) - 1
+    ks = [keys >> kw * i & kmask for i in range(m - 1, -1, -1)] + [wd.n]
+    if any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"set keys do not ascend below {wd.n}")
 
-    def contains(self, x: int) -> bool:
-        if not 0 <= x < self._bound:
-            raise ValueError(f"key {x} outside universe [0,{self._bound})")
-        read, keys, kw, m = self._read, self._keys, self._kw, self._m
-        kmask = (1 << kw) - 1
-        lo, hi = 0, m - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            read.words += 1
-            k = keys >> kw * (m - 1 - mid) & kmask
-            if k == x:
-                return True
-            if k < x:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return False
+
+def set_contains(read, m: int, keys: int, wd: Widths, x: int) -> bool:
+    """Whether the ``m`` keys hold ``x``, charging one word for each key a
+    pointer-based binary search would fetch."""
+    if not 0 <= x < wd.n:
+        raise ValueError(f"key {x} outside universe [0,{wd.n})")
+    kw = wd.iw
+    kmask = (1 << kw) - 1
+    lo, hi = 0, m - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        read.words += 1
+        k = keys >> kw * (m - 1 - mid) & kmask
+        if k == x:
+            return True
+        if k < x:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return False
 
 
 def build_set(keys, universe_bound: int) -> StaticSet:

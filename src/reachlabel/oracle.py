@@ -216,11 +216,12 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
 
     A table's bit i sits at field position width-1-i, so bit i of a table
     that ends at offset e is at e-1-i. A composite label's tables are found
-    through its checked views (``parse_label``): the intra table ends where
-    the intra section does, a sub-label's table where the sub-label does, and
-    the flags start there. Bits are found per component and reported at its
-    smallest member. Every returned bit is re-read from the serialized label
-    and checked against the encoder's structures.
+    through its checked view (``parse_label``): the intra table ends where
+    the intra section does, and each walked iteration record keeps where a
+    sub-label's table ends (``near`` and ``far``); an upper node's flags
+    start there. Bits are found per component and reported at its smallest
+    member. Every returned bit is re-read from the serialized label and
+    checked against the encoder's structures.
     """
     pl = ls.pipeline
     if pl is None:
@@ -274,13 +275,13 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
         if ni is not None:
             a_n, b_n, al_n, be_n = ni.a, ni.b, ni.alpha, ni.beta
             for r_a, u in enumerate(rec.front_match):
-                top = its[u].near().end_offset - 1
+                top = its[u].near[1] - 1
                 base = ceil_div(b_n * r_a, a_n)
                 for i in range(min(al_n, b_n)):
                     ib = (base + i) % b_n
                     emit(u, top - i, ni.rows[r_a] >> ib & 1)
             for r_b, v in enumerate(rec.second_match):
-                top = its[v].near().end_offset - 1
+                top = its[v].near[1] - 1
                 base = ceil_div(a_n * r_b, b_n)
                 for j in range(min(be_n, a_n)):
                     ia = (base + j) % a_n
@@ -296,7 +297,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                 base = ceil_div(b_f * j_p, a_f)
                 bic = rec.pair_bic[j_p]
                 for holder, rest_cls, first in ((a_j, CLS_SECOND_REST, 1), (b_j, CLS_FRONT_REST, 0)):
-                    top = its[holder].far().end_offset - 1
+                    top = its[holder].far[1] - 1
                     for i in range(min(al_f, b_f)):
                         ib = (base + i) % b_f
                         v = outside[ib]
@@ -309,7 +310,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
                             emit(holder, top - i, fi.rows[j_p] >> ib & 1)
             n_bic = len(rec.bicliques)
             for r_o, v in enumerate(outside):
-                end = its[v].far().end_offset
+                end = its[v].far[1]
                 base = ceil_div(a_f * r_o, b_f)
                 for j in range(min(be_f, a_f)):
                     ia = (base + j) % a_f

@@ -25,18 +25,21 @@ section and the blob, so the decoder can jump without scanning.
 
 One decoder reads every label: a label is an int in memory (bytes only in
 the label file), and a LabelView reads its fields by shift and mask while
-counting 64-bit words, and builds the views of its sections (intra, blob,
-near and far sections, embedded sub-labels, neighbor sets) as a query
-needs them. ``query_lazy`` builds two fresh views, so a single query reads
-only the bits it touches and reports the words read. ``parse_label`` first
-walks the whole view: it checks the header offsets and the intra section,
-reads the blob's pair schedule and its bounds table with one read each,
-and builds each section's view from its bounds, the node's class and the
-instance sizes the schedule gives (none of which a label stores), checking
-that the content the view decodes exactly fills the section. That rejects
-a corrupt label with ValueError and keeps the walked views for bulk queries.
-Field widths that follow from the header n are computed once per n
-(``bitio.widths``). ``query`` answers from either kind.
+counting 64-bit words. It views the intra section and the blob, and keeps
+one record per blob iteration holding that iteration's section offsets,
+sub-label indices, set size, and the tables, keys and flags as ints.
+``query_lazy`` builds two fresh views whose records read each field group
+on first use, so a single query reads only the bits it touches and reports
+the words read. ``parse_label`` first walks the whole view: it checks the
+header offsets and the intra section, reads the blob's pair schedule and
+its bounds table with one read each, and checks each section by arithmetic
+from its bounds, the node's class and the instance sizes the schedule
+gives (none of which a label stores): the content must exactly fill the
+section. That rejects a corrupt label with ValueError and keeps the walked
+records, their fields filled, for bulk queries. Field widths that follow
+from the header n are computed once per n (``bitio.widths``), and section
+layouts once per iteration shape (``crosslabel.section_layout``).
+``query`` answers from either kind.
 """
 
 from __future__ import annotations
@@ -289,8 +292,8 @@ class LabelView:
     def check(self) -> None:
         """Raise ValueError unless a warm-up index is below n, the header
         offsets match the layout, the intra section ends where the blob begins, every blob section
-        exactly fills its bounds (``CrossView.check``, which keeps the
-        section views) and the label ends where its last section does."""
+        exactly fills its bounds (``CrossView.check``, which keeps one
+        record per iteration) and the label ends where its last section does."""
         iw = index_width(self.n)
         if self.warm is not None:
             if self.warm.index >= self.n:
@@ -309,7 +312,7 @@ class LabelView:
 
 def parse_label(bits: BitString) -> LabelView:
     """A checked view for bulk queries: every section is walked once, so a
-    corrupt label fails here with ValueError, and the walked views are kept."""
+    corrupt label fails here with ValueError, and the walked records are kept."""
     lab = LabelView(bits)
     lab.check()
     return lab

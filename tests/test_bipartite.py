@@ -16,16 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import decode_bipartite
-from reachlabel.bitio import BitWriter, LabelReader
+from reachlabel.bitio import BitString, BitWriter, LabelReader, index_width
 from reachlabel.bipartite import (
     BipartiteInstance,
     BipartiteLabel,
-    EmbeddedView,
     ceil_div,
     embedded_width,
     encode_bipartite,
     index_pair,
     probe_pair,
+    read_embedded,
     write_embedded,
 )
 
@@ -182,7 +182,7 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
     sizes = (inst.a, inst.b, inst.alpha, inst.beta)
     limit = inst.a + inst.b
     for lab in labels:
-        # the writer takes any bound on the index; a view reads it at a + b
+        # the writer takes any bound on the index; a reader reads it at a + b
         wide = limit + limit_pad % 50
         w = BitWriter()
         write_embedded(w, lab, wide)
@@ -193,25 +193,24 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
         bits = w.finish()
         assert len(bits) == 2 + embedded_width(limit, lab.table_len)
         read = LabelReader(bits)
-        view = EmbeddedView(read, 2, lab.side, sizes)
-        assert view.end_offset == len(bits)
-        assert (view.index, view.a, view.b, view.alpha, view.beta) == (
-            lab.index,
-            lab.a,
-            lab.b,
-            lab.alpha,
-            lab.beta,
-        )
+        iw = index_width(limit)
+        index, end, table = read_embedded(read, 2, iw, lab.side, sizes)
+        assert (index, end, table) == (lab.index, len(bits), lab.table)
         assert read.words == 1  # the index, in one read
         for i in range(lab.table_len):
-            assert view.bit(i) == lab.bit(i)
+            assert read.table_bit(table, lab.table_len, i) == lab.bit(i)
         assert read.words == 1 + lab.table_len  # one word per probe
         with pytest.raises(ValueError):
-            view.bit(lab.table_len)
-        # an index off the view's side is refused
+            read.table_bit(table, lab.table_len, lab.table_len)
+        # an index off the reader's side is refused
         other = "B" if lab.side == "A" else "A"
         with pytest.raises(ValueError, match="outside side"):
-            EmbeddedView(LabelReader(bits), 2, other, sizes)
+            read_embedded(LabelReader(bits), 2, iw, other, sizes)
+        # and so is a table that runs past the label
+        if lab.table_len:
+            short = BitString(bits.value >> 1, len(bits) - 1)
+            with pytest.raises(ValueError, match="overruns"):
+                read_embedded(LabelReader(short), 2, iw, lab.side, sizes)
 
 
 @given(instances())

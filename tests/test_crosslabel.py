@@ -16,6 +16,7 @@ from reachlabel.crosslabel import (
     CLS_SECOND_MATCH,
     CLS_SECOND_REST,
     CLS_UPPER,
+    MATCHED,
     RATE_BITS,
     assemble_cross,
     build_cross_labeling,
@@ -251,7 +252,8 @@ def test_schedule_gives_the_encoders_instance_sizes():
     """For every section of the corpus under both variants, the (a, b,
     alpha, beta) that a checked blob view derives from its pair schedule are
     those of the encoder's near and far instances, and a far section is
-    empty exactly when its iteration matched no pair."""
+    empty exactly when its iteration matched no pair. A record read lazily,
+    field group by field group, holds what the check walk stored."""
 
     def sizes(x):
         return x.a, x.b, x.alpha, x.beta
@@ -263,21 +265,31 @@ def test_schedule_gives_the_encoders_instance_sizes():
             for variant in ("third", "average"):
                 cl = pl.cross_labeling(profile, variant)
                 wd = Widths(cl.n)
-                views = []
+                views, blobs = [], []
                 for u in range(cl.n):
                     blob = assemble_cross(cl, u)
                     cv = CrossView(LabelReader(blob), 0, wd, variant)
                     assert cv.check() == len(blob)
                     views.append(cv)
+                    blobs.append(blob)
                 for rec in cl.records:
                     for u in rec.live:
                         it = views[u].iteration(rec.s)
                         if u in rec.front_match or u in rec.second_match:
-                            assert sizes(it.near()) == sizes(rec.near_inst)
-                            assert it.bic() < len(rec.bicliques)
+                            assert it.near[2] == sizes(rec.near_inst)
+                            assert it.read_bic() < len(rec.bicliques)
                         assert it.is_empty == (rec.n_pairs == 0)
                         if rec.n_pairs:
-                            assert sizes(it.far()) == sizes(rec.far_inst)
+                            assert it.far[2] == sizes(rec.far_inst)
+                        # the same fields, read for one query
+                        lazy = CrossView(LabelReader(blobs[u]), 0, wd, variant).iteration(rec.s)
+                        assert lazy.near is lazy.far is lazy.bic is None
+                        if it.inf != CLS_UPPER:
+                            assert lazy.read_near() == it.near
+                        if rec.n_pairs:
+                            assert lazy.read_far() == it.far
+                            if it.inf in MATCHED:
+                                assert lazy.read_bic() == it.bic
                         checked += 1
     assert checked > 0
 

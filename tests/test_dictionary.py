@@ -9,20 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachlabel.bitio import BitWriter, LabelReader, Widths
-from reachlabel.dictionary import SetView, StaticSet, build_set
+from reachlabel.dictionary import StaticSet, build_set, check_set, read_set, set_contains
 
 
-def roundtrip(s: StaticSet, universe_bound: int) -> SetView:
+class SerializedSet:
+    """A set read from a label: its size, where its keys end, and the keys."""
+
+    def __init__(self, read: LabelReader, offset: int, universe_bound: int):
+        self.read, self.wd = read, Widths(universe_bound)
+        self.m, self.end, self.keys = read_set(read, offset, self.wd)
+
+    def contains(self, x: int) -> bool:
+        return set_contains(self.read, self.m, self.keys, self.wd, x)
+
+    def check(self) -> None:
+        check_set(self.m, self.keys, self.wd)
+
+
+def roundtrip(s: StaticSet, universe_bound: int) -> SerializedSet:
     w = BitWriter()
     s.write(w)
     bits = w.finish()
     assert len(bits) == s.bit_length()
-    view = SetView(LabelReader(bits), 0, Widths(universe_bound))
-    assert view.end_offset == len(bits)
+    view = SerializedSet(LabelReader(bits), 0, universe_bound)
+    assert view.end == len(bits)
     return view
 
 
-def members(view: SetView, universe_bound: int) -> list[int]:
+def members(view: SerializedSet, universe_bound: int) -> list[int]:
     return [x for x in range(universe_bound) if view.contains(x)]
 
 
@@ -62,7 +76,7 @@ def test_membership_and_serialized_probe_agree(case):
     w.write(5, 3)  # leading junk, to exercise a non-zero offset
     s.write(w)
     read = LabelReader(w.finish())
-    view = SetView(read, 3, Widths(bound))
+    view = SerializedSet(read, 3, bound)
     assert read.words == 1  # the size
     for x in range(bound):  # every member and every non-member
         before = read.words
@@ -83,8 +97,7 @@ def test_serialized_round_trip(case):
 @given(sets)
 def test_check_accepts_every_built_set(case):
     bound, keys = case
-    view = roundtrip(build_set(keys, bound), bound)
-    assert view.check() == view.end_offset
+    roundtrip(build_set(keys, bound), bound).check()
 
 
 @pytest.mark.parametrize("keys", [(5, 2), (4, 4), (2, 10), (0, 3, 12)])

@@ -6,11 +6,13 @@ import functools
 import hashlib
 import io
 import os
+import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from helpers import bounds_table, schedule_at
+from helpers import bounds_table, mixed_corpus, schedule_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from reachlabel.crosslabel import CLS_FRONT_MATCH, CLS_FRONT_REST, CLS_UPPER, no
 from reachlabel.graph import Digraph, reach_rows
 from reachlabel.oracle import GenSpec, flip_bit, generate
 from reachlabel.scheme import (
+    PROFILES,
     LabelView,
     Pipeline,
     SCHEME_IDS,
@@ -583,7 +586,7 @@ def test_parse_rejects_corrupt_layout(corrupt, message):
          "no-pairs-at-retirement", "index-outside-side"],
 )
 def test_lazy_queries_refuse_hostile_schedules(corrupt):
-    """A lazy query builds only the views it reads, so it meets a hostile
+    """A lazy query reads only the fields it asks for, so it meets a hostile
     schedule or index only at the iteration it asks about. There it raises
     ValueError, never ZeroDivisionError or IndexError, and some query of
     the corrupt label against the others does ask."""
@@ -609,8 +612,8 @@ def test_descending_set_keys_are_rejected():
     at = section_start(ls, 5, 6) + count_width(200)  # near^4's first key
     assert read_fixed(bits, at, 16) == 15 << 8 | 16
     bad = flip_bit(bits, at)
-    assert LabelView(bits).view_cross().iteration(4).keys().contains(16)
-    assert not LabelView(bad).view_cross().iteration(4).keys().contains(16)
+    assert LabelView(bits).view_cross().iteration(4).contains(16)
+    assert not LabelView(bad).view_cross().iteration(4).contains(16)
     with pytest.raises(ValueError, match="set keys do not ascend below 200"):
         parse_label(bad)
 
@@ -661,6 +664,74 @@ def test_corruption_verdicts_are_pinned(spec, scheme, profile, rejected, digest)
                 verdicts.append("0")
     text = "".join(verdicts)
     assert (text.count("1"), hashlib.sha256(text.encode()).hexdigest()) == (rejected, digest)
+
+
+# Every class whose constructor parse_label may run. A blob's sections are
+# checked by arithmetic on one record per iteration, so no view of a
+# sub-label, a neighbor set or a flag table is built.
+PARSE_BUILDS = {"LabelView", "LabelReader", "InnerView", "CrossView", "IterationView", "Widths"}
+
+
+def test_parse_builds_one_record_per_iteration_and_no_section_views():
+    built = Counter()
+
+    def constructors(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "__init__" and "self" in frame.f_locals:
+            built[type(frame.f_locals["self"]).__name__] += 1
+
+    iterations = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        for profile in PROFILES:
+            for scheme in ("third", "average"):
+                for bits in dict.fromkeys(encode(g, scheme, profile, pipeline=pl).labels):
+                    sys.setprofile(constructors)
+                    try:
+                        view = parse_label(bits)
+                    finally:
+                        sys.setprofile(None)
+                    iterations += view.cross.m
+    assert iterations > 0
+    assert set(built) <= PARSE_BUILDS, set(built) - PARSE_BUILDS
+    assert built["IterationView"] <= iterations
+
+
+def test_walked_and_lazily_read_records_agree_on_flipped_labels():
+    """Every single-bit flip of a pinned digraph label that parse_label
+    accepts, asked against every distinct label of the graph in both
+    directions: the fields the check walk stores and the ones a lazy query
+    reads on first use give the same answer, or both refuse the pair."""
+    spec, scheme, profile, _ = PINNED_DIGESTS[1]
+    labels = list(dict.fromkeys(encode(generate(spec), scheme, profile).labels))
+    parsed = [parse_label(bits) for bits in labels]
+
+    def answers(eager, lazy):
+        try:
+            got = query(*eager)
+        except ValueError:
+            got = ValueError
+        try:
+            want = query_lazy(*lazy)[0]
+        except ValueError:
+            want = ValueError
+        return got, want
+
+    accepted = asked = 0
+    for bits in labels:
+        for i in range(len(bits)):
+            copy = flip_bit(bits, i)
+            try:
+                view = parse_label(copy)
+            except ValueError:
+                continue
+            accepted += 1
+            for other, other_view in zip(labels, parsed):
+                for eager, lazy in (((view, other_view), (copy, other)),
+                                    ((other_view, view), (other, copy))):
+                    got, want = answers(eager, lazy)
+                    assert got == want, f"bit {i} of a {len(bits)}-bit label flipped"
+                    asked += 1
+    assert accepted > 0 and asked == 2 * accepted * len(labels)
 
 
 # -- corrupted labels ----------------------------------------------------------
