@@ -146,7 +146,7 @@ def read_embedded(read, offset: int, iw: int, side: str,
     read through ``read``, whose instance has ``sizes`` (a, b, alpha, beta)
     and whose index is ``iw`` = index_width(a + b) bits wide. The index costs
     one counted read and must lie on ``side``, else ValueError; the table is
-    taken from the label as one int, uncounted, as a TableView takes it."""
+    taken from the label as one int, uncounted (``LabelReader.peek``)."""
     a, b, alpha, beta = sizes
     index = read(offset, iw)
     if not (index < a if side == "A" else a <= index < a + b):

@@ -12,7 +12,7 @@ fields are fixed width; widths are pure functions of values already decoded
 Label file layout (little endian where noted)::
 
     magic    4 bytes  b"RLBL"
-    version  1 byte   (currently 5)
+    version  1 byte   (currently 6)
     scheme   1 byte
     n        4 bytes  u32 LE
     offsets  8n bytes, u64 LE per node in id order: the file position of
@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"RLBL"
-FILE_VERSION = 5
+FILE_VERSION = 6
 
 
 def index_width(n: int) -> int:
@@ -157,8 +157,9 @@ class LabelReader:
 
     ``read(offset, width)`` takes a field by shift and mask and counts the
     64-bit words a pointer-based decoder would fetch for it, at least one
-    per read. ``peek`` takes a field without counting, for a table;
-    ``table_bit`` probes one bit of such a table, charged one word.
+    per read. ``peek`` takes a field without counting, for a table, which a
+    decoder keeps as that int and its width; ``table_bit`` probes one bit of
+    such a table, charged one word.
     """
 
     __slots__ = ("value", "length", "words")
@@ -176,36 +177,15 @@ class LabelReader:
         return self.value >> (self.length - end) & (1 << width) - 1
 
     def table_bit(self, table: int, width: int, i: int) -> int:
-        """Bit i of a ``width``-bit table of this label, taken as one int
-        (see TableView), charged one word."""
+        """Bit i of a ``width``-bit table taken by ``peek`` (written as the
+        int whose bit i is table bit i, at field position width-1-i),
+        charged one word, the fetch a pointer-based decoder would make."""
         self.words += 1
         if not 0 <= i < width:
             raise ValueError(f"table probe {i} out of range {width}")
         return table >> i & 1
 
     peek = read_fixed  # a reader has the value and length a BitString has
-
-
-class TableView:
-    """A ``width``-bit table at ``offset`` of a label, written as the int
-    whose bit i is table bit i (so bit i sits at field position width-1-i).
-
-    The table is taken from the label once; each ``bit`` probe is charged
-    one word, the fetch a pointer-based decoder would make for it.
-    """
-
-    __slots__ = ("_read", "_table", "_len")
-
-    def __init__(self, read: LabelReader, offset: int, width: int):
-        self._read = read
-        self._len = width
-        self._table = read.peek(offset, width)
-
-    def bit(self, i: int) -> int:
-        self._read.words += 1
-        if not 0 <= i < self._len:
-            raise ValueError(f"table probe {i} out of range {self._len}")
-        return self._table >> i & 1
 
 
 @dataclass(frozen=True)

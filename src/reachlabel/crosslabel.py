@@ -32,13 +32,17 @@ both pair tables (near over the matched sides, far over the pair graph) are
 built as A-side rows over ranks on the B side.
 
 A node that retires at iteration r is live in iterations 1..min(r, k-1)
-and holds sections for exactly those, the ones a query can read. Their
-offsets are kept in a small table, so a decoder can jump straight to one.
-Nothing in a section says what it holds: a node's class at iteration s
-follows from its entry group and retirement (``node_class``), and the sizes
-and budgets of the iteration's two pair instances follow from the count of
-pairs matched before and at s (``instance_sizes``), which the blob keeps as
-a cumulative schedule:
+and holds sections for exactly those, the ones a query can read. Nothing
+in a section says what it holds, and no offset says where it starts: a
+node's class at iteration s follows from its entry group and retirement
+(``node_class``), and the sizes and budgets of the iteration's two pair
+instances follow from the count of pairs matched before and at s
+(``instance_sizes``), which the blob keeps as a cumulative schedule. Each
+section's length then follows from those, except a rest set's (its size
+is stored inline) and an upper node's flags (one per biclique, counted by
+a second cumulative schedule over the node's upper iterations), so a
+decoder sums the lengths of the iterations before the one it reads. The
+sections by class:
 
   near: matched -> embedded bipartite sub-label
         rest    -> exact neighbor-position set
@@ -74,8 +78,6 @@ CLS_FRONT_REST = 3
 CLS_SECOND_REST = 4
 CLS_UPPER = 5
 MATCHED = (CLS_FRONT_MATCH, CLS_SECOND_MATCH)
-
-RATE_BITS = 6  # width of the offset-width field
 
 VARIANTS = ("third", "average")
 
@@ -419,15 +421,14 @@ def _encode_far_sections(peel: PeelResult, records):
 
 # -- per-node blob assembly -------------------------------------------------
 #
-# blob := k[count_width(n)] ow[6] removed_iter[cw] entry[cw] schedule bounds
-#         payload
-# with cw = count_width(k) and m = min(removed_iter, k-1). The schedule holds
-# P_1..P_m at count_width(n) bits each, P_s the number of pairs matched in
-# iterations 1..s (P_0 = 0), so iteration s matched p = P_s - P_{s-1} pairs
-# among n - 2*P_{s-1} live nodes. The bounds are 2m+1 cumulative section
-# boundaries of ow = count_width(total payload bits) bits each; sections are
-# laid out near^1, far^1, ..., near^m, far^m with boundary fenceposts around
-# them.
+# blob := k[kf] removed_iter[cw] entry[cw] P_1..P_m[kf each] B_1..B_u[kf each]
+#         near^1 far^1 ... near^m far^m
+# with kf = count_width(n), cw = count_width(k), m = min(removed_iter, k-1)
+# and u = max(0, min(entry-2, m)), the iterations where the node is upper.
+# P_s is the number of pairs matched in iterations 1..s (P_0 = 0), so
+# iteration s matched p = P_s - P_{s-1} pairs among n - 2*P_{s-1} live nodes;
+# B_s is the number of bicliques found in iterations 1..s, so an upper node
+# holds B_s - B_{s-1} flags at iteration s. The sections lie back to back.
 
 
 def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
@@ -436,23 +437,17 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
     cw = count_width(k)
     secs = cl.sections[u]
     m = len(secs) // 2
-    payload = sum(len(b) for b in secs)
-    ow = count_width(payload)
+    ups = max(0, min(cl.entry[u] - 2, m))
     w = BitWriter()
     w.write(k, kf)
-    w.write(ow, RATE_BITS)
     w.write(cl.removed_iter[u], cw)
     w.write(cl.entry[u], cw)
-    acc = 0
-    for upto in accumulate(rec.n_pairs for rec in cl.records[:m]):
-        acc = acc << kf | upto
-    w.write(acc, m * kf)
-    bound = 0
-    acc = 0
-    for sec in secs:
-        bound += len(sec)
-        acc = acc << ow | bound
-    w.write(acc, (len(secs) + 1) * ow)  # leading fencepost is zero
+    for counts in ([rec.n_pairs for rec in cl.records[:m]],
+                   [len(rec.bicliques) for rec in cl.records[:ups]]):
+        acc = 0
+        for upto in accumulate(counts):
+            acc = acc << kf | upto
+        w.write(acc, len(counts) * kf)
     for sec in secs:
         w.append(sec)
     return w.finish()
@@ -477,51 +472,76 @@ def section_layout(kind: str, p: int, live: int) -> tuple[tuple[int, int, int, i
     return sizes, index_width(sizes[0] + sizes[1]), index_width(p)
 
 
+@functools.lru_cache(maxsize=256)
+def schedule_layout(variant: str, n: int, cw: int, s: int, packed: int) -> tuple[tuple, tuple]:
+    """P_0..P_s from the ``s`` cw-bit schedule entries ``packed``, which
+    must not decrease or pair more than the n nodes, and for t = 1..s the
+    bits that the far right labels of iterations 1..t-1 take: all labels of
+    an encoding share their schedule, so this runs once per prefix."""
+    mask = (1 << cw) - 1
+    upto = (0,) + tuple(packed >> cw * i & mask for i in range(s - 1, -1, -1))
+    if list(upto) != sorted(upto) or 2 * upto[-1] > n:
+        raise ValueError("pair schedule decreases or pairs more than n nodes")
+    far = [0]
+    for t in range(1, s):
+        p = upto[t] - upto[t - 1]
+        sizes, iw, _ = section_layout(variant, p, n - 2 * upto[t - 1])
+        far.append(far[-1] + (iw + sizes[3] if p else 0))  # empty when no pair matched
+    return upto, tuple(far)
+
+
 class IterationView:
     """A node's near and far sections of iteration s, which matched ``p``
-    pairs among ``live`` nodes, at label offsets start..mid..end.
+    pairs among ``live`` nodes and, for an upper node, found ``flags``
+    bicliques. They start at label offset ``start``; ``mid`` and ``end``,
+    where they end, follow from the node's class, the instance sizes, the
+    flag count and a rest set's size, which the record reads with its keys.
 
     ``near`` keeps a matched node's sub-label as (index, end offset,
     instance sizes, table) or a rest node's set as (size, end offset, keys);
     an upper node's near section is empty. ``far`` keeps the far sub-label
     the same way, after a matched node's biclique number ``bic``, plus an
-    upper node's flags, which take the rest of the section; it is empty when
-    p is 0. Tables, keys and flags are ints taken from the label uncounted,
-    and each probe of them is charged one word. The check walk fills
-    ``near`` and ``far``; a record built for one query leaves them None, and
-    the decoder reads them, like ``bic`` on any record, on first use
-    (``read_near``, ``read_far``, ``read_bic``).
+    upper node's flags; it is empty when p is 0. Tables, keys and flags are
+    ints taken from the label uncounted, and each probe of them is charged
+    one word. The check walk fills every group; a record built for one
+    query reads the others on first use (``read_near``, ``read_far``,
+    ``read_bic``).
     """
 
-    __slots__ = ("read", "wd", "variant", "inf", "p", "live", "start", "mid", "end", "is_empty",
-                 "near", "far", "bic")
+    __slots__ = ("read", "wd", "variant", "inf", "p", "live", "flags", "start", "mid", "end",
+                 "is_empty", "near", "far", "bic")
 
-    def __init__(self, cv: CrossView, s: int, before: int, upto: int,
-                 start: int, mid: int, end: int):
+    def __init__(self, cv: CrossView, s: int, before: int, upto: int, flags: int, start: int):
         self.read, self.wd, self.variant = cv.read, cv.wd, cv.variant
-        self.inf = node_class(s, cv.entry, cv.removed_iter)
-        self.p = upto - before  # P_s - P_{s-1}
+        self.inf = inf = node_class(s, cv.entry, cv.removed_iter)
+        self.p = p = upto - before  # P_s - P_{s-1}
         self.live = cv.wd.n - 2 * before
-        self.start, self.mid, self.end = start, mid, end
-        self.is_empty = self.p == 0
+        self.flags, self.start, self.is_empty = flags, start, p == 0
         self.near = self.far = self.bic = None
+        if inf == CLS_UPPER:
+            mid = start
+        elif inf in MATCHED:
+            sizes, iw, _ = section_layout("near", p, 0)
+            mid = start + iw + sizes[2]  # both sides' tables are equally wide
+        else:
+            self.near = read_set(self.read, start, self.wd)
+            mid = self.near[1]
+        self.mid = self.end = mid
+        if p:
+            sizes, iw, bw = section_layout(self.variant, p, self.live)
+            self.end = mid + iw + (bw + sizes[2] if inf in MATCHED else sizes[3] + flags)
 
     def read_near(self) -> tuple:
-        """Read a matched node's near sub-label index or a rest node's set
-        size, and keep it in ``near``."""
-        if self.inf in MATCHED:
-            sizes, iw, _ = section_layout("near", self.p, 0)
-            side = "A" if self.inf == CLS_FRONT_MATCH else "B"
-            index, end, table = read_embedded(self.read, self.start, iw, side, sizes)
-            self.near = (index, end, sizes, table)
-        else:
-            self.near = read_set(self.read, self.start, self.wd)
+        """Read a matched node's near sub-label index into ``near``."""
+        sizes, iw, _ = section_layout("near", self.p, 0)
+        side = "A" if self.inf == CLS_FRONT_MATCH else "B"
+        index, end, table = read_embedded(self.read, self.start, iw, side, sizes)
+        self.near = (index, end, sizes, table)
         return self.near
 
     def read_far(self) -> tuple:
         """Read the far sub-label's index, after a matched node's biclique
-        number, and keep it in ``far``; an upper node's flags must take the
-        rest of the section."""
+        number, and keep it in ``far``, followed by an upper node's flags."""
         sizes, iw, bw = section_layout(self.variant, self.p, self.live)
         if self.inf in MATCHED:
             index, end, table = read_embedded(self.read, self.mid + bw, iw, "A", sizes)
@@ -529,9 +549,7 @@ class IterationView:
             index, end, table = read_embedded(self.read, self.mid, iw, "B", sizes)
         self.far = (index, end, sizes, table)
         if self.inf == CLS_UPPER:
-            if end > self.end:
-                raise ValueError("far section length mismatch")
-            self.far += (self.read.peek(end, self.end - end),)  # the flags
+            self.far += (self.read.peek(end, self.flags),)
         return self.far
 
     def read_bic(self) -> int:
@@ -540,113 +558,106 @@ class IterationView:
 
     def contains(self, x: int) -> bool:
         """Whether a rest node's neighbor set holds position ``x``."""
-        m, _, keys = self.near or self.read_near()
+        m, _, keys = self.near
         return set_contains(self.read, m, keys, self.wd, x)
 
     def via_second(self, i: int) -> int:
         """An upper node's flag of biclique i."""
         far = self.far or self.read_far()
-        return self.read.table_bit(far[4], self.end - far[1], i)
+        return self.read.table_bit(far[4], self.flags, i)
 
 
 class CrossView:
     """One node's blob: group count, retirement, entry, pair schedule and
-    section bounds, for the size ``variant`` of the label's scheme.
+    biclique counts, for the size ``variant`` of the label's scheme.
 
-    The blob holds ``m`` = min(removed_iter, k-1) iterations of sections.
-    Each ``iteration`` call reads that iteration's schedule entries and
-    bounds and builds a fresh record until ``check`` has walked them all;
-    from then on the walked records answer.
+    The blob holds ``m`` = min(removed_iter, k-1) iterations of sections,
+    the first ``u`` of them upper ones. Each ``iteration`` call builds a
+    fresh record, placed by summing the lengths of the iterations before
+    it, until ``check`` has walked them all; from then on the walked
+    records answer.
     """
 
-    __slots__ = ("read", "wd", "variant", "k", "_ow", "removed_iter", "entry", "m",
-                 "_sched", "_tab", "_payload", "_iters")
+    __slots__ = ("read", "wd", "variant", "k", "removed_iter", "entry", "m", "u",
+                 "_sched", "_bics", "_payload", "_iters")
 
     def __init__(self, read, base: int, wd: Widths, variant: str):
-        head = read(base, wd.cw + RATE_BITS)
-        self.k = head >> RATE_BITS
+        self.k = read(base, wd.cw)
         if self.k < 1:
             raise ValueError("corrupt blob: no groups")
-        self._ow = head & (1 << RATE_BITS) - 1
         cw = count_width(self.k)
-        both = read(base + wd.cw + RATE_BITS, 2 * cw)
+        both = read(base + wd.cw, 2 * cw)
         self.removed_iter = both >> cw
         self.entry = both & (1 << cw) - 1
         self.m = min(self.removed_iter, self.k - 1)
+        self.u = max(0, min(self.entry - 2, self.m))
         self.read, self.wd, self.variant = read, wd, variant
-        self._sched = base + wd.cw + RATE_BITS + 2 * cw
-        self._tab = self._sched + self.m * wd.cw
-        self._payload = self._tab + (2 * self.m + 1) * self._ow
+        self._sched = base + wd.cw + 2 * cw
+        self._bics = self._sched + self.m * wd.cw
+        self._payload = self._bics + self.u * wd.cw
         self._iters = ()
 
     def iteration(self, s: int) -> IterationView:
+        """Iteration s's record. Built for one query, it reads P_1..P_s,
+        and B_{j-1} and B_j for j = min(s, u): the upper iterations before
+        s hold B_{s-1} flags, or B_u once s is past them, and s holds
+        B_s - B_{s-1}. Each earlier rest iteration's set size costs a read."""
         if self._iters:
             return self._iters[s - 1]
         if not 1 <= s <= self.m:
             raise ValueError(f"no iteration {s} in a blob of {self.m} iterations")
-        read, ow, cw = self.read, self._ow, self.wd.cw
-        lo = max(s - 2, 0)  # P_{s-1} and P_s, or P_1 alone (P_0 = 0)
-        both = read(self._sched + lo * cw, (s - lo) * cw)
-        three = read(self._tab + (2 * s - 2) * ow, 3 * ow)
-        mask = (1 << ow) - 1
-        at = self._payload
-        return IterationView(self, s, both >> cw, both & (1 << cw) - 1, at + (three >> 2 * ow),
-                             at + (three >> ow & mask), at + (three & mask))
+        read, wd, cw, ups = self.read, self.wd, self.wd.cw, self.u
+        upto, far = schedule_layout(self.variant, wd.n, cw, s, read(self._sched, s * cw))
+        j = min(s, ups)
+        lo = max(j - 2, 0)  # B_{j-1} and B_j, or B_1 alone (B_0 = 0)
+        both = read(self._bics + lo * cw, (j - lo) * cw) if j else 0
+        mask = (1 << cw) - 1
+        at = self._payload + (both >> cw if s == j else both & mask)
+        sets = 0
+        for t in range(ups + 1, s):  # the earlier rest iterations' sets
+            sets += cw + wd.iw * read(at + far[t - 1] + sets, cw)
+        flags = (both & mask) - (both >> cw) if s == j else 0
+        return IterationView(self, s, upto[s - 1], upto[s], flags, at + far[s - 1] + sets)
 
     def check(self) -> int:
-        """Walk every section, raising ValueError unless its content exactly
-        fills its bounds, and keep one filled record per iteration; returns
-        the bit offset where the blob ends.
+        """Walk every section, raising ValueError on a field a query could
+        not decode, and keep one filled record per iteration; returns the
+        bit offset where the blob ends, which must be where the label does.
 
-        The schedule and the bounds table take one read each. The schedule
-        must not decrease or pair more than the n nodes, and the table's
-        leading fencepost must be 0, so no bit lies between the table and
-        the first section. A node cannot retire before the iteration ahead
-        of its entry group, so the table holds every section a query can
-        ask for. Each iteration's record then reads its sections
-        (``read_near``, ``read_far``), which gives where each one's content
-        ends by arithmetic from the node's class and the memoised
-        ``section_layout``, and the walk checks those ends against the
-        bounds: a sub-label, whose index must lie on its side, ends where its
-        table does, a set, whose keys must ascend, where its last key does,
-        an upper node's near section at once, and only its far section has
-        flags, which take the rest of it.
+        The schedule and the biclique counts take one read each. The
+        schedule must not decrease or pair more than the n nodes; the counts
+        must step by 1 to p at an upper iteration that matched p > 0 pairs
+        (each biclique holds a pair) and by 0 at one that matched none. A
+        node cannot retire before the iteration ahead of its entry group, so
+        the blob holds every section a query can ask for. Each record starts
+        where the last one ends, and the walk reads its fields: a sub-label's
+        index must lie on its side and a set's keys must ascend.
         """
-        k, ow, read, m, cw = self.k, self._ow, self.read, self.m, self.wd.cw
+        k, read, m, cw = self.k, self.read, self.m, self.wd.cw
         if not (1 <= self.entry <= k and max(1, self.entry - 1) <= self.removed_iter <= k):
             raise ValueError("entry or retirement outside the blob's groups")
-        sched = read(self._sched, m * cw)
-        upto = [0] + [sched >> cw * i & (1 << cw) - 1 for i in range(m - 1, -1, -1)]
-        if upto != sorted(upto) or 2 * upto[-1] > self.wd.n:
-            raise ValueError("pair schedule decreases or pairs more than n nodes")
-        last = 2 * m
-        table = read(self._tab, (last + 1) * ow)
-        if table >> last * ow:
-            raise ValueError("bounds table does not start at 0")
-        mask = (1 << ow) - 1
-        at = [self._payload + (table >> ow * i & mask) for i in range(last, -1, -1)]
+        upto = schedule_layout(self.variant, self.wd.n, cw, m, read(self._sched, m * cw))[0]
+        bics = read(self._bics, self.u * cw) if self.u else 0
+        bics = [0] + [bics >> cw * i & (1 << cw) - 1 for i in range(self.u - 1, -1, -1)]
+        flags = [b - a for a, b in zip(bics, bics[1:])] + [0] * (m - self.u)
+        for s in range(1, self.u + 1):
+            p, d = upto[s] - upto[s - 1], flags[s - 1]
+            if not min(p, 1) <= d <= p:
+                raise ValueError(f"{d} bicliques for {p} pairs at iteration {s}")
+        at = self._payload
         iters = []
         for s in range(1, m + 1):
-            start, mid, end = at[2 * s - 2], at[2 * s - 1], at[2 * s]
-            it = IterationView(self, s, upto[s - 1], upto[s], start, mid, end)
-            inf = it.inf
-            if inf == CLS_UPPER:
-                got = start
-            else:
-                got = it.read_near()[1]
-                if inf == CLS_FRONT_REST or inf == CLS_SECOND_REST:
-                    check_set(it.near[0], it.near[2], self.wd)
-            if got != mid:
-                raise ValueError(f"near section length {mid - start}, parsed {got - start}")
+            it = IterationView(self, s, upto[s - 1], upto[s], flags[s - 1], at)
+            if it.inf in MATCHED:
+                it.read_near()
+            elif it.inf != CLS_UPPER:
+                check_set(it.near[0], it.near[2], self.wd)
             if it.p:
-                got = it.read_far()[1]
-                if inf == CLS_UPPER:
-                    got = end  # the flags take the rest of the section
-            if got != end:
-                raise ValueError("far section length mismatch")
+                it.read_far()
             iters.append(it)
+            at = it.end
         self._iters = tuple(iters)
-        return at[last]
+        return at
 
 
 # -- decoding ----------------------------------------------------------------

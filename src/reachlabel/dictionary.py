@@ -45,9 +45,9 @@ class StaticSet:
 
 # A serialized set is read from the label it lies in: ``read_set`` takes its
 # size, the one counted read, and its key array as one int, uncounted, as a
-# TableView takes its table. ``wd`` holds the widths of a label over the
-# universe bound ``wd.n``. A key is at most 32 bits wide (the universe bound
-# is a 32-bit header field), so one word each.
+# table is taken (``LabelReader.peek``). ``wd`` holds the widths of a label
+# over the universe bound ``wd.n``. A key is at most 32 bits wide (the
+# universe bound is a 32-bit header field), so one word each.
 
 
 def read_set(read, offset: int, wd: Widths) -> tuple[int, int, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, TableView, Widths, count_width, index_width
+from .bitio import BitWriter, Widths, count_width, index_width
 from .graph import LayeredDag, gatherer
 
 
@@ -136,20 +136,20 @@ def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
         w.write(gl.table, gl.end - gl.beg)
 
 
-class InnerView(TableView):
+class InnerView:
     """Decode view of a composite label's intra section: the placement
-    fields cost one counted read, and the interval table is a TableView.
-    ``end_offset`` is where the section ends, which is where the blob must
-    begin. ``wd`` holds the widths of the label's header n.
+    fields cost one counted read, and the interval table is kept as an int
+    of ``width`` bits, each ``bit`` probe charged one word. ``end_offset``
+    is where the section ends, which is where the blob must begin. ``wd``
+    holds the widths of the label's header n.
     """
 
-    __slots__ = ("topo", "grp", "beg", "end", "thick", "end_offset")
+    __slots__ = ("read", "topo", "grp", "beg", "end", "thick", "table", "width", "end_offset")
 
     def __init__(self, read, wd: Widths, offset: int):
-        iw = wd.iw
-        cw = wd.cw
-        width = 3 * iw + cw + 1
-        packed = read(offset, width)
+        iw, cw = wd.iw, wd.cw
+        head = 3 * iw + cw + 1
+        packed = read(offset, head)
         self.thick = bool(packed & 1)
         packed >>= 1
         self.end = packed & (1 << cw) - 1
@@ -158,9 +158,13 @@ class InnerView(TableView):
         packed >>= iw
         self.grp = packed & (1 << iw) - 1
         self.topo = packed >> iw
-        tlen = 0 if self.thick else self.end - self.beg
-        super().__init__(read, offset + width, tlen)
-        self.end_offset = offset + width + tlen
+        self.read = read
+        self.width = 0 if self.thick else self.end - self.beg
+        self.table = read.peek(offset + head, self.width)
+        self.end_offset = offset + head + self.width
+
+    def bit(self, i: int) -> int:
+        return self.read.table_bit(self.table, self.width, i)
 
 
 def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -> list[GroupLabel]:

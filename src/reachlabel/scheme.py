@@ -30,15 +30,16 @@ one record per blob iteration holding that iteration's section offsets,
 sub-label indices, set size, and the tables, keys and flags as ints.
 ``query_lazy`` builds two fresh views whose records read each field group
 on first use, so a single query reads only the bits it touches and reports
-the words read. ``parse_label`` first walks the whole view: it checks the
-header offsets and the intra section, reads the blob's pair schedule and
-its bounds table with one read each, and checks each section by arithmetic
-from its bounds, the node's class and the instance sizes the schedule
-gives (none of which a label stores): the content must exactly fill the
-section. That rejects a corrupt label with ValueError and keeps the walked
-records, their fields filled, for bulk queries. Field widths that follow
-from the header n are computed once per n (``bitio.widths``), and section
-layouts once per iteration shape (``crosslabel.section_layout``).
+the words read; a record finds its sections by summing the lengths of the
+iterations before it. ``parse_label`` first walks the whole view: it checks
+the header offsets and the intra section, reads the blob's pair schedule
+and biclique counts with one read each, and lays the sections out back to
+back from the node's class, the instance sizes, each rest set's size and
+each upper iteration's flag count (no offset, class or size is stored):
+the last section must end where the label does. That rejects a corrupt
+label with ValueError and keeps the walked records for bulk queries. Field
+widths are computed once per n (``bitio.widths``), and section layouts once
+per iteration shape (``crosslabel.section_layout``, ``schedule_layout``).
 ``query`` answers from either kind.
 """
 
@@ -291,9 +292,10 @@ class LabelView:
 
     def check(self) -> None:
         """Raise ValueError unless a warm-up index is below n, the header
-        offsets match the layout, the intra section ends where the blob begins, every blob section
-        exactly fills its bounds (``CrossView.check``, which keeps one
-        record per iteration) and the label ends where its last section does."""
+        offsets match the layout, the intra section ends where the blob
+        begins, every blob section decodes where the sections before it end
+        (``CrossView.check``, which keeps one record per iteration) and the
+        label ends where its last section does."""
         iw = index_width(self.n)
         if self.warm is not None:
             if self.warm.index >= self.n:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import TableView
 from .graph import LayeredDag, cyclic_window, transpose
 
 
@@ -37,16 +36,19 @@ class WarmupLabel:
         return self.n // 2
 
 
-class WindowView(TableView):
-    """Decode view of a warm-up label's index and window; the window is a
-    TableView."""
+class WindowView:
+    """Decode view of a warm-up label's index and window; the window is
+    kept as an int of ``width`` = n//2 bits, each ``bit`` probe charged one
+    word."""
 
-    __slots__ = ("n", "index")
+    __slots__ = ("read", "n", "index", "table", "width")
 
     def __init__(self, read, n: int, index: int, offset: int):
-        super().__init__(read, offset, n // 2)
-        self.n = n
-        self.index = index
+        self.read, self.n, self.index, self.width = read, n, index, n // 2
+        self.table = read.peek(offset, self.width)
+
+    def bit(self, i: int) -> int:
+        return self.read.table_bit(self.table, self.width, i)
 
 
 def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:

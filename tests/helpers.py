@@ -10,7 +10,6 @@ from reachlabel.biclique import EXHAUSTIVE_LIMIT, _TRIALS, _qstar, get_profile
 from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
 from reachlabel.cli import GraphFormatError
-from reachlabel.crosslabel import RATE_BITS
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
 from reachlabel.oracle import GenSpec, generate
@@ -336,22 +335,15 @@ def ref_write_graph_file(path: str, g: Digraph) -> None:
                 fh.write(head + f"\n{head}".join([names[v] for v in _iter_bits(row)]) + "\n")
 
 
-def schedule_at(bits: BitString) -> tuple[int, int, int]:
-    """(bit offset, entry width, entry count m) of a composite label's pair
-    schedule."""
+def blob_fields(bits: BitString) -> tuple[int, int, int, int]:
+    """(bit offset of the pair schedule, entry width, iteration count m,
+    upper iteration count u) of a composite label's blob; u biclique counts
+    follow the m schedule entries."""
     hdr = LabelHeader.read(bits)
     blob = hdr.offsets[1]
     kf = count_width(hdr.n)
     k = read_fixed(bits, blob, kf)
     cw = count_width(k)
-    removed_iter = read_fixed(bits, blob + kf + RATE_BITS, cw)
-    return blob + kf + RATE_BITS + 2 * cw, kf, min(removed_iter, k - 1)
-
-
-def bounds_table(bits: BitString) -> tuple[int, int]:
-    """(bit offset, field width) of a composite label's section bounds."""
-    hdr = LabelHeader.read(bits)
-    kf = count_width(hdr.n)
-    ow = read_fixed(bits, hdr.offsets[1] + kf, RATE_BITS)
-    at, width, m = schedule_at(bits)
-    return at + m * width, ow
+    both = read_fixed(bits, blob + kf, 2 * cw)
+    m = min(both >> cw, k - 1)
+    return blob + kf + 2 * cw, kf, m, max(0, min((both & (1 << cw) - 1) - 2, m))

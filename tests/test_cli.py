@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from helpers import bounds_table, ref_read_graph_file, ref_write_graph_file
+from helpers import blob_fields, ref_read_graph_file, ref_write_graph_file
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,31 +88,31 @@ def test_query_on_a_corrupted_offset_table_exits_2(tmp_path, capsys):
 
 
 def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
-    graph = write_chain(tmp_path, 4)
+    graph = write_chain(tmp_path, 3)
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     good = labels.read_bytes()
-    # node 3's 162-bit label ends the file: its last byte has 6 padding bits
-    assert int.from_bytes(good[-25:-21], "little") == 162 and good[-1] & 0b111111 == 0
+    # node 2's 138-bit label ends the file: its last byte has 6 padding bits
+    assert int.from_bytes(good[-22:-18], "little") == 138 and good[-1] & 0b111111 == 0
     labels.write_bytes(good[:-1] + bytes([good[-1] | 1]))
     assert run(capsys, "query", str(labels), "0", "1")[:2] == (0, "true\n")
-    for argv in (("query", str(labels), "3", "0"), ("query", str(labels), "0", "3"),
+    for argv in (("query", str(labels), "2", "0"), ("query", str(labels), "0", "2"),
                  ("stats", "--labels", str(labels))):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "padding bits are not zero" in err and not out
 
 
-def test_version_4_label_file_exits_2(tmp_path, capsys):
+def test_version_5_label_file_exits_2(tmp_path, capsys):
     graph = write_chain(tmp_path, 3)
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     data = bytearray(labels.read_bytes())
-    data[4] = 4  # the version byte
+    data[4] = 5  # the version byte
     labels.write_bytes(bytes(data))
     code, out, err = run(capsys, "query", str(labels), "0", "2")
     assert code == 2
-    assert "unsupported label file version 4" in err and not out
+    assert "unsupported label file version 5" in err and not out
 
 
 def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):
@@ -159,18 +159,19 @@ def test_query_checks_the_whole_layout(tmp_path, capsys, scheme):
             assert code == 0
             assert out == ("true\n" if query_lazy(ls.labels[u], ls.labels[v])[0] else "false\n")
 
-    # flip the top bit of node 5's second bound, which ends its first near
-    # section: the check walk must turn that into exit 2
+    # flip the top bit of node 5's first pair schedule entry P_1, which then
+    # pairs more than the n nodes: the check walk must turn that into exit 2
     u = 5
-    tab, ow = bounds_table(ls.labels[u])
-    at = 8 * (10 + 8 * ls.n + sum(4 + (len(b) + 7) // 8 for b in ls.labels[:u]) + 4) + tab + ow
+    sched, width, m, _ = blob_fields(ls.labels[u])
+    assert m >= 1
+    at = 8 * (10 + 8 * ls.n + sum(4 + (len(b) + 7) // 8 for b in ls.labels[:u]) + 4) + sched
     data = bytearray(labels.read_bytes())
     data[at >> 3] ^= 0x80 >> (at & 7)
     labels.write_bytes(bytes(data))
     for pair in ((u, 0), (0, u)):
         code, out, err = run(capsys, "query", str(labels), *map(str, pair))
         assert code == 2 and not out
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: pair schedule decreases or pairs more than n nodes\n"
 
 
 def test_written_graph_file_is_pinned(tmp_path):

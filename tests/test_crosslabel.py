@@ -17,7 +17,6 @@ from reachlabel.crosslabel import (
     CLS_SECOND_REST,
     CLS_UPPER,
     MATCHED,
-    RATE_BITS,
     assemble_cross,
     build_cross_labeling,
     CrossView,
@@ -191,11 +190,12 @@ def test_blobs_hold_only_the_sections_a_query_reads():
                 for u in range(n):
                     m = min(cl.removed_iter[u], k - 1)
                     assert len(cl.sections[u]) == 2 * m
-                    # m schedule entries, and a bounds table of 2m+1 entries
-                    head = count_width(n) + RATE_BITS + 2 * count_width(k) + m * count_width(n)
+                    # m schedule entries and a biclique count for each of
+                    # the node's upper iterations, then the sections
+                    ups = max(0, min(cl.entry[u] - 2, m))
+                    head = count_width(n) + 2 * count_width(k) + (m + ups) * count_width(n)
                     payload = sum(len(sec) for sec in cl.sections[u])
-                    ow = count_width(payload)
-                    assert len(assemble_cross(cl, u)) == head + (2 * m + 1) * ow + payload
+                    assert len(assemble_cross(cl, u)) == head + payload
                 for rec in cl.records:
                     for v in rec.live:
                         if node_class(rec.s, cl.entry[v], cl.removed_iter[v]) == CLS_UPPER:
@@ -283,9 +283,11 @@ def test_schedule_gives_the_encoders_instance_sizes():
                             assert it.far[2] == sizes(rec.far_inst)
                         # the same fields, read for one query
                         lazy = CrossView(LabelReader(blobs[u]), 0, wd, variant).iteration(rec.s)
-                        assert lazy.near is lazy.far is lazy.bic is None
-                        if it.inf != CLS_UPPER:
-                            assert lazy.read_near() == it.near
+                        assert lazy.far is lazy.bic is None
+                        if it.inf in MATCHED:
+                            assert lazy.near is None and lazy.read_near() == it.near
+                        else:  # a rest set is read as its record is built
+                            assert lazy.near == it.near
                         if rec.n_pairs:
                             assert lazy.read_far() == it.far
                             if it.inf in MATCHED:
