@@ -12,7 +12,7 @@ fields are fixed width; widths are pure functions of values already decoded
 Label file layout (little endian where noted)::
 
     magic    4 bytes  b"RLBL"
-    version  1 byte   (currently 6)
+    version  1 byte   (currently 7)
     scheme   1 byte
     n        4 bytes  u32 LE
     offsets  8n bytes, u64 LE per node in id order: the file position of
@@ -30,7 +30,8 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"RLBL"
-FILE_VERSION = 6
+FILE_VERSION = 7
+WARMUP_ID = 1  # the one scheme whose labels have no intra section or blob
 
 
 def index_width(n: int) -> int:
@@ -48,22 +49,35 @@ def count_width(n: int) -> int:
 
 
 class Widths:
-    """The two field widths of a label over ``n`` nodes: ``iw`` for a value
-    in [0, n), ``cw`` for a value in [0, n]. Decoders take them from
-    ``widths(n)``, which the labels of one encoding share."""
+    """The field widths of a label over ``n`` nodes: ``iw`` for a value in
+    [0, n), ``cw`` for a value in [0, n], and ``placement`` for a composite
+    label's intra placement fields topo[iw] grp[iw] beg[iw] end[cw]
+    thick[1]. Decoders take them from ``widths(n)``, which the labels of one
+    encoding share."""
 
-    __slots__ = ("n", "iw", "cw")
+    __slots__ = ("n", "iw", "cw", "placement")
 
     def __init__(self, n: int):
         self.n = n
         self.iw = index_width(n)
         self.cw = count_width(n)
+        self.placement = 3 * self.iw + self.cw + 1
 
 
 @functools.lru_cache(maxsize=16)
 def widths(n: int) -> Widths:
     """The Widths of labels over ``n`` nodes, computed once per n."""
     return Widths(n)
+
+
+def intra_length(wd: Widths, placement: int) -> int:
+    """Bits in the intra section whose placement fields read as the
+    ``wd.placement``-bit int ``placement``: those fields, then the
+    end - beg bit table of a thin group (a thick group stores none)."""
+    if placement & 1:
+        return wd.placement
+    placement >>= 1
+    return wd.placement + (placement & (1 << wd.cw) - 1) - (placement >> wd.cw & (1 << wd.iw) - 1)
 
 
 class BitString:
@@ -190,46 +204,40 @@ class LabelReader:
 
 @dataclass(frozen=True)
 class LabelHeader:
-    """Self-describing front matter of every label.
+    """Self-describing front matter of every label: scheme[8] n[32].
 
-    ``offsets`` holds absolute bit offsets of the label's named sections
-    (empty for the warm-up scheme, (l1, l2) for the composite schemes).
+    ``offsets`` holds the absolute bit offsets of a composite label's intra
+    section and blob, which ``read`` derives rather than reads: the intra
+    section follows the header and the iw-bit component field, and the blob
+    follows the intra section. A warm-up label has none. ``write`` writes
+    the scheme id and n alone.
     """
 
     scheme_id: int
     n: int
     offsets: tuple[int, ...] = ()
 
-    HEADER_FIXED_BITS = 8 + 32 + 8
-    OFFSET_BITS = 32
-
-    @property
-    def bit_length(self) -> int:
-        return self.HEADER_FIXED_BITS + self.OFFSET_BITS * len(self.offsets)
+    HEADER_FIXED_BITS = 8 + 32
+    bit_length = HEADER_FIXED_BITS
 
     def write(self, w: BitWriter) -> None:
         if not 0 <= self.scheme_id < 256:
             raise ValueError("scheme_id out of range")
         if not 0 <= self.n < (1 << 32):
             raise ValueError("n out of range")
-        if len(self.offsets) > 255:
-            raise ValueError("too many sections")
         w.write(self.scheme_id, 8)
         w.write(self.n, 32)
-        w.write(len(self.offsets), 8)
-        for off in self.offsets:
-            w.write(off, self.OFFSET_BITS)
 
     @classmethod
     def read(cls, bits: BitString) -> "LabelHeader":
-        scheme_id = read_fixed(bits, 0, 8)
-        n = read_fixed(bits, 8, 32)
-        noff = read_fixed(bits, 40, 8)
-        offs = tuple(
-            read_fixed(bits, 48 + i * cls.OFFSET_BITS, cls.OFFSET_BITS)
-            for i in range(noff)
-        )
-        return cls(scheme_id, n, offs)
+        head = read_fixed(bits, 0, cls.HEADER_FIXED_BITS)
+        scheme_id, n = head >> 32, head & 0xFFFFFFFF
+        if scheme_id == WARMUP_ID:
+            return cls(scheme_id, n)
+        wd = widths(n)
+        intra = cls.HEADER_FIXED_BITS + wd.iw
+        blob = intra + intra_length(wd, read_fixed(bits, intra, wd.placement))
+        return cls(scheme_id, n, (intra, blob))
 
 
 def write_label_file(path: str, scheme_id: int, n: int, labels: list[BitString]) -> None:

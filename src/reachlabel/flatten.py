@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, Widths, count_width, index_width
+from .bitio import BitWriter, Widths, count_width, index_width, intra_length
 from .graph import LayeredDag, gatherer
 
 
@@ -139,17 +139,19 @@ def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
 class InnerView:
     """Decode view of a composite label's intra section: the placement
     fields cost one counted read, and the interval table is kept as an int
-    of ``width`` bits, each ``bit`` probe charged one word. ``end_offset``
-    is where the section ends, which is where the blob must begin. ``wd``
-    holds the widths of the label's header n.
+    of ``width`` bits, probed with ``read.table_bit``. ``end_offset`` is
+    where the section ends, which is where the blob begins. ``wd`` holds
+    the widths of the label's header n.
     """
 
     __slots__ = ("read", "topo", "grp", "beg", "end", "thick", "table", "width", "end_offset")
 
     def __init__(self, read, wd: Widths, offset: int):
-        iw, cw = wd.iw, wd.cw
-        head = 3 * iw + cw + 1
+        iw, cw, head = wd.iw, wd.cw, wd.placement
         packed = read(offset, head)
+        length = intra_length(wd, packed)
+        self.width = length - head
+        self.end_offset = offset + length
         self.thick = bool(packed & 1)
         packed >>= 1
         self.end = packed & (1 << cw) - 1
@@ -159,12 +161,7 @@ class InnerView:
         self.grp = packed & (1 << iw) - 1
         self.topo = packed >> iw
         self.read = read
-        self.width = 0 if self.thick else self.end - self.beg
         self.table = read.peek(offset + head, self.width)
-        self.end_offset = offset + head + self.width
-
-    def bit(self, i: int) -> int:
-        return self.read.table_bit(self.table, self.width, i)
 
 
 def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -> list[GroupLabel]:
@@ -187,4 +184,4 @@ def decode_inner(lu, lv) -> bool:
     """Within-group edge membership, from two intra section views."""
     if lu.grp != lv.grp or lu.thick:
         return False
-    return bool(lu.bit(lv.topo - lu.beg))
+    return bool(lu.read.table_bit(lu.table, lu.width, lv.topo - lu.beg))

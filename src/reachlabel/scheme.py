@@ -11,17 +11,18 @@ Three schemes share one self-describing container:
 
 Label layouts (MSB-first bit fields, see bitio)::
 
-    warmup:    header | scc[iw] | index[iw] | window[n//2]
-    composite: header | scc[iw] | intra | blob
+    warmup:    scheme[8] n[32] | scc[iw] | index[iw] | window[n//2]
+    composite: scheme[8] n[32] | scc[iw] | intra | blob
       intra =  topo[iw] grp[iw] beg[iw] end[cw] thick[1] table[end-beg]
                (the table is present only for thin groups)
 
 with iw = index_width(n), cw = count_width(n). Each strongly connected
 component is labeled once and its members share that label; ``scc`` holds
-the component id. The header n is the component count for the composite
-schemes and the node count for the warm-up, whose window runs over graph
-nodes. A composite header records the absolute bit offsets of the intra
-section and the blob, so the decoder can jump without scanning.
+the component id. The header is scheme[8] n[32] for every scheme; its n
+is the component count for the composite schemes and the node count for
+the warm-up, whose window runs over graph nodes. No offset is stored: the
+intra section starts after the component field, and the blob where the
+intra section ends.
 
 One decoder reads every label: a label is an int in memory (bytes only in
 the label file), and a LabelView reads its fields by shift and mask while
@@ -31,16 +32,16 @@ sub-label indices, set size, and the tables, keys and flags as ints.
 ``query_lazy`` builds two fresh views whose records read each field group
 on first use, so a single query reads only the bits it touches and reports
 the words read; a record finds its sections by summing the lengths of the
-iterations before it. ``parse_label`` first walks the whole view: it checks
-the header offsets and the intra section, reads the blob's pair schedule
-and biclique counts with one read each, and lays the sections out back to
-back from the node's class, the instance sizes, each rest set's size and
-each upper iteration's flag count (no offset, class or size is stored):
-the last section must end where the label does. That rejects a corrupt
-label with ValueError and keeps the walked records for bulk queries. Field
-widths are computed once per n (``bitio.widths``), and section layouts once
-per iteration shape (``crosslabel.section_layout``, ``schedule_layout``).
-``query`` answers from either kind.
+iterations before it. ``parse_label`` first walks the whole view: it
+views the intra section, reads the blob's pair schedule and biclique counts
+with one read each, and lays the sections out back to back from the node's
+class, the instance sizes, each rest set's size and each upper iteration's
+flag count (no offset, class or size is stored): the last section must end
+where the label does. That rejects a corrupt label with ValueError and keeps
+the walked records for bulk queries. Field widths are computed once per n
+(``bitio.widths``), and section layouts once per iteration shape
+(``crosslabel.section_layout``, ``schedule_layout``). ``query`` answers
+from either kind.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ from functools import cached_property
 
 from .biclique import get_profile
 from .bitio import (
+    WARMUP_ID,
     BitString,
     BitWriter,
     LabelHeader,
     LabelReader,
-    count_width,
     index_width,
     widths,
 )
@@ -80,11 +81,9 @@ from .flatten import (
 from .graph import Digraph, longest_path_layers, scc_condense, transitive_closure
 from .warmup import WarmupLabel, WindowView, decode_warmup, encode_warmup
 
-SCHEME_IDS = {"warmup": 1, "third": 2, "average": 3}
+SCHEME_IDS = {"warmup": WARMUP_ID, "third": 2, "average": 3}
 SCHEME_NAMES = {i: s for s, i in SCHEME_IDS.items()}
 PROFILES = ("paper", "force")
-
-_WARMUP = SCHEME_IDS["warmup"]
 
 
 class Pipeline:
@@ -199,7 +198,7 @@ def encode(
     lead = pl.scc.leaders  # a member of each component, by component id
     labels: list[BitString] = []
 
-    if sid == _WARMUP:
+    if sid == WARMUP_ID:
         iw = index_width(g.n)
         warm = pl.warm_labels
         for c, u in enumerate(lead):
@@ -217,17 +216,12 @@ def encode(
     inner = pl.inner_labels
     n = len(lead)
     iw = index_width(n)
-    cw = count_width(n)
-    intra_off = LabelHeader.HEADER_FIXED_BITS + 2 * LabelHeader.OFFSET_BITS + iw
     for c, u in enumerate(lead):
-        gl = inner[u]
-        blob = assemble_cross(cl, c)
-        blob_off = intra_off + 3 * iw + cw + 1 + (0 if gl.thick else gl.end - gl.beg)
         w = BitWriter()
-        LabelHeader(sid, n, (intra_off, blob_off)).write(w)
+        LabelHeader(sid, n).write(w)
         w.write(c, iw)
-        write_inner(w, gl, n)
-        w.append(blob)
+        write_inner(w, inner[u], n)
+        w.append(assemble_cross(cl, c))
         labels.append(w.finish())
     x = pl.scc.expand
     by_node = replace(cl, entry=x(cl.entry), removed_iter=x(cl.removed_iter),
@@ -249,25 +243,19 @@ class LabelView:
     so far.
     """
 
-    __slots__ = ("read", "scheme_id", "n", "scc", "warm", "_offsets", "inner", "cross")
+    __slots__ = ("read", "scheme_id", "n", "scc", "warm", "inner", "cross")
 
     def __init__(self, bits: BitString):
         r = LabelReader(bits)
         self.read = r
-        head = r(0, LabelHeader.HEADER_FIXED_BITS)
-        noff = head & 0xFF
-        self.n = head >> 8 & 0xFFFFFFFF
-        self.scheme_id = head >> 40
+        p = LabelHeader.HEADER_FIXED_BITS
+        head = r(0, p)
+        self.n = head & 0xFFFFFFFF
+        self.scheme_id = head >> 32
         if self.scheme_id not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme id {self.scheme_id}")
-        if noff != (0 if self.scheme_id == _WARMUP else 2):
-            raise ValueError(f"{noff} section offsets for scheme id {self.scheme_id}")
-        # composite labels carry exactly two 32-bit section offsets
-        packed = r(LabelHeader.HEADER_FIXED_BITS, 2 * LabelHeader.OFFSET_BITS) if noff else 0
-        self._offsets = (packed >> 32, packed & 0xFFFFFFFF)[:noff]
         iw = index_width(self.n)
-        p = LabelHeader.HEADER_FIXED_BITS + LabelHeader.OFFSET_BITS * noff
-        if self.scheme_id == _WARMUP:
+        if self.scheme_id == WARMUP_ID:
             both = r(p, 2 * iw)
             self.scc = both >> iw
             self.warm = WindowView(r, self.n, both & (1 << iw) - 1, p + 2 * iw)
@@ -278,12 +266,16 @@ class LabelView:
         self.cross = None
 
     def view_inner(self) -> InnerView:
-        self.inner = InnerView(self.read, widths(self.n), self._offsets[0])
+        wd = widths(self.n)
+        self.inner = InnerView(self.read, wd, LabelHeader.HEADER_FIXED_BITS + wd.iw)
         return self.inner
 
     def view_cross(self) -> CrossView:
+        """The blob, which starts where the intra section ends (viewed first
+        if it is not yet)."""
+        blob = (self.inner or self.view_inner()).end_offset
         variant = SCHEME_NAMES[self.scheme_id]
-        self.cross = CrossView(self.read, self._offsets[1], widths(self.n), variant)
+        self.cross = CrossView(self.read, blob, widths(self.n), variant)
         return self.cross
 
     @property
@@ -291,22 +283,15 @@ class LabelView:
         return self.read.words
 
     def check(self) -> None:
-        """Raise ValueError unless a warm-up index is below n, the header
-        offsets match the layout, the intra section ends where the blob
-        begins, every blob section decodes where the sections before it end
-        (``CrossView.check``, which keeps one record per iteration) and the
-        label ends where its last section does."""
-        iw = index_width(self.n)
+        """Raise ValueError unless a warm-up index is below n, every blob
+        section decodes where the sections before it end (``CrossView.check``,
+        which keeps one record per iteration) and the label ends where its
+        last section does."""
         if self.warm is not None:
             if self.warm.index >= self.n:
                 raise ValueError("warm-up index outside 0..n-1")
-            end = LabelHeader.HEADER_FIXED_BITS + 2 * iw + self.n // 2
+            end = LabelHeader.HEADER_FIXED_BITS + 2 * index_width(self.n) + self.n // 2
         else:
-            intra_off, blob_off = self._offsets
-            if intra_off != LabelHeader.HEADER_FIXED_BITS + 2 * LabelHeader.OFFSET_BITS + iw:
-                raise ValueError("intra section offset mismatch")
-            if self.view_inner().end_offset != blob_off:
-                raise ValueError("blob offset mismatch")
             end = self.view_cross().check()
         if end != self.read.length:
             raise ValueError("label length mismatch")
@@ -326,7 +311,7 @@ def query(lu, lv) -> bool:
         raise ValueError("labels disagree on scheme or node count")
     if lu.scc == lv.scc:
         return True
-    if lu.scheme_id == _WARMUP:
+    if lu.scheme_id == WARMUP_ID:
         return decode_warmup(lu.warm, lv.warm)
     iu = lu.inner or lu.view_inner()
     iv = lv.inner or lv.view_inner()
@@ -374,7 +359,7 @@ def stats(ls: LabelSet) -> dict:
         "header": _agg(h.bit_length for h in hdrs),
         "scc": _agg(index_width(h.n) for h in hdrs),
     }
-    if ls.scheme_id == _WARMUP:
+    if ls.scheme_id == WARMUP_ID:
         sections["index"] = sections["scc"]
         sections["window"] = _agg(h.n // 2 for h in hdrs)
     else:

@@ -38,17 +38,14 @@ class WarmupLabel:
 
 class WindowView:
     """Decode view of a warm-up label's index and window; the window is
-    kept as an int of ``width`` = n//2 bits, each ``bit`` probe charged one
-    word."""
+    kept as an int of ``width`` = n//2 bits, probed with
+    ``read.table_bit``."""
 
     __slots__ = ("read", "n", "index", "table", "width")
 
     def __init__(self, read, n: int, index: int, offset: int):
         self.read, self.n, self.index, self.width = read, n, index, n // 2
         self.table = read.peek(offset, self.width)
-
-    def bit(self, i: int) -> int:
-        return self.read.table_bit(self.table, self.width, i)
 
 
 def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
@@ -83,5 +80,5 @@ def decode_warmup(lu, lv) -> bool:
         return False
     d = iv - iu
     if d <= n // 2:
-        return bool(lu.bit(d - 1))
-    return bool(lv.bit(n + iu - iv - 1))
+        return bool(lu.read.table_bit(lu.table, lu.width, d - 1))
+    return bool(lv.read.table_bit(lv.table, lv.width, n + iu - iv - 1))

@@ -33,7 +33,7 @@ from reachlabel.bipartite import (
     encode_bipartite,
     index_pair,
 )
-from reachlabel.bitio import index_width
+from reachlabel.bitio import LabelHeader, index_width
 from reachlabel.crosslabel import CLS_UPPER, node_class
 from reachlabel.flatten import build_superlayers
 from reachlabel.graph import (
@@ -177,7 +177,7 @@ def test_criterion_04_warmup_exact_size():
             pl = Pipeline(g)
             ls = encode(g, "warmup", pipeline=pl)
             iw = index_width(n)
-            header = 48 + iw  # fixed front matter plus the component field
+            header = LabelHeader.HEADER_FIXED_BITS + iw  # scheme id, n, component field
             want = header + iw + n // 2
             lengths = {len(b) for b in ls.labels}
             assert lengths == {want}, (kind, n, lengths, want)

@@ -29,7 +29,14 @@ from reachlabel.bitio import (
 )
 from reachlabel.cli import main
 from reachlabel import crosslabel
-from reachlabel.crosslabel import CLS_FRONT_MATCH, CLS_FRONT_REST, CLS_SECOND_REST, node_class
+from reachlabel.crosslabel import (
+    CLS_FRONT_MATCH,
+    CLS_FRONT_REST,
+    CLS_SECOND_REST,
+    assemble_cross,
+    node_class,
+)
+from reachlabel.flatten import write_inner
 from reachlabel.graph import Digraph, reach_rows
 from reachlabel.oracle import GenSpec, flip_bit, generate
 from reachlabel.scheme import (
@@ -168,7 +175,7 @@ def test_warmup_label_length_formula():
         g = Digraph(n, [])
         ls = encode(g, "warmup")
         for b in ls.labels:
-            assert len(b) == 48 + 2 * index_width(n) + n // 2
+            assert len(b) == LabelHeader.HEADER_FIXED_BITS + 2 * index_width(n) + n // 2
 
 
 def test_labels_share_per_scheme_length_only_for_warmup():
@@ -190,6 +197,35 @@ def test_stats_sections():
             assert set(total) == {"header", "scc", "intra", "cross"}
         assert sum(sec["max"] for sec in total.values()) >= rep["max_bits"]
         assert rep["max_bits"] >= rep["mean_bits"] > 0
+
+
+def test_header_is_scheme_id_and_n_and_offsets_are_derived():
+    """Every composite label of the corpus starts with its 40-bit header,
+    scheme[8] n[32], and then holds its component id, its intra section and
+    its blob and nothing else. ``LabelHeader.read`` derives the offsets: the
+    intra section starts after the iw-bit component field, and the blob
+    where the check walk's intra section ends."""
+    checked = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        lead = pl.scc.leaders
+        n = len(lead)  # the component count
+        iw = index_width(n)
+        for profile in PROFILES:
+            for scheme in ("third", "average"):
+                ls = encode(g, scheme, profile, pipeline=pl)
+                cl = pl.cross_labeling(profile, scheme)
+                for bits in dict.fromkeys(ls.labels):
+                    view = parse_label(bits)
+                    assert LabelHeader.read(bits).offsets == (40 + iw, view.inner.end_offset)
+                    w = BitWriter()
+                    LabelHeader(ls.scheme_id, n).write(w)
+                    w.write(view.scc, iw)
+                    write_inner(w, pl.inner_labels[lead[view.scc]], n)
+                    w.append(assemble_cross(cl, view.scc))
+                    assert w.finish() == bits
+                    checked += 1
+    assert checked > 0
 
 
 def test_label_file_round_trip_preserves_queries(tmp_path):
@@ -234,28 +270,30 @@ def test_pipeline_shares_one_peeling_per_profile():
 # retires and the flags of rest classes, and tables came to be written as
 # their ints (bit i at field position width-1-i), which also reorders the
 # warm-up dag's window bits. Re-pinned at version 5, when blobs traded
-# section class codes and sub-label headers for a pair schedule, and last at
-# version 6, when they traded the section bounds for biclique counts (both
-# times the warm-up dag's labels were unchanged; its file's version byte was
-# not).
+# section class codes and sub-label headers for a pair schedule, at version
+# 6, when they traded the section bounds for biclique counts (both times the
+# warm-up dag's labels were unchanged; its file's version byte was not), and
+# last at version 7, when every header shrank to its scheme id and n: the
+# composite labels lost 72 bits and the warm-up labels 8, and the bits after
+# the header are unchanged.
 PINNED_DIGESTS = [
     (
         GenSpec("dag", 60, 0.1, 3),
         "warmup",
         "paper",
-        "2262db14bf80824f68e48b0587b9314b2e6e95ea5fe8a893f59747c713bb99d3",
+        "e6557aca87f14c803dd142d68ee9c1f86f65e173b6c22f41c3875ee9f555f816",
     ),
     (
         GenSpec("digraph", 80, 0.03, 5),  # 31 components, the largest of 50
         "third",
         "paper",
-        "3676cb97c78ea1954b2551afade1af9fe89cd1aace954a79a6b09cee49dd5421",
+        "0ca4c8080f99a09078b08a6568bfc52285d3a027736efc9076c4643fe469aa85",
     ),
     (
         GenSpec("poset", 70, 0.5, 7),
         "average",
         "force",
-        "b5824425723336d5aa3ea706078e67678d8dbc900759edc94027b8304929ce4e",
+        "989062599b8af476fc59dc759291b0ad58ff7beef8b5fd31bcbda3763dda4cbb",
     ),
 ]
 
@@ -273,7 +311,7 @@ def test_label_file_bytes_are_pinned(tmp_path, spec, scheme, profile, digest):
 def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     """A sparse DAG whose labels hold hundreds of rest sets, the largest of
     83 keys, so a probe may take seven binary-search steps. The digest pins
-    every key."""
+    every key (re-pinned at version 7, when the header lost its offsets)."""
     real = crosslabel.build_set
     built = []
 
@@ -289,7 +327,7 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "pinned.rlbl"
     write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "22578ff9f0045414405dc8ca2bfc358f94be9f02bfdd16b0151c1dc3a357fff9"
+        "d249e443da5db622cd8778b12a8a9068ae51377a22d41f7df235b2daa210cb0f"
     )
 
 
@@ -304,8 +342,10 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
 # (digraph 75857 -> 74549, poset 81028 -> 73956). Re-pinned at version 6,
 # when a query came to read the schedule up to its iteration, two biclique
 # counts and the size of each earlier rest set, not three bounds (digraph
-# 74549 -> 76539, poset 73956 -> 73260).
-PINNED_WORDS = [16170, 76539, 73260]
+# 74549 -> 76539, poset 73956 -> 73260), and again at version 7, when a
+# composite label lost the offset read after its header, one read per label
+# and two per pair (digraph 76539 -> 63739, poset 73260 -> 63460).
+PINNED_WORDS = [16170, 63739, 63460]
 
 
 @pytest.mark.parametrize(
@@ -347,9 +387,15 @@ def poset_labels():
     return encode(generate(spec), scheme, profile)
 
 
-def intra_offset_off() -> BitString:
+def intra_table_overlong() -> BitString:
+    # node 0's thin group read one position wider (its end field raised by
+    # one): the table takes a bit more and the blob is read a bit late
     bits = poset_labels().labels[0]
-    return with_field(bits, 48, 32, LabelHeader.read(bits).offsets[0] + 1)
+    hdr = LabelHeader.read(bits)
+    view = parse_label(bits).inner
+    assert not view.thick
+    at = hdr.offsets[0] + 3 * index_width(hdr.n)  # after topo, grp and beg
+    return with_field(bits, at, count_width(hdr.n), view.end + 1)
 
 
 def blob_overruns() -> BitString:
@@ -547,7 +593,7 @@ def warm_index() -> BitString:
     [
         (near_one_key_short, r"sub-label index \d+ outside side B"),
         (matched_far_cut_short, "overruns"),
-        (intra_offset_off, "intra section offset mismatch"),
+        (intra_table_overlong, "entry or retirement outside the blob's groups"),
         (blob_overruns, "overruns"),
         (counts_decrease, "-1 bicliques for 2 pairs at iteration 2"),
         (count_step_zero, "0 bicliques for 2 pairs at iteration 2"),
@@ -563,7 +609,7 @@ def warm_index() -> BitString:
         (rest_far_overlong, r"sub-label index \d+ outside side A"),
         (set_key_outside, "set keys do not ascend below 70"),
     ],
-    ids=["near-short", "matched-far-length", "intra-offset", "blob-overrun",
+    ids=["near-short", "matched-far-length", "intra-table-overlong", "blob-overrun",
          "counts-decrease", "count-step-zero", "count-over-pairs", "far-flags-overrun",
          "warm-index", "schedule-decreases", "schedule-over-half", "far-b-negative",
          "no-pairs-at-retirement", "index-outside-side", "retired-before-entry",
@@ -638,11 +684,16 @@ def test_descending_set_keys_are_rejected():
 # their side (digraph: 1179 of 19652 copies accepted; poset: 6139 of 42398).
 # Both were re-pinned at version 6: the labels lost their bounds tables, and
 # the walk chains the sections and checks biclique counts instead of bounds
-# (digraph: 1192 of 15700 copies accepted; poset: 5980 of 36808).
+# (digraph: 1192 of 15700 copies accepted; poset: 5980 of 36808). All three
+# were re-pinned at version 7: every label lost its offset count (the
+# composite ones also their two 32-bit offsets), whose flips and truncations
+# were all rejected, and every other copy keeps its verdict. So the counts
+# accepted stay (dag 2564, digraph 1192, poset 5980) and their share rises
+# (dag 2564 of 9840 copies, digraph 1192 of 11236, poset 5980 of 26728).
 PINNED_VERDICTS = [
-    (8236, "361b722f99c40aff1f7bb6077bae6fa7a52d7992ff2d5df0235075144f3c3682"),
-    (14508, "8c9b7e7b180c9abf5ed4d8ed0baaa9c5c52f3e008a5219f788035b630aa20658"),
-    (30828, "d729880ef8f5c8f5efa0c3d0f42802a1b49dc0b7c15219d663bbd83ffc293ebd"),
+    (7276, "12929f9feb1b35e949045ca3dd4d87910a8b580c7ddd459ae587523a2be1b93f"),
+    (10044, "ae0e51a4298467d381debb900ae63926982ae017ee8b4716bbc38c2e6146a60d"),
+    (20748, "bb60d02886bf0b6fd19d5db578d5a6a548f6a629c2ae2cdc3caf939599ed24a9"),
 ]
 
 
@@ -776,9 +827,9 @@ def fuzz_labels(scheme: str) -> tuple[BitString, ...]:
     st.sampled_from(["flip", "truncate"]),
     st.integers(min_value=0, max_value=10**6),
 )
-@example("third", 1, 0, False, "flip", 46)  # section offset count 2 -> 0
-@example("third", 15, 2, True, "flip", 152)  # schedule entry P_2 9 -> 25, over n/2
-@example("average", 15, 2, True, "flip", 153)  # schedule entry P_2 9 -> 1, below P_1
+@example("third", 1, 0, False, "flip", 7)  # scheme id 2 -> 3, a third label read as average
+@example("third", 15, 2, True, "flip", 80)  # schedule entry P_2 9 -> 25, over n/2
+@example("average", 15, 2, True, "flip", 81)  # schedule entry P_2 9 -> 1, below P_1
 @settings(max_examples=400, deadline=None)
 def test_corrupted_label_answers_or_raises_value_error(scheme, u, v, first, mode, at):
     labels = fuzz_labels(scheme)
