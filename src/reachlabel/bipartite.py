@@ -153,3 +153,20 @@ def read_embedded(read, offset: int, iw: int, side: str,
         raise ValueError(f"sub-label index {index} outside side {side} (a={a}, b={b})")
     width = alpha if side == "A" else beta
     return index, offset + iw + width, read.peek(offset + iw, width)
+
+
+def peek_embedded(read, offset: int, iw: int, side: str,
+                  sizes: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """``read_embedded`` uncounted, for a label's check walk: the index and
+    the table are taken in one shift and mask of the label's int. A
+    sub-label that overruns the label, or whose index is off ``side``, is
+    left to ``read_embedded``, which raises what it meets first."""
+    a, b, alpha, beta = sizes
+    width = alpha if side == "A" else beta
+    end = offset + iw + width
+    if end <= read.length:
+        both = read.value >> read.length - end
+        index = both >> width & (1 << iw) - 1
+        if index < a if side == "A" else a <= index < a + b:
+            return index, end, both & (1 << width) - 1
+    return read_embedded(read, offset, iw, side, sizes)

@@ -58,17 +58,19 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 from .bipartite import (
     BipartiteInstance,
     encode_bipartite,
     pair_window,
+    peek_embedded,
     read_embedded,
     write_embedded,
 )
 from .biclique import build_n_rest, find_bicliques, get_profile
 from .bitio import BitString, BitWriter, Widths, count_width, index_width
-from .dictionary import build_set, check_set, read_set, set_contains
+from .dictionary import build_set, check_set, peek_set, read_set, set_contains
 from .graph import LayeredDag, _iter_bits, _mask_of, gatherer, transpose
 
 # Node classes within one iteration; no label stores them (``node_class``).
@@ -456,11 +458,17 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
 # -- decode records ----------------------------------------------------------
 #
 # One record type serves both decode surfaces: an ``IterationView`` keeps a
-# node's two sections of iteration s as offsets, indices and table ints.
-# ``CrossView.check`` fills every record it walks, building no object for a
-# sub-label, a set or flags, and bulk queries answer from those fields; a
-# record built for a single query reads each field group on first use, so
-# the query pays only for the words it touches.
+# node's two sections of iteration s as offsets, indices and table ints,
+# with the iteration's ``Shape``: the node's class, the instance sizes and
+# the widths, which ``iteration_shape`` alone derives. The labels of one
+# encoding share their pair schedule and biclique counts, so every blob with
+# the same entry and retirement has the same shapes: ``blob_plan`` checks a
+# blob head and derives its shapes once, and ``CrossView.check`` then reads
+# by shift and mask only what differs between labels (sub-label indices and
+# tables, rest sets and flags), filling every record it walks, so bulk
+# queries answer from those fields. A record built for a single query reads
+# each field group on first use through the word-counting reader, so the
+# query pays only for the words it touches.
 
 
 @functools.lru_cache(maxsize=256)
@@ -490,12 +498,88 @@ def schedule_layout(variant: str, n: int, cw: int, s: int, packed: int) -> tuple
     return upto, tuple(far)
 
 
+class Shape(NamedTuple):
+    """What a node's iteration s looks like before any of its own fields
+    is read: its class ``inf``, the ``p`` pairs matched among ``live``
+    nodes and, for an upper node, its ``flags`` bicliques; a matched node's
+    near instance sizes, index width and section bits (None, 0 and 0 for
+    the other classes: a rest set's bits follow from its stored size); the
+    far instance sizes, index width and biclique number width; and
+    ``far_bits``, the bits of its far section (0 when p is 0)."""
+
+    inf: int
+    p: int
+    live: int
+    flags: int
+    near: tuple[int, int, int, int] | None
+    near_iw: int
+    near_bits: int
+    far: tuple[int, int, int, int]
+    far_iw: int
+    bw: int
+    far_bits: int
+
+
+@functools.lru_cache(maxsize=1024)
+def iteration_shape(variant: str, n: int, s: int, entry: int, removed_iter: int,
+                    before: int, upto: int, flags: int) -> Shape:
+    """The Shape of iteration s of a blob over n nodes with this entry and
+    retirement, where P_{s-1} = ``before`` and P_s = ``upto``, under size
+    ``variant``: the one derivation of classes, sizes and widths that the
+    check walk and lazily read records share, computed once per shape."""
+    inf = node_class(s, entry, removed_iter)
+    p = upto - before
+    live = n - 2 * before
+    near, near_iw = section_layout("near", p, 0)[:2] if inf in MATCHED else (None, 0)
+    far, far_iw, bw = section_layout(variant, p, live)
+    far_bits = far_iw + (bw + far[2] if inf in MATCHED else far[3] + flags) if p else 0
+    # both sides' near tables are equally wide
+    return Shape(inf, p, live, flags, near, near_iw, near_iw + near[2] if near else 0,
+                 far, far_iw, bw, far_bits)
+
+
+@functools.lru_cache(maxsize=256)
+def blob_plan(variant: str, n: int, k: int, entry: int, removed_iter: int,
+              sched: int | None, bics: int | None) -> tuple[Shape, ...] | None:
+    """The Shapes of the m = min(removed_iter, k-1) iterations of a blob
+    over n nodes, from its head: ``sched`` packs P_1..P_m and ``bics``
+    B_1..B_u, count_width(n) bits each. Raises ValueError on a head no query
+    could decode, checking in this order: that entry and retirement lie in
+    the k groups and the node retires no earlier than the iteration ahead of
+    its entry group, so the blob holds every section a query can ask for;
+    that the schedule does not decrease or pair more than the n nodes; and
+    that the counts step by 1 to p at an upper iteration that matched p > 0
+    pairs (each biclique holds a pair) and by 0 at one that matched none.
+    ``sched`` or ``bics`` is None when the label ends inside it: the checks
+    before it run, and the plan is None. The labels of an encoding share
+    their heads, so this runs once per entry and retirement."""
+    if not (1 <= entry <= k and max(1, entry - 1) <= removed_iter <= k):
+        raise ValueError("entry or retirement outside the blob's groups")
+    if sched is None:
+        return None
+    m = min(removed_iter, k - 1)
+    u = max(0, min(entry - 2, m))
+    cw = count_width(n)
+    upto = schedule_layout(variant, n, cw, m, sched)[0]
+    if bics is None:
+        return None
+    counts = [0] + [bics >> cw * i & (1 << cw) - 1 for i in range(u - 1, -1, -1)]
+    flags = [b - a for a, b in zip(counts, counts[1:])] + [0] * (m - u)
+    for s in range(1, u + 1):
+        p, d = upto[s] - upto[s - 1], flags[s - 1]
+        if not min(p, 1) <= d <= p:
+            raise ValueError(f"{d} bicliques for {p} pairs at iteration {s}")
+    return tuple(iteration_shape(variant, n, s, entry, removed_iter, upto[s - 1], upto[s],
+                                 flags[s - 1]) for s in range(1, m + 1))
+
+
 class IterationView:
-    """A node's near and far sections of iteration s, which matched ``p``
-    pairs among ``live`` nodes and, for an upper node, found ``flags``
-    bicliques. They start at label offset ``start``; ``mid`` and ``end``,
-    where they end, follow from the node's class, the instance sizes, the
-    flag count and a rest set's size, which the record reads with its keys.
+    """A node's near and far sections of iteration s, laid out by the
+    iteration's ``shape`` (whose class, pair count, live count and flag
+    count the record also keeps as ``inf``, ``p``, ``live`` and ``flags``).
+    They start at label offset ``start``; ``mid`` and ``end``, where they
+    end, follow from the shape and a rest set's size, which the record
+    holds with its keys in ``near``.
 
     ``near`` keeps a matched node's sub-label as (index, end offset,
     instance sizes, table) or a rest node's set as (size, end offset, keys);
@@ -503,57 +587,60 @@ class IterationView:
     the same way, after a matched node's biclique number ``bic``, plus an
     upper node's flags; it is empty when p is 0. Tables, keys and flags are
     ints taken from the label uncounted, and each probe of them is charged
-    one word. The check walk fills every group; a record built for one
-    query reads the others on first use (``read_near``, ``read_far``,
-    ``read_bic``).
+    one word. The check walk fills ``near`` and ``far``; a record built for
+    one query reads them on first use (``read_near``, ``read_far``), and
+    either kind reads ``bic`` on first use (``read_bic``).
     """
 
-    __slots__ = ("read", "wd", "variant", "inf", "p", "live", "flags", "start", "mid", "end",
+    __slots__ = ("read", "wd", "shape", "inf", "p", "live", "flags", "start", "mid", "end",
                  "is_empty", "near", "far", "bic")
 
-    def __init__(self, cv: CrossView, s: int, before: int, upto: int, flags: int, start: int):
-        self.read, self.wd, self.variant = cv.read, cv.wd, cv.variant
-        self.inf = inf = node_class(s, cv.entry, cv.removed_iter)
-        self.p = p = upto - before  # P_s - P_{s-1}
-        self.live = cv.wd.n - 2 * before
-        self.flags, self.start, self.is_empty = flags, start, p == 0
-        self.near = self.far = self.bic = None
-        if inf == CLS_UPPER:
-            mid = start
-        elif inf in MATCHED:
-            sizes, iw, _ = section_layout("near", p, 0)
-            mid = start + iw + sizes[2]  # both sides' tables are equally wide
+    def __init__(self, read, wd: Widths, shape: Shape, start: int, take_set=read_set):
+        """A record at ``start``, reading a rest node's set there with
+        ``take_set``: ``read_set``, or ``peek_set`` for the check walk."""
+        self.read = read
+        self.wd = wd
+        self.shape = shape
+        self.inf = inf = shape.inf
+        self.p = shape.p
+        self.live = shape.live
+        self.flags = shape.flags
+        self.start = start
+        if inf == CLS_FRONT_REST or inf == CLS_SECOND_REST:
+            self.near = near = take_set(read, start, wd)
+            self.mid = mid = near[1]
         else:
-            self.near = read_set(self.read, start, self.wd)
-            mid = self.near[1]
-        self.mid = self.end = mid
-        if p:
-            sizes, iw, bw = section_layout(self.variant, p, self.live)
-            self.end = mid + iw + (bw + sizes[2] if inf in MATCHED else sizes[3] + flags)
+            self.near = None
+            self.mid = mid = start + shape.near_bits
+        self.end = mid + shape.far_bits
+        self.is_empty = shape.p == 0
+        self.far = self.bic = None
 
-    def read_near(self) -> tuple:
-        """Read a matched node's near sub-label index into ``near``."""
-        sizes, iw, _ = section_layout("near", self.p, 0)
+    def read_near(self, take=read_embedded) -> tuple:
+        """Read a matched node's near sub-label into ``near`` with ``take``:
+        ``read_embedded``, or ``peek_embedded`` for the check walk."""
+        sh = self.shape
         side = "A" if self.inf == CLS_FRONT_MATCH else "B"
-        index, end, table = read_embedded(self.read, self.start, iw, side, sizes)
-        self.near = (index, end, sizes, table)
+        index, end, table = take(self.read, self.start, sh.near_iw, side, sh.near)
+        self.near = (index, end, sh.near, table)
         return self.near
 
-    def read_far(self) -> tuple:
-        """Read the far sub-label's index, after a matched node's biclique
-        number, and keep it in ``far``, followed by an upper node's flags."""
-        sizes, iw, bw = section_layout(self.variant, self.p, self.live)
+    def read_far(self, take=read_embedded) -> tuple:
+        """Read the far sub-label with ``take``, after a matched node's
+        biclique number, and keep it in ``far``, followed by an upper node's
+        flags."""
+        sh = self.shape
         if self.inf in MATCHED:
-            index, end, table = read_embedded(self.read, self.mid + bw, iw, "A", sizes)
+            index, end, table = take(self.read, self.mid + sh.bw, sh.far_iw, "A", sh.far)
         else:
-            index, end, table = read_embedded(self.read, self.mid, iw, "B", sizes)
-        self.far = (index, end, sizes, table)
+            index, end, table = take(self.read, self.mid, sh.far_iw, "B", sh.far)
+        self.far = (index, end, sh.far, table)
         if self.inf == CLS_UPPER:
             self.far += (self.read.peek(end, self.flags),)
         return self.far
 
     def read_bic(self) -> int:
-        self.bic = self.read(self.mid, index_width(self.p))
+        self.bic = self.read(self.mid, self.shape.bw)
         return self.bic
 
     def contains(self, x: int) -> bool:
@@ -601,7 +688,8 @@ class CrossView:
         """Iteration s's record. Built for one query, it reads P_1..P_s,
         and B_{j-1} and B_j for j = min(s, u): the upper iterations before
         s hold B_{s-1} flags, or B_u once s is past them, and s holds
-        B_s - B_{s-1}. Each earlier rest iteration's set size costs a read."""
+        B_s - B_{s-1}. Each earlier rest iteration's set size costs a read,
+        and so does the set of a rest node at s."""
         if self._iters:
             return self._iters[s - 1]
         if not 1 <= s <= self.m:
@@ -617,43 +705,43 @@ class CrossView:
         for t in range(ups + 1, s):  # the earlier rest iterations' sets
             sets += cw + wd.iw * read(at + far[t - 1] + sets, cw)
         flags = (both & mask) - (both >> cw) if s == j else 0
-        return IterationView(self, s, upto[s - 1], upto[s], flags, at + far[s - 1] + sets)
+        shape = iteration_shape(self.variant, wd.n, s, self.entry, self.removed_iter,
+                                upto[s - 1], upto[s], flags)
+        return IterationView(read, wd, shape, at + far[s - 1] + sets)
 
     def check(self) -> int:
         """Walk every section, raising ValueError on a field a query could
         not decode, and keep one filled record per iteration; returns the
         bit offset where the blob ends, which must be where the label does.
 
-        The schedule and the biclique counts take one read each. The
-        schedule must not decrease or pair more than the n nodes; the counts
-        must step by 1 to p at an upper iteration that matched p > 0 pairs
-        (each biclique holds a pair) and by 0 at one that matched none. A
-        node cannot retire before the iteration ahead of its entry group, so
-        the blob holds every section a query can ask for. Each record starts
-        where the last one ends, and the walk reads its fields: a sub-label's
-        index must lie on its side and a set's keys must ascend.
+        The head (schedule and biclique counts, one read each) is checked
+        and laid out by ``blob_plan``. Each record then starts where the
+        last one ends, and the walk takes its fields by shift and mask,
+        uncounted: a sub-label's index must lie on its side and a set's
+        keys must ascend. A field that overruns the label raises as the
+        counted read of a lazy record would, in the same order.
         """
-        k, read, m, cw = self.k, self.read, self.m, self.wd.cw
-        if not (1 <= self.entry <= k and max(1, self.entry - 1) <= self.removed_iter <= k):
-            raise ValueError("entry or retirement outside the blob's groups")
-        upto = schedule_layout(self.variant, self.wd.n, cw, m, read(self._sched, m * cw))[0]
-        bics = read(self._bics, self.u * cw) if self.u else 0
-        bics = [0] + [bics >> cw * i & (1 << cw) - 1 for i in range(self.u - 1, -1, -1)]
-        flags = [b - a for a, b in zip(bics, bics[1:])] + [0] * (m - self.u)
-        for s in range(1, self.u + 1):
-            p, d = upto[s] - upto[s - 1], flags[s - 1]
-            if not min(p, 1) <= d <= p:
-                raise ValueError(f"{d} bicliques for {p} pairs at iteration {s}")
+        read, wd, m, u = self.read, self.wd, self.m, self.u
+        cw, length = wd.cw, read.length
+        sched = bics = None
+        if self._bics <= length:
+            sched = read(self._sched, m * cw)
+            if self._payload <= length:
+                bics = read(self._bics, u * cw) if u else 0
+        plan = blob_plan(self.variant, wd.n, self.k, self.entry, self.removed_iter, sched, bics)
+        if plan is None:  # the label ends inside the head: one of these reads overruns
+            read(self._sched, m * cw)
+            read(self._bics, u * cw)
         at = self._payload
         iters = []
-        for s in range(1, m + 1):
-            it = IterationView(self, s, upto[s - 1], upto[s], flags[s - 1], at)
-            if it.inf in MATCHED:
-                it.read_near()
-            elif it.inf != CLS_UPPER:
-                check_set(it.near[0], it.near[2], self.wd)
-            if it.p:
-                it.read_far()
+        for shape in plan:
+            it = IterationView(read, wd, shape, at, peek_set)
+            if shape.inf in MATCHED:
+                it.read_near(peek_embedded)
+            elif it.near is not None:
+                check_set(it.near[0], it.near[2], wd)
+            if shape.p:
+                it.read_far(peek_embedded)
             iters.append(it)
             at = it.end
         self._iters = tuple(iters)

@@ -57,6 +57,19 @@ def read_set(read, offset: int, wd: Widths) -> tuple[int, int, int]:
     return m, offset + wd.cw + wd.iw * m, read.peek(offset + wd.cw, wd.iw * m)
 
 
+def peek_set(read, offset: int, wd: Widths) -> tuple[int, int, int]:
+    """``read_set`` uncounted, for a label's check walk: the size and the
+    keys by shift and mask of the label's int. A set that overruns the label
+    is left to ``read_set``, which raises."""
+    end = offset + wd.cw
+    if end <= read.length:
+        m = read.value >> read.length - end & (1 << wd.cw) - 1
+        end += wd.iw * m
+        if end <= read.length:
+            return m, end, read.value >> read.length - end & (1 << wd.iw * m) - 1
+    return read_set(read, offset, wd)
+
+
 def check_set(m: int, keys: int, wd: Widths) -> None:
     """Raise ValueError unless the ``m`` keys ascend below the universe
     bound, as the binary search assumes. A label's check walk calls this, a

@@ -33,15 +33,18 @@ sub-label indices, set size, and the tables, keys and flags as ints.
 on first use, so a single query reads only the bits it touches and reports
 the words read; a record finds its sections by summing the lengths of the
 iterations before it. ``parse_label`` first walks the whole view: it
-views the intra section, reads the blob's pair schedule and biclique counts
-with one read each, and lays the sections out back to back from the node's
-class, the instance sizes, each rest set's size and each upper iteration's
-flag count (no offset, class or size is stored): the last section must end
-where the label does. That rejects a corrupt label with ValueError and keeps
-the walked records for bulk queries. Field widths are computed once per n
-(``bitio.widths``), and section layouts once per iteration shape
-(``crosslabel.section_layout``, ``schedule_layout``). ``query`` answers
-from either kind.
+views the intra section and reads the blob's head, the pair schedule and
+the biclique counts with one read each. ``crosslabel.blob_plan`` checks
+that head and derives each iteration's shape, the node's class, instance
+sizes, index widths and flag count (no offset, class or size is stored);
+the labels of one encoding share their schedule and counts, so this runs
+once per distinct head. The walk then takes what differs between labels,
+sub-label indices and tables, rest sets and flags, by shift and mask, and
+lays the sections out back to back: the last section must end where the
+label does. That rejects a corrupt label with ValueError, whatever heads
+were planned before, and keeps the walked records for bulk queries. Field
+widths are computed once per n (``bitio.widths``). ``query`` answers from
+either kind.
 """
 
 from __future__ import annotations
@@ -240,7 +243,11 @@ class LabelView:
     viewed on first use (``view_inner``, ``view_cross``) and kept in
     ``inner`` and ``cross``, which stay None until then. ``words`` is the
     number of 64-bit word fetches a pointer-based decoder would have made
-    so far.
+    for the fields read so far. A view built for one query counts every
+    field it reads. A view that ``parse_label`` walked counts the header,
+    the component id, the intra placement fields and the blob's head, not
+    the sections the walk took uncounted, and then each field and probe of
+    the queries it answers.
     """
 
     __slots__ = ("read", "scheme_id", "n", "scc", "warm", "inner", "cross")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 from reachlabel.biclique import EXHAUSTIVE_LIMIT, _TRIALS, _qstar, get_profile
 from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
 from reachlabel.cli import GraphFormatError
+from reachlabel.crosslabel import blob_plan, iteration_shape, schedule_layout, section_layout
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
 from reachlabel.oracle import GenSpec, generate
@@ -347,3 +349,18 @@ def blob_fields(bits: BitString) -> tuple[int, int, int, int]:
     both = read_fixed(bits, blob + kf, 2 * cw)
     m = min(both >> cw, k - 1)
     return blob + kf + 2 * cw, kf, m, max(0, min((both & (1 << cw) - 1) - 2, m))
+
+
+@contextmanager
+def cold_caches():
+    """Run the body with the decoder's layout caches empty, and empty them
+    again on the way out: a verdict reached inside depends on the label
+    alone, not on what labels parsed before it left in a cache."""
+    caches = (blob_plan, iteration_shape, schedule_layout, section_layout)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        yield
+    finally:
+        for cache in caches:
+            cache.cache_clear()

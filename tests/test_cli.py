@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from helpers import blob_fields, ref_read_graph_file, ref_write_graph_file
+from helpers import blob_fields, cold_caches, ref_read_graph_file, ref_write_graph_file
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +138,26 @@ def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "--labels", str(labels))
     assert code == 2
     assert "scheme id" in err and not out
+
+
+def test_stats_refuses_a_corrupt_file_after_a_clean_one(tmp_path, capsys):
+    """Checking a clean file leaves a layout plan for every blob head of
+    its encoding in the process; a copy whose node 1 claims more pairs than
+    there are nodes in its last schedule entry must still exit 2."""
+    ls = encode(generate(GenSpec("poset", 60, 0.5, 1)), "third", "force")
+    clean, bad = tmp_path / "clean.rlbl", tmp_path / "bad.rlbl"
+    write_label_file(str(clean), ls.scheme_id, ls.n, ls.labels)
+    labels = list(ls.labels)
+    at, width, m, _ = blob_fields(labels[1])
+    shift = len(labels[1]) - at - m * width  # P_m, the last schedule entry
+    entry = labels[1].value >> shift & (1 << width) - 1
+    labels[1] = BitString(labels[1].value ^ (entry ^ ls.n // 2 + 1) << shift, len(labels[1]))
+    write_label_file(str(bad), ls.scheme_id, ls.n, labels)
+    with cold_caches():
+        assert run(capsys, "stats", "--labels", str(clean))[0] == 0
+        code, out, err = run(capsys, "stats", "--labels", str(bad))
+    assert code == 2
+    assert "pair schedule decreases or pairs more than n nodes" in err and not out
 
 
 def test_empty_label_file_with_trailing_bytes_exits_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from helpers import blob_fields, mixed_corpus
+from helpers import blob_fields, cold_caches, mixed_corpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,9 @@ from reachlabel.crosslabel import (
     CLS_FRONT_MATCH,
     CLS_FRONT_REST,
     CLS_SECOND_REST,
+    MATCHED,
     assemble_cross,
+    blob_plan,
     node_class,
 )
 from reachlabel.flatten import write_inner
@@ -561,6 +563,19 @@ def retired_before_entry() -> BitString:
     return with_field(bits, blob_fields(bits)[0] - 2 * cwk, cwk, 1)
 
 
+def retirement_past_groups_cut_at_head() -> BitString:
+    # node 1 of a small poset (k = 5, removed_iter 4 in a 3-bit field)
+    # claiming to retire at iteration 7, cut right after its blob head: the
+    # retirement is checked before the schedule is read, so the check, not
+    # the overrun of that read, refuses the label
+    ls = encode(generate(GenSpec("poset", 60, 0.5, 1)), "third", "force")
+    bits = ls.labels[1]
+    sched = blob_fields(bits)[0]
+    cwk = count_width(ls.cross.k)
+    assert (ls.cross.k, ls.cross.removed_iter[1], cwk) == (5, 4, 3)
+    return prefix(with_field(bits, sched - 2 * cwk, cwk, 7), sched)
+
+
 def rest_far_overlong() -> BitString:
     # P_s one higher at a node's second-rest iteration s: its far right
     # label is read with a table sized for one more pair, a bit longer than
@@ -606,6 +621,7 @@ def warm_index() -> BitString:
         (no_pairs_at_retirement, r"sub-label index \d+ outside side [AB] \(a=0, b=0\)"),
         (index_outside_side, r"sub-label index \d+ outside side A"),
         (retired_before_entry, "entry or retirement outside"),
+        (retirement_past_groups_cut_at_head, r"^entry or retirement outside the blob's groups$"),
         (rest_far_overlong, r"sub-label index \d+ outside side A"),
         (set_key_outside, "set keys do not ascend below 70"),
     ],
@@ -613,7 +629,7 @@ def warm_index() -> BitString:
          "counts-decrease", "count-step-zero", "count-over-pairs", "far-flags-overrun",
          "warm-index", "schedule-decreases", "schedule-over-half", "far-b-negative",
          "no-pairs-at-retirement", "index-outside-side", "retired-before-entry",
-         "rest-far-overlong", "set-key-outside"],
+         "retirement-past-groups-cut-at-head", "rest-far-overlong", "set-key-outside"],
 )
 def test_parse_rejects_corrupt_layout(corrupt, message):
     bits = corrupt()
@@ -704,19 +720,92 @@ PINNED_VERDICTS = [
     ids=["dag", "digraph", "poset"],
 )
 def test_corruption_verdicts_are_pinned(spec, scheme, profile, rejected, digest):
+    assert corruption_verdicts(spec, scheme, profile, parse_label) == (rejected, digest)
+
+
+def corruption_verdicts(spec, scheme, profile, parse) -> tuple[int, str]:
+    """(copies rejected, sha256 of the verdicts) of ``parse`` over the
+    flips and truncations of each distinct label, as ``PINNED_VERDICTS``
+    counts them."""
     verdicts = []
     for bits in dict.fromkeys(encode(generate(spec), scheme, profile).labels):
         copies = [flip_bit(bits, i) for i in range(len(bits))]
         copies += [prefix(bits, t) for t in range(len(bits))]
         for copy in copies:
             try:
-                parse_label(copy)
+                parse(copy)
             except ValueError:
                 verdicts.append("1")
             else:
                 verdicts.append("0")
     text = "".join(verdicts)
-    assert (text.count("1"), hashlib.sha256(text.encode()).hexdigest()) == (rejected, digest)
+    return text.count("1"), hashlib.sha256(text.encode()).hexdigest()
+
+
+def parse_cold(bits: BitString) -> LabelView:
+    """``parse_label`` with the layout caches emptied before and after."""
+    with cold_caches():
+        return parse_label(bits)
+
+
+def rejected_cold(bits: BitString) -> bool:
+    """Whether ``parse_cold`` refuses ``bits``."""
+    try:
+        parse_cold(bits)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "spec,scheme,profile,rejected,digest",
+    [(spec, scheme, profile, *pin)
+     for (spec, scheme, profile, _), pin in zip(PINNED_DIGESTS, PINNED_VERDICTS)],
+    ids=["dag", "digraph", "poset"],
+)
+def test_corruption_verdicts_do_not_depend_on_the_caches(spec, scheme, profile, rejected, digest):
+    """Each copy parsed with every layout cache empty gets the pinned
+    verdict: what earlier copies left in a cache neither refuses a label
+    nor lets one through."""
+    assert corruption_verdicts(spec, scheme, profile, parse_cold) == (rejected, digest)
+
+
+def test_a_cached_plan_neither_hides_nor_invents_corruption():
+    """Every flip and truncation of the pinned poset's labels that
+    parse_label rejects, parsed next to its clean label in both orders with
+    the caches emptied first: the corrupt copy parsed first does not stop
+    the clean label from parsing, and the clean label parsed first does not
+    let the corrupt copy through."""
+    checked = 0
+    for bits in dict.fromkeys(poset_labels().labels):
+        copies = [flip_bit(bits, i) for i in range(len(bits))]
+        copies += [prefix(bits, t) for t in range(len(bits))]
+        for copy in filter(rejected_cold, copies):
+            with cold_caches():
+                with pytest.raises(ValueError):
+                    parse_label(copy)
+                parse_label(bits)
+            with cold_caches():
+                parse_label(bits)
+                with pytest.raises(ValueError):
+                    parse_label(copy)
+            checked += 1
+    assert checked == PINNED_VERDICTS[2][0]
+
+
+@pytest.mark.parametrize(
+    "spec,scheme,profile", [pin[:3] for pin in PINNED_DIGESTS], ids=["dag", "digraph", "poset"]
+)
+def test_one_plan_per_blob_head(spec, scheme, profile):
+    """The labels of one encoding share their schedule and biclique counts,
+    so parse_label derives one plan per distinct (entry, removed_iter)
+    pair, and none for a warm-up label, which has no blob."""
+    ls = encode(generate(spec), scheme, profile)
+    heads = set(zip(ls.cross.entry, ls.cross.removed_iter)) if ls.cross else set()
+    with cold_caches():
+        for bits in dict.fromkeys(ls.labels):
+            parse_label(bits)
+        assert blob_plan.cache_info().misses == len(heads)
 
 
 # Every class whose constructor parse_label may run. A blob's sections are
@@ -754,7 +843,9 @@ def test_lazy_offsets_match_the_walked_ones():
     lengths of the iterations before it: each earlier rest set's size, each
     earlier upper iteration's flags (from the biclique counts) and the
     derived sub-label widths. It must place every iteration where the check
-    walk, which chains all the sections, does."""
+    walk, which chains all the sections, does, and once its fields are
+    read, hold the sub-labels, set, flags and biclique number that the
+    walk took by shift and mask."""
     checked = 0
     for g in mixed_corpus():
         pl = Pipeline(g)
@@ -766,6 +857,14 @@ def test_lazy_offsets_match_the_walked_ones():
                         it = cv.iteration(s)
                         lazy = LabelView(bits).view_cross().iteration(s)
                         assert (lazy.start, lazy.mid, lazy.end) == (it.start, it.mid, it.end)
+                        if it.inf in MATCHED:
+                            lazy.read_near()
+                            if it.p:
+                                it.read_bic()
+                                lazy.read_bic()
+                        if it.p:
+                            lazy.read_far()
+                        assert (lazy.near, lazy.far, lazy.bic) == (it.near, it.far, it.bic)
                         checked += 1
     assert checked > 0
 
