@@ -144,29 +144,22 @@ def read_embedded(read, offset: int, iw: int, side: str,
                   sizes: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """(index, end offset, table) of the sub-label at ``offset`` of a label
     read through ``read``, whose instance has ``sizes`` (a, b, alpha, beta)
-    and whose index is ``iw`` = index_width(a + b) bits wide. The index costs
-    one counted read and must lie on ``side``, else ValueError; the table is
-    taken from the label as one int, uncounted (``LabelReader.peek``)."""
-    a, b, alpha, beta = sizes
-    index = read(offset, iw)
-    if not (index < a if side == "A" else a <= index < a + b):
-        raise ValueError(f"sub-label index {index} outside side {side} (a={a}, b={b})")
-    width = alpha if side == "A" else beta
-    return index, offset + iw + width, read.peek(offset + iw, width)
-
-
-def peek_embedded(read, offset: int, iw: int, side: str,
-                  sizes: tuple[int, int, int, int]) -> tuple[int, int, int]:
-    """``read_embedded`` uncounted, for a label's check walk: the index and
-    the table are taken in one shift and mask of the label's int. A
-    sub-label that overruns the label, or whose index is off ``side``, is
-    left to ``read_embedded``, which raises what it meets first."""
+    and whose index is ``iw`` = index_width(a + b) bits wide. Both fields
+    come from one shift and mask of the label's int; the index is charged
+    one word and the table none (a decoder keeps it as that int). Raises
+    ValueError, in this order, on an index that overruns the label, on an
+    index off ``side``, and on a table that overruns the label."""
     a, b, alpha, beta = sizes
     width = alpha if side == "A" else beta
     end = offset + iw + width
     if end <= read.length:
+        read.words += 1
         both = read.value >> read.length - end
-        index = both >> width & (1 << iw) - 1
-        if index < a if side == "A" else a <= index < a + b:
-            return index, end, both & (1 << width) - 1
-    return read_embedded(read, offset, iw, side, sizes)
+        index, table = both >> width & (1 << iw) - 1, both & (1 << width) - 1
+    else:  # the label ends inside the sub-label: read the index alone
+        index, table = read(offset, iw), None
+    if not (index < a if side == "A" else a <= index < a + b):
+        raise ValueError(f"sub-label index {index} outside side {side} (a={a}, b={b})")
+    if table is None:
+        read.peek(offset + iw, width)  # raises: the table overruns the label
+    return index, end, table

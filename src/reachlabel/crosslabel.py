@@ -64,13 +64,12 @@ from .bipartite import (
     BipartiteInstance,
     encode_bipartite,
     pair_window,
-    peek_embedded,
     read_embedded,
     write_embedded,
 )
 from .biclique import build_n_rest, find_bicliques, get_profile
 from .bitio import BitString, BitWriter, Widths, count_width, index_width
-from .dictionary import build_set, check_set, peek_set, read_set, set_contains
+from .dictionary import build_set, check_set, read_set, set_contains
 from .graph import LayeredDag, _iter_bits, _mask_of, gatherer, transpose
 
 # Node classes within one iteration; no label stores them (``node_class``).
@@ -463,12 +462,12 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
 # the widths, which ``iteration_shape`` alone derives. The labels of one
 # encoding share their pair schedule and biclique counts, so every blob with
 # the same entry and retirement has the same shapes: ``blob_plan`` checks a
-# blob head and derives its shapes once, and ``CrossView.check`` then reads
-# by shift and mask only what differs between labels (sub-label indices and
-# tables, rest sets and flags), filling every record it walks, so bulk
-# queries answer from those fields. A record built for a single query reads
-# each field group on first use through the word-counting reader, so the
-# query pays only for the words it touches.
+# blob head and derives its shapes once. Each field group has one reader,
+# ``read_embedded`` for a sub-label and ``read_set`` for a rest set, which
+# charges one word for the index or the size. ``CrossView.check`` reads
+# every group through it, filling every record it walks, so bulk queries
+# answer from those fields; a record built for a single query reads each
+# group on first use, so the query pays only for the words it touches.
 
 
 @functools.lru_cache(maxsize=256)
@@ -500,8 +499,8 @@ def schedule_layout(variant: str, n: int, cw: int, s: int, packed: int) -> tuple
 
 class Shape(NamedTuple):
     """What a node's iteration s looks like before any of its own fields
-    is read: its class ``inf``, the ``p`` pairs matched among ``live``
-    nodes and, for an upper node, its ``flags`` bicliques; a matched node's
+    is read: its class ``inf``, the ``p`` pairs the iteration matched and,
+    for an upper node, its ``flags`` bicliques; a matched node's
     near instance sizes, index width and section bits (None, 0 and 0 for
     the other classes: a rest set's bits follow from its stored size); the
     far instance sizes, index width and biclique number width; and
@@ -509,7 +508,6 @@ class Shape(NamedTuple):
 
     inf: int
     p: int
-    live: int
     flags: int
     near: tuple[int, int, int, int] | None
     near_iw: int
@@ -534,35 +532,26 @@ def iteration_shape(variant: str, n: int, s: int, entry: int, removed_iter: int,
     far, far_iw, bw = section_layout(variant, p, live)
     far_bits = far_iw + (bw + far[2] if inf in MATCHED else far[3] + flags) if p else 0
     # both sides' near tables are equally wide
-    return Shape(inf, p, live, flags, near, near_iw, near_iw + near[2] if near else 0,
+    return Shape(inf, p, flags, near, near_iw, near_iw + near[2] if near else 0,
                  far, far_iw, bw, far_bits)
 
 
 @functools.lru_cache(maxsize=256)
 def blob_plan(variant: str, n: int, k: int, entry: int, removed_iter: int,
-              sched: int | None, bics: int | None) -> tuple[Shape, ...] | None:
+              sched: int, bics: int) -> tuple[Shape, ...]:
     """The Shapes of the m = min(removed_iter, k-1) iterations of a blob
-    over n nodes, from its head: ``sched`` packs P_1..P_m and ``bics``
-    B_1..B_u, count_width(n) bits each. Raises ValueError on a head no query
-    could decode, checking in this order: that entry and retirement lie in
-    the k groups and the node retires no earlier than the iteration ahead of
-    its entry group, so the blob holds every section a query can ask for;
-    that the schedule does not decrease or pair more than the n nodes; and
-    that the counts step by 1 to p at an upper iteration that matched p > 0
-    pairs (each biclique holds a pair) and by 0 at one that matched none.
-    ``sched`` or ``bics`` is None when the label ends inside it: the checks
-    before it run, and the plan is None. The labels of an encoding share
-    their heads, so this runs once per entry and retirement."""
-    if not (1 <= entry <= k and max(1, entry - 1) <= removed_iter <= k):
-        raise ValueError("entry or retirement outside the blob's groups")
-    if sched is None:
-        return None
+    over n nodes whose entry and retirement ``CrossView.check`` has checked,
+    from its head: ``sched`` packs P_1..P_m and ``bics`` B_1..B_u,
+    count_width(n) bits each. Raises ValueError on a head no query could
+    decode: a schedule that decreases or pairs more than the n nodes, or
+    counts that do not step by 1 to p at an upper iteration that matched
+    p > 0 pairs (each biclique holds a pair) and by 0 at one that matched
+    none. The labels of an encoding share their heads, so this runs once per
+    entry and retirement."""
     m = min(removed_iter, k - 1)
     u = max(0, min(entry - 2, m))
     cw = count_width(n)
     upto = schedule_layout(variant, n, cw, m, sched)[0]
-    if bics is None:
-        return None
     counts = [0] + [bics >> cw * i & (1 << cw) - 1 for i in range(u - 1, -1, -1)]
     flags = [b - a for a, b in zip(counts, counts[1:])] + [0] * (m - u)
     for s in range(1, u + 1):
@@ -575,39 +564,37 @@ def blob_plan(variant: str, n: int, k: int, entry: int, removed_iter: int,
 
 class IterationView:
     """A node's near and far sections of iteration s, laid out by the
-    iteration's ``shape`` (whose class, pair count, live count and flag
-    count the record also keeps as ``inf``, ``p``, ``live`` and ``flags``).
-    They start at label offset ``start``; ``mid`` and ``end``, where they
-    end, follow from the shape and a rest set's size, which the record
-    holds with its keys in ``near``.
+    iteration's ``shape`` (whose class and flag count the record also keeps
+    as ``inf`` and ``flags``, and ``is_empty`` for a p of 0, which every
+    eager query reads). They start at label offset ``start``; ``mid`` and
+    ``end``, where they end, follow from the shape and a rest set's size,
+    which the record holds with its keys in ``near``.
 
     ``near`` keeps a matched node's sub-label as (index, end offset,
     instance sizes, table) or a rest node's set as (size, end offset, keys);
     an upper node's near section is empty. ``far`` keeps the far sub-label
     the same way, after a matched node's biclique number ``bic``, plus an
-    upper node's flags; it is empty when p is 0. Tables, keys and flags are
-    ints taken from the label uncounted, and each probe of them is charged
-    one word. The check walk fills ``near`` and ``far``; a record built for
-    one query reads them on first use (``read_near``, ``read_far``), and
-    either kind reads ``bic`` on first use (``read_bic``).
+    upper node's flags; it is empty when p is 0. A sub-label index and a set
+    size cost one word each; tables, keys and flags are ints taken from the
+    label uncounted, and each probe of them is charged one word. A rest
+    node's set is read as the record is built; the check walk then reads
+    ``near`` and ``far`` (``read_near``, ``read_far``), and a record built
+    for one query reads them on first use, as either kind reads ``bic``
+    (``read_bic``).
     """
 
-    __slots__ = ("read", "wd", "shape", "inf", "p", "live", "flags", "start", "mid", "end",
+    __slots__ = ("read", "wd", "shape", "inf", "flags", "start", "mid", "end",
                  "is_empty", "near", "far", "bic")
 
-    def __init__(self, read, wd: Widths, shape: Shape, start: int, take_set=read_set):
-        """A record at ``start``, reading a rest node's set there with
-        ``take_set``: ``read_set``, or ``peek_set`` for the check walk."""
+    def __init__(self, read, wd: Widths, shape: Shape, start: int):
         self.read = read
         self.wd = wd
         self.shape = shape
         self.inf = inf = shape.inf
-        self.p = shape.p
-        self.live = shape.live
         self.flags = shape.flags
         self.start = start
         if inf == CLS_FRONT_REST or inf == CLS_SECOND_REST:
-            self.near = near = take_set(read, start, wd)
+            self.near = near = read_set(read, start, wd)
             self.mid = mid = near[1]
         else:
             self.near = None
@@ -616,24 +603,23 @@ class IterationView:
         self.is_empty = shape.p == 0
         self.far = self.bic = None
 
-    def read_near(self, take=read_embedded) -> tuple:
-        """Read a matched node's near sub-label into ``near`` with ``take``:
-        ``read_embedded``, or ``peek_embedded`` for the check walk."""
+    def read_near(self) -> tuple:
+        """Read a matched node's near sub-label into ``near``."""
         sh = self.shape
         side = "A" if self.inf == CLS_FRONT_MATCH else "B"
-        index, end, table = take(self.read, self.start, sh.near_iw, side, sh.near)
+        index, end, table = read_embedded(self.read, self.start, sh.near_iw, side, sh.near)
         self.near = (index, end, sh.near, table)
         return self.near
 
-    def read_far(self, take=read_embedded) -> tuple:
-        """Read the far sub-label with ``take``, after a matched node's
-        biclique number, and keep it in ``far``, followed by an upper node's
-        flags."""
+    def read_far(self) -> tuple:
+        """Read the far sub-label, after a matched node's biclique number,
+        and keep it in ``far``, followed by an upper node's flags."""
         sh = self.shape
         if self.inf in MATCHED:
-            index, end, table = take(self.read, self.mid + sh.bw, sh.far_iw, "A", sh.far)
+            at, side = self.mid + sh.bw, "A"
         else:
-            index, end, table = take(self.read, self.mid, sh.far_iw, "B", sh.far)
+            at, side = self.mid, "B"
+        index, end, table = read_embedded(self.read, at, sh.far_iw, side, sh.far)
         self.far = (index, end, sh.far, table)
         if self.inf == CLS_UPPER:
             self.far += (self.read.peek(end, self.flags),)
@@ -714,34 +700,31 @@ class CrossView:
         not decode, and keep one filled record per iteration; returns the
         bit offset where the blob ends, which must be where the label does.
 
-        The head (schedule and biclique counts, one read each) is checked
-        and laid out by ``blob_plan``. Each record then starts where the
-        last one ends, and the walk takes its fields by shift and mask,
-        uncounted: a sub-label's index must lie on its side and a set's
-        keys must ascend. A field that overruns the label raises as the
-        counted read of a lazy record would, in the same order.
+        Entry and retirement must lie in the k groups, with the node retiring
+        no earlier than the iteration ahead of its entry group, so the blob
+        holds every section a query can ask for; this comes first, so a label
+        cut inside the head that claims impossible ones raises this and not
+        an overrun. The schedule and the biclique counts then take one
+        counted read each, and ``blob_plan`` checks them and lays the
+        iterations out. Each record starts where the last one ends and reads
+        its fields through the same counted readers a lazy record uses; the
+        walk also checks that a set's keys ascend.
         """
-        read, wd, m, u = self.read, self.wd, self.m, self.u
-        cw, length = wd.cw, read.length
-        sched = bics = None
-        if self._bics <= length:
-            sched = read(self._sched, m * cw)
-            if self._payload <= length:
-                bics = read(self._bics, u * cw) if u else 0
-        plan = blob_plan(self.variant, wd.n, self.k, self.entry, self.removed_iter, sched, bics)
-        if plan is None:  # the label ends inside the head: one of these reads overruns
-            read(self._sched, m * cw)
-            read(self._bics, u * cw)
+        read, wd, k, m, u = self.read, self.wd, self.k, self.m, self.u
+        if not (1 <= self.entry <= k and max(1, self.entry - 1) <= self.removed_iter <= k):
+            raise ValueError("entry or retirement outside the blob's groups")
+        sched = read(self._sched, m * wd.cw)
+        bics = read(self._bics, u * wd.cw) if u else 0
         at = self._payload
         iters = []
-        for shape in plan:
-            it = IterationView(read, wd, shape, at, peek_set)
+        for shape in blob_plan(self.variant, wd.n, k, self.entry, self.removed_iter, sched, bics):
+            it = IterationView(read, wd, shape, at)
             if shape.inf in MATCHED:
-                it.read_near(peek_embedded)
+                it.read_near()
             elif it.near is not None:
                 check_set(it.near[0], it.near[2], wd)
             if shape.p:
-                it.read_far(peek_embedded)
+                it.read_far()
             iters.append(it)
             at = it.end
         self._iters = tuple(iters)

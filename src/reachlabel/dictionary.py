@@ -43,31 +43,20 @@ class StaticSet:
         return count_width(self.universe_bound) + self.size * index_width(self.universe_bound)
 
 
-# A serialized set is read from the label it lies in: ``read_set`` takes its
-# size, the one counted read, and its key array as one int, uncounted, as a
-# table is taken (``LabelReader.peek``). ``wd`` holds the widths of a label
-# over the universe bound ``wd.n``. A key is at most 32 bits wide (the
-# universe bound is a 32-bit header field), so one word each.
+# A serialized set is read from the label it lies in, by shift and mask of
+# the label's int: ``read_set`` charges one word for its size and none for
+# its key array, which a decoder keeps as one int, as it keeps a table.
+# ``wd`` holds the widths of a label over the universe bound ``wd.n``. A key
+# is at most 32 bits wide (the universe bound is a 32-bit header field), so
+# a probe fetches one word per key.
 
 
 def read_set(read, offset: int, wd: Widths) -> tuple[int, int, int]:
     """(size, end offset, keys) of the set at ``offset``, key i of the m
-    at bits kw*(m-1-i) of ``keys``."""
+    at bits kw*(m-1-i) of ``keys``. Raises ValueError if the size or the
+    keys overrun the label."""
     m = read(offset, wd.cw)
     return m, offset + wd.cw + wd.iw * m, read.peek(offset + wd.cw, wd.iw * m)
-
-
-def peek_set(read, offset: int, wd: Widths) -> tuple[int, int, int]:
-    """``read_set`` uncounted, for a label's check walk: the size and the
-    keys by shift and mask of the label's int. A set that overruns the label
-    is left to ``read_set``, which raises."""
-    end = offset + wd.cw
-    if end <= read.length:
-        m = read.value >> read.length - end & (1 << wd.cw) - 1
-        end += wd.iw * m
-        if end <= read.length:
-            return m, end, read.value >> read.length - end & (1 << wd.iw * m) - 1
-    return read_set(read, offset, wd)
 
 
 def check_set(m: int, keys: int, wd: Widths) -> None:

@@ -29,22 +29,24 @@ the label file), and a LabelView reads its fields by shift and mask while
 counting 64-bit words. It views the intra section and the blob, and keeps
 one record per blob iteration holding that iteration's section offsets,
 sub-label indices, set size, and the tables, keys and flags as ints.
+Each field group has one reader, which both ways of reading below share:
 ``query_lazy`` builds two fresh views whose records read each field group
 on first use, so a single query reads only the bits it touches and reports
 the words read; a record finds its sections by summing the lengths of the
 iterations before it. ``parse_label`` first walks the whole view: it
-views the intra section and reads the blob's head, the pair schedule and
-the biclique counts with one read each. ``crosslabel.blob_plan`` checks
-that head and derives each iteration's shape, the node's class, instance
-sizes, index widths and flag count (no offset, class or size is stored);
-the labels of one encoding share their schedule and counts, so this runs
-once per distinct head. The walk then takes what differs between labels,
-sub-label indices and tables, rest sets and flags, by shift and mask, and
-lays the sections out back to back: the last section must end where the
-label does. That rejects a corrupt label with ValueError, whatever heads
-were planned before, and keeps the walked records for bulk queries. Field
-widths are computed once per n (``bitio.widths``). ``query`` answers from
-either kind.
+views the intra section, checks the blob's entry and retirement, and
+reads the pair schedule and the biclique counts with one read each.
+``crosslabel.blob_plan`` checks those and derives each iteration's shape,
+the node's class, instance sizes, index widths and flag count (no offset,
+class or size is stored); the labels of one encoding share their schedule
+and counts, so this runs once per distinct head. The walk then reads what
+differs between labels, sub-label indices and tables, rest sets and
+flags, through the readers a lazy record uses, and lays the sections out
+back to back: the last section must end where the label does. That
+rejects a corrupt label with ValueError, whatever heads were planned
+before, and keeps the walked records for bulk queries. Field widths are
+computed once per n (``bitio.widths``). ``query`` answers from either
+kind.
 """
 
 from __future__ import annotations
@@ -243,11 +245,12 @@ class LabelView:
     viewed on first use (``view_inner``, ``view_cross``) and kept in
     ``inner`` and ``cross``, which stay None until then. ``words`` is the
     number of 64-bit word fetches a pointer-based decoder would have made
-    for the fields read so far. A view built for one query counts every
-    field it reads. A view that ``parse_label`` walked counts the header,
-    the component id, the intra placement fields and the blob's head, not
-    the sections the walk took uncounted, and then each field and probe of
-    the queries it answers.
+    for the fields read so far, counting every field either way: a view
+    that ``parse_label`` walked has counted the header, the component id,
+    the intra placement fields, the blob's head and each sub-label index
+    and set size of its sections, and then adds each field and probe of the
+    queries it answers. Tables, keys and flags are kept as ints, uncounted;
+    each probe of them counts one word.
     """
 
     __slots__ = ("read", "scheme_id", "n", "scc", "warm", "inner", "cross")

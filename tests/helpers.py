@@ -7,11 +7,11 @@ import sys
 from contextlib import contextmanager
 from itertools import combinations
 
+from reachlabel import bitio, crosslabel
 from reachlabel.biclique import EXHAUSTIVE_LIMIT, _TRIALS, _qstar, get_profile
 from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
 from reachlabel.cli import GraphFormatError
-from reachlabel.crosslabel import blob_plan, iteration_shape, schedule_layout, section_layout
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
 from reachlabel.oracle import GenSpec, generate
@@ -351,16 +351,22 @@ def blob_fields(bits: BitString) -> tuple[int, int, int, int]:
     return blob + kf + 2 * cw, kf, m, max(0, min((both & (1 << cw) - 1) - 2, m))
 
 
+# Every memoized function of the modules that lay a label out, found rather
+# than listed, so that a cache added to either module is emptied too.
+DECODER_CACHES = tuple(dict.fromkeys(
+    f for mod in (crosslabel, bitio) for f in vars(mod).values() if hasattr(f, "cache_clear")
+))
+
+
 @contextmanager
 def cold_caches():
-    """Run the body with the decoder's layout caches empty, and empty them
-    again on the way out: a verdict reached inside depends on the label
-    alone, not on what labels parsed before it left in a cache."""
-    caches = (blob_plan, iteration_shape, schedule_layout, section_layout)
-    for cache in caches:
+    """Run the body with the decoder's caches empty, and empty them again
+    on the way out: a verdict reached inside depends on the label alone,
+    not on what labels parsed before it left in a cache."""
+    for cache in DECODER_CACHES:
         cache.cache_clear()
     try:
         yield
     finally:
-        for cache in caches:
+        for cache in DECODER_CACHES:
             cache.cache_clear()

@@ -214,6 +214,34 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
 
 
 @given(instances())
+@settings(max_examples=80)
+def test_embedded_reader_refuses_every_cut(inst):
+    """A sub-label cut at any length, inside its index or its table, raises
+    ValueError: "overruns" when read on its own side, and "outside side"
+    when read on the other side once the whole index is there. It never
+    raises IndexError or returns a value; a read that succeeds charges
+    exactly one word."""
+    sizes = (inst.a, inst.b, inst.alpha, inst.beta)
+    limit = inst.a + inst.b
+    iw = index_width(limit)
+    for lab in encode_bipartite(inst):
+        w = BitWriter()
+        w.write(1, 2)  # non-zero start offset
+        write_embedded(w, lab, limit)
+        bits = w.finish()
+        read = LabelReader(bits)
+        assert read_embedded(read, 2, iw, lab.side, sizes) == (lab.index, len(bits), lab.table)
+        assert read.words == 1
+        other = "B" if lab.side == "A" else "A"
+        for t in range(len(bits)):
+            cut = BitString(bits.value >> len(bits) - t, t)
+            with pytest.raises(ValueError, match="overruns"):
+                read_embedded(LabelReader(cut), 2, iw, lab.side, sizes)
+            with pytest.raises(ValueError, match="outside side" if t >= 2 + iw else "overruns"):
+                read_embedded(LabelReader(cut), 2, iw, other, sizes)
+
+
+@given(instances())
 @settings(max_examples=100)
 def test_probe_pair_accepts_either_window(inst):
     labels = encode_bipartite(inst)

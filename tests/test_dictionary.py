@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachlabel.bitio import BitWriter, LabelReader, Widths
+from reachlabel.bitio import BitString, BitWriter, LabelReader, Widths
 from reachlabel.dictionary import StaticSet, build_set, check_set, read_set, set_contains
 
 
@@ -85,6 +85,28 @@ def test_membership_and_serialized_probe_agree(case):
         assert read.words - before <= max(1, s.size.bit_length())
     with pytest.raises(ValueError):
         view.contains(bound)
+
+
+@given(sets)
+@settings(max_examples=80)
+def test_set_reader_refuses_every_cut(case):
+    """A set cut at any length, inside its size or its keys, raises
+    ValueError "overruns", never IndexError, and returns nothing; a read
+    that succeeds charges exactly one word."""
+    bound, keys = case
+    s = build_set(keys, bound)
+    w = BitWriter()
+    w.write(5, 3)  # leading junk, to exercise a non-zero offset
+    s.write(w)
+    bits = w.finish()
+    wd = Widths(bound)
+    read = LabelReader(bits)
+    m, end, _ = read_set(read, 3, wd)
+    assert (m, end, read.words) == (s.size, len(bits), 1)
+    for t in range(len(bits)):
+        cut = BitString(bits.value >> len(bits) - t, t)
+        with pytest.raises(ValueError, match="overruns"):
+            read_set(LabelReader(cut), 3, wd)
 
 
 @given(sets)

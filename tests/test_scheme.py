@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from helpers import blob_fields, cold_caches, mixed_corpus
+from helpers import DECODER_CACHES, blob_fields, cold_caches, mixed_corpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +20,7 @@ from reachlabel.bitio import (
     BitString,
     BitWriter,
     LabelHeader,
+    Widths,
     count_width,
     index_width,
     read_fixed,
@@ -36,7 +37,10 @@ from reachlabel.crosslabel import (
     MATCHED,
     assemble_cross,
     blob_plan,
+    iteration_shape,
     node_class,
+    schedule_layout,
+    section_layout,
 )
 from reachlabel.flatten import write_inner
 from reachlabel.graph import Digraph, reach_rows
@@ -808,6 +812,68 @@ def test_one_plan_per_blob_head(spec, scheme, profile):
         assert blob_plan.cache_info().misses == len(heads)
 
 
+def test_cold_caches_finds_the_layout_caches():
+    """``cold_caches`` empties every memoized function of crosslabel and
+    bitio, found by their ``cache_clear``, among them the four that lay a
+    blob out."""
+    assert {blob_plan, iteration_shape, schedule_layout, section_layout} <= set(DECODER_CACHES)
+    parse_label(poset_labels().labels[0])
+    with cold_caches():
+        assert all(cache.cache_info().currsize == 0 for cache in DECODER_CACHES)
+
+
+def words_of(width: int) -> int:
+    """The 64-bit words a counted read of ``width`` bits is charged."""
+    return (width + 63) >> 6 or 1
+
+
+def test_the_walk_reads_sections_through_the_shared_readers(monkeypatch):
+    """parse_label reads a blob's sections through the readers a lazy
+    record uses: ``read_embedded`` once per matched near section and once
+    per non-empty far section, ``read_set`` once per rest set. Each of those
+    reads is counted, so a walked view's ``words`` is 4 (header, component,
+    k, and retirement with entry) + W(placement) + W(m*cw) + W(u*cw) if u,
+    plus one per rest set, matched near sub-label and non-empty far
+    section; a warm-up label's is 2 (header, then component and index)."""
+    calls = Counter()
+
+    def counting(name, reader):
+        def wrapper(*args):
+            calls[name] += 1
+            return reader(*args)
+        return wrapper
+
+    monkeypatch.setattr(crosslabel, "read_embedded",
+                        counting("embedded", crosslabel.read_embedded))
+    monkeypatch.setattr(crosslabel, "read_set", counting("set", crosslabel.read_set))
+    checked = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        wd = Widths(len(pl.scc.leaders))
+        for profile in PROFILES:
+            for scheme in ("third", "average"):
+                ls = encode(g, scheme, profile, pipeline=pl)
+                cl = pl.cross_labeling(profile, scheme)
+                for c, u in enumerate(pl.scc.leaders):
+                    m = min(cl.removed_iter[c], cl.k - 1)
+                    ups = max(0, min(cl.entry[c] - 2, m))
+                    classes = [node_class(s, cl.entry[c], cl.removed_iter[c])
+                               for s in range(1, m + 1)]
+                    matched = sum(cls in MATCHED for cls in classes)
+                    sets = sum(cls in (CLS_FRONT_REST, CLS_SECOND_REST) for cls in classes)
+                    far = sum(rec.n_pairs > 0 for rec in cl.records[:m])
+                    calls.clear()
+                    view = parse_label(ls.labels[u])
+                    assert calls == Counter(embedded=matched + far, set=sets)
+                    head = words_of(m * wd.cw) + (words_of(ups * wd.cw) if ups else 0)
+                    assert view.words == (4 + words_of(wd.placement) + head
+                                          + sets + matched + far)
+                    checked += 1
+        for bits in dict.fromkeys(encode(g, "warmup").labels):
+            assert parse_label(bits).words == 2
+    assert checked > 0
+
+
 # Every class whose constructor parse_label may run. A blob's sections are
 # checked by arithmetic on one record per iteration, so no view of a
 # sub-label, a neighbor set or a flag table is built.
@@ -859,10 +925,10 @@ def test_lazy_offsets_match_the_walked_ones():
                         assert (lazy.start, lazy.mid, lazy.end) == (it.start, it.mid, it.end)
                         if it.inf in MATCHED:
                             lazy.read_near()
-                            if it.p:
+                            if it.shape.p:
                                 it.read_bic()
                                 lazy.read_bic()
-                        if it.p:
+                        if it.shape.p:
                             lazy.read_far()
                         assert (lazy.near, lazy.far, lazy.bic) == (it.near, it.far, it.bic)
                         checked += 1
