@@ -12,7 +12,7 @@ fields are fixed width; widths are pure functions of values already decoded
 Label file layout (little endian where noted)::
 
     magic    4 bytes  b"RLBL"
-    version  1 byte   (currently 7)
+    version  1 byte   (currently 8)
     scheme   1 byte
     n        4 bytes  u32 LE
     offsets  8n bytes, u64 LE per node in id order: the file position of
@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"RLBL"
-FILE_VERSION = 7
+FILE_VERSION = 8
 WARMUP_ID = 1  # the one scheme whose labels have no intra section or blob
 
 
@@ -208,9 +208,8 @@ class LabelHeader:
 
     ``offsets`` holds the absolute bit offsets of a composite label's intra
     section and blob, which ``read`` derives rather than reads: the intra
-    section follows the header and the iw-bit component field, and the blob
-    follows the intra section. A warm-up label has none. ``write`` writes
-    the scheme id and n alone.
+    section follows the header, and the blob follows the intra section. A
+    warm-up label has none. ``write`` writes the scheme id and n alone.
     """
 
     scheme_id: int
@@ -234,8 +233,7 @@ class LabelHeader:
         scheme_id, n = head >> 32, head & 0xFFFFFFFF
         if scheme_id == WARMUP_ID:
             return cls(scheme_id, n)
-        wd = widths(n)
-        intra = cls.HEADER_FIXED_BITS + wd.iw
+        wd, intra = widths(n), cls.HEADER_FIXED_BITS
         blob = intra + intra_length(wd, read_fixed(bits, intra, wd.placement))
         return cls(scheme_id, n, (intra, blob))
 

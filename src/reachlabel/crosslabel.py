@@ -21,9 +21,10 @@ kinds that end up inside the node labels:
         front sources are answered by transitivity (the flag alone), and
         the bit serves the matched second-group side instead.
 
-Every node also records its entry group and the iteration that retired it;
-together these pin down the single iteration able to answer a query pair,
-so decoding touches one near and one far section per label.
+Every node also records the iteration that retired it, and enters at the
+group after its intra group; together these pin down the single iteration
+able to answer a query pair, so decoding touches one near and one far
+section per label.
 
 Edge sets are bitmask rows throughout: the biclique search takes each front
 node's row into the second group, each iteration record keeps its consumed
@@ -422,10 +423,11 @@ def _encode_far_sections(peel: PeelResult, records):
 
 # -- per-node blob assembly -------------------------------------------------
 #
-# blob := k[kf] removed_iter[cw] entry[cw] P_1..P_m[kf each] B_1..B_u[kf each]
+# blob := k[kf] removed_iter[cw] P_1..P_m[kf each] B_1..B_u[kf each]
 #         near^1 far^1 ... near^m far^m
 # with kf = count_width(n), cw = count_width(k), m = min(removed_iter, k-1)
 # and u = max(0, min(entry-2, m)), the iterations where the node is upper.
+# The blob holds no entry group: it is the intra section's group + 1.
 # P_s is the number of pairs matched in iterations 1..s (P_0 = 0), so
 # iteration s matched p = P_s - P_{s-1} pairs among n - 2*P_{s-1} live nodes;
 # B_s is the number of bicliques found in iterations 1..s, so an upper node
@@ -442,7 +444,6 @@ def assemble_cross(cl: CrossLabeling, u: int) -> BitString:
     w = BitWriter()
     w.write(k, kf)
     w.write(cl.removed_iter[u], cw)
-    w.write(cl.entry[u], cw)
     for counts in ([rec.n_pairs for rec in cl.records[:m]],
                    [len(rec.bicliques) for rec in cl.records[:ups]]):
         acc = 0
@@ -578,9 +579,8 @@ class IterationView:
     size cost one word each; tables, keys and flags are ints taken from the
     label uncounted, and each probe of them is charged one word. A rest
     node's set is read as the record is built; the check walk then reads
-    ``near`` and ``far`` (``read_near``, ``read_far``), and a record built
-    for one query reads them on first use, as either kind reads ``bic``
-    (``read_bic``).
+    ``near``, ``bic`` and ``far`` (``read_near``, ``read_bic``,
+    ``read_far``), and a record built for one query reads them on first use.
     """
 
     __slots__ = ("read", "wd", "shape", "inf", "flags", "start", "mid", "end",
@@ -626,8 +626,12 @@ class IterationView:
         return self.far
 
     def read_bic(self) -> int:
-        self.bic = self.read(self.mid, self.shape.bw)
-        return self.bic
+        """Read a matched node's far biclique number into ``bic``; it must
+        name one of the p pairs' bicliques, so it is below p."""
+        self.bic = bic = self.read(self.mid, self.shape.bw)
+        if bic >= self.shape.p:
+            raise ValueError(f"biclique number {bic} of {self.shape.p} pairs")
+        return bic
 
     def contains(self, x: int) -> bool:
         """Whether a rest node's neighbor set holds position ``x``."""
@@ -641,8 +645,9 @@ class IterationView:
 
 
 class CrossView:
-    """One node's blob: group count, retirement, entry, pair schedule and
-    biclique counts, for the size ``variant`` of the label's scheme.
+    """One node's blob: group count, retirement, pair schedule and
+    biclique counts, for the size ``variant`` of the label's scheme, and
+    the node's ``entry`` group, which the label's intra section gives.
 
     The blob holds ``m`` = min(removed_iter, k-1) iterations of sections,
     the first ``u`` of them upper ones. Each ``iteration`` call builds a
@@ -654,18 +659,17 @@ class CrossView:
     __slots__ = ("read", "wd", "variant", "k", "removed_iter", "entry", "m", "u",
                  "_sched", "_bics", "_payload", "_iters")
 
-    def __init__(self, read, base: int, wd: Widths, variant: str):
+    def __init__(self, read, base: int, wd: Widths, variant: str, entry: int):
         self.k = read(base, wd.cw)
         if self.k < 1:
             raise ValueError("corrupt blob: no groups")
         cw = count_width(self.k)
-        both = read(base + wd.cw, 2 * cw)
-        self.removed_iter = both >> cw
-        self.entry = both & (1 << cw) - 1
+        self.removed_iter = read(base + wd.cw, cw)
+        self.entry = entry
         self.m = min(self.removed_iter, self.k - 1)
-        self.u = max(0, min(self.entry - 2, self.m))
+        self.u = max(0, min(entry - 2, self.m))
         self.read, self.wd, self.variant = read, wd, variant
-        self._sched = base + wd.cw + 2 * cw
+        self._sched = base + wd.cw + cw
         self._bics = self._sched + self.m * wd.cw
         self._payload = self._bics + self.u * wd.cw
         self._iters = ()
@@ -708,7 +712,9 @@ class CrossView:
         counted read each, and ``blob_plan`` checks them and lays the
         iterations out. Each record starts where the last one ends and reads
         its fields through the same counted readers a lazy record uses; the
-        walk also checks that a set's keys ascend.
+        walk also checks that a set's keys ascend and that a matched node's
+        biclique number is below p (not below the biclique count, which only
+        upper nodes' blobs hold: a query probing their flags refuses it).
         """
         read, wd, k, m, u = self.read, self.wd, self.k, self.m, self.u
         if not (1 <= self.entry <= k and max(1, self.entry - 1) <= self.removed_iter <= k):
@@ -721,6 +727,7 @@ class CrossView:
             it = IterationView(read, wd, shape, at)
             if shape.inf in MATCHED:
                 it.read_near()
+                it.read_bic()
             elif it.near is not None:
                 check_set(it.near[0], it.near[2], wd)
             if shape.p:

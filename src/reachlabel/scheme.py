@@ -12,17 +12,18 @@ Three schemes share one self-describing container:
 Label layouts (MSB-first bit fields, see bitio)::
 
     warmup:    scheme[8] n[32] | scc[iw] | index[iw] | window[n//2]
-    composite: scheme[8] n[32] | scc[iw] | intra | blob
+    composite: scheme[8] n[32] | intra | blob
       intra =  topo[iw] grp[iw] beg[iw] end[cw] thick[1] table[end-beg]
                (the table is present only for thin groups)
 
 with iw = index_width(n), cw = count_width(n). Each strongly connected
-component is labeled once and its members share that label; ``scc`` holds
-the component id. The header is scheme[8] n[32] for every scheme; its n
-is the component count for the composite schemes and the node count for
-the warm-up, whose window runs over graph nodes. No offset is stored: the
-intra section starts after the component field, and the blob where the
-intra section ends.
+component is labeled once and its members share that label. A warm-up
+label's ``scc`` holds the component id; a composite label stores none, as
+its ``topo`` is just as unique per component and serves as its ``scc``.
+The header is scheme[8] n[32] for every scheme; its n is the component
+count for the composite schemes and the node count for the warm-up, whose
+window runs over graph nodes. No offset is stored: the intra section
+starts after the header, and the blob where the intra section ends.
 
 One decoder reads every label: a label is an int in memory (bytes only in
 the label file), and a LabelView reads its fields by shift and mask while
@@ -34,8 +35,8 @@ Each field group has one reader, which both ways of reading below share:
 on first use, so a single query reads only the bits it touches and reports
 the words read; a record finds its sections by summing the lengths of the
 iterations before it. ``parse_label`` first walks the whole view: it
-views the intra section, checks the blob's entry and retirement, and
-reads the pair schedule and the biclique counts with one read each.
+checks the blob's entry (the intra group + 1) and retirement, and reads
+the pair schedule and the biclique counts with one read each.
 ``crosslabel.blob_plan`` checks those and derives each iteration's shape,
 the node's class, instance sizes, index widths and flag count (no offset,
 class or size is stored); the labels of one encoding share their schedule
@@ -220,11 +221,9 @@ def encode(
     cl = pl.cross_labeling(profile, variant)
     inner = pl.inner_labels
     n = len(lead)
-    iw = index_width(n)
     for c, u in enumerate(lead):
         w = BitWriter()
         LabelHeader(sid, n).write(w)
-        w.write(c, iw)
         write_inner(w, inner[u], n)
         w.append(assemble_cross(cl, c))
         labels.append(w.finish())
@@ -240,17 +239,18 @@ def encode(
 class LabelView:
     """Decode view of one label, read through a word-counting LabelReader.
 
-    The header, the component id and (warm-up) the index and window are
-    read on construction. A composite label's intra section and blob are
-    viewed on first use (``view_inner``, ``view_cross``) and kept in
-    ``inner`` and ``cross``, which stay None until then. ``words`` is the
-    number of 64-bit word fetches a pointer-based decoder would have made
-    for the fields read so far, counting every field either way: a view
-    that ``parse_label`` walked has counted the header, the component id,
-    the intra placement fields, the blob's head and each sub-label index
-    and set size of its sections, and then adds each field and probe of the
-    queries it answers. Tables, keys and flags are kept as ints, uncounted;
-    each probe of them counts one word.
+    The header is read on construction, and with it (warm-up) the component
+    id, index and window, or (composite) the intra section, kept in
+    ``inner``, whose ``topo`` serves as ``scc``: equal iff two labels share
+    a component. A composite label's blob is viewed on first use
+    (``view_cross``) and kept in ``cross``, which stays None until then.
+    ``words`` is the number of 64-bit word fetches a pointer-based decoder
+    would have made for the fields read so far, counting every field either
+    way: a view that ``parse_label`` walked has counted the header, the
+    intra placement fields, the blob's head and each sub-label index, set
+    size and biclique number of its sections, and then adds each field and
+    probe of the queries it answers. Tables, keys and flags are kept as
+    ints, uncounted; each probe of them counts one word.
     """
 
     __slots__ = ("read", "scheme_id", "n", "scc", "warm", "inner", "cross")
@@ -264,28 +264,21 @@ class LabelView:
         self.scheme_id = head >> 32
         if self.scheme_id not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme id {self.scheme_id}")
-        iw = index_width(self.n)
+        self.inner = self.warm = self.cross = None
         if self.scheme_id == WARMUP_ID:
+            iw = index_width(self.n)
             both = r(p, 2 * iw)
             self.scc = both >> iw
             self.warm = WindowView(r, self.n, both & (1 << iw) - 1, p + 2 * iw)
         else:
-            self.scc = r(p, iw)
-            self.warm = None
-        self.inner = None
-        self.cross = None
-
-    def view_inner(self) -> InnerView:
-        wd = widths(self.n)
-        self.inner = InnerView(self.read, wd, LabelHeader.HEADER_FIXED_BITS + wd.iw)
-        return self.inner
+            self.inner = InnerView(r, widths(self.n), p)
+            self.scc = self.inner.topo
 
     def view_cross(self) -> CrossView:
-        """The blob, which starts where the intra section ends (viewed first
-        if it is not yet)."""
-        blob = (self.inner or self.view_inner()).end_offset
-        variant = SCHEME_NAMES[self.scheme_id]
-        self.cross = CrossView(self.read, blob, widths(self.n), variant)
+        """The blob, which starts where the intra section ends, of a node
+        entering at the group after its intra group."""
+        inner, variant = self.inner, SCHEME_NAMES[self.scheme_id]
+        self.cross = CrossView(self.read, inner.end_offset, widths(self.n), variant, inner.grp + 1)
         return self.cross
 
     @property
@@ -323,8 +316,7 @@ def query(lu, lv) -> bool:
         return True
     if lu.scheme_id == WARMUP_ID:
         return decode_warmup(lu.warm, lv.warm)
-    iu = lu.inner or lu.view_inner()
-    iv = lv.inner or lv.view_inner()
+    iu, iv = lu.inner, lv.inner
     if decode_inner(iu, iv):
         return True
     cu = lu.cross or lu.view_cross()
@@ -365,12 +357,9 @@ def stats(ls: LabelSet) -> dict:
         "mean_bits": sum(lens) / len(lens) if lens else 0.0,
     }
     hdrs = [LabelHeader.read(b) for b in ls.labels]
-    sections = {
-        "header": _agg(h.bit_length for h in hdrs),
-        "scc": _agg(index_width(h.n) for h in hdrs),
-    }
+    sections = {"header": _agg(h.bit_length for h in hdrs)}
     if ls.scheme_id == WARMUP_ID:
-        sections["index"] = sections["scc"]
+        sections["scc"] = sections["index"] = _agg(index_width(h.n) for h in hdrs)
         sections["window"] = _agg(h.n // 2 for h in hdrs)
     else:
         offs = [h.offsets for h in hdrs]

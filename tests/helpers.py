@@ -10,7 +10,7 @@ from itertools import combinations
 from reachlabel import bitio, crosslabel
 from reachlabel.biclique import EXHAUSTIVE_LIMIT, _TRIALS, _qstar, get_profile
 from reachlabel.bipartite import BipartiteLabel, probe_pair
-from reachlabel.bitio import BitString, LabelHeader, count_width, read_fixed
+from reachlabel.bitio import BitString, LabelHeader, count_width, index_width, read_fixed
 from reachlabel.cli import GraphFormatError
 from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits
@@ -340,15 +340,16 @@ def ref_write_graph_file(path: str, g: Digraph) -> None:
 def blob_fields(bits: BitString) -> tuple[int, int, int, int]:
     """(bit offset of the pair schedule, entry width, iteration count m,
     upper iteration count u) of a composite label's blob; u biclique counts
-    follow the m schedule entries."""
+    follow the m schedule entries. The node's entry group is its intra
+    group (the field after topo) plus one."""
     hdr = LabelHeader.read(bits)
-    blob = hdr.offsets[1]
-    kf = count_width(hdr.n)
+    intra, blob = hdr.offsets
+    kf, iw = count_width(hdr.n), index_width(hdr.n)
+    entry = read_fixed(bits, intra + iw, iw) + 1
     k = read_fixed(bits, blob, kf)
     cw = count_width(k)
-    both = read_fixed(bits, blob + kf, 2 * cw)
-    m = min(both >> cw, k - 1)
-    return blob + kf + 2 * cw, kf, m, max(0, min((both & (1 << cw) - 1) - 2, m))
+    m = min(read_fixed(bits, blob + kf, cw), k - 1)
+    return blob + kf + cw, kf, m, max(0, min(entry - 2, m))
 
 
 # Every memoized function of the modules that lay a label out, found rather

@@ -145,16 +145,15 @@ def test_header_round_trip():
     assert len(bits) == LabelHeader.HEADER_FIXED_BITS == 40
     assert LabelHeader.read(bits) == LabelHeader(1, 777)
     # a composite header's offsets are derived: the intra section follows
-    # the 10-bit component field, and the blob follows its 41 placement bits
-    # and, for a thin group, its end - beg table bits
+    # the header, and the blob follows its 41 placement bits and, for a thin
+    # group, its end - beg table bits
     for thick, table_bits in ((False, 5), (True, 0)):
         w = BitWriter()
         LabelHeader(2, 777).write(w)
-        w.write(3, index_width(777))
         write_inner(w, GroupLabel(12, 2, 10, 15, thick, 0 if thick else 0b10101), 777)
         w.write(0b11, 2)  # a blob stub
         back = LabelHeader.read(w.finish())
-        assert back == LabelHeader(2, 777, (50, 50 + 41 + table_bits))
+        assert back == LabelHeader(2, 777, (40, 40 + 41 + table_bits))
         assert back.bit_length == 40
 
 
@@ -246,7 +245,7 @@ def test_label_file_offset_table_points_at_each_record(tmp_path):
     path = tmp_path / "t.rlbl"
     write_label_file(str(path), 2, 3, labels)
     raw = path.read_bytes()
-    assert raw[4] == FILE_VERSION == 7
+    assert raw[4] == FILE_VERSION == 8
     offsets = struct.unpack("<3Q", raw[10:34])
     assert offsets == (34, 34 + 4 + 1, 34 + 4 + 1 + 4)
     assert len(raw) == offsets[2] + 4 + 2
@@ -283,12 +282,12 @@ def test_corrupted_offset_table_raises_value_error(tmp_path):
         read_labels_at(str(path), [1])
     with pytest.raises(ValueError):
         read_labels_at(str(path), [0])
-    # a table cut short, and files of versions 1 to 6
+    # a table cut short, and files of versions 1 to 7
     corrupt(good[:10 + 8 * 2 + 3])
     with pytest.raises(ValueError):
         read_labels_at(str(path), [3])
-    for old in (b"\x01", b"\x02", b"\x03", b"\x04", b"\x05", b"\x06"):
-        corrupt(good[:4] + old + good[5:])
+    for old in range(1, 8):
+        corrupt(good[:4] + bytes([old]) + good[5:])
         with pytest.raises(ValueError, match="version"):
             read_labels_at(str(path), [0])
     # the untouched file still reads back

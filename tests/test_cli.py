@@ -92,8 +92,8 @@ def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     good = labels.read_bytes()
-    # node 2's 66-bit label ends the file: its last byte has 6 padding bits
-    assert int.from_bytes(good[-13:-9], "little") == 66 and good[-1] & 0b111111 == 0
+    # node 2's 62-bit label ends the file: its last byte has 2 padding bits
+    assert int.from_bytes(good[-12:-8], "little") == 62 and good[-1] & 0b11 == 0
     labels.write_bytes(good[:-1] + bytes([good[-1] | 1]))
     assert run(capsys, "query", str(labels), "0", "1")[:2] == (0, "true\n")
     for argv in (("query", str(labels), "2", "0"), ("query", str(labels), "0", "2"),
@@ -103,16 +103,16 @@ def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
         assert "padding bits are not zero" in err and not out
 
 
-def test_version_6_label_file_exits_2(tmp_path, capsys):
+def test_version_7_label_file_exits_2(tmp_path, capsys):
     graph = write_chain(tmp_path, 3)
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     data = bytearray(labels.read_bytes())
-    data[4] = 6  # the version byte
+    data[4] = 7  # the version byte
     labels.write_bytes(bytes(data))
     code, out, err = run(capsys, "query", str(labels), "0", "2")
     assert code == 2
-    assert "unsupported label file version 6" in err and not out
+    assert "unsupported label file version 7" in err and not out
 
 
 def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):
@@ -121,10 +121,10 @@ def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     scheme_id, n, bits = read_label_file(str(labels))
     head = bits[0]
-    # node 0's intra end field (2 bits at 48, after the 40 header bits, the
-    # component field and topo, grp, beg, 2 bits each) raised from 2 to 3:
-    # its thin group's table grows a bit and the blob is read a bit late
-    shift = len(head) - (48 + 2)
+    # node 0's intra end field (2 bits at 46, after the 40 header bits and
+    # topo, grp, beg, 2 bits each) raised from 2 to 3: its thin group's
+    # table grows a bit and the blob is read a bit late
+    shift = len(head) - (46 + 2)
     assert head.value >> shift & 0b11 == 2
     bits[0] = BitString(head.value ^ (2 ^ 3) << shift, len(head))
     write_label_file(str(labels), scheme_id, n, bits)
@@ -316,19 +316,23 @@ def test_stats_from_graph_and_from_labels(tmp_path, capsys):
 
 
 def test_stats_from_labels_on_a_cyclic_graph(tmp_path, capsys):
-    # a 12-cycle feeding a 4-node tail condenses to 5 components, so the
-    # composite labels' component field is index_width(5) = 3 bits wide
+    # a 12-cycle feeding a 4-node tail condenses to 5 components; a warm-up
+    # label's component field is index_width(16) = 4 bits wide, and a
+    # composite label has none (its intra section's topo names the component)
     edges = [(i, (i + 1) % 12) for i in range(12)] + [(11, 12), (12, 13), (13, 14), (14, 15)]
     graph = tmp_path / "cycle.txt"
     graph.write_text(f"16 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     labels = str(tmp_path / "cycle.rlbl")
-    for scheme, scc_row in (("third", "scc,3,3.000"), ("warmup", "scc,4,4.000")):
+    for scheme, rows in (("third", ["header", "intra", "cross", "total"]),
+                         ("warmup", ["header", "scc", "index", "window", "total"])):
         code, _, _ = run(capsys, "encode", "--scheme", scheme, "--input", str(graph),
                          "--output", labels)
         assert code == 0
         code, from_labels, _ = run(capsys, "stats", "--labels", labels)
         assert code == 0
-        assert scc_row in from_labels.splitlines()
+        assert [line.split(",")[0] for line in from_labels.splitlines()[1:]] == rows
+        if scheme == "warmup":
+            assert "scc,4,4.000" in from_labels.splitlines()
         code, from_graph, _ = run(capsys, "stats", "--input", str(graph), "--scheme", scheme)
         assert code == 0
         assert from_labels == from_graph

@@ -162,10 +162,9 @@ def test_blob_decode_matches_cross_membership(case, variant):
     parsed = []
     for u in range(n):
         blob = assemble_cross(cl, u)
-        pc = CrossView(LabelReader(blob), 0, Widths(n), variant)
+        pc = CrossView(LabelReader(blob), 0, Widths(n), variant, cl.entry[u])
         assert pc.check() == len(blob)
         assert pc.k == cl.k
-        assert pc.entry == cl.entry[u]
         assert pc.removed_iter == cl.removed_iter[u]
         parsed.append(pc)
     pos = cl.pos
@@ -193,7 +192,7 @@ def test_blobs_hold_only_the_sections_a_query_reads():
                     # m schedule entries and a biclique count for each of
                     # the node's upper iterations, then the sections
                     ups = max(0, min(cl.entry[u] - 2, m))
-                    head = count_width(n) + 2 * count_width(k) + (m + ups) * count_width(n)
+                    head = count_width(n) + count_width(k) + (m + ups) * count_width(n)
                     payload = sum(len(sec) for sec in cl.sections[u])
                     assert len(assemble_cross(cl, u)) == head + payload
                 for rec in cl.records:
@@ -268,7 +267,7 @@ def test_schedule_gives_the_encoders_instance_sizes():
                 views, blobs = [], []
                 for u in range(cl.n):
                     blob = assemble_cross(cl, u)
-                    cv = CrossView(LabelReader(blob), 0, wd, variant)
+                    cv = CrossView(LabelReader(blob), 0, wd, variant, cl.entry[u])
                     assert cv.check() == len(blob)
                     views.append(cv)
                     blobs.append(blob)
@@ -277,12 +276,13 @@ def test_schedule_gives_the_encoders_instance_sizes():
                         it = views[u].iteration(rec.s)
                         if u in rec.front_match or u in rec.second_match:
                             assert it.near[2] == sizes(rec.near_inst)
-                            assert it.read_bic() < len(rec.bicliques)
+                            assert it.bic < len(rec.bicliques)
                         assert it.is_empty == (rec.n_pairs == 0)
                         if rec.n_pairs:
                             assert it.far[2] == sizes(rec.far_inst)
                         # the same fields, read for one query
-                        lazy = CrossView(LabelReader(blobs[u]), 0, wd, variant).iteration(rec.s)
+                        lazy = CrossView(LabelReader(blobs[u]), 0, wd, variant,
+                                         cl.entry[u]).iteration(rec.s)
                         assert lazy.far is lazy.bic is None
                         if it.inf in MATCHED:
                             assert lazy.near is None and lazy.read_near() == it.near

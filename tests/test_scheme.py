@@ -34,6 +34,7 @@ from reachlabel.crosslabel import (
     CLS_FRONT_MATCH,
     CLS_FRONT_REST,
     CLS_SECOND_REST,
+    CLS_UPPER,
     MATCHED,
     assemble_cross,
     blob_plan,
@@ -200,35 +201,36 @@ def test_stats_sections():
         if scheme == "warmup":
             assert set(total) == {"header", "scc", "index", "window"}
         else:
-            assert set(total) == {"header", "scc", "intra", "cross"}
+            assert set(total) == {"header", "intra", "cross"}
         assert sum(sec["max"] for sec in total.values()) >= rep["max_bits"]
         assert rep["max_bits"] >= rep["mean_bits"] > 0
 
 
 def test_header_is_scheme_id_and_n_and_offsets_are_derived():
     """Every composite label of the corpus starts with its 40-bit header,
-    scheme[8] n[32], and then holds its component id, its intra section and
-    its blob and nothing else. ``LabelHeader.read`` derives the offsets: the
-    intra section starts after the iw-bit component field, and the blob
-    where the check walk's intra section ends."""
+    scheme[8] n[32], and then holds its intra section and its blob and
+    nothing else: no component id, since the intra section's topological
+    index names the component. ``LabelHeader.read`` derives the offsets:
+    the intra section starts right after the header, and the blob where
+    the check walk's intra section ends."""
     checked = 0
     for g in mixed_corpus():
         pl = Pipeline(g)
         lead = pl.scc.leaders
         n = len(lead)  # the component count
-        iw = index_width(n)
         for profile in PROFILES:
             for scheme in ("third", "average"):
                 ls = encode(g, scheme, profile, pipeline=pl)
                 cl = pl.cross_labeling(profile, scheme)
                 for bits in dict.fromkeys(ls.labels):
                     view = parse_label(bits)
-                    assert LabelHeader.read(bits).offsets == (40 + iw, view.inner.end_offset)
+                    assert view.scc == view.inner.topo
+                    assert LabelHeader.read(bits).offsets == (40, view.inner.end_offset)
+                    c = pl.layered.inv_topo[view.scc]  # the component at that position
                     w = BitWriter()
                     LabelHeader(ls.scheme_id, n).write(w)
-                    w.write(view.scc, iw)
-                    write_inner(w, pl.inner_labels[lead[view.scc]], n)
-                    w.append(assemble_cross(cl, view.scc))
+                    write_inner(w, pl.inner_labels[lead[c]], n)
+                    w.append(assemble_cross(cl, c))
                     assert w.finish() == bits
                     checked += 1
     assert checked > 0
@@ -279,27 +281,30 @@ def test_pipeline_shares_one_peeling_per_profile():
 # section class codes and sub-label headers for a pair schedule, at version
 # 6, when they traded the section bounds for biclique counts (both times the
 # warm-up dag's labels were unchanged; its file's version byte was not), and
-# last at version 7, when every header shrank to its scheme id and n: the
+# at version 7, when every header shrank to its scheme id and n: the
 # composite labels lost 72 bits and the warm-up labels 8, and the bits after
-# the header are unchanged.
+# the header are unchanged. Re-pinned last at version 8, when the composite
+# labels lost their component id and their blob's entry group (the digraph's
+# 8 bits a label, the poset's 10); the warm-up dag's labels are unchanged,
+# and its file differs only in the version byte.
 PINNED_DIGESTS = [
     (
         GenSpec("dag", 60, 0.1, 3),
         "warmup",
         "paper",
-        "e6557aca87f14c803dd142d68ee9c1f86f65e173b6c22f41c3875ee9f555f816",
+        "468a4228bc4f0b24428a46bac03ebf46a168e5cf4c31518e170470b8d4209470",
     ),
     (
         GenSpec("digraph", 80, 0.03, 5),  # 31 components, the largest of 50
         "third",
         "paper",
-        "0ca4c8080f99a09078b08a6568bfc52285d3a027736efc9076c4643fe469aa85",
+        "f4afdb627a719c5328a36925c63de450b3b0355a653cb64b41984307094e1b53",
     ),
     (
         GenSpec("poset", 70, 0.5, 7),
         "average",
         "force",
-        "989062599b8af476fc59dc759291b0ad58ff7beef8b5fd31bcbda3763dda4cbb",
+        "59e74a3d60ccc3950ac815b2e39e6f3c5793f7ab04d7a96d2ce7916a726f894e",
     ),
 ]
 
@@ -317,7 +322,8 @@ def test_label_file_bytes_are_pinned(tmp_path, spec, scheme, profile, digest):
 def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     """A sparse DAG whose labels hold hundreds of rest sets, the largest of
     83 keys, so a probe may take seven binary-search steps. The digest pins
-    every key (re-pinned at version 7, when the header lost its offsets)."""
+    every key (re-pinned at version 7, when the header lost its offsets,
+    and at version 8, when the labels lost their component id and entry)."""
     real = crosslabel.build_set
     built = []
 
@@ -333,7 +339,7 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "pinned.rlbl"
     write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "d249e443da5db622cd8778b12a8a9068ae51377a22d41f7df235b2daa210cb0f"
+        "6693a8622c026e6a2d0767b147ce26a977a2979abab92d9ca449c0f4bd17ba97"
     )
 
 
@@ -350,8 +356,12 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
 # counts and the size of each earlier rest set, not three bounds (digraph
 # 74549 -> 76539, poset 73956 -> 73260), and again at version 7, when a
 # composite label lost the offset read after its header, one read per label
-# and two per pair (digraph 76539 -> 63739, poset 73260 -> 63460).
-PINNED_WORDS = [16170, 63739, 63460]
+# and two per pair (digraph 76539 -> 63739, poset 73260 -> 63460). Re-pinned
+# at version 8, when a composite label's view came to read its intra
+# placement fields with its header and to take its component id from them:
+# a pair of two components reads two words fewer (digraph 63739 -> 55999,
+# poset 63460 -> 53800).
+PINNED_WORDS = [16170, 55999, 53800]
 
 
 @pytest.mark.parametrize(
@@ -564,7 +574,7 @@ def retired_before_entry() -> BitString:
              if ls.cross.entry[u] >= 3 and len(ls.labels[u]) <= len(ls.labels[0]))
     bits = ls.labels[u]
     cwk = count_width(ls.cross.k)
-    return with_field(bits, blob_fields(bits)[0] - 2 * cwk, cwk, 1)
+    return with_field(bits, blob_fields(bits)[0] - cwk, cwk, 1)
 
 
 def retirement_past_groups_cut_at_head() -> BitString:
@@ -577,7 +587,7 @@ def retirement_past_groups_cut_at_head() -> BitString:
     sched = blob_fields(bits)[0]
     cwk = count_width(ls.cross.k)
     assert (ls.cross.k, ls.cross.removed_iter[1], cwk) == (5, 4, 3)
-    return prefix(with_field(bits, sched - 2 * cwk, cwk, 7), sched)
+    return prefix(with_field(bits, sched - cwk, cwk, 7), sched)
 
 
 def rest_far_overlong() -> BitString:
@@ -683,6 +693,101 @@ def test_descending_set_keys_are_rejected():
         parse_label(bad)
 
 
+def biclique_number_copies(low, high) -> list[tuple[BitString, int]]:
+    """Copies of the pinned poset's matched labels whose far biclique number
+    at the iteration s that matches the node is set to each value from
+    ``low(bicliques, p)`` up to ``high(bicliques, p)`` that its field holds,
+    each with the count of nodes that are upper at s."""
+    ls = poset_labels()
+    copies = []
+    for rec in ls.cross.records:
+        uppers = sum(poset_class(v, rec.s) == CLS_UPPER for v in rec.live)
+        for u in rec.front_match + rec.second_match:
+            bits = ls.labels[u]
+            it = walked(bits, rec.s)
+            assert it.bic < len(rec.bicliques)  # the walk kept the number
+            top = min(high(len(rec.bicliques), rec.n_pairs), 1 << it.shape.bw)
+            copies += [(with_field(bits, it.mid, it.shape.bw, value), uppers)
+                       for value in range(low(len(rec.bicliques), rec.n_pairs), top)]
+    return copies
+
+
+def test_biclique_number_of_p_or_more_is_refused():
+    """A matched node's far biclique number names one of its iteration's
+    bicliques, of which there are at most p; the walk refuses p or more."""
+    copies = biclique_number_copies(lambda bics, p: p, lambda bics, p: 1 << 32)
+    assert copies
+    for bits, _ in copies:
+        with pytest.raises(ValueError, match=r"biclique number \d+ of \d+ pairs"):
+            parse_label(bits)
+
+
+def test_biclique_number_past_the_count_fails_at_query_time():
+    """A number from the iteration's biclique count to p - 1 parses: the
+    matched node's blob holds no count for the iteration that matches it.
+    A query that probes an upper node's flags with it raises ValueError,
+    eager or lazy, and no query raises anything else; where no node is
+    upper at that iteration, no query reads the number."""
+    copies = biclique_number_copies(lambda bics, p: bics, lambda bics, p: p)
+    assert copies
+    others = list(dict.fromkeys(poset_labels().labels))
+    parsed = [parse_label(bits) for bits in others]
+    assert {uppers > 0 for _, uppers in copies} == {True, False}
+    for bits, uppers in copies:
+        view = parse_label(bits)
+        refused = 0
+        for other, other_view in zip(others, parsed):
+            for eager, lazy in (((view, other_view), (bits, other)),
+                                ((other_view, view), (other, bits))):
+                for ask in (lambda: query(*eager), lambda: query_lazy(*lazy)):
+                    try:
+                        ask()
+                    except ValueError:
+                        refused += 1
+        assert (refused > 0) == (uppers > 0)
+
+
+def test_identity_fields_the_decoder_derives():
+    """The facts that let a composite label drop its component id and its
+    blob's entry: over the corpus, two labels' ``scc`` (their topological
+    index) are equal iff their nodes share a component, and every node's
+    intra group plus one is its blob's entry and the encoder's."""
+    checked = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        comp = pl.scc.scc_id
+        for profile in PROFILES:
+            for scheme in ("third", "average"):
+                ls = encode(g, scheme, profile, pipeline=pl)
+                views = {bits: parse_label(bits) for bits in dict.fromkeys(ls.labels)}
+                pairs = {(views[bits].scc, comp[u]) for u, bits in enumerate(ls.labels)}
+                assert len(pairs) == len({c for _, c in pairs}) == len({t for t, _ in pairs})
+                for u, bits in enumerate(ls.labels):
+                    view = views[bits]
+                    assert view.inner.grp + 1 == view.cross.entry == ls.cross.entry[u]
+                    checked += 1
+    assert checked > 0
+
+
+def test_prefixes_cutting_the_intra_section_raise_value_error():
+    """Every prefix of a composite label that ends before its blob, inside
+    the header, the placement fields or the intra table, is refused with
+    ValueError by ``LabelView`` and by a lazy query on either side."""
+    checked = 0
+    for spec, scheme, profile, _ in PINNED_DIGESTS[1:]:
+        labels = list(dict.fromkeys(encode(generate(spec), scheme, profile).labels))
+        other = labels[0]
+        for bits in labels:
+            for t in range(LabelHeader.read(bits).offsets[1]):
+                cut = prefix(bits, t)
+                for ask in (lambda: LabelView(cut), lambda: query_lazy(cut, other),
+                            lambda: query_lazy(other, cut)):
+                    with pytest.raises(ValueError):
+                        ask()
+                checked += 1
+    assert checked > 0
+
+
 # parse_label's verdict on every single-bit flip and every truncation of each
 # distinct label of the pinned graphs: the number of rejected copies and a
 # sha256 of the verdicts ("1" rejected, "0" accepted; per label its flips, bit
@@ -710,10 +815,16 @@ def test_descending_set_keys_are_rejected():
 # were all rejected, and every other copy keeps its verdict. So the counts
 # accepted stay (dag 2564, digraph 1192, poset 5980) and their share rises
 # (dag 2564 of 9840 copies, digraph 1192 of 11236, poset 5980 of 26728).
+# The digraph and poset were re-pinned at version 8: the labels lost their
+# component id, whose flips were all accepted, and their blob's entry, now
+# the intra group plus one, so a flip of that group moves the blob's layout;
+# and the walk began to refuse a matched node's biclique number of p or more
+# (30 of the poset's copies, none of the digraph's). Accepted: digraph 917 of
+# 10740 copies (8.5%), poset 4972 of 25328 (19.6%); the dag is unchanged.
 PINNED_VERDICTS = [
     (7276, "12929f9feb1b35e949045ca3dd4d87910a8b580c7ddd459ae587523a2be1b93f"),
-    (10044, "ae0e51a4298467d381debb900ae63926982ae017ee8b4716bbc38c2e6146a60d"),
-    (20748, "bb60d02886bf0b6fd19d5db578d5a6a548f6a629c2ae2cdc3caf939599ed24a9"),
+    (9823, "cc71f21bef8f39f1ec7aeefd0d5666cc87e66e0cea4729815be75aa9d73160e8"),
+    (20356, "593a89fc2f09d0819253757645aa3dd4289a65f1df202a738a354ee1393b53b3"),
 ]
 
 
@@ -831,10 +942,11 @@ def test_the_walk_reads_sections_through_the_shared_readers(monkeypatch):
     """parse_label reads a blob's sections through the readers a lazy
     record uses: ``read_embedded`` once per matched near section and once
     per non-empty far section, ``read_set`` once per rest set. Each of those
-    reads is counted, so a walked view's ``words`` is 4 (header, component,
-    k, and retirement with entry) + W(placement) + W(m*cw) + W(u*cw) if u,
-    plus one per rest set, matched near sub-label and non-empty far
-    section; a warm-up label's is 2 (header, then component and index)."""
+    reads is counted, and so is a matched node's biclique number, so a
+    walked view's ``words`` is 3 (header, k, retirement) + W(placement) +
+    W(m*cw) + W(u*cw) if u, plus one per rest set and non-empty far section
+    and two per matched iteration (near sub-label and biclique number); a
+    warm-up label's is 2 (header, then component and index)."""
     calls = Counter()
 
     def counting(name, reader):
@@ -866,8 +978,8 @@ def test_the_walk_reads_sections_through_the_shared_readers(monkeypatch):
                     view = parse_label(ls.labels[u])
                     assert calls == Counter(embedded=matched + far, set=sets)
                     head = words_of(m * wd.cw) + (words_of(ups * wd.cw) if ups else 0)
-                    assert view.words == (4 + words_of(wd.placement) + head
-                                          + sets + matched + far)
+                    assert view.words == (3 + words_of(wd.placement) + head
+                                          + sets + 2 * matched + far)
                     checked += 1
         for bits in dict.fromkeys(encode(g, "warmup").labels):
             assert parse_label(bits).words == 2
