@@ -1,12 +1,15 @@
 """Command-line surface: generate, encode, query, stats, verify.
 
 Graph files are plain text: a first line "n m", then m lines "u v" with
-0-based node ids. The reader takes the edge lines in bounded chunks: a
-chunk of plain "u v" lines with canonical in-range ids and no duplicate
-edge is taken whole, any other chunk one line at a time, so an error names
-the first bad line and duplicate edges warn in file order. Label files use
-the binary RLBL layout from bitio. Exit codes: 0 success, 1 verification
-mismatch, 2 usage or format error.
+0-based node ids. The reader takes the edge lines in bounded chunks. A
+chunk is taken whole when it is ASCII, every line is two digit runs split
+by one space and ended by a newline, every id is canonical and in range,
+and no edge repeats one read before. Any other chunk (blank, padded or
+tab-separated lines, a last line with no newline, non-ASCII text) is read
+one line at a time, so an error names the first bad line and duplicate
+edges warn in file order. Label files use the binary RLBL layout from
+bitio. Exit codes: 0 success, 1 verification mismatch, 2 usage or format
+error.
 """
 
 from __future__ import annotations
@@ -38,15 +41,43 @@ READ_CHUNK = 1 << 16
 # the bit offsets set in each byte value, lowest first
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
+# a run of k targets among n nodes is dense when k * DENSE_RUN >= n: its mask
+# is scattered into one byte per node (O(n + k) work), not ORed from k
+# shifted bits (up to k n-bit ints)
+DENSE_RUN = 16
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
 
 class GraphFormatError(ValueError):
     pass
 
 
+class _NodeIds(dict):
+    """str(v) -> v for the ids 0 <= v < n, made on first use: the first
+    lookup of an id fills the entries of its block of 256 ids, so the table
+    grows with the ids read, not with n. A key that is not a canonical,
+    in-range ASCII id raises KeyError."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n, self.width = n, len(str(n))
+
+    def __missing__(self, key: str) -> int:
+        if len(key) <= self.width and key.isascii() and key.isdigit():
+            v = int(key)
+            if v < self.n and str(v) == key:
+                block = range(v >> 8 << 8, min((v >> 8) + 1 << 8, self.n))
+                self.update(zip(map(str, block), block))
+                return v
+        raise KeyError(key)
+
+
 def read_graph_file(path: str) -> Digraph:
     """Parse "n m" + edge lines into bitmask rows; duplicates warn, the
     first malformed line raises. Each chunk of edge lines is taken whole by
-    _take_chunk or, when that refuses it, line by line by _read_lines."""
+    _take_chunk when it is ASCII "u v" lines, each ended by a newline, with
+    canonical in-range ids and no duplicate edge, and otherwise line by line
+    by _read_lines."""
     with open(path, "r", encoding="utf-8") as fh:
         head_no, head = 1, fh.readline()
         while head and not head.strip():
@@ -66,7 +97,7 @@ def read_graph_file(path: str) -> Digraph:
         if n < 0 or m < 0:
             raise GraphFormatError(f"line {head_no}: n and m must be non-negative")
         rows = [0] * n
-        ids = {str(v): v for v in range(n)}
+        ids = _NodeIds(n)
         count = 0
         no = head_no
         while lines := fh.readlines(READ_CHUNK):
@@ -82,22 +113,38 @@ def read_graph_file(path: str) -> Digraph:
 
 def _take_chunk(lines: list[str], ids: dict[str, int], rows: list[int]) -> int | None:
     """OR a chunk's edges into ``rows`` and return their count, or return
-    None and leave ``rows`` as it was. The chunk is taken only if every line
-    is blank or "u v", every id is a key of ``ids`` (canonical and in range)
-    and no edge repeats one read before: each run of lines with one source
-    gives one mask, whose popcount must be the run's length and which must
-    miss the row so far."""
-    if not {0, 2}.issuperset(map(len, map(str.split, lines))):
+    None and leave ``rows`` as it was. The chunk is taken only if its text is
+    ASCII, deleting its digits leaves a space then a newline per line and
+    splitting it gives two tokens per line (so every line is "u v" and a
+    newline), every id is a key of ``ids`` (canonical and in range) and no
+    edge repeats one read before: each run of lines with one source gives
+    one mask, whose popcount must be the run's length and which must miss
+    the row so far. A dense run's mask is scattered into a byte per node and
+    read back as one base-2 int; a sparse run's is ORed from shifted bits."""
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    if text.encode("ascii").translate(None, b"0123456789") != b" \n" * len(lines):
+        return None
+    tokens = text.split()
+    if len(tokens) != 2 * len(lines):
         return None
     try:
-        ends = list(map(ids.__getitem__, "".join(lines).split()))
+        ends = list(map(ids.__getitem__, tokens))
     except KeyError:
         return None
+    n = len(rows)
     targets = iter(ends[1::2])
     taken: dict[int, int] = {}
     for u, run in groupby(ends[0::2]):
         k = len(list(run))
-        mask = reduce(or_, map((1).__lshift__, islice(targets, k)))
+        if k * DENSE_RUN >= n:
+            bits = bytearray(n)
+            for v in islice(targets, k):
+                bits[v] = 1
+            mask = int(bits[::-1].translate(_BIT_CHARS), 2)
+        else:
+            mask = reduce(or_, map((1).__lshift__, islice(targets, k)))
         row = taken.get(u, rows[u])
         if row & mask or mask.bit_count() != k:
             return None

@@ -396,12 +396,15 @@ def read_outcome(reader, path):
 
 @st.composite
 def graph_texts(draw):
-    """Graph-file text: "u v" lines over few ids, so duplicates and
-    self-loops are common, and blank and padded lines; in half the files
-    also non-canonical, malformed and out-of-range lines. Some files have
-    CRLF endings or a wrong m."""
-    n = draw(st.integers(0, 9))
-    name = st.integers(0, max(n - 1, 0)).map(str)
+    """Graph-file text: "u v" lines over up to 100 ids, single or in runs of
+    one source, so duplicates and self-loops are common and some runs are
+    dense (k * cli.DENSE_RUN >= n targets, every run when n <= 16) and some
+    sparse; blank and padded lines; in half the files also non-canonical,
+    malformed and out-of-range lines. Some files have CRLF endings or a
+    wrong m."""
+    n = draw(st.one_of(st.integers(0, 9), st.integers(10, 100)))
+    ids = st.integers(0, max(n - 1, 0))
+    name = ids.map(str)
     odd = st.sampled_from(["007", "+3", "-0", "00", "1_0", "x", str(n), str(n + 4), "-1"])
     token = st.one_of(name, name, name, name, odd)
     pad = st.sampled_from(["", "", "", " ", "\t", " \t "])
@@ -415,7 +418,13 @@ def graph_texts(draw):
             token,
             st.tuples(token, sep, token, sep, token).map("".join),
         )
-    body = draw(st.lists(line, max_size=40))
+    targets = st.one_of(
+        st.lists(ids, min_size=1, max_size=max(n, 1), unique=True),
+        st.lists(ids, min_size=1, max_size=max(n, 1)),
+    )
+    run = st.tuples(ids, targets).map(lambda r: [f"{r[0]} {v}" for v in r[1]])
+    block = st.one_of(line.map(lambda x: [x]), run)
+    body = [x for lines in draw(st.lists(block, max_size=12)) for x in lines]
     m = sum(1 for x in body if x.strip()) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
     lines = [""] * draw(st.integers(0, 2)) + [f"{n} {m}"] + body
     ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n"]),
@@ -424,9 +433,20 @@ def graph_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
-@given(graph_texts(), st.integers(1, 40))
+def run_text(n, *runs):
+    """A graph file of "u v" lines, one run per (u, targets) pair."""
+    lines = [f"{u} {v}\n" for u, vs in runs for v in vs]
+    return f"{n} {len(lines)}\n" + "".join(lines)
+
+
+@given(graph_texts(), st.one_of(st.integers(1, 40), st.integers(41, 2000)))
 @example("3 3\n0 1\n1 2\n0 2\n", 40)  # one source in two runs of a chunk
 @example("3 3\n0 1\n1 2\n0 1\n", 40)  # ... repeating an edge of the first
+@example(run_text(20, (0, range(1, 11))), 20)  # one dense run split across two chunks
+@example(run_text(20, (0, [1, 2, 3]), (1, [0]), (0, [4, 2, 5])), 400)  # a dense run
+# repeating an edge of an earlier dense run of its source, a sparse run between
+@example(run_text(32, (3, [1, 2]), (4, [5]), (3, [6, 7])), 400)  # runs at k * 16 = n and below
+@example("2 1\n1 " + "1" * 5000 + "\n", 40)  # an id past int()'s digit limit
 @settings(max_examples=400, deadline=None)
 def test_reader_matches_the_per_line_reference(text, chunk):
     with tempfile.TemporaryDirectory() as tmp:
@@ -521,3 +541,31 @@ def test_reader_memory_does_not_grow_with_the_file(tmp_path):
     short, long = peaks
     assert long <= 4 << 20
     assert long < 1.1 * short, peaks
+
+
+def test_reader_memory_does_not_grow_with_n(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("200000 1\n5 199999\n")
+    tracemalloc.start()
+    try:
+        g = read_graph_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.rows[5] == 1 << 199999 and g.edge_count() == 1
+    assert peak <= 4 << 20, peak
+
+
+@pytest.mark.parametrize("spec, dense", [
+    (GenSpec("poset", 300, 0.5, 1), True),
+    (GenSpec("dag", 1000, 0.01, 1), False),
+])
+def test_written_files_are_taken_a_whole_chunk_at_a_time(tmp_path, spec, dense):
+    g = generate(spec)
+    assert (max(map(int.bit_count, g.rows)) * cli.DENSE_RUN >= g.n) == dense
+    path = tmp_path / "g.txt"
+    write_graph_file(str(path), g)
+    assert path.stat().st_size > (3 * cli.READ_CHUNK if dense else cli.READ_CHUNK // 2)
+    refused = AssertionError("a chunk of the writer's own format was read line by line")
+    with mock.patch.object(cli, "_read_lines", side_effect=refused):
+        assert read_graph_file(str(path)).rows == g.rows
