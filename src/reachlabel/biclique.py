@@ -73,6 +73,7 @@ class BicliqueProfile:
 PAPER_PROFILE = BicliqueProfile("paper", 64, True, False)
 FORCE_PROFILE = BicliqueProfile("force", 2, False, True)
 _PROFILES = {p.name: p for p in (PAPER_PROFILE, FORCE_PROFILE)}
+PROFILES = tuple(_PROFILES)  # the names get_profile accepts, as the CLI offers them
 
 
 def get_profile(name) -> BicliqueProfile:

@@ -20,11 +20,11 @@ from functools import reduce
 from itertools import compress, groupby, islice
 from operator import or_
 
+from .biclique import PROFILES
 from .bitio import read_label_file, read_labels_at, write_label_file
 from .graph import Digraph
 from .oracle import KINDS, GenSpec, generate, report_lines, verify
 from .scheme import (
-    PROFILES,
     SCHEME_IDS,
     SCHEME_NAMES,
     LabelSet,

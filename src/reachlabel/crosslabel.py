@@ -143,36 +143,34 @@ class IterationRecord:
 
 
 @dataclass(eq=False)
-class CrossLabeling:
+class PeelResult:
+    """One profile's peeling transcript, which both size variants share:
+    the bicliques, retirements, pair graphs and rest rows, and the near
+    instances. Only the far instances' budgets depend on the variant."""
+
     n: int
     k: int
-    variant: str
     profile: str
     entry: tuple[int, ...]         # node -> 1-based group it starts in
     removed_iter: tuple[int, ...]  # node -> iteration that retired it (k if none)
-    records: tuple[IterationRecord, ...]
-    # [node][near^1, far^1, ..., near^m, far^m], m = min(removed_iter, k-1)
-    sections: tuple[tuple[BitString, ...], ...]
+    records: tuple[IterationRecord, ...]   # far_inst is None here
     pos: tuple[int, ...]           # node -> topological index
 
 
 @dataclass(eq=False)
-class PeelResult:
-    """Variant-independent half of the labeling: the peeling transcript.
-
-    Both size variants share the peeling, the matched-pair tables and the
-    membership sets; only the pair-graph budgets (and hence the far
-    sections) differ. ``near_sections`` is filled on first use and reused.
-    """
+class CrossLabeling:
+    """A peel encoded under one size variant: the peel's fields, its records
+    with their far instances filled in, and each node's sections."""
 
     n: int
     k: int
+    variant: str
     profile: str
     entry: tuple[int, ...]
     removed_iter: tuple[int, ...]
-    records: tuple[IterationRecord, ...]   # far_inst is None here
-    pos: tuple[int, ...]
-    near_sections: tuple[tuple[BitString, ...], ...] | None = None
+    records: tuple[IterationRecord, ...]
+    # [node][near^1, far^1, ..., near^m, far^m], m = min(removed_iter, k-1)
+    sections: tuple[tuple[BitString, ...], ...]
 
 
 def peel_cross(
@@ -333,92 +331,67 @@ def peel_cross(
     )
 
 
-def build_cross_labeling(
-    layered: LayeredDag,
-    slayer,
-    cross_rows: list[int],
-    profile="paper",
-    variant: str = "third",
-    peel: PeelResult | None = None,
-) -> CrossLabeling:
-    """Peel the cross-group rows and encode all per-node sections.
-
-    Pass an existing ``peel`` to reuse the profile's peeling (and its near
-    sections) across both size variants.
-    """
+def build_cross_labeling(peel: PeelResult, variant: str) -> CrossLabeling:
+    """Encode a profile's peel under size ``variant``: each record gets its
+    far instance and each node its sections. The peel is left as it is, so
+    both variants can be built from one."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if peel is None:
-        peel = peel_cross(layered, slayer, cross_rows, profile)
-    n, k, pos = peel.n, peel.k, peel.pos
     records = tuple(
         replace(rec, far_inst=BipartiteInstance(
             *instance_sizes(variant, rec.n_pairs, len(rec.live)), rec.pair_rows
         ) if rec.n_pairs else None)
         for rec in peel.records
     )
-    if peel.near_sections is None:
-        peel.near_sections = _encode_near_sections(peel)
-    far = _encode_far_sections(peel, records)
-    near = peel.near_sections
-    sections = tuple(
-        tuple(sec for pair in zip(near[u], far[u]) for sec in pair) for u in range(n)
-    )
     return CrossLabeling(
-        n=n,
-        k=k,
+        n=peel.n,
+        k=peel.k,
         variant=variant,
         profile=peel.profile,
         entry=peel.entry,
         removed_iter=peel.removed_iter,
         records=records,
-        sections=sections,
-        pos=pos,
+        sections=_encode_sections(peel, records),
     )
 
 
-def _encode_near_sections(peel: PeelResult):
-    """Each node's near sections, one per iteration it is live in: those
-    are iterations 1..min(removed_iter, k-1), the ones a query can read."""
+def _encode_sections(peel: PeelResult, records) -> tuple[tuple[BitString, ...], ...]:
+    """Each node's near and far section of every iteration it is live in,
+    1..min(removed_iter, k-1), the ones a query can read, in blob order.
+    Near: a matched node's sub-label, a rest node's neighbor-position set,
+    nothing for an upper node. Far (empty when no pair matched): a matched
+    node's biclique number and its pair's sub-label, an outside node's
+    right sub-label, then an upper node's flags."""
     entry, removed, pos = peel.entry, peel.removed_iter, peel.pos
     per_node = [[] for _ in range(peel.n)]
-    for rec in peel.records:
-        near_labels = encode_bipartite(rec.near_inst) if rec.n_pairs else []
-        sub = dict(zip(rec.front_match + rec.second_match, near_labels))
+    for rec in records:
+        p = rec.n_pairs
+        near, far, bic = {}, {}, {}
+        if p:
+            near.update(zip(rec.front_match + rec.second_match, encode_bipartite(rec.near_inst)))
+            far_labels = encode_bipartite(rec.far_inst)
+            far.update(zip(rec.outside, far_labels[p:]))
+            for pair, i, lab in zip(rec.pairs, rec.pair_bic, far_labels):
+                for u in pair:
+                    far[u], bic[u] = lab, i
         for u in rec.live:
-            w = BitWriter()
             cls = node_class(rec.s, entry[u], removed[u])
+            w = BitWriter()
             if cls in MATCHED:
-                lab = sub[u]
-                write_embedded(w, lab, lab.a + lab.b)
+                write_embedded(w, near[u], near[u].a + near[u].b)
             elif cls != CLS_UPPER:
                 build_set((pos[x] for x in _iter_bits(rec.rest_rows[u])), peel.n).write(w)
             per_node[u].append(w.finish())
-    return tuple(tuple(secs) for secs in per_node)
-
-
-def _encode_far_sections(peel: PeelResult, records):
-    """Each node's far sections, iteration by iteration as above: matched
-    nodes get their pair's label, walked pair by pair, and outside nodes
-    their right label, followed by flags for an upper node."""
-    entry, removed = peel.entry, peel.removed_iter
-    per_node = [[] for _ in range(peel.n)]
-    for rec in records:
-        far_labels = encode_bipartite(rec.far_inst) if rec.n_pairs else []
-        for pair, i, lab in zip(rec.pairs, rec.pair_bic, far_labels):
-            for u in pair:
-                w = BitWriter()
-                w.write(i, index_width(rec.n_pairs))
-                write_embedded(w, lab, lab.a + lab.b)
-                per_node[u].append(w.finish())
-        for r, u in enumerate(rec.outside, rec.n_pairs):
             w = BitWriter()
-            if rec.n_pairs:
-                write_embedded(w, far_labels[r], rec.far_inst.a + rec.far_inst.b)
-                if node_class(rec.s, entry[u], removed[u]) == CLS_UPPER:
+            if p:
+                lab = far[u]
+                if cls in MATCHED:
+                    w.write(bic[u], index_width(p))
+                write_embedded(w, lab, lab.a + lab.b)
+                if cls == CLS_UPPER:
                     w.write(rec.via_second[u], len(rec.bicliques))
             per_node[u].append(w.finish())
-    return tuple(tuple(secs) for secs in per_node)
+    return tuple(map(tuple, per_node))
 
 
 # -- per-node blob assembly -------------------------------------------------
@@ -537,7 +510,7 @@ def iteration_shape(variant: str, n: int, s: int, entry: int, removed_iter: int,
                  far, far_iw, bw, far_bits)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=1024)
 def blob_plan(variant: str, n: int, k: int, entry: int, removed_iter: int,
               sched: int, bics: int) -> tuple[Shape, ...]:
     """The Shapes of the m = min(removed_iter, k-1) iterations of a blob

@@ -420,19 +420,17 @@ def oracle_reach(g: Digraph, u: int, v: int) -> bool:
 
 def reach_rows(g: Digraph) -> list[int]:
     """All-pairs reachability bitmask rows (diagonal set), cycles allowed:
-    the quotient's closure, with each component widened to its members.
-    An acyclic graph is its own quotient and needs no widening."""
-    res = scc_condense(g)
-    closed = transitive_closure(res.dag).rows
-    if res.dag.n == g.n:
-        return [row | 1 << u for u, row in enumerate(closed)]
-    members = [0] * res.dag.n
-    for u, c in enumerate(res.scc_id):
-        members[c] |= 1 << u
+    one level-synchronous BFS per source over the adjacency rows. It is the
+    truth the encoder is checked against, so it runs none of its stages."""
+    rows = g.rows
     reach = []
-    for c, row in enumerate(closed):
-        acc = members[c]
-        for x in _iter_bits(row):
-            acc |= members[x]
-        reach.append(acc)
-    return res.expand(reach)
+    for u in range(g.n):
+        seen = frontier = 1 << u
+        while frontier:
+            nxt = 0
+            for w in _iter_bits(frontier):
+                nxt |= rows[w]
+            frontier = nxt & ~seen
+            seen |= frontier
+        reach.append(seen)
+    return reach

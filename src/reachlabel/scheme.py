@@ -56,7 +56,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .biclique import get_profile
 from .bitio import (
     WARMUP_ID,
     BitString,
@@ -89,7 +88,6 @@ from .warmup import WarmupLabel, WindowView, decode_warmup, encode_warmup
 
 SCHEME_IDS = {"warmup": WARMUP_ID, "third": 2, "average": 3}
 SCHEME_NAMES = {i: s for s, i in SCHEME_IDS.items()}
-PROFILES = ("paper", "force")
 
 
 class Pipeline:
@@ -97,9 +95,11 @@ class Pipeline:
 
     The condensation, closure, layering, grouping and intra-group tables are
     identical for every scheme and biclique profile, so one Pipeline can feed
-    any number of encode() calls on the same graph. Every stage after ``scc``
-    runs on the quotient DAG and is indexed by component, except
-    ``inner_labels`` and ``warm_labels``, which are indexed by graph node.
+    any number of encode() calls on the same graph. The peel is made once per
+    profile name and shared by both composite schemes; each of them encodes
+    its own cross sections from it. Every stage after ``scc`` runs on the
+    quotient DAG and is indexed by component, except ``inner_labels`` and
+    ``warm_labels``, which are indexed by graph node.
     """
 
     def __init__(self, g: Digraph):
@@ -146,24 +146,14 @@ class Pipeline:
         return self.scc.expand(encode_warmup(self.layered, sizes))
 
     def peel(self, profile: str) -> PeelResult:
-        name = get_profile(profile).name
-        if name not in self._peels:
-            self._peels[name] = peel_cross(
-                self.layered, self.slayer, self.cross_rows, profile=profile
-            )
-        return self._peels[name]
+        if profile not in self._peels:
+            self._peels[profile] = peel_cross(self.layered, self.slayer, self.cross_rows, profile)
+        return self._peels[profile]
 
     def cross_labeling(self, profile: str, variant: str) -> CrossLabeling:
-        key = (get_profile(profile).name, variant)
+        key = (profile, variant)
         if key not in self._cross:
-            self._cross[key] = build_cross_labeling(
-                self.layered,
-                self.slayer,
-                self.cross_rows,
-                profile=profile,
-                variant=variant,
-                peel=self.peel(profile),
-            )
+            self._cross[key] = build_cross_labeling(self.peel(profile), variant)
         return self._cross[key]
 
 
@@ -229,7 +219,7 @@ def encode(
         labels.append(w.finish())
     x = pl.scc.expand
     by_node = replace(cl, entry=x(cl.entry), removed_iter=x(cl.removed_iter),
-                      sections=x(cl.sections), pos=x(cl.pos))
+                      sections=x(cl.sections))
     return LabelSet(scheme, sid, g.n, x(labels), pipeline=pl, cross=by_node)
 
 

@@ -125,9 +125,9 @@ def test_residual_stays_transitively_closed(case):
 @settings(max_examples=100, deadline=None)
 def test_iteration_budgets_follow_the_size_rules(case):
     n, edges, profile = case
-    lay, sl, cross, _ = peeled(n, edges, profile=profile)
+    *_, peel = peeled(n, edges, profile=profile)
     for variant in ("third", "average"):
-        cl = build_cross_labeling(lay, sl, cross, profile=profile, variant=variant)
+        cl = build_cross_labeling(peel, variant)
         for rec in cl.records:
             if rec.n_pairs == 0:
                 assert rec.far_inst is None
@@ -147,18 +147,18 @@ def test_iteration_budgets_follow_the_size_rules(case):
 
 
 def test_unknown_variant_rejected():
-    lay, sl, cross, _ = peeled(4, [(0, 2), (0, 3), (1, 2), (1, 3)], gamma=4)
+    *_, peel = peeled(4, [(0, 2), (0, 3), (1, 2), (1, 3)], gamma=4)
     with pytest.raises(ValueError):
-        build_cross_labeling(lay, sl, cross, variant="half")
+        build_cross_labeling(peel, "half")
 
 
 @given(closed_cases(), st.sampled_from(["third", "average"]))
 @settings(max_examples=100, deadline=None)
 def test_blob_decode_matches_cross_membership(case, variant):
     n, edges, profile = case
-    lay, sl, cross, _ = peeled(n, edges, profile=profile)
+    lay, sl, _, peel = peeled(n, edges, profile=profile)
     _, cross_edges = split_edges(lay, sl)
-    cl = build_cross_labeling(lay, sl, cross, profile=profile, variant=variant)
+    cl = build_cross_labeling(peel, variant)
     parsed = []
     for u in range(n):
         blob = assemble_cross(cl, u)
@@ -167,7 +167,7 @@ def test_blob_decode_matches_cross_membership(case, variant):
         assert pc.k == cl.k
         assert pc.removed_iter == cl.removed_iter[u]
         parsed.append(pc)
-    pos = cl.pos
+    pos = lay.topo
     for u in range(n):
         for v in range(n):
             if u == v:

@@ -16,6 +16,7 @@ from helpers import DECODER_CACHES, blob_fields, cold_caches, mixed_corpus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reachlabel.biclique import PROFILES
 from reachlabel.bitio import (
     BitString,
     BitWriter,
@@ -47,7 +48,6 @@ from reachlabel.flatten import write_inner
 from reachlabel.graph import Digraph, reach_rows
 from reachlabel.oracle import GenSpec, flip_bit, generate
 from reachlabel.scheme import (
-    PROFILES,
     LabelView,
     Pipeline,
     SCHEME_IDS,
@@ -259,17 +259,34 @@ def test_lazy_label_exposes_header_fields():
 
 
 def test_pipeline_shares_one_peeling_per_profile():
-    g = Digraph(10, [(i, i + 1) for i in range(9)])
-    pl = Pipeline(g)
-    encode(g, "third", "paper", pipeline=pl)
-    encode(g, "average", "paper", pipeline=pl)
-    third = pl.cross_labeling("paper", "third")
-    average = pl.cross_labeling("paper", "average")
-    assert third is not average
-    assert third.records, "chain closure must produce cross iterations"
-    for rt, ra in zip(third.records, average.records):
-        assert rt.near_inst is ra.near_inst
-        assert rt.pairs == ra.pairs
+    # both variants built on one Pipeline, in either order, share its peel
+    # and give the labels that fresh Pipelines give
+    chain = Digraph(10, [(i, i + 1) for i in range(9)])
+    iterations = 0
+    for g in [chain] + mixed_corpus():
+        for profile in PROFILES:
+            fresh = {s: encode(g, s, profile).labels for s in ("third", "average")}
+            for order in (("average", "third"), ("third", "average")):
+                pl = Pipeline(g)
+                for scheme in order:
+                    assert encode(g, scheme, profile, pipeline=pl).labels == fresh[scheme]
+                third = pl.cross_labeling(profile, "third")
+                average = pl.cross_labeling(profile, "average")
+                assert third is not average
+                assert len(third.records) == len(average.records)
+                for rt, ra in zip(third.records, average.records):
+                    assert rt.near_inst is ra.near_inst
+                    assert rt.pairs == ra.pairs
+                iterations += len(third.records)
+    assert iterations, "the closures must produce cross iterations"
+
+
+def test_pipeline_refuses_an_unknown_profile_before_caching():
+    pl = Pipeline(Digraph(10, [(i, i + 1) for i in range(9)]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown biclique profile"):
+            pl.cross_labeling("nope", "third")
+    assert not pl._peels and not pl._cross
 
 
 # Label file digests of three seeded graphs. The encoder promises identical
