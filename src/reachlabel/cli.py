@@ -22,7 +22,7 @@ from operator import or_
 
 from .biclique import PROFILES
 from .bitio import read_label_file, read_labels_at, write_label_file
-from .graph import Digraph
+from .graph import Digraph, bytes_mask
 from .oracle import KINDS, GenSpec, generate, report_lines, verify
 from .scheme import (
     SCHEME_IDS,
@@ -45,7 +45,6 @@ _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 # is scattered into one byte per node (O(n + k) work), not ORed from k
 # shifted bits (up to k n-bit ints)
 DENSE_RUN = 16
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 class GraphFormatError(ValueError):
@@ -142,7 +141,7 @@ def _take_chunk(lines: list[str], ids: dict[str, int], rows: list[int]) -> int |
             bits = bytearray(n)
             for v in islice(targets, k):
                 bits[v] = 1
-            mask = int(bits[::-1].translate(_BIT_CHARS), 2)
+            mask = bytes_mask(bits)
         else:
             mask = reduce(or_, map((1).__lshift__, islice(targets, k)))
         row = taken.get(u, rows[u])

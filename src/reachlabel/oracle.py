@@ -3,11 +3,11 @@
 All randomness flows through ``random.Random(seed)`` (the stdlib Mersenne
 Twister) in a documented draw order, so a (kind, n, p, seed) tuple pins one
 graph forever. The draw order below is fixed (tests pin a digest of each
-kind's rows); each kept edge sets one bit of its source's bitmask row as it
-is drawn, with no edge list in between:
+kind's rows, and check every kind against a reference that makes one
+``rng.random()`` call per pair). A "draw" is one ``rng.random()`` value and
+keeps its edge when it is below p:
 
-  digraph  one rng.random() per ordered pair (u, v), u != v, row-major;
-           edge kept when the draw is below p.
+  digraph  one draw per ordered pair (u, v), u != v, row-major.
   dag      rng.shuffle of range(n) giving each node a rank, then one draw
            per unordered pair u < v (row-major); kept edges point from the
            lower-ranked endpoint to the higher-ranked one. Rank order
@@ -16,6 +16,13 @@ is drawn, with no edge list in between:
   layered  one rng.randrange(layer_count) per node in id order, then one
            draw per ordered pair with layer(u) < layer(v), row-major.
 
+A row's k draws are taken as one ``rng.getrandbits(64 * k)``, which reads
+the Mersenne Twister exactly as k ``random()`` calls do; a draw is below p
+iff its 53-bit integer is below ceil(p * 2**53) (see ``_draws``). Each
+row's kept pairs become its bitmask row a row at a time, with no edge
+list in between. The dag kinds draw ``BLOCK`` rows into a byte block and
+read each later node's pairs with those rows from it by column.
+
 ``verify`` replays every ordered query against the BFS oracle; the
 corruption helpers flip a single stored bit that some query provably reads
 and must make at least one query come out wrong.
@@ -23,13 +30,17 @@ and must make at least one query come out wrong.
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
 
 from .bipartite import ceil_div, index_pair
 from .bitio import BitString, LabelHeader, index_width, read_fixed
 from .crosslabel import CLS_FRONT_REST, CLS_SECOND_REST, CLS_UPPER, node_class
-from .graph import Dag, Digraph, reach_rows, transitive_closure
+from .graph import Dag, Digraph, bytes_mask, reach_rows, transitive_closure
 from .scheme import SCHEME_IDS, LabelSet, encode, parse_label, query
 
 KINDS = ("dag", "digraph", "poset", "layered")
@@ -49,6 +60,42 @@ class GenSpec:
     layer_count: int | None = None
 
 
+# rows of the dag/poset draw held at once as 0/1 bytes, n per row; the
+# transposed half of every later row is read from them by column
+BLOCK = 256
+
+_WORDS = struct.Struct("<II")
+
+
+@cache
+def _top_table(top: int) -> bytes:
+    """Verdict of a draw by the top byte of its first word: 1 (kept) below
+    ``top``, 2 (read all 53 bits) at it, 0 (dropped) above."""
+    return bytes(1 if b < top else 2 if b == top else 0 for b in range(256))
+
+
+def _draws(getrandbits, k: int, t: int) -> bytes:
+    """0/1 flags of the next k draws ``random() < p``, for t = ceil(p * 2**53).
+
+    ``getrandbits(64 * k)`` takes the 2k words that k ``random()`` calls
+    would, lowest first, so bytes 8j..8j+7 hold draw j's words w0 and w1,
+    each little-endian, and random() is X / 2**53 for X = (w0 >> 5) << 26 |
+    w1 >> 6. X < t decides the draw; byte 8j+3 is X >> 45, so one translate
+    decides every draw whose top byte differs from t >> 45 and the rest
+    (about 1 in 256) are read whole."""
+    data = getrandbits(k << 6).to_bytes(k << 3, "little")
+    flags = data[3::8].translate(_top_table(t >> 45))
+    j = flags.find(2)
+    if j < 0:
+        return flags
+    flags = bytearray(flags)
+    while j >= 0:
+        w0, w1 = _WORDS.unpack_from(data, j << 3)
+        flags[j] = (w0 >> 5 << 26 | w1 >> 6) < t
+        j = flags.find(2, j + 1)
+    return flags
+
+
 def generate(spec: GenSpec) -> Digraph:
     if spec.kind not in KINDS:
         raise ValueError(f"unknown graph kind {spec.kind!r}")
@@ -56,45 +103,67 @@ def generate(spec: GenSpec) -> Digraph:
         raise ValueError("n must be at least 1")
     if not 0.0 <= spec.p <= 1.0:
         raise ValueError("edge density must be in [0, 1]")
-    if spec.layer_count is not None and spec.layer_count < 1:
-        raise ValueError("layer count must be at least 1")
+    if spec.layer_count is not None:
+        if spec.kind != "layered":
+            raise ValueError(f"a layer count applies to kind 'layered', not {spec.kind!r}")
+        if spec.layer_count < 1:
+            raise ValueError("layer count must be at least 1")
     rng = random.Random(spec.seed)
-    rnd = rng.random
-    p = spec.p
+    bits = rng.getrandbits
+    t = math.ceil(spec.p * 2.0**53)
     n = spec.n
-    rows = [0] * n
 
     if spec.kind == "digraph":
+        rows = []
         for u in range(n):
-            for v in range(n):
-                if u != v and rnd() < p:
-                    rows[u] |= 1 << v
+            flags = _draws(bits, n - 1, t)
+            rows.append(bytes_mask(flags[:u] + b"\0" + flags[u:]))
         return Digraph(n, rows=rows)
 
     if spec.kind in ("dag", "poset"):
         rank = list(range(n))
         rng.shuffle(rank)
-        for u in range(n):
-            ru = rank[u]
-            for v in range(u + 1, n):
-                if rnd() < p:
-                    if ru < rank[v]:
-                        rows[u] |= 1 << v
-                    else:
-                        rows[v] |= 1 << u
         order = [0] * n  # nodes by rank: every edge ascends it
         for u, r in enumerate(rank):
             order[r] = u
+        rows = [0] * n
+        for b0 in range(0, n, BLOCK):
+            b1 = min(b0 + BLOCK, n)
+            block = bytearray((b1 - b0) * n)
+            for u in range(b0, b1):
+                at = (u - b0) * n
+                flags = _draws(bits, n - u - 1, t)
+                block[at + u + 1 : at + n] = flags
+                rows[u] |= bytes_mask(flags) << u + 1
+            for v in range(b0 + 1, n):
+                col = block[v::n]
+                if 1 in col:
+                    rows[v] |= bytes_mask(col) << b0
+            # the block's rows by falling rank: the nodes ranked above each
+            # are those above the one before plus the ranks in between
+            above, hi = bytearray(n + 7 >> 3), n
+            for u in sorted(range(b0, b1), key=rank.__getitem__, reverse=True):
+                for x in order[rank[u] + 1 : hi]:
+                    above[x >> 3] |= 1 << (x & 7)
+                hi = rank[u] + 1
+                rows[u] &= int.from_bytes(above, "little")
         d = Dag(n, rows=rows, order=order)
         return d if spec.kind == "dag" else transitive_closure(d)
 
     layer_count = spec.layer_count or max(2, round(n**0.5))
     lay = [rng.randrange(layer_count) for _ in range(n)]
+    ids = list(range(n))
+    higher = {}  # layer value -> the nodes of higher layers, ascending
+    rows = []
     for u in range(n):
         lu = lay[u]
-        for v in range(n):
-            if lu < lay[v] and rnd() < p:
-                rows[u] |= 1 << v
+        cand = higher.get(lu)
+        if cand is None:
+            cand = higher[lu] = list(compress(ids, map(lu.__lt__, lay)))
+        row = bytearray(n)
+        for v in compress(cand, _draws(bits, len(cand), t)):
+            row[v] = 1
+        rows.append(bytes_mask(row))
     return Digraph(n, rows=rows)
 
 

@@ -13,7 +13,7 @@ from reachlabel.bipartite import BipartiteLabel, probe_pair
 from reachlabel.bitio import BitString, LabelHeader, count_width, index_width, read_fixed
 from reachlabel.cli import GraphFormatError
 from reachlabel.flatten import split_rows
-from reachlabel.graph import Dag, Digraph, _iter_bits
+from reachlabel.graph import Dag, Digraph, _iter_bits, transitive_closure
 from reachlabel.oracle import GenSpec, generate
 
 P_GRID = (0.02, 0.1, 0.5, 0.9)
@@ -29,6 +29,50 @@ def mixed_corpus():
     for i in range(10):
         specs.append(GenSpec("layered", 18 + 8 * i, 0.3 + 0.06 * i, seed=300 + i))
     return [generate(s) for s in specs]
+
+
+def ref_generate(spec: GenSpec) -> Digraph:
+    """The generator as one ``rng.random()`` call per node pair, in the draw
+    order the ``oracle`` docstring fixes; ``generate`` must match it row for
+    row (and, for dag and poset, in its order)."""
+    rng = random.Random(spec.seed)
+    rnd = rng.random
+    p = spec.p
+    n = spec.n
+    rows = [0] * n
+
+    if spec.kind == "digraph":
+        for u in range(n):
+            for v in range(n):
+                if u != v and rnd() < p:
+                    rows[u] |= 1 << v
+        return Digraph(n, rows=rows)
+
+    if spec.kind in ("dag", "poset"):
+        rank = list(range(n))
+        rng.shuffle(rank)
+        for u in range(n):
+            ru = rank[u]
+            for v in range(u + 1, n):
+                if rnd() < p:
+                    if ru < rank[v]:
+                        rows[u] |= 1 << v
+                    else:
+                        rows[v] |= 1 << u
+        order = [0] * n  # nodes by rank: every edge ascends it
+        for u, r in enumerate(rank):
+            order[r] = u
+        d = Dag(n, rows=rows, order=order)
+        return d if spec.kind == "dag" else transitive_closure(d)
+
+    layer_count = spec.layer_count or max(2, round(n**0.5))
+    lay = [rng.randrange(layer_count) for _ in range(n)]
+    for u in range(n):
+        lu = lay[u]
+        for v in range(n):
+            if lu < lay[v] and rnd() < p:
+                rows[u] |= 1 << v
+    return Digraph(n, rows=rows)
 
 
 def is_transitively_closed(d: Digraph) -> bool:

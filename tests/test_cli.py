@@ -380,6 +380,17 @@ def test_generate_rejects_a_layer_count_below_1(tmp_path, capsys):
     assert not (tmp_path / "g.txt").exists()
 
 
+def test_generate_rejects_layers_for_kinds_without_layers(tmp_path, capsys):
+    for kind in ("digraph", "dag", "poset"):
+        code, out, err = run(
+            capsys, "generate", "--kind", kind, "--n", "10", "--p", "0.5",
+            "--layers", "3", "--output", str(tmp_path / "g.txt"),
+        )
+        assert code == 2 and not out
+        assert err == f"error: a layer count applies to kind 'layered', not {kind!r}\n"
+    assert not (tmp_path / "g.txt").exists()
+
+
 # -- the chunked graph reader and the byte-table writer against references -----
 
 

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reachlabel.bitio import BitString
-from helpers import is_transitively_closed
+from helpers import is_transitively_closed, ref_generate
 from reachlabel.graph import topological_order
 from reachlabel.oracle import (
+    BLOCK,
+    KINDS,
     GenSpec,
     corruption_trial,
     flip_bit,
@@ -41,6 +47,78 @@ def test_generate_rows_pinned(kind, p):
     g = generate(GenSpec(kind, 40, p, seed=7))
     digest = hashlib.sha256(",".join(map(str, g.rows)).encode()).hexdigest()
     assert digest == GENERATE_DIGESTS[kind, p]
+
+
+# The first graph of the digraph-scc, dag-sparse and poset-dense benchmark
+# workloads at their default seed, pinned the same way: each spans several
+# blocks of dag rows.
+BENCHMARK_DIGESTS = {
+    GenSpec("digraph", 1000, 0.002, 100): "ff9dbb58c0e0c3b56caae0ae0a8d527509bb0509109bd942038566aa18df91a5",
+    GenSpec("dag", 1000, 0.01, 100): "baf75b926066598860b79d73af0f626bdcff45e92c395f2d6823dc25e9da0c77",
+    GenSpec("poset", 1000, 0.5, 100): "33822ab69834dc9c3036d1920775a93242822311938c096913ac23855159f107",
+}
+
+
+@pytest.mark.parametrize("spec", list(BENCHMARK_DIGESTS), ids=lambda s: s.kind)
+def test_benchmark_graphs_pinned(spec):
+    g = generate(spec)
+    digest = hashlib.sha256(",".join(map(str, g.rows)).encode()).hexdigest()
+    assert digest == BENCHMARK_DIGESTS[spec]
+
+
+def test_getrandbits_holds_the_words_random_reads():
+    """The draw helper relies on two facts of CPython's Mersenne Twister:
+    random() is (a * 2**26 + b) / 2**53 for a = w0 >> 5, b = w1 >> 6, the
+    next two 32-bit outputs, and getrandbits(64 * k) returns the outputs
+    of k such calls, the first one in the lowest 32 bits."""
+    for seed in (0, 1, 7, 2**40 + 3):
+        for k in (1, 2, 5, 300):
+            rng = random.Random(seed)
+            want = [rng.random() for _ in range(k)]
+            words = random.Random(seed).getrandbits(64 * k)
+            got = []
+            for j in range(k):
+                w0 = words >> 64 * j & 0xFFFFFFFF
+                w1 = words >> 64 * j + 32 & 0xFFFFFFFF
+                got.append((w0 >> 5 << 26 | w1 >> 6) / 2**53)
+            assert got == want, (seed, k)
+
+
+def unit_densities():
+    """Densities where the draw helper's byte verdict and its full 53-bit
+    check meet: the ends, every k/256, one ulp either side of each, the
+    smallest float, the benchmark's sparse densities, and any float."""
+    steps = st.integers(0, 256).map(lambda k: k / 256)
+    return st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 0.002, 0.01]),
+        steps,
+        st.tuples(steps, st.sampled_from([0.0, 1.0])).map(lambda pt: math.nextafter(*pt)),
+        st.floats(0.0, 1.0),
+    )
+
+
+@st.composite
+def gen_specs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 40))
+    layers = draw(st.sampled_from([None, 1, 2, n])) if kind == "layered" else None
+    return GenSpec(kind, n, draw(unit_densities()), draw(st.integers(0, 2**32)), layers)
+
+
+@given(gen_specs())
+@settings(max_examples=200, deadline=None)
+@example(GenSpec("dag", BLOCK - 1, 0.3, 1))
+@example(GenSpec("poset", BLOCK, 0.5, 2))
+@example(GenSpec("dag", BLOCK + 1, 3 / 256, 3))
+@example(GenSpec("poset", 2 * BLOCK + 1, 0.01, 4))
+@example(GenSpec("dag", 2 * BLOCK + 1, 1.0, 5))
+@example(GenSpec("digraph", BLOCK + 1, 0.002, 6))
+@example(GenSpec("layered", BLOCK + 1, 0.5, 7, 3))
+def test_generate_matches_the_per_pair_reference(spec):
+    got, want = generate(spec), ref_generate(spec)
+    assert got.rows == want.rows
+    if spec.kind in ("dag", "poset"):
+        assert got.order == want.order
 
 
 def test_generated_dag_order_is_topological():
