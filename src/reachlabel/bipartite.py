@@ -72,11 +72,6 @@ class BipartiteLabel:
     def table_len(self) -> int:
         return self.alpha if self.side == "A" else self.beta
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.table_len:
-            raise ValueError(f"table probe {i} out of range {self.table_len}")
-        return self.table >> i & 1
-
 
 def index_pair(i_a: int, i_b: int, a: int, b: int) -> tuple[int, int]:
     """Window positions of pair (i_a, i_b); python % keeps both non-negative."""
@@ -111,12 +106,6 @@ def pair_window(i_a: int, i_b: int, sizes: tuple[int, int, int, int]) -> int:
     if j >= beta:
         raise ValueError("pair covered by neither window; budget was violated")
     return ~j
-
-
-def probe_pair(la: BipartiteLabel, lb: BipartiteLabel) -> bool:
-    """Adjacency probe with la known to be A-side and lb B-side."""
-    i = pair_window(la.index, lb.index, (la.a, la.b, la.alpha, la.beta))
-    return bool(la.bit(i) if i >= 0 else lb.bit(~i))
 
 
 # -- embedded serialization ------------------------------------------------

@@ -12,10 +12,12 @@ comes from Tarjan's emission order and is handed on, never recomputed.
 
 The three stages work a machine word at a time on the rows. Tarjan keeps
 its visited and on-stack sets as masks and takes each next child as a
-lowest bit. Closure and layering take successors lowest bit first and drop
-from the to-do mask every node the taken successor already reaches, so
-they follow the cover edges (the transitive reduction) instead of every
-closure edge.
+lowest bit. Closure and layering both take their successors from the
+condensation's own rows, lowest bit first, and drop from the to-do mask
+every node the taken successor already reaches (its closed row). The
+successors taken include every cover edge (the transitive reduction) and
+skip whatever an earlier-taken successor reaches; how many other edges
+they take depends on how the ids fall, not on the closure's edge count.
 
 The encoder moves slices of these rows around as bit matrices: it renumbers
 a row's bits (pair-graph rows over the unmatched nodes, interval tables by
@@ -364,23 +366,28 @@ class LayeredDag:
     layer_of: tuple[int, ...]   # node -> 0-based layer index
 
 
-def longest_path_layers(d: Dag) -> LayeredDag:
+def longest_path_layers(d: Dag, succ: list[int] | None = None) -> LayeredDag:
     """Group nodes by longest path length ending at them.
 
     Expects a transitively closed input (layer i+1 nodes then all have an
     in-edge from layer i, which the flattening stage relies on).
 
-    Depths are pushed in topological order, successors lowest bit first,
-    and each successor taken drops its own row from the to-do mask: a node
-    it points to gets a greater depth from it later. The successors taken
-    include every cover edge, and longest paths run along cover edges only,
-    so the depths are exact on any DAG, closed or not.
+    Depths are pushed in topological order. A node's successors come from
+    ``succ``, the rows of any DAG whose closure is ``d``'s (``d.rows`` when
+    omitted), lowest bit first, and each successor taken drops its row of
+    ``d`` from the to-do mask: a node it reaches gets a greater depth from
+    it later. The successors taken include every cover edge, and longest
+    paths run along cover edges only, so the depths are exact on any DAG,
+    closed or not. The condensation's own rows make far fewer steps than
+    its closure's when node ids are not in topological order, since a
+    successor of lower id then seldom prunes those above it.
     """
     rows = d.rows
+    succ = rows if succ is None else succ
     depth = [0] * d.n
     for u in d.order:
         du1 = depth[u] + 1
-        todo = rows[u]
+        todo = succ[u]
         while todo:
             bit = todo & -todo
             v = bit.bit_length() - 1

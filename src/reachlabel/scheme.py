@@ -117,7 +117,7 @@ class Pipeline:
 
     @cached_property
     def layered(self):
-        return longest_path_layers(self.closed)
+        return longest_path_layers(self.closed, self.scc.dag.rows)
 
     @cached_property
     def slayer(self):

@@ -5,11 +5,10 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import contextmanager
-from itertools import combinations
 
 from reachlabel import bitio, crosslabel
-from reachlabel.biclique import EXHAUSTIVE_LIMIT, _TRIALS, _qstar, get_profile
-from reachlabel.bipartite import BipartiteLabel, probe_pair
+from reachlabel.biclique import get_profile
+from reachlabel.bipartite import BipartiteLabel, pair_window
 from reachlabel.bitio import BitString, LabelHeader, count_width, index_width, read_fixed
 from reachlabel.cli import GraphFormatError
 from reachlabel.flatten import split_rows
@@ -91,6 +90,19 @@ def split_edges(layered, s) -> tuple[frozenset, frozenset]:
     inner = frozenset((u, v) for u in range(len(ir)) for v in _iter_bits(ir[u]))
     cross = frozenset((u, v) for u in range(len(cr)) for v in _iter_bits(cr[u]))
     return inner, cross
+
+
+def label_bit(lab: BipartiteLabel, i: int) -> int:
+    """Bit i of an encoder label's table, refusing a probe past its length."""
+    if not 0 <= i < lab.table_len:
+        raise ValueError(f"table probe {i} out of range {lab.table_len}")
+    return lab.table >> i & 1
+
+
+def probe_pair(la: BipartiteLabel, lb: BipartiteLabel) -> bool:
+    """Adjacency probe with la known to be A-side and lb B-side."""
+    i = pair_window(la.index, lb.index, (la.a, la.b, la.alpha, la.beta))
+    return bool(label_bit(la, i) if i >= 0 else label_bit(lb, ~i))
 
 
 def decode_bipartite(lu: BipartiteLabel, lv: BipartiteLabel) -> bool:
@@ -212,34 +224,26 @@ def ref_columns(rows, width: int) -> list[int]:
     return cols
 
 
-def _ref_find_biclique(adj_a: dict, adj_b: dict, q: int):
-    """One K_{q,q} over neighbor sets, as (a_side, b_side) sorted id tuples,
-    or None: the same candidates, branch choice and seed as the mask finder."""
-    ac = sorted(a for a, nb in adj_a.items() if len(nb) >= q)
-    bc = sorted(b for b, nb in adj_b.items() if len(nb) >= q)
-    if len(ac) < q or len(bc) < q:
-        return None
-    w = len(adj_a) + len(adj_b)
-    if w <= EXHAUSTIVE_LIMIT:
-        from_a = len(ac) <= len(bc)
-        cands, adj = (ac, adj_a) if from_a else (bc, adj_b)
-        subsets = combinations(cands, q)
-    else:
-        m = sum(len(nb) for nb in adj_a.values())
-        avg_a = sum(len(adj_a[a]) for a in ac) / len(ac)
-        avg_b = sum(len(adj_b[b]) for b in bc) / len(bc)
-        from_a = avg_a >= avg_b
-        cands, adj = (ac, adj_a) if from_a else (bc, adj_b)
-        rng = random.Random((w << 40) ^ (m << 8) ^ q)
-        subsets = (tuple(sorted(rng.sample(cands, q))) for _ in range(_TRIALS))
-    for subset in subsets:
-        common = set(adj[subset[0]])
-        for x in subset[1:]:
-            common &= adj[x]
-        if len(common) >= q:
-            other = tuple(sorted(common)[:q])
-            return (subset, other) if from_a else (other, subset)
-    return None
+def _ref_grow_biclique(adj_a: dict):
+    """One balanced biclique over neighbor sets, as (a_side, b_side) sorted id
+    tuples: seed with the A node of highest degree, then keep adding the A
+    node that keeps the most common neighbors (ties to the lower id) until no
+    node or neighbor is left, and take the first largest balanced
+    t = min(|side|, |common|) seen, with its t lowest common neighbors."""
+    seed = min(adj_a, key=lambda a: (-len(adj_a[a]), a))
+    side, common = [seed], set(adj_a[seed])
+    best = (1, (seed,), tuple(sorted(common)[:1]))
+    while common and len(side) < len(adj_a):
+        x = min(
+            (a for a in adj_a if a not in side),
+            key=lambda a: (-len(common & adj_a[a]), a),
+        )
+        side.append(x)
+        common &= adj_a[x]
+        t = min(len(side), len(common))
+        if t > best[0]:
+            best = (t, tuple(sorted(side[:t])), tuple(sorted(common)[:t]))
+    return best[1:]
 
 
 def ref_find_bicliques(a_nodes, b_nodes, edges, profile, n_ref: int):
@@ -262,11 +266,7 @@ def ref_find_bicliques(a_nodes, b_nodes, edges, profile, n_ref: int):
         if not profile.density_ok(w, m):
             termination = "density"
             break
-        for q in range(min(_qstar(w, m), len(adj_a), len(adj_b)), 0, -1):
-            got = _ref_find_biclique(adj_a, adj_b, q)
-            if got is not None:
-                break
-        a_side, b_side = got
+        a_side, b_side = _ref_grow_biclique(adj_a)
         for a in a_side:
             for b in adj_a.pop(a):
                 adj_b[b].discard(a)

@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachlabel.biclique import (
-    EXHAUSTIVE_LIMIT,
     BicliqueDecomposition,
-    _degrees,
+    _plane_add,
+    _plane_sub,
     big_threshold,
     build_n_rest,
-    find_biclique,
     find_bicliques,
     get_profile,
+    grow_biclique,
 )
 from reachlabel.graph import _iter_bits
 
@@ -54,15 +54,14 @@ def test_force_profile_ignores_density():
 
 
 def test_complete_bipartite_frozen():
-    # K_{4,4} under the force profile: the q policy starts at q=1 here,
-    # so three K_{1,1} extractions run before the size floor stops the loop.
+    # K_{4,4} under the force profile: the grower takes all of it at once,
+    # and the empty graph left stops the loop at the size floor.
     rows = [0b11110000] * 4
     dec = find_bicliques([0, 1, 2, 3], [4, 5, 6, 7], rows, get_profile("force"), n_ref=8)
-    assert dec.bicliques == (((0,), (4,)), ((1,), (5,)), ((2,), (6,)))
-    assert dec.a_rest == (3,)
-    assert dec.b_rest == (7,)
-    assert dec.rest == {3: 1 << 7, 7: 1 << 3}
-    assert dec.rest_edges == frozenset({(3, 7)})
+    assert dec.bicliques == (((0, 1, 2, 3), (4, 5, 6, 7)),)
+    assert dec.a_rest == dec.b_rest == ()
+    assert dec.rest == {}
+    assert dec.rest_edges == frozenset()
     assert dec.termination == "size"
 
 
@@ -88,27 +87,49 @@ def test_rows_outside_the_b_side_are_rejected():
     assert find_bicliques([], [1], [], "force", n_ref=4).b_rest == (1,)
 
 
-def test_find_biclique_exact_on_small():
-    # ranks: A nodes 0, 1, 2; B ranks 0 and 1 stand for nodes 3 and 4
-    arows = {0: 0b11, 1: 0b11, 2: 0b10}
-    bcols = {0: 0b011, 1: 0b111}
-    adeg, bdeg = _degrees(arows), _degrees(bcols)
-    assert (adeg, bdeg) == ({0: 2, 1: 2, 2: 1}, {0: 2, 1: 3})
-    got = find_biclique(arows, bcols, adeg, bdeg, 2, 5)
-    assert got is not None
-    sa, sb = got
-    assert len(sa) == len(sb) == 2
-    for u in sa:
-        for v in sb:
-            assert arows[u] >> v & 1
-    assert find_biclique(arows, bcols, adeg, bdeg, 3, 5) is None
+def test_grower_ties_go_to_the_lower_rank():
+    # A ranks 1 and 2 tie at degree 4, and the stripping loop seeds with 1
+    # (checked by its first biclique below). Ranks 0 and 3 then tie at two
+    # common neighbors and the grower adds 0: K(2, 2) over B ranks 0 and 1,
+    # where rank 3 would have given B ranks 2 and 3.
+    arows = {0: 0b0011, 1: 0b1111, 2: 0b1111_0000, 3: 0b1100}
+    bcols = {b: sum(1 << a for a, row in arows.items() if row >> b & 1) for b in range(8)}
+    assert grow_biclique(arows, bcols, 1) == ((0, 1), (0, 1))
+    # the same graph by node ids, B node j + 10 for B rank j
+    rows = [sum(1 << (10 + b) for b in range(8) if row >> b & 1) for row in arows.values()]
+    dec = find_bicliques(list(arows), list(range(10, 18)), rows, "force", n_ref=4)
+    assert dec.bicliques[0] == ((0, 1), (10, 11))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**40 - 1), min_size=1, max_size=24),
+    st.lists(st.integers(min_value=0, max_value=2**24 - 1), min_size=1, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_plane_counters_count_common_neighbors(cols, commons):
+    """After each add and subtract, the count the planes hold for every A
+    rank a is (common & arows[a]).bit_count(), its common neighbors;
+    ``commons`` is the sequence of common-neighbor masks over the B ranks."""
+    arows = [sum((col >> a & 1) << b for b, col in enumerate(cols)) for a in range(40)]
+    planes: list[int] = []
+    common = 0
+    for want in commons:
+        want &= (1 << len(cols)) - 1
+        for b in _iter_bits(common & ~want):
+            _plane_sub(planes, cols[b])
+        for b in _iter_bits(want & ~common):
+            _plane_add(planes, cols[b])
+        common = want
+        for a, row in enumerate(arows):
+            got = sum((p >> a & 1) << i for i, p in enumerate(planes))
+            assert got == (common & row).bit_count(), a
 
 
 @st.composite
 def bipartite_graphs(draw, max_side=36):
     """Sides of 1..max_side nodes with shuffled, gapped ids and a drawn edge
-    density. Lopsided sides give both seeded branches: the smaller side has
-    the higher mean degree, and the finder draws its subsets from it."""
+    density. Lopsided sides give the grower few A nodes to add against many
+    common neighbors, or many A nodes against few."""
     a = draw(st.integers(min_value=1, max_value=max_side))
     b = draw(st.integers(min_value=1, max_value=max_side))
     p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0]))
@@ -159,38 +180,18 @@ def complete(a_nodes, b_nodes):
 @settings(max_examples=150, deadline=None)
 @example(complete([0, 1], list(range(2, 40))), "force")
 @example(complete(list(range(2, 40)), [0, 1]), "force")
-# extracting (0, 2) leaves B node 3 live with degree 0: it is no candidate
+# extracting ((0,), (2,)) leaves B node 3 live with degree 0, for the rest
 @example(([0, 1], [2, 3, 4], frozenset({(0, 2), (0, 3), (1, 4)})), "force")
-# a perfect matching past the exhaustive limit: at q = 1 both sides have 13
-# candidates, and each extraction drops its B node to degree 0 first
+# a perfect matching: each round grows no further than its seed's K(1, 1)
 @example((list(range(13)), list(range(13, 26)), frozenset((i, 13 + i) for i in range(13))), "force")
 def test_mask_finder_matches_set_reference(case, profile):
     """Same bicliques, rest sides, rest edges and stop as the set-based finder,
-    on graphs up to w = 72, past the exhaustive limit."""
+    on graphs up to w = 72."""
     a_nodes, b_nodes, edges = case
     dec = find_bicliques(a_nodes, b_nodes, rows_of(a_nodes, edges), profile, n_ref=20)
     want = ref_find_bicliques(a_nodes, b_nodes, edges, profile, n_ref=20)
     got = (dec.bicliques, dec.a_rest, dec.b_rest, dec.rest_edges, dec.termination)
     assert got == want
-
-
-def test_both_seeded_branches_are_drawn():
-    # Past the exhaustive limit the finder draws its subsets from the side of
-    # higher mean candidate degree and pairs them with the lowest common
-    # neighbors; a lopsided complete graph picks each side. The drawn node
-    # (1) is not its side's lowest, the paired one (2) is.
-    assert 2 + 38 > EXHAUSTIVE_LIMIT
-    cases = (
-        ([0, 1], list(range(2, 40)), ((1,), (2,))),
-        (list(range(2, 40)), [0, 1], ((2,), (1,))),
-    )
-    for a_nodes, b_nodes, first in cases:
-        _, _, edges = complete(a_nodes, b_nodes)
-        dec = find_bicliques(a_nodes, b_nodes, rows_of(a_nodes, edges), "force", 40)
-        assert dec.bicliques[0] == first
-        assert (dec.bicliques, dec.a_rest, dec.b_rest, dec.rest_edges, dec.termination) == (
-            ref_find_bicliques(a_nodes, b_nodes, edges, "force", 40)
-        )
 
 
 @given(bipartite_graphs(), st.sampled_from(["paper", "force"]))

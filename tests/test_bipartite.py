@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import decode_bipartite
+from helpers import decode_bipartite, label_bit, probe_pair
 from reachlabel.bitio import BitString, BitWriter, LabelReader, index_width
 from reachlabel.bipartite import (
     BipartiteInstance,
@@ -24,7 +24,6 @@ from reachlabel.bipartite import (
     embedded_width,
     encode_bipartite,
     index_pair,
-    probe_pair,
     read_embedded,
     write_embedded,
 )
@@ -97,7 +96,7 @@ def test_encoded_tables_frozen():
     inst = BipartiteInstance(2, 2, 1, 2, (0b01, 0))  # the one edge (0, 2)
     labels = encode_bipartite(inst)
     assert [l.side for l in labels] == ["A", "A", "B", "B"]
-    assert [[l.bit(i) for i in range(l.table_len)] for l in labels] == [
+    assert [[label_bit(l, i) for i in range(l.table_len)] for l in labels] == [
         [1],
         [0],
         [1, 0],
@@ -198,7 +197,7 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
         assert (index, end, table) == (lab.index, len(bits), lab.table)
         assert read.words == 1  # the index, in one read
         for i in range(lab.table_len):
-            assert read.table_bit(table, lab.table_len, i) == lab.bit(i)
+            assert read.table_bit(table, lab.table_len, i) == label_bit(lab, i)
         assert read.words == 1 + lab.table_len  # one word per probe
         with pytest.raises(ValueError):
             read.table_bit(table, lab.table_len, lab.table_len)

@@ -65,17 +65,19 @@ def test_complete_bipartite_two_groups_frozen():
     assert peel.k == 2
     assert len(peel.records) == 1
     rec = peel.records[0]
-    assert rec.n_pairs == 1
-    assert rec.front_match == (0,)
-    assert rec.second_match == (2,)
+    # the grower takes the whole K_{2,2} as one biclique: two pairs, no rest
+    assert rec.bicliques == (((0, 1), (2, 3)),)
+    assert rec.n_pairs == 2
+    assert rec.front_match == (0, 1)
+    assert rec.second_match == (2, 3)
     cls = [node_class(1, peel.entry[u], peel.removed_iter[u]) for u in range(4)]
-    assert cls == [CLS_FRONT_MATCH, CLS_FRONT_REST, CLS_SECOND_MATCH, CLS_SECOND_REST]
-    # one extraction consumes the whole cross edge set
+    assert cls == [CLS_FRONT_MATCH, CLS_FRONT_MATCH, CLS_SECOND_MATCH, CLS_SECOND_MATCH]
+    # one extraction consumes the whole cross edge set, all of it near
     near, far = edges_of(rec.near_rows), edges_of(rec.far_rows)
-    assert near | far == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    assert near == {(0, 2), (1, 3)}
+    assert near == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert far == set()
     assert peel.entry == (1, 1, 2, 2)
-    assert peel.removed_iter == (1, 2, 1, 2)
+    assert peel.removed_iter == (1, 1, 1, 1)
 
 
 def test_default_grouping_merges_the_same_graph():

@@ -276,6 +276,22 @@ def test_stages_match_reference_on_dags(d):
     assert list(longest_path_layers(d).layer_of) == ref_layer_of(d)
 
 
+@given(dags(), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_layering_over_the_dag_rows_matches_the_closure(d, rnd):
+    """Successors from the unclosed rows, pruned by the closed ones, on a DAG
+    whose ids are shuffled out of topological order: the depths are the
+    longest paths pushed along every edge, and the layering is the one the
+    closure alone gives."""
+    perm = list(range(d.n))
+    rnd.shuffle(perm)
+    dag = Dag(d.n, {(perm[u], perm[v]) for u, v in d.edges})
+    closed = transitive_closure(dag)
+    lay = longest_path_layers(closed, dag.rows)
+    assert list(lay.layer_of) == ref_layer_of(dag)
+    assert lay == longest_path_layers(closed)
+
+
 @given(dense_cyclic())
 @settings(max_examples=150)
 def test_stages_match_reference_on_dense_cyclic(g):

@@ -303,7 +303,9 @@ def test_pipeline_refuses_an_unknown_profile_before_caching():
 # the header are unchanged. Re-pinned last at version 8, when the composite
 # labels lost their component id and their blob's entry group (the digraph's
 # 8 bits a label, the poset's 10); the warm-up dag's labels are unchanged,
-# and its file differs only in the version byte.
+# and its file differs only in the version byte. The poset was re-pinned
+# once more, still at version 8, when the greedy biclique grower replaced the
+# q-subset search; the dag's and digraph's bytes did not change.
 PINNED_DIGESTS = [
     (
         GenSpec("dag", 60, 0.1, 3),
@@ -321,7 +323,7 @@ PINNED_DIGESTS = [
         GenSpec("poset", 70, 0.5, 7),
         "average",
         "force",
-        "59e74a3d60ccc3950ac815b2e39e6f3c5793f7ab04d7a96d2ce7916a726f894e",
+        "99f1541a1dca3bab6b7c579368a31d032ca0660283c4a6d44d14a3c3dac402d9",
     ),
 ]
 
@@ -338,9 +340,11 @@ def test_label_file_bytes_are_pinned(tmp_path, spec, scheme, profile, digest):
 
 def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     """A sparse DAG whose labels hold hundreds of rest sets, the largest of
-    83 keys, so a probe may take seven binary-search steps. The digest pins
+    45 keys, so a probe may take six binary-search steps. The digest pins
     every key (re-pinned at version 7, when the header lost its offsets,
-    and at version 8, when the labels lost their component id and entry)."""
+    at version 8, when the labels lost their component id and entry, and
+    when the greedy biclique grower replaced the q-subset search: the
+    largest set fell from 83 keys to 45)."""
     real = crosslabel.build_set
     built = []
 
@@ -352,11 +356,11 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(crosslabel, "build_set", recording)
     ls = encode(generate(GenSpec("dag", 500, 0.04, 5)), "third", "paper")
-    assert max(s.size for s in built) == 83
+    assert max(s.size for s in built) == 45
     path = tmp_path / "pinned.rlbl"
     write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "6693a8622c026e6a2d0767b147ce26a977a2979abab92d9ca449c0f4bd17ba97"
+        "23daf54721328ba483db9e779204d7eeb42b830170f2d495a6d45d9d09323478"
     )
 
 
@@ -694,18 +698,20 @@ def test_lazy_queries_refuse_hostile_schedules(corrupt):
 
 
 def test_descending_set_keys_are_rejected():
-    """Node 5 of this sparse DAG keeps 27 rest neighbors at iteration 4, the
-    first two keys 15 and 16. Flipping the first key's top bit (15 -> 143)
-    leaves keys that do not ascend, and the binary search then misses 16, a
-    key whose bits were not touched; the check walk refuses the label."""
+    """Node 51 of this sparse DAG keeps 24 rest neighbors at iteration 4 and
+    stays live until iteration 6; its first two keys are 0 and 6. Flipping
+    the first key's top bit (0 -> 128) leaves keys that do not ascend, and
+    the binary search then misses 6, a key whose bits were not touched; the
+    check walk refuses the label."""
     ls = encode(generate(GenSpec("dag", 200, 0.04, 5)), "third", "paper")
-    assert ls.cross.removed_iter[5] > 4 and ls.n == 200  # acyclic: node ids are component ids
-    bits = ls.labels[5]
+    assert ls.cross.removed_iter[51] > 4 and ls.n == 200  # acyclic: node ids are component ids
+    bits = ls.labels[51]
     at = walked(bits, 4).start + count_width(200)  # near^4's first key
-    assert read_fixed(bits, at, 16) == 15 << 8 | 16
+    assert read_fixed(bits, at - count_width(200), count_width(200)) == 24
+    assert read_fixed(bits, at, 16) == 0 << 8 | 6
     bad = flip_bit(bits, at)
-    assert LabelView(bits).view_cross().iteration(4).contains(16)
-    assert not LabelView(bad).view_cross().iteration(4).contains(16)
+    assert LabelView(bits).view_cross().iteration(4).contains(6)
+    assert not LabelView(bad).view_cross().iteration(4).contains(6)
     with pytest.raises(ValueError, match="set keys do not ascend below 200"):
         parse_label(bad)
 
@@ -838,10 +844,13 @@ def test_prefixes_cutting_the_intra_section_raise_value_error():
 # and the walk began to refuse a matched node's biclique number of p or more
 # (30 of the poset's copies, none of the digraph's). Accepted: digraph 917 of
 # 10740 copies (8.5%), poset 4972 of 25328 (19.6%); the dag is unchanged.
+# The poset was re-pinned when the greedy biclique grower replaced the
+# q-subset search: fewer, larger bicliques give it shorter labels. Accepted:
+# poset 4454 of 24198 copies (18.4%); the dag and digraph are unchanged.
 PINNED_VERDICTS = [
     (7276, "12929f9feb1b35e949045ca3dd4d87910a8b580c7ddd459ae587523a2be1b93f"),
     (9823, "cc71f21bef8f39f1ec7aeefd0d5666cc87e66e0cea4729815be75aa9d73160e8"),
-    (20356, "593a89fc2f09d0819253757645aa3dd4289a65f1df202a738a354ee1393b53b3"),
+    (19744, "0089a7a020c13dd620af3e25c19829d8316b5595389bebb6e06f253a5e58adf5"),
 ]
 
 
