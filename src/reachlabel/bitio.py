@@ -173,15 +173,18 @@ class LabelReader:
     64-bit words a pointer-based decoder would fetch for it, at least one
     per read. ``peek`` takes a field without counting, for a table, which a
     decoder keeps as that int and its width; ``table_bit`` probes one bit of
-    such a table, charged one word.
+    such a table, charged one word. ``probes`` is None, or a set to which
+    each ``table_bit`` adds the label offset of the bit it reads: the
+    record of which bits a query depends on.
     """
 
-    __slots__ = ("value", "length", "words")
+    __slots__ = ("value", "length", "words", "probes")
 
     def __init__(self, bits: BitString):
         self.value = bits.value
         self.length = bits.length
         self.words = 0
+        self.probes = None
 
     def __call__(self, offset: int, width: int) -> int:
         self.words += (width + 63) >> 6 or 1
@@ -190,13 +193,16 @@ class LabelReader:
             raise _overrun(offset, width, self.length)
         return self.value >> (self.length - end) & (1 << width) - 1
 
-    def table_bit(self, table: int, width: int, i: int) -> int:
-        """Bit i of a ``width``-bit table taken by ``peek`` (written as the
-        int whose bit i is table bit i, at field position width-1-i),
-        charged one word, the fetch a pointer-based decoder would make."""
+    def table_bit(self, table: int, width: int, end: int, i: int) -> int:
+        """Bit i of a ``width``-bit table taken by ``peek`` that ends at
+        label offset ``end`` (written as the int whose bit i is table bit i,
+        at field position width-1-i, so at offset end-1-i), charged one word,
+        the fetch a pointer-based decoder would make."""
         self.words += 1
         if not 0 <= i < width:
             raise ValueError(f"table probe {i} out of range {width}")
+        if self.probes is not None:
+            self.probes.add(end - 1 - i)
         return table >> i & 1
 
     peek = read_fixed  # a reader has the value and length a BitString has

@@ -232,10 +232,20 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _parse_file_labels(scheme_id: int, labels) -> list:
+    """Checked views of ``labels``, read from a label file whose scheme id
+    must be known and be each label's own."""
+    if scheme_id not in SCHEME_NAMES:
+        raise GraphFormatError(f"unknown scheme id {scheme_id} in label file")
+    views = [parse_label(bits) for bits in labels]
+    if any(lab.scheme_id != scheme_id for lab in views):
+        raise ValueError(f"a label's scheme id differs from the file's {scheme_id}")
+    return views
+
+
 def cmd_query(args) -> int:
-    _, n, got = read_labels_at(args.labels, [args.u, args.v])
-    lu = parse_label(got[args.u])
-    lv = parse_label(got[args.v])
+    scheme_id, _, got = read_labels_at(args.labels, [args.u, args.v])
+    lu, lv = _parse_file_labels(scheme_id, (got[args.u], got[args.v]))
     print("true" if query(lu, lv) else "false")
     return 0
 
@@ -243,11 +253,8 @@ def cmd_query(args) -> int:
 def cmd_stats(args) -> int:
     if args.labels:
         scheme_id, n, labels = read_label_file(args.labels)
-        if scheme_id not in SCHEME_NAMES:
-            raise GraphFormatError(f"unknown scheme id {scheme_id} in label file")
-        for bits in dict.fromkeys(labels):  # the members of a component share one label
-            if parse_label(bits).scheme_id != scheme_id:
-                raise ValueError(f"a label's scheme id differs from the file's {scheme_id}")
+        # the members of a component share one label
+        _parse_file_labels(scheme_id, dict.fromkeys(labels))
         ls = LabelSet(SCHEME_NAMES[scheme_id], scheme_id, n, labels)
     else:
         g = read_graph_file(args.input)

@@ -612,9 +612,9 @@ class IterationView:
         return set_contains(self.read, m, keys, self.wd, x)
 
     def via_second(self, i: int) -> int:
-        """An upper node's flag of biclique i."""
+        """An upper node's flag of biclique i; the flags follow the far sub-label."""
         far = self.far or self.read_far()
-        return self.read.table_bit(far[4], self.flags, i)
+        return self.read.table_bit(far[4], self.flags, far[1] + self.flags, i)
 
 
 class CrossView:
@@ -721,8 +721,8 @@ def _probe(sa: IterationView, a_side: tuple, sb: IterationView, b_side: tuple) -
     sizes = a_side[2]
     i = pair_window(a_side[0], b_side[0], sizes)
     if i >= 0:
-        return bool(sa.read.table_bit(a_side[3], sizes[2], i))
-    return bool(sb.read.table_bit(b_side[3], b_side[2][3], ~i))
+        return bool(sa.read.table_bit(a_side[3], sizes[2], a_side[1], i))
+    return bool(sb.read.table_bit(b_side[3], b_side[2][3], b_side[1], ~i))
 
 
 def _probe_far(sa: IterationView, sb: IterationView) -> bool:

@@ -184,4 +184,4 @@ def decode_inner(lu, lv) -> bool:
     """Within-group edge membership, from two intra section views."""
     if lu.grp != lv.grp or lu.thick:
         return False
-    return bool(lu.read.table_bit(lu.table, lu.width, lv.topo - lu.beg))
+    return bool(lu.read.table_bit(lu.table, lu.width, lu.end_offset, lv.topo - lu.beg))

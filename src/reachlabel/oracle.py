@@ -25,7 +25,9 @@ read each later node's pairs with those rows from it by column.
 
 ``verify`` replays every ordered query against the BFS oracle; the
 corruption helpers flip a single stored bit that some query provably reads
-and must make at least one query come out wrong.
+and must make at least one query come out wrong. Which bits those are, the
+decoder itself records (``probeable_table_bits`` logs its table probes over
+the c² − c queries between the c components' labels).
 """
 
 from __future__ import annotations
@@ -35,13 +37,11 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, permutations
 
-from .bipartite import ceil_div, index_pair
-from .bitio import BitString, LabelHeader, index_width, read_fixed
-from .crosslabel import CLS_FRONT_REST, CLS_SECOND_REST, CLS_UPPER, node_class
+from .bitio import BitString, read_fixed
 from .graph import Dag, Digraph, bytes_mask, reach_rows, transitive_closure
-from .scheme import SCHEME_IDS, LabelSet, encode, parse_label, query
+from .scheme import LabelSet, encode, parse_label, query
 
 KINDS = ("dag", "digraph", "poset", "layered")
 
@@ -264,134 +264,30 @@ def flip_bit(bits: BitString, i: int) -> BitString:
 
 
 def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
-    """(node, bit offset, stored value) for label bits some query reads.
+    """(node, bit offset, stored value) for each label bit some query reads,
+    sorted by node and offset.
 
-    Covers the warm-up window bits, interval-table bits, pair-table bits on
-    both sides, and the routing flags of the cross sections. Excluded, with
-    the reason each is unreachable or not single-bit-attributable:
-
-      * padding past the far side's size (the probe index is reduced mod the
-        side size, so tail bits are never addressed),
-      * a node's own slot in its interval table, and warm-up window slots
-        past the first index of a component (no query lands there),
-      * slots whose dispatch never reaches this copy of a pair table (the
-        class pair decodes false structurally, or the routing flag sends the
-        probe to the other copy, or the other side's window answers first),
-      * the wrapped half-window slot that the opposite window owns when n
-        is even,
-      * set-membership payloads (a flipped key or size also moves the
-        binary search for other keys, so one flip is not pinned to one
-        query).
-
-    A table's bit i sits at field position width-1-i, so bit i of a table
-    that ends at offset e is at e-1-i. A composite label's tables are found
-    through its checked view (``parse_label``): the intra table ends where
-    the intra section does, and each walked iteration record keeps where a
-    sub-label's table ends (``near`` and ``far``); an upper node's flags
-    start there. Bits are found per component and reported at its smallest
-    member. Every returned bit is re-read from the serialized label and
-    checked against the encoder's structures.
+    The decoder names them: each distinct label is parsed once, at the
+    smallest node that holds it, with its reader keeping the offset of every
+    ``table_bit`` probe (``LabelReader.probes``), and ``query`` runs over
+    every ordered pair of distinct labels, c² − c queries for c components.
+    That covers the warm-up windows, the interval tables, both sides' pair
+    tables and an upper node's flags, at the slots some query reaches.
+    Set-membership payloads are read by counted reads, not probes, and stay
+    out: a flipped key or size also moves the binary search for other keys,
+    so one flip is not pinned to one query.
     """
-    pl = ls.pipeline
-    if pl is None:
-        raise ValueError("label set was not built with its pipeline attached")
-    out: list[tuple[int, int, int]] = []
-    if ls.n == 0:
-        return out
-    lead = pl.scc.leaders
-    inv = pl.layered.inv_topo
-    fixed = LabelHeader.HEADER_FIXED_BITS
     labels = ls.labels
-
-    def emit(c: int, off: int, want: int) -> None:
-        u = lead[c]
-        got = read_fixed(labels[u], off, 1)
-        assert got == want, "bit inventory drifted from the label layout"
-        out.append((u, off, got))
-
-    if ls.scheme_id == SCHEME_IDS["warmup"]:
-        n = ls.n
-        half = n // 2
-        wrap_dead = (n + 1) // 2 - 1
-        warm = pl.warm_labels
-        base = fixed + 2 * index_width(n)
-        starts = {warm[u].index for u in lead}
-        for c, u in enumerate(lead):
-            iu = warm[u].index
-            for j in range(half):
-                t = iu + j + 1
-                if t >= n and j >= wrap_dead or t % n not in starts:
-                    continue
-                emit(c, base + half - 1 - j, warm[u].table >> j & 1)
-        return out
-
-    if ls.cross is None:
-        raise ValueError("label set carries no cross labeling")
-    cl = pl.cross_labeling(ls.cross.profile, ls.cross.variant)
-    inner = pl.inner_labels
-    views = [parse_label(labels[u]) for u in lead]
-
-    for c, u in enumerate(lead):
-        gl = inner[u]
-        top = views[c].inner.end_offset - 1
-        for j in range(0 if gl.thick else gl.end - gl.beg):
-            if inv[gl.beg + j] != c:
-                emit(c, top - j, gl.table >> j & 1)
-
-    for rec in cl.records:
-        its = {u: views[u].cross.iteration(rec.s) for u in rec.live}
-        ni, fi = rec.near_inst, rec.far_inst
-        if ni is not None:
-            a_n, b_n, al_n, be_n = ni.a, ni.b, ni.alpha, ni.beta
-            for r_a, u in enumerate(rec.front_match):
-                top = its[u].near[1] - 1
-                base = ceil_div(b_n * r_a, a_n)
-                for i in range(min(al_n, b_n)):
-                    ib = (base + i) % b_n
-                    emit(u, top - i, ni.rows[r_a] >> ib & 1)
-            for r_b, v in enumerate(rec.second_match):
-                top = its[v].near[1] - 1
-                base = ceil_div(a_n * r_b, b_n)
-                for j in range(min(be_n, a_n)):
-                    ia = (base + j) % a_n
-                    i_probe, _ = index_pair(ia, r_b, a_n, b_n)
-                    if i_probe < al_n:
-                        continue  # the A-side window answers this pair
-                    emit(v, top - j, ni.rows[ia] >> r_b & 1)
-        if fi is not None:
-            outside = rec.outside
-            cls = {v: node_class(rec.s, cl.entry[v], cl.removed_iter[v]) for v in outside}
-            a_f, b_f, al_f, be_f = fi.a, fi.b, fi.alpha, fi.beta
-            for j_p, (a_j, b_j) in enumerate(rec.pairs):
-                base = ceil_div(b_f * j_p, a_f)
-                bic = rec.pair_bic[j_p]
-                for holder, rest_cls, first in ((a_j, CLS_SECOND_REST, 1), (b_j, CLS_FRONT_REST, 0)):
-                    top = its[holder].far[1] - 1
-                    for i in range(min(al_f, b_f)):
-                        ib = (base + i) % b_f
-                        v = outside[ib]
-                        if cls[v] == CLS_UPPER:
-                            # a set flag sends the probe to the second copy
-                            live = rec.via_second[v] >> bic & 1 != first
-                        else:
-                            live = cls[v] == rest_cls
-                        if live:
-                            emit(holder, top - i, fi.rows[j_p] >> ib & 1)
-            n_bic = len(rec.bicliques)
-            for r_o, v in enumerate(outside):
-                end = its[v].far[1]
-                base = ceil_div(a_f * r_o, b_f)
-                for j in range(min(be_f, a_f)):
-                    ia = (base + j) % a_f
-                    i_probe, _ = index_pair(ia, r_o, a_f, b_f)
-                    if i_probe < al_f:
-                        continue  # the matched side's window answers this pair
-                    emit(v, end - 1 - j, fi.rows[ia] >> r_o & 1)
-                if cls[v] == CLS_UPPER:
-                    top = end + n_bic - 1  # the flags start where the sub-label ends
-                    for bi in range(n_bic):
-                        emit(v, top - bi, rec.via_second[v] >> bi & 1)
-    return out
+    views = {labels.index(bits): parse_label(bits) for bits in dict.fromkeys(labels)}
+    for lab in views.values():
+        lab.read.probes = set()
+    for lu, lv in permutations(views.values(), 2):
+        query(lu, lv)
+    return [
+        (u, off, read_fixed(labels[u], off, 1))
+        for u, lab in views.items()
+        for off in sorted(lab.read.probes)
+    ]
 
 
 def corruption_trial(

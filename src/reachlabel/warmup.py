@@ -39,13 +39,14 @@ class WarmupLabel:
 class WindowView:
     """Decode view of a warm-up label's index and window; the window is
     kept as an int of ``width`` = n//2 bits, probed with
-    ``read.table_bit``."""
+    ``read.table_bit``, and ends at label offset ``end``."""
 
-    __slots__ = ("read", "n", "index", "table", "width")
+    __slots__ = ("read", "n", "index", "table", "width", "end")
 
     def __init__(self, read, n: int, index: int, offset: int):
         self.read, self.n, self.index, self.width = read, n, index, n // 2
         self.table = read.peek(offset, self.width)
+        self.end = offset + self.width
 
 
 def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
@@ -80,5 +81,5 @@ def decode_warmup(lu, lv) -> bool:
         return False
     d = iv - iu
     if d <= n // 2:
-        return bool(lu.read.table_bit(lu.table, lu.width, d - 1))
-    return bool(lv.read.table_bit(lv.table, lv.width, n + iu - iv - 1))
+        return bool(lu.read.table_bit(lu.table, lu.width, lu.end, d - 1))
+    return bool(lv.read.table_bit(lv.table, lv.width, lv.end, n + iu - iv - 1))

@@ -30,6 +30,22 @@ def mixed_corpus():
     return [generate(s) for s in specs]
 
 
+def corruption_cases():
+    """Criterion 10's twenty small graphs, each as (spec, scheme, profile)
+    with the scheme and profile that criterion corrupts it under."""
+    schemes = ("warmup", "third", "average")
+    kinds = ("digraph", "poset", "dag", "layered")
+    cases = []
+    for t in range(20):
+        kind = kinds[t % 4]
+        n = 14 + 3 * (t % 5)
+        # dense n-node digraphs collapse to one strongly connected component,
+        # leaving nothing for a single query to probe; keep those sparse
+        p = 2.0 / n if kind == "digraph" else 0.25 + 0.1 * (t % 3)
+        cases.append((GenSpec(kind, n, p, seed=900 + t), schemes[t % 3], ("paper", "force")[t % 2]))
+    return cases
+
+
 def ref_generate(spec: GenSpec) -> Digraph:
     """The generator as one ``rng.random()`` call per node pair, in the draw
     order the ``oracle`` docstring fixes; ``generate`` must match it row for

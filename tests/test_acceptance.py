@@ -21,6 +21,7 @@ from itertools import product
 
 from helpers import (
     P_GRID,
+    corruption_cases,
     decode_bipartite,
     is_transitively_closed,
     mixed_corpus,
@@ -359,18 +360,8 @@ def test_criterion_09_decoder_word_budget():
 def test_criterion_10_corruption_detected():
     detected = 0
     trials = []
-    schemes = ("warmup", "third", "average")
-    kinds = ("digraph", "poset", "dag", "layered")
-    for t in range(20):
-        kind = kinds[t % 4]
-        n = 14 + 3 * (t % 5)
-        # dense n-node digraphs collapse to one strongly connected component,
-        # leaving nothing for a single query to probe; keep those sparse
-        p = 2.0 / n if kind == "digraph" else 0.25 + 0.1 * (t % 3)
-        g = generate(GenSpec(kind, n, p, seed=900 + t))
-        scheme = schemes[t % 3]
-        profile = ("paper", "force")[t % 2]
-        rep = corruption_trial(g, scheme, profile, trial_seed=t)
+    for t, (spec, scheme, profile) in enumerate(corruption_cases()):
+        rep = corruption_trial(generate(spec), scheme, profile, trial_seed=t)
         trials.append(rep.mismatches)
         if rep.mismatches >= 1:
             detected += 1

@@ -197,10 +197,10 @@ def test_embedded_round_trip_and_lazy_view(inst, limit_pad):
         assert (index, end, table) == (lab.index, len(bits), lab.table)
         assert read.words == 1  # the index, in one read
         for i in range(lab.table_len):
-            assert read.table_bit(table, lab.table_len, i) == label_bit(lab, i)
+            assert read.table_bit(table, lab.table_len, end, i) == label_bit(lab, i)
         assert read.words == 1 + lab.table_len  # one word per probe
         with pytest.raises(ValueError):
-            read.table_bit(table, lab.table_len, lab.table_len)
+            read.table_bit(table, lab.table_len, end, lab.table_len)
         # an index off the reader's side is refused
         other = "B" if lab.side == "A" else "A"
         with pytest.raises(ValueError, match="outside side"):

@@ -13,6 +13,7 @@ from reachlabel.bitio import (
     BitString,
     BitWriter,
     LabelHeader,
+    LabelReader,
     count_width,
     index_width,
     read_fixed,
@@ -107,6 +108,22 @@ def test_read_fixed_bounds():
     assert len(bits) == 0
     with pytest.raises(ValueError):
         read_fixed(bits, 0, 1)
+
+
+def test_table_probes_name_their_label_offsets():
+    # a 5-bit table 0b10110 at offsets 3..7 of a 10-bit label: bit i at 7 - i
+    read = LabelReader(BitString(0b101_10110_01, 10))
+    table = read.peek(3, 5)
+    assert read.probes is None
+    assert read.table_bit(table, 5, 8, 1) == 1  # logs nothing by default
+    read.probes = set()
+    assert [read.table_bit(table, 5, 8, i) for i in (0, 1, 4)] == [0, 1, 1]
+    assert read.probes == {7, 6, 3}
+    assert [read.value >> (10 - 1 - off) & 1 for off in (7, 6, 3)] == [0, 1, 1]
+    with pytest.raises(ValueError):
+        read.table_bit(table, 5, 8, 5)
+    assert read.probes == {7, 6, 3}  # a refused probe reads no bit
+    assert read.words == 5
 
 
 def test_bitstring_rejects_a_value_wider_than_its_length():

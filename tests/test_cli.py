@@ -115,6 +115,23 @@ def test_version_7_label_file_exits_2(tmp_path, capsys):
     assert "unsupported label file version 7" in err and not out
 
 
+@pytest.mark.parametrize("scheme_id", [1, 3, 9])
+def test_query_refuses_a_file_scheme_id_its_labels_do_not_carry(tmp_path, capsys, scheme_id):
+    # a third file whose scheme byte names the warm-up, the average scheme
+    # or no scheme at all
+    graph, labels = tmp_path / "g.txt", tmp_path / "g.rlbl"
+    run(capsys, "generate", "--kind", "dag", "--n", "40", "--seed", "3", "--output", str(graph))
+    run(capsys, "encode", "--scheme", "third", "--input", str(graph), "--output", str(labels))
+    assert run(capsys, "query", str(labels), "0", "5")[0] == 0
+    data = bytearray(labels.read_bytes())
+    data[5] = scheme_id
+    labels.write_bytes(bytes(data))
+    for argv in (("query", str(labels), "0", "5"), ("stats", "--labels", str(labels))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "scheme id" in err and not out
+
+
 def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):
     graph = write_chain(tmp_path, 3)
     labels = tmp_path / "c.rlbl"

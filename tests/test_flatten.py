@@ -149,4 +149,4 @@ def test_thick_groups_store_no_table():
         view = inner_view(gl, 4)
         assert view.end_offset == 3 * 2 + 3 + 1  # placement fields only
         with pytest.raises(ValueError):
-            view.read.table_bit(view.table, view.width, 0)
+            view.read.table_bit(view.table, view.width, view.end_offset, 0)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reachlabel.biclique import PROFILES
 from reachlabel.bitio import BitString
-from helpers import is_transitively_closed, ref_generate
-from reachlabel.graph import topological_order
+from helpers import corruption_cases, is_transitively_closed, ref_generate
+from reachlabel.graph import reach_rows, topological_order
 from reachlabel.oracle import (
     BLOCK,
     KINDS,
@@ -22,7 +23,7 @@ from reachlabel.oracle import (
     report_lines,
     verify,
 )
-from reachlabel.scheme import encode
+from reachlabel.scheme import encode, parse_label, query
 
 
 def test_generate_is_deterministic():
@@ -197,6 +198,7 @@ def test_probeable_inventory_nonempty_and_in_range():
         ls = encode(g, scheme, "force")
         inv = probeable_table_bits(ls)
         assert inv, scheme
+        assert all(a[:2] < b[:2] for a, b in zip(inv, inv[1:])), scheme
         for node, off, val in inv:
             assert 0 <= node < g.n
             assert 0 <= off < len(ls.labels[node])
@@ -204,6 +206,26 @@ def test_probeable_inventory_nonempty_and_in_range():
             # inventory entries carry the stored bit value
             bits = ls.labels[node]
             assert bits.value >> (len(bits) - 1 - off) & 1 == val
+
+
+def test_every_inventory_bit_flipped_alone_is_caught():
+    """On criterion 10's graphs, under every scheme and profile, each bit of
+    the inventory flipped alone in its node's label makes some query of
+    that node's row or column answer wrong."""
+    pairs = [("warmup", "paper")] + [(s, p) for s in ("third", "average") for p in PROFILES]
+    for spec, _, _ in corruption_cases():
+        g = generate(spec)
+        truth = reach_rows(g)
+        for scheme, profile in pairs:
+            ls = encode(g, scheme, profile)
+            views = [parse_label(bits) for bits in ls.labels]
+            for u, off, _ in probeable_table_bits(ls):
+                bad = parse_label(flip_bit(ls.labels[u], off))
+                assert any(
+                    query(bad, views[v]) != bool(truth[u] >> v & 1)
+                    or query(views[v], bad) != bool(truth[v] >> u & 1)
+                    for v in range(g.n)
+                ), (spec, scheme, profile, u, off)
 
 
 def test_corruption_is_detected():

@@ -46,7 +46,7 @@ from reachlabel.crosslabel import (
 )
 from reachlabel.flatten import write_inner
 from reachlabel.graph import Digraph, reach_rows
-from reachlabel.oracle import GenSpec, flip_bit, generate
+from reachlabel.oracle import GenSpec, flip_bit, generate, probeable_table_bits
 from reachlabel.scheme import (
     LabelView,
     Pipeline,
@@ -393,6 +393,30 @@ PINNED_WORDS = [16170, 55999, 53800]
 def test_lazy_word_totals_are_pinned(spec, scheme, profile, words):
     labels = encode(generate(spec), scheme, profile).labels
     assert sum(query_lazy(a, b)[1] for a in labels for b in labels) == words
+
+
+# The bits that the corruption drills flip (``probeable_table_bits``), as
+# their count and the sha256 of their "node offset value" lines in (node,
+# offset) order. An independent copy of the decoder's dispatch (window
+# bases, class pairs, flag routing, the half-window wrap) gave these same
+# lists, so a drift here is a change in which bits queries read.
+PINNED_INVENTORIES = [
+    (1770, "80d8772d48b2bed095692e0c891e2e340fbb85447cf99c299dc7c7fe256834a8"),
+    (42, "7b4d50fc983840cf60403ab7872e83f3237325b7c1e12c166841967b83a20a0f"),
+    (2108, "61c25e470d097e03a2ae423c4f185d9aaa1533951fbf6753c7f1f8c94f34d875"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,scheme,profile,count,digest",
+    [(spec, scheme, profile, *pin)
+     for (spec, scheme, profile, _), pin in zip(PINNED_DIGESTS, PINNED_INVENTORIES)],
+    ids=["dag", "digraph", "poset"],
+)
+def test_probe_inventories_are_pinned(spec, scheme, profile, count, digest):
+    inv = probeable_table_bits(encode(generate(spec), scheme, profile))
+    text = "\n".join(f"{u} {off} {val}" for u, off, val in inv)
+    assert (len(inv), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 # -- layout checks of parse_label ----------------------------------------------

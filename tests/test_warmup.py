@@ -26,7 +26,7 @@ def unit_labels(lay):
 
 
 def bits(l):
-    return [l.read.table_bit(l.table, l.width, j) for j in range(l.n // 2)]
+    return [l.read.table_bit(l.table, l.width, l.end, j) for j in range(l.n // 2)]
 
 
 def test_join_poset_frozen():
@@ -60,9 +60,9 @@ def test_window_probe_bounds():
     lay = closed_layering(4, [])
     l = unit_labels(lay)[0]
     with pytest.raises(ValueError):
-        l.read.table_bit(l.table, l.width, 2)
+        l.read.table_bit(l.table, l.width, l.end, 2)
     with pytest.raises(ValueError):
-        l.read.table_bit(l.table, l.width, -1)
+        l.read.table_bit(l.table, l.width, l.end, -1)
 
 
 def test_decode_rejects_different_n():
