@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .graph import _iter_bits, _mask_of, gatherer, transpose
+from .graph import EdgeView, _iter_bits, _mask_of, gatherer, transpose
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,11 @@ class BicliqueDecomposition:
     profile: BicliqueProfile
 
     @property
-    def rest_edges(self) -> frozenset[tuple[int, int]]:
-        """The rest graph as (a, b) pairs, derived from ``rest``. The encoder
-        never reads it; it exists for audits and for the benchmark tracer's
-        rest-edge count."""
-        return frozenset((a, b) for a in self.a_rest for b in _iter_bits(self.rest[a]))
+    def rest_edges(self) -> EdgeView:
+        """The rest graph as a view of (a, b) pairs over the A side's ``rest``
+        rows. The encoder never reads it; it exists for audits and for the
+        benchmark tracer's rest-edge count, a popcount."""
+        return EdgeView({a: self.rest[a] for a in self.a_rest})
 
 
 def _plane_add(planes: list, col: int) -> None:

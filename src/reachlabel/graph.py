@@ -1,10 +1,11 @@
 """Directed graphs, condensation, closure, and longest-path layering.
 
-Node sets are always 0..n-1. Adjacency is kept two ways: an edge set of
-ordered pairs for small-scale inspection, and per-node bitmask rows (python
-ints) for the heavy algorithms. Either representation is derived lazily from
-the other, so dense instances never materialize millions of tuples unless
-asked to.
+Node sets are always 0..n-1. A graph keeps its edges one way only, as
+per-node bitmask rows (python ints): bit v of row u is set iff u -> v, so a
+dense graph costs about n²/8 bytes. ``EdgeView`` shows such rows as a
+read-only set of (u, v) pairs for inspection and audits. It yields the pairs
+lazily, counts them by popcount and tests one with a bit test, so no set of
+edge tuples is ever built or kept.
 
 ``scc_condense`` turns each strongly connected component into one node of
 a quotient DAG, on which closure and layering run. The topological order
@@ -36,6 +37,7 @@ bit.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -113,15 +115,71 @@ def cyclic_window(mask: int, start: int, width: int, size: int) -> int:
     return (mask >> r | mask << (size - r)) & (1 << min(width, size)) - 1
 
 
+class EdgeView(Set):
+    """The edges of node -> mask rows as a read-only set of (u, v) pairs.
+
+    ``rows`` is a list indexed by node or a dict keyed by node. Iteration
+    goes row by row, targets ascending; ``len`` is a popcount sum and ``in``
+    one bit test (False for anything but an in-range pair of ints). Two views
+    compare by their non-empty rows, any other set as ``abc.Set`` does, and
+    the hash is that of a frozen built-in set of the same pairs. The view
+    reads the rows live."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def _items(self):
+        rows = self._rows
+        return rows.items() if isinstance(rows, dict) else enumerate(rows)
+
+    def __iter__(self):
+        for u, row in self._items():
+            for v in _iter_bits(row):
+                yield u, v
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for _, row in self._items())
+
+    def __contains__(self, pair) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        u, v = pair
+        if not (isinstance(u, int) and isinstance(v, int) and v >= 0):
+            return False
+        rows = self._rows
+        if isinstance(rows, dict):
+            row = rows.get(u, 0)
+        else:
+            row = rows[u] if 0 <= u < len(rows) else 0
+        return bool(row >> v & 1)
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeView):
+            return {u: r for u, r in self._items() if r} == {
+                u: r for u, r in other._items() if r
+            }
+        return Set.__eq__(self, other)
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return set(it)  # what |, & and - give back
+
+
 class Digraph:
-    """Simple directed graph. Self-loops are dropped on ingestion."""
+    """Simple directed graph on nodes 0..n-1, stored as bitmask ``rows``.
+
+    Pass either ``edges``, an iterable of (u, v) pairs, or ``rows``, one mask
+    per node; both are range-checked and self-loops are dropped. ``edges``
+    reads the rows back as an ``EdgeView``."""
 
     def __init__(self, n: int, edges=None, *, rows: list[int] | None = None):
         if n < 0:
             raise ValueError("n must be non-negative")
         self.n = n
-        self._edges: frozenset[tuple[int, int]] | None = None
-        self._rows: list[int] | None = None
         self._order: list[int] | None = None
         if rows is not None:
             if edges is not None:
@@ -133,15 +191,14 @@ class Digraph:
                 if row >> n:
                     raise ValueError(f"row {u} targets nodes outside 0..{n - 1}")
                 clean.append(row ^ 1 << u if row >> u & 1 else row)
-            self._rows = clean
         else:
-            es = set()
+            clean = [0] * n
             for u, v in edges or ():
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u},{v}) out of range for n={n}")
                 if u != v:
-                    es.add((u, v))
-            self._edges = frozenset(es)
+                    clean[u] |= 1 << v
+        self.rows = clean
 
     @property
     def order(self) -> list[int]:
@@ -151,21 +208,8 @@ class Digraph:
         return self._order
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(
-                (u, v) for u in range(self.n) for v in _iter_bits(self._rows[u])
-            )
-        return self._edges
-
-    @property
-    def rows(self) -> list[int]:
-        if self._rows is None:
-            rows = [0] * self.n
-            for u, v in self._edges:
-                rows[u] |= 1 << v
-            self._rows = rows
-        return self._rows
+    def edges(self) -> EdgeView:
+        return EdgeView(self.rows)
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from reachlabel.flatten import encode_inner
 from reachlabel.graph import (
     Dag,
     Digraph,
+    EdgeView,
     _iter_bits,
     cyclic_window,
     gatherer,
@@ -32,6 +34,7 @@ from reachlabel.graph import (
     transitive_closure,
     transpose,
 )
+from reachlabel.oracle import GenSpec, generate
 from reachlabel.scheme import Pipeline
 from reachlabel.warmup import encode_warmup
 
@@ -104,6 +107,64 @@ def test_digraph_drops_self_loops():
     g = Digraph(3, rows=[0b011, 0b100, 0b100])
     assert g.rows == [0b010, 0b100, 0b000]
     assert g.edges == frozenset({(0, 1), (1, 2)})
+
+
+edge_lists = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    )
+)
+
+
+@given(edge_lists, edge_lists)
+@settings(max_examples=200)
+def test_edge_view_acts_as_the_tuple_set(first, second):
+    (n, es), (m, fs) = first, second
+    g, h = Digraph(n, es), Digraph(m, fs)
+    ref = frozenset((u, v) for u, v in es if u != v)
+    other = frozenset((u, v) for u, v in fs if u != v)
+    view = g.edges
+    assert isinstance(view, EdgeView)
+    assert view == ref and ref == view and not view != ref and not ref != view
+    assert (view == h.edges) == (ref == other) == (h.edges == view)
+    assert (view != h.edges) == (ref != other) == (other != view)
+    assert (view == set(other)) == (ref == other) == (set(other) == view)
+    assert hash(view) == hash(ref)
+    assert len(view) == len(ref) == g.edge_count()
+    assert list(view) == sorted(ref)  # row by row, targets ascending
+    for u in range(-1, n + 2):
+        for v in range(-1, n + 2):
+            assert ((u, v) in view) == ((u, v) in ref)
+    for junk in ((0, 1, 2), (0,), "x", "01", 0, None, ("0", 1), (0, "1")):
+        assert junk not in view
+    assert view | other == ref | other == set(other) | view
+    assert view & other == ref & other == set(other) & view
+    assert view - other == ref - other
+    # the rest graph's view is keyed by node and may hold empty rows
+    keyed = EdgeView({u: row for u, row in enumerate(g.rows) if u % 2 or row})
+    assert keyed == view and hash(keyed) == hash(ref) and list(keyed) == list(view)
+
+
+def test_edge_views_compare_by_their_pairs_not_their_node_counts():
+    assert Digraph(3, [(0, 1)]).edges == Digraph(5, [(0, 1)]).edges
+    assert Digraph(3).edges == EdgeView({}) == frozenset()
+    assert Digraph(3, [(0, 1)]).edges != Digraph(3, [(1, 0)]).edges
+
+
+def test_edge_view_allocates_no_tuple_set():
+    # about 498 000 edges each: as tuple sets, over 100 MiB
+    g, h = (generate(GenSpec("poset", 1000, 0.5, s)) for s in (1, 1))
+    k = generate(GenSpec("poset", 1000, 0.5, 2))
+    tracemalloc.start()
+    try:
+        count = len(g.edges)
+        same, differ = g.edges == h.edges, g.edges == k.edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 490_000 and same and not differ
+    assert peak < 1 << 20, peak
 
 
 def test_digraph_rejects_out_of_range_edge():
