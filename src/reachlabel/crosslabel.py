@@ -759,9 +759,11 @@ def decode_far(su, sv) -> bool:
 def decode_cross(lu, lv, pos_u: int, pos_v: int) -> bool:
     """Cross-group edge membership from two blob views.
 
-    Queries with u at or above v's entry group are never cross edges. The
-    answering iteration is v's entry (where v is still in the second group)
-    unless u retired earlier.
+    Queries with u at or above v's entry group are never cross edges.
+    ``scheme.query`` sends only pairs with u's group below v's here, so it
+    views no blob for the others; this check keeps the answer right for a
+    caller that passes any ordered pair. The answering iteration is v's
+    entry (where v is still in the second group) unless u retired earlier.
     """
     if lu.k != lv.k:
         raise ValueError("blobs disagree on the group count")

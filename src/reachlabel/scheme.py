@@ -47,7 +47,11 @@ back to back: the last section must end where the label does. That
 rejects a corrupt label with ValueError, whatever heads were planned
 before, and keeps the walked records for bulk queries. Field widths are
 computed once per n (``bitio.widths``). ``query`` answers from either
-kind.
+kind, and routes a composite pair by component, then by group order,
+then by intra table or blob: one component answers True, and a pair
+whose u group is not below v's answers from the intra sections, which the
+view read with the header. Only a pair with u's group below v's views the
+two blobs, so only such a pair reads a blob word.
 """
 
 from __future__ import annotations
@@ -240,7 +244,10 @@ class LabelView:
     intra placement fields, the blob's head and each sub-label index, set
     size and biclique number of its sections, and then adds each field and
     probe of the queries it answers. Tables, keys and flags are kept as
-    ints, uncounted; each probe of them counts one word.
+    ints, uncounted; each probe of them counts one word. A fresh view
+    queried with u's group not below v's counts only its header and
+    placement words, plus one table probe when both share a thin group:
+    ``query`` views no blob for such a pair.
     """
 
     __slots__ = ("read", "scheme_id", "n", "scc", "warm", "inner", "cross")
@@ -299,7 +306,14 @@ def parse_label(bits: BitString) -> LabelView:
 
 
 def query(lu, lv) -> bool:
-    """Reachability u -> v from two label views."""
+    """Reachability u -> v from two label views.
+
+    A composite pair is routed by component, then by group order: a pair
+    in one component answers True; a pair whose u group is not below v's
+    answers from the intra sections alone (a shared thin group probes u's
+    table, a shared thick group or a later u group answers False); only a
+    pair with u's group below v's views both blobs and decodes across.
+    """
     if lu.scheme_id != lv.scheme_id or lu.n != lv.n:
         raise ValueError("labels disagree on scheme or node count")
     if lu.scc == lv.scc:
@@ -307,8 +321,8 @@ def query(lu, lv) -> bool:
     if lu.scheme_id == WARMUP_ID:
         return decode_warmup(lu.warm, lv.warm)
     iu, iv = lu.inner, lv.inner
-    if decode_inner(iu, iv):
-        return True
+    if iu.grp >= iv.grp:
+        return decode_inner(iu, iv)
     cu = lu.cross or lu.view_cross()
     cv = lv.cross or lv.view_cross()
     return decode_cross(cu, cv, iu.topo, iv.topo)

@@ -381,8 +381,11 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
 # at version 8, when a composite label's view came to read its intra
 # placement fields with its header and to take its component id from them:
 # a pair of two components reads two words fewer (digraph 63739 -> 55999,
-# poset 63460 -> 53800).
-PINNED_WORDS = [16170, 55999, 53800]
+# poset 63460 -> 53800). Re-pinned when ``query`` came to route a pair by
+# group order before viewing any blob: a pair whose u group is not below v's
+# no longer reads k and ``removed_iter`` from either label (digraph
+# 55999 -> 47703, poset 53800 -> 43740; the warm-up dag is unchanged).
+PINNED_WORDS = [16170, 47703, 43740]
 
 
 @pytest.mark.parametrize(
@@ -393,6 +396,55 @@ PINNED_WORDS = [16170, 55999, 53800]
 def test_lazy_word_totals_are_pinned(spec, scheme, profile, words):
     labels = encode(generate(spec), scheme, profile).labels
     assert sum(query_lazy(a, b)[1] for a in labels for b in labels) == words
+
+
+@pytest.mark.parametrize(
+    "spec,scheme,profile", [pin[:3] for pin in PINNED_DIGESTS], ids=["dag", "digraph", "poset"]
+)
+def test_order_settled_pairs_view_no_blob(spec, scheme, profile):
+    """A pair of two components whose u group is not below v's is answered
+    from the intra sections: neither view builds its blob view, and each
+    counts only its header and placement words, plus the one table probe
+    of a shared thin group. The warm-up pin's graph is encoded under
+    ``third``, as a warm-up label has no group."""
+    g = generate(spec)
+    ls = encode(g, "third" if scheme == "warmup" else scheme, profile)
+    reach = reach_rows(g)
+    lead = ls.pipeline.scc.leaders
+    per_label = 1 + words_of(Widths(len(lead)).placement)
+    settled = probed = 0
+    for u in lead:
+        for v in lead:
+            lu, lv = LabelView(ls.labels[u]), LabelView(ls.labels[v])
+            iu, iv = lu.inner, lv.inner
+            if u == v or iu.grp < iv.grp:
+                continue
+            probe = iu.grp == iv.grp and not iu.thick
+            assert query(lu, lv) == bool(reach[u] >> v & 1)
+            assert lu.cross is None and lv.cross is None
+            assert lu.words + lv.words == 2 * per_label + probe
+            settled += 1
+            probed += probe
+    assert settled > probed > 0
+
+
+def test_blobs_disagreeing_on_the_group_count_are_refused():
+    """Labels of two encodings with one component count but different group
+    counts k cannot be decoded together: a cross pair of them raises
+    ValueError, eagerly and lazily."""
+    a = encode(generate(GenSpec("dag", 12, 0.1, 1)), "third", "paper").labels
+    b = encode(generate(GenSpec("dag", 12, 0.3, 3)), "third", "paper").labels
+    pa, pb = parse_label(a[0]), parse_label(b[0])
+    assert pa.n == pb.n and pa.cross.k != pb.cross.k
+    pairs = [(x, y) for x in a for y in b
+             for ix, iy in [(LabelView(x).inner, LabelView(y).inner)]
+             if ix.grp < iy.grp and ix.topo != iy.topo]
+    assert pairs
+    for x, y in pairs:
+        with pytest.raises(ValueError, match="blobs disagree on the group count"):
+            query(parse_label(x), parse_label(y))
+        with pytest.raises(ValueError, match="blobs disagree on the group count"):
+            query_lazy(x, y)
 
 
 # The bits that the corruption drills flip (``probeable_table_bits``), as
