@@ -52,32 +52,27 @@ class Widths:
     """The field widths of a label over ``n`` nodes: ``iw`` for a value in
     [0, n), ``cw`` for a value in [0, n], and ``placement`` for a composite
     label's intra placement fields topo[iw] grp[iw] beg[iw] end[cw]
-    thick[1]. Decoders take them from ``widths(n)``, which the labels of one
-    encoding share."""
+    thick[1]; masks ``imask``, ``cmask``; and the words charged for the
+    header and then those fields (``head_words``) or a warm-up label's
+    scc[iw] index[iw] (``warm_words``). Decoders take them from
+    ``widths(n)``, which the labels of one encoding share."""
 
-    __slots__ = ("n", "iw", "cw", "placement")
+    __slots__ = ("n", "iw", "cw", "placement", "imask", "cmask", "head_words", "warm_words")
 
     def __init__(self, n: int):
         self.n = n
-        self.iw = index_width(n)
-        self.cw = count_width(n)
-        self.placement = 3 * self.iw + self.cw + 1
+        self.iw = iw = index_width(n)
+        self.cw = cw = count_width(n)
+        self.placement = 3 * iw + cw + 1
+        self.imask, self.cmask = (1 << iw) - 1, (1 << cw) - 1
+        self.head_words = 1 + ((self.placement + 63) >> 6 or 1)
+        self.warm_words = 1 + ((2 * iw + 63) >> 6 or 1)
 
 
 @functools.lru_cache(maxsize=16)
 def widths(n: int) -> Widths:
     """The Widths of labels over ``n`` nodes, computed once per n."""
     return Widths(n)
-
-
-def intra_length(wd: Widths, placement: int) -> int:
-    """Bits in the intra section whose placement fields read as the
-    ``wd.placement``-bit int ``placement``: those fields, then the
-    end - beg bit table of a thin group (a thick group stores none)."""
-    if placement & 1:
-        return wd.placement
-    placement >>= 1
-    return wd.placement + (placement & (1 << wd.cw) - 1) - (placement >> wd.cw & (1 << wd.iw) - 1)
 
 
 class BitString:
@@ -154,7 +149,7 @@ class BitWriter:
         return BitString(self._acc, self._len)
 
 
-def _overrun(offset: int, width: int, length: int) -> ValueError:
+def overrun_error(offset: int, width: int, length: int) -> ValueError:
     return ValueError(f"read of {width} bits at offset {offset} overruns {length}-bit string")
 
 
@@ -162,7 +157,7 @@ def read_fixed(bits: BitString, offset: int, width: int) -> int:
     """Read ``width`` bits starting at bit ``offset``."""
     end = offset + width
     if width < 0 or offset < 0 or end > bits.length:
-        raise _overrun(offset, width, bits.length)
+        raise overrun_error(offset, width, bits.length)
     return bits.value >> (bits.length - end) & (1 << width) - 1
 
 
@@ -176,6 +171,8 @@ class LabelReader:
     such a table, charged one word. ``probes`` is None, or a set to which
     each ``table_bit`` adds the label offset of the bit it reads: the
     record of which bits a query depends on.
+    ``scheme.LabelView``, a label's view, is a LabelReader; blob views
+    read through that view, or through a LabelReader of their own.
     """
 
     __slots__ = ("value", "length", "words", "probes")
@@ -190,7 +187,7 @@ class LabelReader:
         self.words += (width + 63) >> 6 or 1
         end = offset + width
         if width < 0 or offset < 0 or end > self.length:
-            raise _overrun(offset, width, self.length)
+            raise overrun_error(offset, width, self.length)
         return self.value >> (self.length - end) & (1 << width) - 1
 
     def table_bit(self, table: int, width: int, end: int, i: int) -> int:
@@ -214,8 +211,9 @@ class LabelHeader:
 
     ``offsets`` holds the absolute bit offsets of a composite label's intra
     section and blob, which ``read`` derives rather than reads: the intra
-    section follows the header, and the blob follows the intra section. A
-    warm-up label has none. ``write`` writes the scheme id and n alone.
+    section follows the header, and the blob follows the intra section's
+    placement fields and a thin group's end - beg bit table. A warm-up
+    label has none. ``write`` writes the scheme id and n alone.
     """
 
     scheme_id: int
@@ -240,8 +238,9 @@ class LabelHeader:
         if scheme_id == WARMUP_ID:
             return cls(scheme_id, n)
         wd, intra = widths(n), cls.HEADER_FIXED_BITS
-        blob = intra + intra_length(wd, read_fixed(bits, intra, wd.placement))
-        return cls(scheme_id, n, (intra, blob))
+        fields = read_fixed(bits, intra, wd.placement)  # ... beg[iw] end[cw] thick[1]
+        table = 0 if fields & 1 else (fields >> 1 & wd.cmask) - (fields >> wd.cw + 1 & wd.imask)
+        return cls(scheme_id, n, (intra, intra + wd.placement + table))
 
 
 def write_label_file(path: str, scheme_id: int, n: int, labels: list[BitString]) -> None:

@@ -14,13 +14,14 @@ Edges inside one group are answered by a per-node bit table over the
 group's interval; all remaining closure edges cross between groups and are
 handled by the iterative peeling stage. Thick groups store no table: a
 thick group is one antichain layer, so it has no internal edges.
+``decode_inner`` answers from two label views (``scheme.LabelView``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitio import BitWriter, Widths, count_width, index_width, intra_length
+from .bitio import BitWriter, count_width, index_width
 from .graph import LayeredDag, gatherer
 
 
@@ -136,34 +137,6 @@ def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
         w.write(gl.table, gl.end - gl.beg)
 
 
-class InnerView:
-    """Decode view of a composite label's intra section: the placement
-    fields cost one counted read, and the interval table is kept as an int
-    of ``width`` bits, probed with ``read.table_bit``. ``end_offset`` is
-    where the section ends, which is where the blob begins. ``wd`` holds
-    the widths of the label's header n.
-    """
-
-    __slots__ = ("read", "topo", "grp", "beg", "end", "thick", "table", "width", "end_offset")
-
-    def __init__(self, read, wd: Widths, offset: int):
-        iw, cw, head = wd.iw, wd.cw, wd.placement
-        packed = read(offset, head)
-        length = intra_length(wd, packed)
-        self.width = length - head
-        self.end_offset = offset + length
-        self.thick = bool(packed & 1)
-        packed >>= 1
-        self.end = packed & (1 << cw) - 1
-        packed >>= cw
-        self.beg = packed & (1 << iw) - 1
-        packed >>= iw
-        self.grp = packed & (1 << iw) - 1
-        self.topo = packed >> iw
-        self.read = read
-        self.table = read.peek(offset + head, self.width)
-
-
 def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -> list[GroupLabel]:
     """One label per node; a thin group's tables are its members' rows
     gathered over the group's interval, in topological order."""
@@ -181,7 +154,13 @@ def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -
 
 
 def decode_inner(lu, lv) -> bool:
-    """Within-group edge membership, from two intra section views."""
-    if lu.grp != lv.grp or lu.thick:
+    """Within-group edge membership, from two label views' intra fields
+    (``place`` holds grp beg end thick as one int). Labels of one encoding
+    agree on a group's interval, and a later group begins where an earlier
+    one ends or after; a pair that breaks either raises ValueError."""
+    if lu.beg >= lv.end and lu.grp > lv.grp or lv.beg >= lu.end and lu.grp < lv.grp:
         return False
-    return bool(lu.read.table_bit(lu.table, lu.width, lu.end_offset, lv.topo - lu.beg))
+    if lu.place == lv.place:  # one group, as both labels place it
+        return not lu.thick and bool(
+            lu.table_bit(lu.table, lu.width, lu.end_offset, lv.topo - lu.beg))
+    raise ValueError("labels disagree on their groups")

@@ -41,7 +41,7 @@ from itertools import compress, permutations
 
 from .bitio import BitString, read_fixed
 from .graph import Dag, Digraph, bytes_mask, reach_rows, transitive_closure
-from .scheme import LabelSet, encode, parse_label, query
+from .scheme import LabelSet, LabelView, encode, parse_label, query
 
 KINDS = ("dag", "digraph", "poset", "layered")
 
@@ -267,9 +267,9 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
     """(node, bit offset, stored value) for each label bit some query reads,
     sorted by node and offset.
 
-    The decoder names them: each distinct label is parsed once, at the
-    smallest node that holds it, with its reader keeping the offset of every
-    ``table_bit`` probe (``LabelReader.probes``), and ``query`` runs over
+    The decoder names them: each distinct label is checked once, at the
+    smallest node that holds it, with its view keeping the offset of every
+    ``table_bit`` probe (``LabelView.probes``), and ``query`` runs over
     every ordered pair of distinct labels, c² − c queries for c components.
     That covers the warm-up windows, the interval tables, both sides' pair
     tables and an upper node's flags, at the slots some query reaches.
@@ -278,15 +278,17 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
     so one flip is not pinned to one query.
     """
     labels = ls.labels
-    views = {labels.index(bits): parse_label(bits) for bits in dict.fromkeys(labels)}
-    for lab in views.values():
-        lab.read.probes = set()
+    views = {}
+    for bits in dict.fromkeys(labels):
+        lab = views[labels.index(bits)] = LabelView(bits)
+        lab.probes = set()  # before the walk, whose blob reader shares it
+        lab.check()
     for lu, lv in permutations(views.values(), 2):
         query(lu, lv)
     return [
         (u, off, read_fixed(labels[u], off, 1))
         for u, lab in views.items()
-        for off in sorted(lab.read.probes)
+        for off in sorted(lab.probes)
     ]
 
 

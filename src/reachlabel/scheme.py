@@ -26,15 +26,17 @@ window runs over graph nodes. No offset is stored: the intra section
 starts after the header, and the blob where the intra section ends.
 
 One decoder reads every label: a label is an int in memory (bytes only in
-the label file), and a LabelView reads its fields by shift and mask while
-counting 64-bit words. It views the intra section and the blob, and keeps
-one record per blob iteration holding that iteration's section offsets,
-sub-label indices, set size, and the tables, keys and flags as ints.
+the label file), and a LabelView, its own word-counting reader, reads its
+fields by shift and mask while counting 64-bit words. It holds the intra
+section (or a warm-up window), views the blob, and keeps one record per
+blob iteration holding that iteration's section offsets, sub-label
+indices, set size, and the tables, keys and flags as ints.
 Each field group has one reader, which both ways of reading below share:
 ``query_lazy`` builds two fresh views whose records read each field group
 on first use, so a single query reads only the bits it touches and reports
-the words read; a record finds its sections by summing the lengths of the
-iterations before it. ``parse_label`` first walks the whole view: it
+the words read (a pair that needs no blob builds just the two views); a
+record finds its sections by summing the lengths of the iterations before
+it. ``parse_label`` first walks the whole view: it
 checks the blob's entry (the intra group + 1) and retirement, and reads
 the pair schedule and the biclique counts with one read each.
 ``crosslabel.blob_plan`` checks those and derives each iteration's shape,
@@ -50,8 +52,9 @@ computed once per n (``bitio.widths``). ``query`` answers from either
 kind, and routes a composite pair by component, then by group order,
 then by intra table or blob: one component answers True, and a pair
 whose u group is not below v's answers from the intra sections, which the
-view read with the header. Only a pair with u's group below v's views the
-two blobs, so only such a pair reads a blob word.
+view read with the header, once their group intervals agree. Only a pair
+with u's group below v's views the two blobs, so only such a pair reads a
+blob word.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .bitio import (
     LabelHeader,
     LabelReader,
     index_width,
+    overrun_error,
     widths,
 )
 from .crosslabel import (
@@ -80,7 +84,6 @@ from .crosslabel import (
 )
 from .flatten import (
     GroupLabel,
-    InnerView,
     build_superlayers,
     decode_inner,
     encode_inner,
@@ -88,7 +91,7 @@ from .flatten import (
     write_inner,
 )
 from .graph import Digraph, longest_path_layers, scc_condense, transitive_closure
-from .warmup import WarmupLabel, WindowView, decode_warmup, encode_warmup
+from .warmup import WarmupLabel, decode_warmup, encode_warmup
 
 SCHEME_IDS = {"warmup": WARMUP_ID, "third": 2, "average": 3}
 SCHEME_NAMES = {i: s for s, i in SCHEME_IDS.items()}
@@ -230,70 +233,98 @@ def encode(
 # -- decoding ------------------------------------------------------------------
 
 
-class LabelView:
-    """Decode view of one label, read through a word-counting LabelReader.
+class LabelView(LabelReader):
+    """Decode view of one label, and its own word-counting reader.
 
-    The header is read on construction, and with it (warm-up) the component
-    id, index and window, or (composite) the intra section, kept in
-    ``inner``, whose ``topo`` serves as ``scc``: equal iff two labels share
-    a component. A composite label's blob is viewed on first use
-    (``view_cross``) and kept in ``cross``, which stays None until then.
-    ``words`` is the number of 64-bit word fetches a pointer-based decoder
-    would have made for the fields read so far, counting every field either
-    way: a view that ``parse_label`` walked has counted the header, the
-    intra placement fields, the blob's head and each sub-label index, set
-    size and biclique number of its sections, and then adds each field and
-    probe of the queries it answers. Tables, keys and flags are kept as
-    ints, uncounted; each probe of them counts one word. A fresh view
-    queried with u's group not below v's counts only its header and
-    placement words, plus one table probe when both share a thin group:
-    ``query`` views no blob for such a pair.
+    Construction reads the header and, by one more shift of the label int,
+    a warm-up label's ``scc`` and ``index`` or a composite label's intra
+    fields ``topo grp beg end thick`` (``topo`` serves as ``scc``, and
+    ``place`` holds grp to thick as one int), each checked for overrun and
+    charged as one counted read. The window or interval table is kept
+    uncounted as an int of ``width`` bits ending at offset ``end_offset``,
+    where a blob starts. ``inner`` and ``warm`` are the view itself for its
+    scheme, else None.
+
+    ``words`` counts the 64-bit words a pointer-based decoder would fetch,
+    and one per table probe: a blob-free query, the header and placement
+    words and a shared thin group's probe. A cross pair views the blob over
+    the view (``view_cross``), dropped with the query. ``check`` walks it
+    through a LabelReader of its own, sharing ``probes``, and keeps it in
+    ``cross``, so that no view refers back to itself; ``words`` adds the
+    walk's words, and later blob reads count on ``cross.read``.
     """
 
-    __slots__ = ("read", "scheme_id", "n", "scc", "warm", "inner", "cross")
+    __slots__ = ("scheme_id", "n", "scc", "topo", "grp", "beg", "end", "thick", "index",
+                 "table", "width", "end_offset", "cross", "place")
 
     def __init__(self, bits: BitString):
-        r = LabelReader(bits)
-        self.read = r
+        self.value = value = bits.value
+        self.length = length = bits.length
+        self.probes = self.cross = None
         p = LabelHeader.HEADER_FIXED_BITS
-        head = r(0, p)
-        self.n = head & 0xFFFFFFFF
-        self.scheme_id = head >> 32
-        if self.scheme_id not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme id {self.scheme_id}")
-        self.inner = self.warm = self.cross = None
-        if self.scheme_id == WARMUP_ID:
-            iw = index_width(self.n)
-            both = r(p, 2 * iw)
-            self.scc = both >> iw
-            self.warm = WindowView(r, self.n, both & (1 << iw) - 1, p + 2 * iw)
+        if length < p:
+            raise overrun_error(0, p, length)
+        head = value >> length - p
+        self.n = n = head & 0xFFFFFFFF
+        self.scheme_id = sid = head >> 32
+        if sid not in SCHEME_NAMES:
+            raise ValueError(f"unknown scheme id {sid}")
+        wd = widths(n)
+        iw, imask = wd.iw, wd.imask
+        span = 2 * iw if sid == WARMUP_ID else wd.placement
+        at = p + span
+        if at > length:
+            raise overrun_error(p, span, length)
+        fields = value >> length - at
+        if sid == WARMUP_ID:
+            self.scc = fields >> iw & imask
+            self.index = fields & imask
+            self.width = width = n >> 1
+            self.words = wd.warm_words
         else:
-            self.inner = InnerView(r, widths(self.n), p)
-            self.scc = self.inner.topo
-
-    def view_cross(self) -> CrossView:
-        """The blob, which starts where the intra section ends, of a node
-        entering at the group after its intra group."""
-        inner, variant = self.inner, SCHEME_NAMES[self.scheme_id]
-        self.cross = CrossView(self.read, inner.end_offset, widths(self.n), variant, inner.grp + 1)
-        return self.cross
+            self.place = fields & (1 << wd.placement - iw) - 1  # grp beg end thick
+            self.thick = thick = fields & 1
+            self.end = end = fields >> 1 & wd.cmask
+            fields >>= wd.cw + 1
+            self.beg = beg = fields & imask
+            self.grp = fields >> iw & imask
+            self.scc = self.topo = fields >> 2 * iw & imask
+            self.width = width = 0 if thick else end - beg
+            self.words = wd.head_words
+        self.end_offset = stop = at + width
+        if width < 0 or stop > length:
+            raise overrun_error(at, width, length)
+        self.table = value >> length - stop & (1 << width) - 1 if width else 0
 
     @property
-    def words(self) -> int:
-        return self.read.words
+    def inner(self) -> LabelView | None:
+        return None if self.scheme_id == WARMUP_ID else self
+
+    @property
+    def warm(self) -> LabelView | None:
+        return self if self.scheme_id == WARMUP_ID else None
+
+    def view_cross(self, read: LabelReader | None = None) -> CrossView:
+        """The blob, after the intra section, of a node entering at the group
+        after its own, read through ``read`` (by default this view), unkept."""
+        return CrossView(read or self, self.end_offset, widths(self.n),
+                         SCHEME_NAMES[self.scheme_id], self.grp + 1)
 
     def check(self) -> None:
-        """Raise ValueError unless a warm-up index is below n, every blob
-        section decodes where the sections before it end (``CrossView.check``,
-        which keeps one record per iteration) and the label ends where its
-        last section does."""
-        if self.warm is not None:
-            if self.warm.index >= self.n:
+        """Raise ValueError unless a warm-up index is below n, each blob section
+        decodes where the one before it ends (``CrossView.check``, keeping one
+        record per iteration) and the label ends where its last section does."""
+        if self.scheme_id == WARMUP_ID:
+            if self.index >= self.n:
                 raise ValueError("warm-up index outside 0..n-1")
-            end = LabelHeader.HEADER_FIXED_BITS + 2 * index_width(self.n) + self.n // 2
+            end = self.end_offset
         else:
-            end = self.view_cross().check()
-        if end != self.read.length:
+            read = LabelReader(self)
+            read.probes = self.probes
+            self.cross = self.view_cross(read)
+            end = self.cross.check()
+            self.words += read.words
+        if end != self.length:
             raise ValueError("label length mismatch")
 
 
@@ -310,22 +341,21 @@ def query(lu, lv) -> bool:
 
     A composite pair is routed by component, then by group order: a pair
     in one component answers True; a pair whose u group is not below v's
-    answers from the intra sections alone (a shared thin group probes u's
-    table, a shared thick group or a later u group answers False); only a
-    pair with u's group below v's views both blobs and decodes across.
+    answers from the intra fields alone (``decode_inner``); only a pair
+    with u's group below v's views both blobs and decodes across, through
+    the walked blob views of checked labels and otherwise through blob
+    views over the label views, dropped with the query.
     """
     if lu.scheme_id != lv.scheme_id or lu.n != lv.n:
         raise ValueError("labels disagree on scheme or node count")
     if lu.scc == lv.scc:
         return True
     if lu.scheme_id == WARMUP_ID:
-        return decode_warmup(lu.warm, lv.warm)
-    iu, iv = lu.inner, lv.inner
-    if iu.grp >= iv.grp:
-        return decode_inner(iu, iv)
-    cu = lu.cross or lu.view_cross()
-    cv = lv.cross or lv.view_cross()
-    return decode_cross(cu, cv, iu.topo, iv.topo)
+        return decode_warmup(lu, lv)
+    if lu.grp >= lv.grp:
+        return decode_inner(lu, lv)
+    return decode_cross(lu.cross or lu.view_cross(), lv.cross or lv.view_cross(),
+                        lu.topo, lv.topo)
 
 
 def query_lazy(bits_u: BitString, bits_v: BitString) -> tuple[bool, int]:

@@ -16,6 +16,7 @@ comparability rows listed by index, where a component's node repeats k
 times). Bit i of that n-bit row says whether u is comparable with the node
 at index i, so B_u is the row rotated down by I(u)+1 and cut to floor(n/2)
 bits.
+``decode_warmup`` answers from two label views (``scheme.LabelView``).
 """
 
 from __future__ import annotations
@@ -34,19 +35,6 @@ class WarmupLabel:
     @property
     def table_len(self) -> int:
         return self.n // 2
-
-
-class WindowView:
-    """Decode view of a warm-up label's index and window; the window is
-    kept as an int of ``width`` = n//2 bits, probed with
-    ``read.table_bit``, and ends at label offset ``end``."""
-
-    __slots__ = ("read", "n", "index", "table", "width", "end")
-
-    def __init__(self, read, n: int, index: int, offset: int):
-        self.read, self.n, self.index, self.width = read, n, index, n // 2
-        self.table = read.peek(offset, self.width)
-        self.end = offset + self.width
 
 
 def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
@@ -70,7 +58,8 @@ def encode_warmup(layered: LayeredDag, sizes) -> list[WarmupLabel]:
 
 
 def decode_warmup(lu, lv) -> bool:
-    """Reachability u -> v from two window views."""
+    """Reachability u -> v from two warm-up label views, whose window is a
+    ``table`` of ``width`` = n//2 bits ending at offset ``end_offset``."""
     n = lu.n
     if n != lv.n:
         raise ValueError("labels come from different encodings")
@@ -81,5 +70,5 @@ def decode_warmup(lu, lv) -> bool:
         return False
     d = iv - iu
     if d <= n // 2:
-        return bool(lu.read.table_bit(lu.table, lu.width, lu.end, d - 1))
-    return bool(lv.read.table_bit(lv.table, lv.width, lv.end, n + iu - iv - 1))
+        return bool(lu.table_bit(lu.table, lu.width, lu.end_offset, d - 1))
+    return bool(lv.table_bit(lv.table, lv.width, lv.end_offset, n + iu - iv - 1))

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import split_edges
-from reachlabel.bitio import BitWriter, LabelReader, Widths
+from reachlabel.bitio import BitWriter, LabelHeader
 from reachlabel.flatten import (
-    InnerView,
     build_superlayers,
     decode_inner,
     encode_inner,
@@ -18,6 +17,7 @@ from reachlabel.flatten import (
     write_inner,
 )
 from reachlabel.graph import Dag, longest_path_layers, transitive_closure
+from reachlabel.scheme import LabelView
 
 
 def closed_layering(n, edges):
@@ -25,12 +25,15 @@ def closed_layering(n, edges):
 
 
 def inner_view(gl, n):
-    """The decode view of an encoder label, through its serialized section."""
+    """The decode view of an encoder label, through a composite label of
+    its header and serialized section (no blob, which is read only across
+    groups)."""
     w = BitWriter()
+    LabelHeader(2, n).write(w)
     write_inner(w, gl, n)
     bits = w.finish()
-    view = InnerView(LabelReader(bits), Widths(n), 0)
-    assert view.end_offset == len(bits)
+    view = LabelView(bits)
+    assert view.inner is view and view.end_offset == len(bits)
     return view
 
 
@@ -147,6 +150,6 @@ def test_thick_groups_store_no_table():
     for gl in encode_inner(lay, s, inner_rows):
         assert gl.thick and gl.table == 0
         view = inner_view(gl, 4)
-        assert view.end_offset == 3 * 2 + 3 + 1  # placement fields only
+        assert view.end_offset == 40 + 3 * 2 + 3 + 1  # header and placement fields only
         with pytest.raises(ValueError):
-            view.read.table_bit(view.table, view.width, view.end_offset, 0)
+            view.table_bit(view.table, view.width, view.end_offset, 0)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachlabel.bitio import BitWriter, LabelReader
+from reachlabel.bitio import WARMUP_ID, BitWriter, LabelHeader, index_width
 from reachlabel.graph import Dag, longest_path_layers, transitive_closure
-from reachlabel.warmup import WindowView, decode_warmup, encode_warmup
+from reachlabel.scheme import LabelView
+from reachlabel.warmup import decode_warmup, encode_warmup
 
 
 def closed_layering(n, edges):
@@ -14,10 +15,17 @@ def closed_layering(n, edges):
 
 
 def view(wl):
-    """The decode view of an encoder label, through its serialized window."""
+    """The decode view of an encoder label, through a whole warm-up label
+    whose component id is its index."""
     w = BitWriter()
+    LabelHeader(WARMUP_ID, wl.n).write(w)
+    w.write(wl.index, index_width(wl.n))
+    w.write(wl.index, index_width(wl.n))
     w.write(wl.table, wl.table_len)
-    return WindowView(LabelReader(w.finish()), wl.n, wl.index, 0)
+    bits = w.finish()
+    lab = LabelView(bits)
+    assert lab.warm is lab and lab.end_offset == len(bits)
+    return lab
 
 
 def unit_labels(lay):
@@ -26,7 +34,7 @@ def unit_labels(lay):
 
 
 def bits(l):
-    return [l.read.table_bit(l.table, l.width, l.end, j) for j in range(l.n // 2)]
+    return [l.table_bit(l.table, l.width, l.end_offset, j) for j in range(l.n // 2)]
 
 
 def test_join_poset_frozen():
@@ -60,9 +68,9 @@ def test_window_probe_bounds():
     lay = closed_layering(4, [])
     l = unit_labels(lay)[0]
     with pytest.raises(ValueError):
-        l.read.table_bit(l.table, l.width, l.end, 2)
+        l.table_bit(l.table, l.width, l.end_offset, 2)
     with pytest.raises(ValueError):
-        l.read.table_bit(l.table, l.width, l.end, -1)
+        l.table_bit(l.table, l.width, l.end_offset, -1)
 
 
 def test_decode_rejects_different_n():
