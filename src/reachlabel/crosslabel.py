@@ -173,14 +173,10 @@ class CrossLabeling:
     sections: tuple[tuple[BitString, ...], ...]
 
 
-def peel_cross(
-    layered: LayeredDag,
-    slayer,
-    cross_rows: list[int],
-    profile="paper",
-) -> PeelResult:
-    """Strip the cross-group closure rows down to nothing, iteration by
-    iteration, recording everything each iteration decided."""
+def peel_cross(layered: LayeredDag, slayer, profile="paper") -> PeelResult:
+    """Strip the cross-group closure rows (each closure row less its own
+    group's nodes) down to nothing, iteration by iteration, recording
+    everything each iteration decided."""
     prof = get_profile(profile)
     n = layered.dag.n
     pos = layered.topo
@@ -188,8 +184,9 @@ def peel_cross(
     k = slayer.count
     entry = tuple(slayer.group_of[u] + 1 for u in range(n))
     removed_iter = [k] * n
-    live_rows = list(cross_rows)
     groups = [tuple(inv[g.beg : g.end]) for g in slayer.groups]
+    group_masks = [_mask_of(grp) for grp in groups]
+    live_rows = [row & ~group_masks[grp] for row, grp in zip(layered.dag.rows, slayer.group_of)]
     total_cross = sum(r.bit_count() for r in live_rows)
     consumed_total = 0
     records = []

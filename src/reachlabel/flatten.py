@@ -11,9 +11,11 @@ gamma = max(1, ceil(log2 n)):
 
 Each group covers a contiguous interval [beg, end) of topological indices.
 Edges inside one group are answered by a per-node bit table over the
-group's interval; all remaining closure edges cross between groups and are
-handled by the iterative peeling stage. Thick groups store no table: a
-thick group is one antichain layer, so it has no internal edges.
+group's interval, gathered from the closure row in place; all remaining
+closure edges cross between groups and are handled by the iterative
+peeling stage, which masks each row's own group out itself. Thick groups
+store no table: a thick group is one antichain layer, so it has no
+internal edges.
 ``decode_inner`` answers from two label views (``scheme.LabelView``).
 """
 
@@ -91,26 +93,6 @@ def build_superlayers(layered: LayeredDag, gamma: int | None = None) -> SuperLay
     return SuperLayering(g, tuple(out), tuple(group_of))
 
 
-def split_rows(layered: LayeredDag, s: SuperLayering) -> tuple[list[int], list[int]]:
-    """Closure edges as (within-group rows, cross-group rows)."""
-    n = layered.dag.n
-    rows = layered.dag.rows
-    inv = layered.inv_topo
-    gmask = []
-    for grp in s.groups:
-        m = 0
-        for t in range(grp.beg, grp.end):
-            m |= 1 << inv[t]
-        gmask.append(m)
-    inner = [0] * n
-    cross = [0] * n
-    for u in range(n):
-        inside = rows[u] & gmask[s.group_of[u]]
-        inner[u] = inside
-        cross[u] = rows[u] & ~inside
-    return inner, cross
-
-
 @dataclass(frozen=True)
 class GroupLabel:
     """Per-node intra-group part: placement plus the interval table."""
@@ -137,10 +119,12 @@ def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
         w.write(gl.table, gl.end - gl.beg)
 
 
-def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -> list[GroupLabel]:
-    """One label per node; a thin group's tables are its members' rows
-    gathered over the group's interval, in topological order."""
+def encode_inner(layered: LayeredDag, s: SuperLayering) -> list[GroupLabel]:
+    """One label per node; a thin group's tables are its members' closure
+    rows gathered over the group's interval, in topological order, which
+    picks out exactly the row's edges inside the group."""
     n = layered.dag.n
+    rows = layered.dag.rows
     inv = layered.inv_topo
     topo = layered.topo
     out: list[GroupLabel | None] = [None] * n
@@ -148,7 +132,7 @@ def encode_inner(layered: LayeredDag, s: SuperLayering, inner_rows: list[int]) -
         members = inv[info.beg : info.end]
         table = None if info.thick else gatherer(members, n)
         for u in members:
-            t = table(inner_rows[u]) if table else 0
+            t = table(rows[u]) if table else 0
             out[u] = GroupLabel(topo[u], grp, info.beg, info.end, info.thick, t)
     return out
 

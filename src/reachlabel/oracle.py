@@ -47,6 +47,8 @@ KINDS = ("dag", "digraph", "poset", "layered")
 
 EXHAUSTIVE_LIMIT = 2000
 """Largest n verified over all ordered pairs; beyond this, sample."""
+SAMPLE_PAIRS = 200_000
+SAMPLE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -189,13 +191,12 @@ def verify(
     profile: str = "paper",
     *,
     label_bits: list[BitString] | None = None,
-    sample_pairs: int = 200_000,
-    sample_seed: int = 0,
 ) -> VerifyReport:
     """Compare decode against the BFS oracle over ordered pairs.
 
     ``label_bits`` substitutes pre-built (possibly tampered) labels for a
-    fresh encode; sampling kicks in past EXHAUSTIVE_LIMIT nodes.
+    fresh encode; past EXHAUSTIVE_LIMIT nodes, SAMPLE_PAIRS pairs drawn
+    with seed SAMPLE_SEED are checked instead.
     """
     if label_bits is None:
         label_bits = encode(g, scheme, profile).labels
@@ -221,9 +222,9 @@ def verify(
             for v in range(n):
                 run(u, v)
     else:
-        rng = random.Random(sample_seed)
-        pairs_checked = sample_pairs
-        for _ in range(sample_pairs):
+        rng = random.Random(SAMPLE_SEED)
+        pairs_checked = SAMPLE_PAIRS
+        for _ in range(SAMPLE_PAIRS):
             run(rng.randrange(n), rng.randrange(n))
 
     return VerifyReport(

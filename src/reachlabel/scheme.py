@@ -87,7 +87,6 @@ from .flatten import (
     build_superlayers,
     decode_inner,
     encode_inner,
-    split_rows,
     write_inner,
 )
 from .graph import Digraph, longest_path_layers, scc_condense, transitive_closure
@@ -104,9 +103,11 @@ class Pipeline:
     identical for every scheme and biclique profile, so one Pipeline can feed
     any number of encode() calls on the same graph. The peel is made once per
     profile name and shared by both composite schemes; each of them encodes
-    its own cross sections from it. Every stage after ``scc`` runs on the
-    quotient DAG and is indexed by component, except ``inner_labels`` and
-    ``warm_labels``, which are indexed by graph node.
+    its own cross sections from it. The intra-group tables and the peel both
+    read the closure rows in place, so the closure is the only row matrix a
+    Pipeline holds. Every stage after ``scc`` runs on the quotient DAG and
+    is indexed by component, except ``inner_labels`` and ``warm_labels``,
+    which are indexed by graph node.
     """
 
     def __init__(self, g: Digraph):
@@ -131,20 +132,8 @@ class Pipeline:
         return build_superlayers(self.layered)
 
     @cached_property
-    def _split(self):
-        return split_rows(self.layered, self.slayer)
-
-    @property
-    def inner_rows(self) -> list[int]:
-        return self._split[0]
-
-    @property
-    def cross_rows(self) -> list[int]:
-        return self._split[1]
-
-    @cached_property
     def inner_labels(self) -> list[GroupLabel]:
-        inner = encode_inner(self.layered, self.slayer, self.inner_rows)
+        inner = encode_inner(self.layered, self.slayer)
         return self.scc.expand(inner)
 
     @cached_property
@@ -154,7 +143,7 @@ class Pipeline:
 
     def peel(self, profile: str) -> PeelResult:
         if profile not in self._peels:
-            self._peels[profile] = peel_cross(self.layered, self.slayer, self.cross_rows, profile)
+            self._peels[profile] = peel_cross(self.layered, self.slayer, profile)
         return self._peels[profile]
 
     def cross_labeling(self, profile: str, variant: str) -> CrossLabeling:

@@ -11,7 +11,6 @@ from reachlabel.biclique import get_profile
 from reachlabel.bipartite import BipartiteLabel, pair_window
 from reachlabel.bitio import BitString, LabelHeader, count_width, index_width, read_fixed
 from reachlabel.cli import GraphFormatError
-from reachlabel.flatten import split_rows
 from reachlabel.graph import Dag, Digraph, _iter_bits, transitive_closure
 from reachlabel.oracle import GenSpec, generate
 
@@ -100,9 +99,21 @@ def is_transitively_closed(d: Digraph) -> bool:
     return True
 
 
+def group_split(layered, s) -> tuple[list[int], list[int]]:
+    """Closure rows as (within-group rows, cross-group rows): edge u -> v is
+    within a group when ``s.group_of`` gives u and v the same group. The
+    encoder keeps no such split; this is the reference its halves meet."""
+    members = [0] * s.count
+    for v, grp in enumerate(s.group_of):
+        members[grp] |= 1 << v
+    rows = layered.dag.rows
+    inner = [row & members[s.group_of[u]] for u, row in enumerate(rows)]
+    return inner, [row & ~ir for row, ir in zip(rows, inner)]
+
+
 def split_edges(layered, s) -> tuple[frozenset, frozenset]:
     """Closure edges as (within-group, cross-group) edge sets."""
-    ir, cr = split_rows(layered, s)
+    ir, cr = group_split(layered, s)
     inner = frozenset((u, v) for u in range(len(ir)) for v in _iter_bits(ir[u]))
     cross = frozenset((u, v) for u in range(len(cr)) for v in _iter_bits(cr[u]))
     return inner, cross

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_transitively_closed, mixed_corpus, split_edges
+from helpers import group_split, is_transitively_closed, mixed_corpus, split_edges
 from reachlabel.bipartite import embedded_width
 from reachlabel.crosslabel import (
     CLS_FRONT_MATCH,
@@ -25,7 +25,7 @@ from reachlabel.crosslabel import (
     peel_cross,
 )
 from reachlabel.bitio import LabelReader, Widths, count_width
-from reachlabel.flatten import build_superlayers, split_rows
+from reachlabel.flatten import build_superlayers
 from reachlabel.graph import (
     Dag,
     Digraph,
@@ -39,8 +39,8 @@ from reachlabel.scheme import Pipeline
 def peeled(n, edges, profile="force", gamma=None):
     lay = longest_path_layers(transitive_closure(Dag(n, edges)))
     sl = build_superlayers(lay, gamma=gamma)
-    _, cross = split_rows(lay, sl)
-    return lay, sl, cross, peel_cross(lay, sl, cross, profile=profile)
+    _, cross = group_split(lay, sl)
+    return lay, sl, cross, peel_cross(lay, sl, profile=profile)
 
 
 def edges_of(rows: dict[int, int]) -> set[tuple[int, int]]:

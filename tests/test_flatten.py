@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import split_edges
+from helpers import group_split, split_edges
 from reachlabel.bitio import BitWriter, LabelHeader
 from reachlabel.flatten import (
     build_superlayers,
     decode_inner,
     encode_inner,
     gamma_of,
-    split_rows,
     write_inner,
 )
 from reachlabel.graph import Dag, longest_path_layers, transitive_closure
@@ -130,8 +129,7 @@ def test_split_partitions_closure(lay):
 def test_inner_decode_matches_membership(lay):
     n = lay.dag.n
     s = build_superlayers(lay)
-    inner_rows, _ = split_rows(lay, s)
-    views = [inner_view(gl, n) for gl in encode_inner(lay, s, inner_rows)]
+    views = [inner_view(gl, n) for gl in encode_inner(lay, s)]
     inner, _ = split_edges(lay, s)
     for u in range(n):
         for v in range(n):
@@ -145,9 +143,9 @@ def test_thick_groups_store_no_table():
     lay = closed_layering(4, [])
     s = build_superlayers(lay)
     assert [g.gtype for g in s.groups] == [1]
-    inner_rows, cross = split_rows(lay, s)
+    _, cross = group_split(lay, s)
     assert all(r == 0 for r in cross)
-    for gl in encode_inner(lay, s, inner_rows):
+    for gl in encode_inner(lay, s):
         assert gl.thick and gl.table == 0
         view = inner_view(gl, 4)
         assert view.end_offset == 40 + 3 * 2 + 3 + 1  # header and placement fields only

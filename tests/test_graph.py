@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    group_split,
     is_transitively_closed,
     ref_columns,
     ref_inner_tables,
@@ -455,8 +456,9 @@ def test_b_side_tables_match_column_loop(inst):
 @settings(max_examples=120)
 def test_inner_tables_match_interval_loop(g):
     pl = Pipeline(g)
-    labels = encode_inner(pl.layered, pl.slayer, pl.inner_rows)
-    assert [lab.table for lab in labels] == ref_inner_tables(pl.layered, pl.slayer, pl.inner_rows)
+    inner_rows, _ = group_split(pl.layered, pl.slayer)
+    labels = encode_inner(pl.layered, pl.slayer)
+    assert [lab.table for lab in labels] == ref_inner_tables(pl.layered, pl.slayer, inner_rows)
 
 
 def assert_warmup_matches_reference(g: Digraph) -> None:

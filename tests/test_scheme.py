@@ -9,6 +9,7 @@ import io
 import os
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -288,6 +289,22 @@ def test_pipeline_refuses_an_unknown_profile_before_caching():
         with pytest.raises(ValueError, match="unknown biclique profile"):
             pl.cross_labeling("nope", "third")
     assert not pl._peels and not pl._cross
+
+
+def test_the_pipeline_holds_one_row_matrix():
+    # the intra tables read the closure rows in place: building them keeps
+    # no inner or cross copy of the rows beside the closure
+    pl = Pipeline(generate(GenSpec("poset", 1000, 0.5, 100)))
+    pl.layered, pl.slayer
+    rows_bytes = sum(sys.getsizeof(r) for r in pl.closed.rows)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pl.inner_labels
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * rows_bytes, (held, rows_bytes)
 
 
 # Label file digests of three seeded graphs. The encoder promises identical
