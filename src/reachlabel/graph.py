@@ -8,8 +8,10 @@ lazily, counts them by popcount and tests one with a bit test, so no set of
 edge tuples is ever built or kept.
 
 ``scc_condense`` turns each strongly connected component into one node of
-a quotient DAG, on which closure and layering run. The topological order
-comes from Tarjan's emission order and is handed on, never recomputed.
+a quotient DAG, on which closure and layering run. Every order this module
+computes is Tarjan's emission order: ``topological_order`` is the
+condensation's, and a ``Dag`` built without one takes it from there. The
+condensation hands its order on to closure and layering, never recomputed.
 
 The three stages work a machine word at a time on the rows. Tarjan keeps
 its visited and on-stack sets as masks and takes each next child as a
@@ -180,7 +182,6 @@ class Digraph:
         if n < 0:
             raise ValueError("n must be non-negative")
         self.n = n
-        self._order: list[int] | None = None
         if rows is not None:
             if edges is not None:
                 raise ValueError("pass edges or rows, not both")
@@ -201,13 +202,6 @@ class Digraph:
         self.rows = clean
 
     @property
-    def order(self) -> list[int]:
-        """A topological order, computed once; raises ValueError on a cycle."""
-        if self._order is None:
-            self._order = topological_order(self)
-        return self._order
-
-    @property
     def edges(self) -> EdgeView:
         return EdgeView(self.rows)
 
@@ -219,41 +213,23 @@ class Digraph:
 
 
 class Dag(Digraph):
-    """Digraph whose edge relation is acyclic (validated on construction,
-    unless the caller passes a known topological ``order``)."""
+    """Digraph whose edge relation is acyclic, with a topological ``order``.
 
-    def __init__(self, n, edges=None, *, rows=None, validate=True, order=None):
+    A caller's ``order`` is taken as known; without one the order is the
+    condensation's, and a cycle raises ValueError."""
+
+    def __init__(self, n, edges=None, *, rows=None, order=None):
         super().__init__(n, edges, rows=rows)
-        self._order = order
-        if validate and order is None:
-            self._order = topological_order(self)  # raises on a cycle
+        self.order = topological_order(self) if order is None else order
 
 
 def topological_order(g: Digraph) -> list[int]:
-    """Kahn's algorithm; deterministic (smallest ready node first).
-
-    Raises ValueError if g has a cycle.
-    """
-    indeg = [0] * g.n
-    rows = g.rows
-    for u in range(g.n):
-        for v in _iter_bits(rows[u]):
-            indeg[v] += 1
-    import heapq
-
-    ready = [u for u in range(g.n) if indeg[u] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in _iter_bits(rows[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != g.n:
+    """The condensation's order: Tarjan's reversed emission order, which on
+    an acyclic graph lists its nodes. Raises ValueError if g has a cycle."""
+    res = scc_condense(g)
+    if res.dag.n != g.n:
         raise ValueError("graph has a cycle")
-    return order
+    return res.dag.order
 
 
 @dataclass(frozen=True)
@@ -352,7 +328,7 @@ def scc_condense(g: Digraph) -> SccResult:
     ncomp = len(emitted)
     if ncomp == n:
         order = [m.bit_length() - 1 for m in reversed(emitted)]
-        return SccResult(Dag(n, rows=rows, validate=False, order=order), tuple(range(n)))
+        return SccResult(Dag(n, rows=rows, order=order), tuple(range(n)))
     members = sorted(emitted, key=lambda m: m & -m)  # by smallest member
     ids = [0] * n
     for c, m in enumerate(members):
@@ -371,7 +347,7 @@ def scc_condense(g: Digraph) -> SccResult:
             acc &= ~members[c]
         out_rows.append(row)
     order = [ids[m.bit_length() - 1] for m in reversed(emitted)]
-    return SccResult(Dag(ncomp, rows=out_rows, validate=False, order=order), tuple(ids))
+    return SccResult(Dag(ncomp, rows=out_rows, order=order), tuple(ids))
 
 
 def transitive_closure(d: Dag) -> Dag:
@@ -395,7 +371,7 @@ def transitive_closure(d: Dag) -> Dag:
             acc |= cv
             todo &= ~(cv | bit)
         closed[u] = acc
-    return Dag(d.n, rows=closed, validate=False, order=order)
+    return Dag(d.n, rows=closed, order=order)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ keeps its edge when it is below p:
   dag      rng.shuffle of range(n) giving each node a rank, then one draw
            per unordered pair u < v (row-major); kept edges point from the
            lower-ranked endpoint to the higher-ranked one. Rank order
-           is the DAG's topological order, so no Kahn pass runs.
+           is the DAG's topological order, so no condensation pass runs.
   poset    the dag construction followed by transitive closure.
   layered  one rng.randrange(layer_count) per node in id order, then one
            draw per ordered pair with layer(u) < layer(v), row-major.

@@ -38,6 +38,7 @@ from reachlabel.bitio import LabelHeader, index_width
 from reachlabel.crosslabel import CLS_UPPER, node_class
 from reachlabel.flatten import build_superlayers
 from reachlabel.graph import (
+    Dag,
     Digraph,
     _iter_bits,
     longest_path_layers,
@@ -198,7 +199,7 @@ def test_criterion_05_flattening_structure():
         p = rng.choice((0.1, 0.3, 0.6, 0.9))
         layer_count = rng.choice((None, 2, 3, max(2, n // 8)))
         g = generate(GenSpec("layered", n, p, seed=5000 + t, layer_count=layer_count))
-        closed = transitive_closure(g)
+        closed = transitive_closure(Dag(n, rows=g.rows))  # raises on a cycle
         lay = longest_path_layers(closed)
         s = build_superlayers(lay)
         gamma = s.gamma

@@ -179,8 +179,15 @@ def test_digraph_rejects_out_of_range_edge():
 
 
 def test_dag_validate_rejects_cycle():
-    with pytest.raises(ValueError):
-        Dag(2, [(0, 1), (1, 0)])
+    for n, edges, rows in (
+        (2, [(0, 1), (1, 0)], None),  # edges path
+        (2, None, [0b10, 0b01]),  # rows path
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)], None),  # 3-cycle inside
+    ):
+        with pytest.raises(ValueError, match="graph has a cycle"):
+            Dag(n, edges, rows=rows)
+    # a self-loop is dropped on construction, so it is no cycle
+    assert Dag(2, [(0, 0), (0, 1)]).order == [0, 1]
 
 
 @given(dags())

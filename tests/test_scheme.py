@@ -32,7 +32,7 @@ from reachlabel.bitio import (
     write_label_file,
 )
 from reachlabel.cli import main
-from reachlabel import crosslabel
+from reachlabel import crosslabel, graph
 from reachlabel.crosslabel import (
     CLS_FRONT_MATCH,
     CLS_FRONT_REST,
@@ -305,6 +305,21 @@ def test_the_pipeline_holds_one_row_matrix():
     finally:
         tracemalloc.stop()
     assert held < 2 * rows_bytes, (held, rows_bytes)
+
+
+def test_encoding_orders_nothing_itself(monkeypatch):
+    """Every stage runs in the order the condensation hands on: encoding
+    never computes a topological order of its own."""
+    graphs = [generate(GenSpec(kind, 40, 0.1, 7)) for kind in ("dag", "digraph", "poset")]
+
+    def refuse(g):
+        raise AssertionError("topological_order called while encoding")
+
+    monkeypatch.setattr(graph, "topological_order", refuse)
+    for g in graphs:
+        for scheme in SCHEME_IDS:
+            for profile in PROFILES:
+                assert len(encode(g, scheme, profile).labels) == g.n
 
 
 # Label file digests of three seeded graphs. The encoder promises identical
