@@ -12,7 +12,7 @@ fields are fixed width; widths are pure functions of values already decoded
 Label file layout (little endian where noted)::
 
     magic    4 bytes  b"RLBL"
-    version  1 byte   (currently 8)
+    version  1 byte   (currently 9)
     scheme   1 byte
     n        4 bytes  u32 LE
     offsets  8n bytes, u64 LE per node in id order: the file position of
@@ -20,6 +20,11 @@ Label file layout (little endian where noted)::
     then, per node in id order, one record:
       bitlen 4 bytes  u32 LE
       bits   ceil(bitlen/8) bytes, MSB-first, padding bits zero
+      crc    4 bytes  u32 LE, zlib.crc32 of the bitlen and bits bytes
+
+A reader checks a record's length and padding, then its CRC-32, which
+refuses every flip of one bit and every burst of up to 32 bits in the
+record.
 """
 
 from __future__ import annotations
@@ -27,11 +32,15 @@ from __future__ import annotations
 import functools
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 MAGIC = b"RLBL"
-FILE_VERSION = 8
+FILE_VERSION = 9
 WARMUP_ID = 1  # the one scheme whose labels have no intra section or blob
+# zlib.crc32 of any bytes followed by their own CRC-32, little endian: one
+# pass over a whole record checks it, with no slice and no int to compare
+CRC_RESIDUE = 0x2144DF1C
 
 
 def index_width(n: int) -> int:
@@ -212,7 +221,7 @@ class LabelHeader:
     ``offsets`` holds the absolute bit offsets of a composite label's intra
     section and blob, which ``read`` derives rather than reads: the intra
     section follows the header, and the blob follows the intra section's
-    placement fields and a thin group's end - beg bit table. A warm-up
+    placement fields and a thin group's (end - beg)//2-bit window. A warm-up
     label has none. ``write`` writes the scheme id and n alone.
     """
 
@@ -239,7 +248,8 @@ class LabelHeader:
             return cls(scheme_id, n)
         wd, intra = widths(n), cls.HEADER_FIXED_BITS
         fields = read_fixed(bits, intra, wd.placement)  # ... beg[iw] end[cw] thick[1]
-        table = 0 if fields & 1 else (fields >> 1 & wd.cmask) - (fields >> wd.cw + 1 & wd.imask)
+        beg, end = fields >> wd.cw + 1 & wd.imask, fields >> 1 & wd.cmask
+        table = 0 if fields & 1 else end - beg >> 1
         return cls(scheme_id, n, (intra, intra + wd.placement + table))
 
 
@@ -248,15 +258,16 @@ def write_label_file(path: str, scheme_id: int, n: int, labels: list[BitString])
         raise ValueError("label count does not match n")
     offsets = [10 + 8 * n]
     for lb in labels:
-        offsets.append(offsets[-1] + 4 + (lb.length + 7) // 8)
+        offsets.append(offsets[-1] + 8 + (lb.length + 7) // 8)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(bytes([FILE_VERSION, scheme_id]))
         f.write(struct.pack("<I", n))
         f.write(struct.pack(f"<{n}Q", *offsets[:n]))
         for lb in labels:
-            f.write(struct.pack("<I", lb.length))
-            f.write(lb.to_bytes())
+            rec = struct.pack("<I", lb.length) + lb.to_bytes()
+            f.write(rec)
+            f.write(struct.pack("<I", zlib.crc32(rec)))
 
 
 def _file_header(head: bytes, size: int) -> tuple[int, int]:
@@ -278,34 +289,39 @@ def _record_span(i: int, off: int, end: int, n: int, size: int) -> None:
     """Node i's record must start past the offset table (right after it for
     node 0) and end at ``end``, the next node's offset or the file size."""
     first = 10 + 8 * n
-    if off < first or (i == 0 and off != first) or not off + 4 <= end <= size:
+    if off < first or (i == 0 and off != first) or not off + 8 <= end <= size:
         raise ValueError(f"offset table entry of node {i} is out of range")
 
 
 def _record(i: int, rec: bytes) -> BitString:
-    """Node i's label from its record, which must fill ``rec`` exactly and
-    leave the padding bits of its last byte zero."""
+    """Node i's label from its record, which must fill ``rec`` exactly,
+    leave the padding bits of its last byte zero and end in the CRC-32 of
+    the bytes before it."""
     bitlen = int.from_bytes(rec[:4], "little")
-    if 4 + (bitlen + 7) // 8 != len(rec):
+    if 8 + (bitlen + 7) // 8 != len(rec):
         raise ValueError(f"offset table entry of node {i} disagrees with its record")
-    return BitString.from_bytes(rec[4:], bitlen)
+    bits = BitString.from_bytes(rec[4:-4], bitlen)
+    if zlib.crc32(rec) != CRC_RESIDUE:
+        raise ValueError(f"record of node {i} fails its CRC-32")
+    return bits
 
 
 def read_label_file(path: str) -> tuple[int, int, list[BitString]]:
-    """Read all labels; returns (scheme_id, n, labels)."""
+    """Read all labels, from one read of the whole file; returns
+    (scheme_id, n, labels)."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        scheme_id, n = _file_header(f.read(10), size)
-        if 10 + 8 * n > size:
-            raise ValueError("truncated label file offset table")
-        offs = struct.unpack(f"<{n}Q", f.read(8 * n)) + (size,)
-        labels = []
-        for i in range(n):
-            off, end = offs[i], offs[i + 1]
-            _record_span(i, off, end, n, size)
-            f.seek(off)
-            labels.append(_record(i, f.read(end - off)))
-        return scheme_id, n, labels
+        data = f.read()
+    size = len(data)
+    scheme_id, n = _file_header(data[:10], size)
+    if 10 + 8 * n > size:
+        raise ValueError("truncated label file offset table")
+    offs = struct.unpack_from(f"<{n}Q", data, 10) + (size,)
+    labels = []
+    for i in range(n):
+        off, end = offs[i], offs[i + 1]
+        _record_span(i, off, end, n, size)
+        labels.append(_record(i, data[off:end]))
+    return scheme_id, n, labels
 
 
 def read_labels_at(path: str, indices: list[int]) -> tuple[int, int, dict[int, BitString]]:

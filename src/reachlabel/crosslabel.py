@@ -707,6 +707,19 @@ class CrossView:
         self._iters = tuple(iters)
         return at
 
+    def ledger(self) -> dict[str, int]:
+        """The bits of the blob's fields, once ``check`` has walked it: k
+        and ``removed_iter``, the pair schedule, the biclique counts, and
+        the near and far sections summed over the walked records."""
+        cw = self.wd.cw
+        return {
+            "k_removed_iter": cw + count_width(self.k),
+            "schedule": self.m * cw,
+            "biclique_counts": self.u * cw,
+            "near_sections": sum(it.mid - it.start for it in self._iters),
+            "far_sections": sum(it.end - it.mid for it in self._iters),
+        }
+
 
 # -- decoding ----------------------------------------------------------------
 

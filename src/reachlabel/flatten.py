@@ -10,12 +10,18 @@ gamma = max(1, ceil(log2 n)):
           or by the end of the layer list.
 
 Each group covers a contiguous interval [beg, end) of topological indices.
-Edges inside one group are answered by a per-node bit table over the
-group's interval, gathered from the closure row in place; all remaining
-closure edges cross between groups and are handled by the iterative
-peeling stage, which masks each row's own group out itself. Thick groups
-store no table: a thick group is one antichain layer, so it has no
-internal edges.
+Edges inside a thin group of m = end - beg members are answered by a
+half-window per node, as the warm-up does over all n (``warmup``): the
+member at position i of the group stores floor(m/2) bits, bit j saying
+whether it is comparable with the member at position (i+j+1) mod m. Any
+two members fall in one of their two windows, and topological order turns
+comparability into reachability. The encoder gathers each member's
+closure row over the group's interval in place, and ORs it with its
+column (one ``transpose`` per thin group) to get comparability. All
+remaining closure edges cross between groups and are handled by the
+iterative peeling stage, which masks each row's own group out itself.
+Thick groups store no table: a thick group is one antichain layer, so it
+has no internal edges.
 ``decode_inner`` answers from two label views (``scheme.LabelView``).
 """
 
@@ -24,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitio import BitWriter, count_width, index_width
-from .graph import LayeredDag, gatherer
+from .graph import LayeredDag, cyclic_window, gatherer, transpose
+from .warmup import probe_window
 
 
 def gamma_of(n: int) -> int:
@@ -95,20 +102,20 @@ def build_superlayers(layered: LayeredDag, gamma: int | None = None) -> SuperLay
 
 @dataclass(frozen=True)
 class GroupLabel:
-    """Per-node intra-group part: placement plus the interval table."""
+    """Per-node intra-group part: placement plus the half-window table."""
 
     topo: int
     grp: int
     beg: int
     end: int
     thick: bool
-    table: int  # (end-beg) bits when not thick; bit j covers topo index beg+j
+    table: int  # (end-beg)//2 bits when not thick; bit j covers position (i+j+1) mod (end-beg)
 
 
 def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
     """The intra section: topo[iw] grp[iw] beg[iw] end[cw] thick[1], then
-    the table (thin groups only), with iw = index_width(n) and
-    cw = count_width(n)."""
+    the (end-beg)//2-bit window (thin groups only), with iw = index_width(n)
+    and cw = count_width(n)."""
     iw = index_width(n)
     w.write(gl.topo, iw)
     w.write(gl.grp, iw)
@@ -116,13 +123,14 @@ def write_inner(w: BitWriter, gl: GroupLabel, n: int) -> None:
     w.write(gl.end, count_width(n))
     w.write(1 if gl.thick else 0, 1)
     if not gl.thick:
-        w.write(gl.table, gl.end - gl.beg)
+        w.write(gl.table, gl.end - gl.beg >> 1)
 
 
 def encode_inner(layered: LayeredDag, s: SuperLayering) -> list[GroupLabel]:
-    """One label per node; a thin group's tables are its members' closure
-    rows gathered over the group's interval, in topological order, which
-    picks out exactly the row's edges inside the group."""
+    """One label per node. A thin group's members' closure rows, gathered
+    over the group's interval in topological order, are its reach matrix;
+    each member's row ORed with its column is its comparability row, and
+    its window is that row's next floor(m/2) positions, cyclically."""
     n = layered.dag.n
     rows = layered.dag.rows
     inv = layered.inv_topo
@@ -130,9 +138,15 @@ def encode_inner(layered: LayeredDag, s: SuperLayering) -> list[GroupLabel]:
     out: list[GroupLabel | None] = [None] * n
     for grp, info in enumerate(s.groups):
         members = inv[info.beg : info.end]
-        table = None if info.thick else gatherer(members, n)
-        for u in members:
-            t = table(rows[u]) if table else 0
+        m = len(members)
+        if info.thick:
+            tables = [0] * m
+        else:
+            gather = gatherer(members, n)
+            reach = [gather(rows[u]) for u in members]
+            tables = [cyclic_window(row | col, i + 1, m >> 1, m)
+                      for i, (row, col) in enumerate(zip(reach, transpose(reach, m)))]
+        for u, t in zip(members, tables):
             out[u] = GroupLabel(topo[u], grp, info.beg, info.end, info.thick, t)
     return out
 
@@ -141,10 +155,12 @@ def decode_inner(lu, lv) -> bool:
     """Within-group edge membership, from two label views' intra fields
     (``place`` holds grp beg end thick as one int). Labels of one encoding
     agree on a group's interval, and a later group begins where an earlier
-    one ends or after; a pair that breaks either raises ValueError."""
+    one ends or after; a pair that breaks either raises ValueError. In one
+    thin group, u after v answers False unread, and u before v by d reads
+    one window bit (``warmup.probe_window``)."""
     if lu.beg >= lv.end and lu.grp > lv.grp or lv.beg >= lu.end and lu.grp < lv.grp:
         return False
     if lu.place == lv.place:  # one group, as both labels place it
-        return not lu.thick and bool(
-            lu.table_bit(lu.table, lu.width, lu.end_offset, lv.topo - lu.beg))
+        d = lv.topo - lu.topo
+        return d > 0 and not lu.thick and probe_window(lu, lv, d, lu.end - lu.beg)
     raise ValueError("labels disagree on their groups")

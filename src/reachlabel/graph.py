@@ -23,10 +23,11 @@ skip whatever an earlier-taken successor reaches; how many other edges
 they take depends on how the ids fall, not on the closure's edge count.
 
 The encoder moves slices of these rows around as bit matrices: it renumbers
-a row's bits (pair-graph rows over the unmatched nodes, interval tables by
-topological index) and turns rows into columns (pair tables by column,
-biclique flags by node, comparability, and comparability in graph-index
-order for the warm-up windows). Two kernels do that a whole row at a time,
+a row's bits (pair-graph rows over the unmatched nodes, a group's reach
+matrix by topological index) and turns rows into columns (pair tables by
+column, biclique flags by node, comparability within a group for the
+intra windows, and comparability in graph-index order for the warm-up
+windows). Two kernels do that a whole row at a time,
 with no Python step per bit. ``gatherer`` writes a row as its binary string
 (``format``), picks the wanted characters with one precomputed
 ``operator.itemgetter`` and reads them back with ``int(..., 2)``.

@@ -272,7 +272,7 @@ def probeable_table_bits(ls: LabelSet) -> list[tuple[int, int, int]]:
     smallest node that holds it, with its view keeping the offset of every
     ``table_bit`` probe (``LabelView.probes``), and ``query`` runs over
     every ordered pair of distinct labels, c² − c queries for c components.
-    That covers the warm-up windows, the interval tables, both sides' pair
+    That covers the warm-up windows, the intra windows, both sides' pair
     tables and an upper node's flags, at the slots some query reaches.
     Set-membership payloads are read by counted reads, not probes, and stay
     out: a flipped key or size also moves the binary search for other keys,

@@ -3,8 +3,9 @@
 Three schemes share one self-describing container:
 
   warmup  (id 1)  topological index plus a half-range comparability window;
-  third   (id 2)  grouped layers with per-node interval tables, plus peeled
-                  cross-group sections holding pair tables on both sides;
+  third   (id 2)  grouped layers with per-node half-windows over each
+                  group, plus peeled cross-group sections holding pair
+                  tables on both sides;
   average (id 3)  same pipeline with the pair-graph budget shifted entirely
                   onto the unmatched side, so retired nodes keep no pair
                   table bits.
@@ -13,8 +14,9 @@ Label layouts (MSB-first bit fields, see bitio)::
 
     warmup:    scheme[8] n[32] | scc[iw] | index[iw] | window[n//2]
     composite: scheme[8] n[32] | intra | blob
-      intra =  topo[iw] grp[iw] beg[iw] end[cw] thick[1] table[end-beg]
-               (the table is present only for thin groups)
+      intra =  topo[iw] grp[iw] beg[iw] end[cw] thick[1] table[(end-beg)//2]
+               (the table, a half-window over the group, is present only
+               for thin groups)
 
 with iw = index_width(n), cw = count_width(n). Each strongly connected
 component is labeled once and its members share that label. A warm-up
@@ -229,18 +231,19 @@ class LabelView(LabelReader):
     a warm-up label's ``scc`` and ``index`` or a composite label's intra
     fields ``topo grp beg end thick`` (``topo`` serves as ``scc``, and
     ``place`` holds grp to thick as one int), each checked for overrun and
-    charged as one counted read. The window or interval table is kept
+    charged as one counted read. The warm-up or intra window is kept
     uncounted as an int of ``width`` bits ending at offset ``end_offset``,
     where a blob starts. ``inner`` and ``warm`` are the view itself for its
     scheme, else None.
 
     ``words`` counts the 64-bit words a pointer-based decoder would fetch,
     and one per table probe: a blob-free query, the header and placement
-    words and a shared thin group's probe. A cross pair views the blob over
-    the view (``view_cross``), dropped with the query. ``check`` walks it
-    through a LabelReader of its own, sharing ``probes``, and keeps it in
-    ``cross``, so that no view refers back to itself; ``words`` adds the
-    walk's words, and later blob reads count on ``cross.read``.
+    words and, in a shared thin group with u first, one window probe. A
+    cross pair views the blob over the view (``view_cross``), dropped with
+    the query. ``check`` walks it through a LabelReader of its own, sharing
+    ``probes``, and keeps it in ``cross``, so that no view refers back to
+    itself; ``words`` adds the walk's words, and later blob reads count on
+    ``cross.read``.
     """
 
     __slots__ = ("scheme_id", "n", "scc", "topo", "grp", "beg", "end", "thick", "index",
@@ -278,7 +281,7 @@ class LabelView(LabelReader):
             self.beg = beg = fields & imask
             self.grp = fields >> iw & imask
             self.scc = self.topo = fields >> 2 * iw & imask
-            self.width = width = 0 if thick else end - beg
+            self.width = width = 0 if thick else end - beg >> 1  # end < beg stays < 0
             self.words = wd.head_words
         self.end_offset = stop = at + width
         if width < 0 or stop > length:
@@ -366,27 +369,42 @@ def _agg(vals) -> dict:
     return {"max": max(vals), "mean": sum(vals) / len(vals)}
 
 
+def ledger(lab: LabelView) -> dict[str, int]:
+    """The bits of each field of a checked label view (``parse_label``),
+    in label order; they sum to the label's length. A warm-up label has
+    header, scc, index and window; a composite label has header,
+    intra_placement, intra_table and the blob's fields (``CrossView.ledger``)."""
+    wd = widths(lab.n)
+    out = {"header": LabelHeader.HEADER_FIXED_BITS}
+    if lab.scheme_id == WARMUP_ID:
+        return out | {"scc": wd.iw, "index": wd.iw, "window": lab.width}
+    return out | {"intra_placement": wd.placement, "intra_table": lab.width} | lab.cross.ledger()
+
+
 def stats(ls: LabelSet) -> dict:
-    """Exact bit counts, total and per section, straight from the labels.
+    """Exact bit counts, total, per section and per field (``ledger``, from
+    each distinct label's checked view), straight from the labels.
 
     Field widths follow each label's header n, which for the composite
-    schemes is the component count, not ``ls.n``.
+    schemes is the component count, not ``ls.n``. A composite label's
+    sections are the header, the intra section and the blob.
     """
     lens = [len(b) for b in ls.labels]
-    out = {
+    fields = {b: ledger(parse_label(b)) for b in dict.fromkeys(ls.labels)}
+    rows = [fields[b] for b in ls.labels]
+    names = rows[0] if rows else {}
+    led = {name: _agg(r[name] for r in rows) for name in names}
+    if ls.scheme_id == WARMUP_ID:
+        sections = led
+    else:
+        intra = [r["intra_placement"] + r["intra_table"] for r in rows]
+        sections = {"header": _agg(r["header"] for r in rows), "intra": _agg(intra),
+                    "cross": _agg(k - r["header"] - i for k, r, i in zip(lens, rows, intra))}
+    return {
         "scheme": ls.scheme,
         "n": ls.n,
         "max_bits": max(lens, default=0),
         "mean_bits": sum(lens) / len(lens) if lens else 0.0,
+        "sections": sections,
+        "ledger": led,
     }
-    hdrs = [LabelHeader.read(b) for b in ls.labels]
-    sections = {"header": _agg(h.bit_length for h in hdrs)}
-    if ls.scheme_id == WARMUP_ID:
-        sections["scc"] = sections["index"] = _agg(index_width(h.n) for h in hdrs)
-        sections["window"] = _agg(h.n // 2 for h in hdrs)
-    else:
-        offs = [h.offsets for h in hdrs]
-        sections["intra"] = _agg(i1 - i0 for i0, i1 in offs)
-        sections["cross"] = _agg(len(b) - i1 for b, (_, i1) in zip(ls.labels, offs))
-    out["sections"] = sections
-    return out

@@ -16,7 +16,10 @@ comparability rows listed by index, where a component's node repeats k
 times). Bit i of that n-bit row says whether u is comparable with the node
 at index i, so B_u is the row rotated down by I(u)+1 and cut to floor(n/2)
 bits.
-``decode_warmup`` answers from two label views (``scheme.LabelView``).
+``decode_warmup`` answers from two label views (``scheme.LabelView``)
+through ``probe_window``, the one window decoder, which the composite
+labels' intra tables (``flatten``) share: they are the same half-windows
+over each thin group's members.
 """
 
 from __future__ import annotations
@@ -66,9 +69,15 @@ def decode_warmup(lu, lv) -> bool:
     iu, iv = lu.index, lv.index
     if iu == iv:
         return True
-    if iu > iv:
-        return False
-    d = iv - iu
-    if d <= n // 2:
+    return iu < iv and probe_window(lu, lv, iv - iu, n)
+
+
+def probe_window(lu, lv, d: int, m: int) -> bool:
+    """Comparability of u and the node d > 0 positions after it on a cycle
+    of m positions, where each view's ``table`` of ``width`` bits, ending at
+    offset ``end_offset``, is its window over the next m//2 positions: u's
+    bit d-1 when d <= m//2, else v's bit m-d-1. One bit is read; a d of m
+    or more raises ValueError."""
+    if d <= m >> 1:
         return bool(lu.table_bit(lu.table, lu.width, lu.end_offset, d - 1))
-    return bool(lv.table_bit(lv.table, lv.width, lv.end_offset, n + iu - iv - 1))
+    return bool(lv.table_bit(lv.table, lv.width, lv.end_offset, m - d - 1))

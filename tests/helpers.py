@@ -306,16 +306,20 @@ def ref_find_bicliques(a_nodes, b_nodes, edges, profile, n_ref: int):
 
 
 def ref_inner_tables(layered, s, inner_rows) -> list[int]:
-    """Each node's interval table, bit j taken from topological index beg+j."""
+    """Each node's half-window over its thin group of m members, each bit
+    probed on its own: bit j says whether the node at group position i is
+    comparable with the one at position (i+j+1) mod m, j < m//2."""
     inv = layered.inv_topo
     out = []
     for u in range(layered.dag.n):
         info = s.groups[s.group_of[u]]
         t = 0
         if not info.thick:
-            row = inner_rows[u]
-            for j in range(info.end - info.beg):
-                if row >> inv[info.beg + j] & 1:
+            m = info.end - info.beg
+            i = layered.topo[u] - info.beg
+            for j in range(m // 2):
+                x = inv[info.beg + (i + j + 1) % m]
+                if inner_rows[u] >> x & 1 or inner_rows[x] >> u & 1:
                     t |= 1 << j
         out.append(t)
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import zlib
 
 import pytest
 from hypothesis import given
@@ -144,9 +145,9 @@ def test_label_file_padding_bits_must_be_zero(tmp_path):
     path = tmp_path / "pad.rlbl"
     write_label_file(str(path), 2, 2, labels)
     good = path.read_bytes()
-    assert good[-1] == 0b10100000
-    for bit in range(5):  # each padding bit of node 1's only byte
-        path.write_bytes(good[:-1] + bytes([good[-1] | 1 << bit]))
+    assert good[-5] == 0b10100000  # node 1's only byte, before its CRC-32
+    for bit in range(5):  # each padding bit of that byte
+        path.write_bytes(good[:-5] + bytes([good[-5] | 1 << bit]) + good[-4:])
         with pytest.raises(ValueError, match="padding"):
             read_label_file(str(path))
         with pytest.raises(ValueError, match="padding"):
@@ -163,11 +164,11 @@ def test_header_round_trip():
     assert LabelHeader.read(bits) == LabelHeader(1, 777)
     # a composite header's offsets are derived: the intra section follows
     # the header, and the blob follows its 41 placement bits and, for a thin
-    # group, its end - beg table bits
-    for thick, table_bits in ((False, 5), (True, 0)):
+    # group, its (end - beg)//2 window bits
+    for thick, table_bits in ((False, 2), (True, 0)):
         w = BitWriter()
         LabelHeader(2, 777).write(w)
-        write_inner(w, GroupLabel(12, 2, 10, 15, thick, 0 if thick else 0b10101), 777)
+        write_inner(w, GroupLabel(12, 2, 10, 15, thick, 0 if thick else 0b10), 777)
         w.write(0b11, 2)  # a blob stub
         back = LabelHeader.read(w.finish())
         assert back == LabelHeader(2, 777, (40, 40 + 41 + table_bits))
@@ -262,10 +263,13 @@ def test_label_file_offset_table_points_at_each_record(tmp_path):
     path = tmp_path / "t.rlbl"
     write_label_file(str(path), 2, 3, labels)
     raw = path.read_bytes()
-    assert raw[4] == FILE_VERSION == 8
+    assert raw[4] == FILE_VERSION == 9
     offsets = struct.unpack("<3Q", raw[10:34])
-    assert offsets == (34, 34 + 4 + 1, 34 + 4 + 1 + 4)
-    assert len(raw) == offsets[2] + 4 + 2
+    assert offsets == (34, 34 + 4 + 1 + 4, 34 + 4 + 1 + 4 + 4 + 4)
+    assert len(raw) == offsets[2] + 4 + 2 + 4
+    # each record ends in the CRC-32 of its bitlen and bits
+    for start, stop in zip(offsets, offsets[1:] + (len(raw),)):
+        assert raw[stop - 4 : stop] == struct.pack("<I", zlib.crc32(raw[start : stop - 4]))
 
 
 def test_corrupted_offset_table_raises_value_error(tmp_path):
@@ -299,11 +303,11 @@ def test_corrupted_offset_table_raises_value_error(tmp_path):
         read_labels_at(str(path), [1])
     with pytest.raises(ValueError):
         read_labels_at(str(path), [0])
-    # a table cut short, and files of versions 1 to 7
+    # a table cut short, and files of versions 1 to 8
     corrupt(good[:10 + 8 * 2 + 3])
     with pytest.raises(ValueError):
         read_labels_at(str(path), [3])
-    for old in range(1, 8):
+    for old in range(1, 9):
         corrupt(good[:4] + bytes([old]) + good[5:])
         with pytest.raises(ValueError, match="version"):
             read_labels_at(str(path), [0])

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reachlabel.cli as cli
-from reachlabel.bitio import BitString, read_label_file, write_label_file
+from reachlabel.bitio import BitString, read_label_file, read_labels_at, write_label_file
 from reachlabel.cli import GraphFormatError, main, read_graph_file, write_graph_file
 from reachlabel.graph import Digraph
 from reachlabel.oracle import GenSpec, VerifyReport, generate
@@ -92,9 +92,10 @@ def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     good = labels.read_bytes()
-    # node 2's 62-bit label ends the file: its last byte has 2 padding bits
-    assert int.from_bytes(good[-12:-8], "little") == 62 and good[-1] & 0b11 == 0
-    labels.write_bytes(good[:-1] + bytes([good[-1] | 1]))
+    # node 2's 61-bit label ends the file before its CRC-32: its last byte
+    # has 3 padding bits
+    assert int.from_bytes(good[-16:-12], "little") == 61 and good[-5] & 0b111 == 0
+    labels.write_bytes(good[:-5] + bytes([good[-5] | 1]) + good[-4:])
     assert run(capsys, "query", str(labels), "0", "1")[:2] == (0, "true\n")
     for argv in (("query", str(labels), "2", "0"), ("query", str(labels), "0", "2"),
                  ("stats", "--labels", str(labels))):
@@ -103,16 +104,43 @@ def test_nonzero_padding_bit_exits_2(tmp_path, capsys):
         assert "padding bits are not zero" in err and not out
 
 
+def test_every_flipped_record_bit_is_refused(tmp_path, capsys):
+    """Each single-bit flip in any record of a small file, in its bit
+    length, its bits or its CRC-32, is refused by both readers with
+    ValueError, and ``query`` through that record exits 2."""
+    graph = write_chain(tmp_path, 3)
+    labels = tmp_path / "c.rlbl"
+    run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
+    good = labels.read_bytes()
+    n = 3
+    starts = [int.from_bytes(good[10 + 8 * i : 18 + 8 * i], "little") for i in range(n)]
+    flips = 0
+    for i, (start, stop) in enumerate(zip(starts, starts[1:] + [len(good)])):
+        for bit in range(8 * start, 8 * stop):
+            data = bytearray(good)
+            data[bit >> 3] ^= 1 << (bit & 7)
+            labels.write_bytes(bytes(data))
+            with pytest.raises(ValueError):
+                read_label_file(str(labels))
+            with pytest.raises(ValueError):
+                read_labels_at(str(labels), [i])
+            code, out, err = run(capsys, "query", str(labels), str(i), str((i + 1) % n))
+            assert code == 2 and not out and err.startswith("error: "), bit
+            flips += 1
+    assert flips == 8 * (len(good) - starts[0])
+
+
 def test_version_7_label_file_exits_2(tmp_path, capsys):
     graph = write_chain(tmp_path, 3)
     labels = tmp_path / "c.rlbl"
     run(capsys, "encode", "--scheme", "third", "--input", graph, "--output", str(labels))
     data = bytearray(labels.read_bytes())
-    data[4] = 7  # the version byte
-    labels.write_bytes(bytes(data))
-    code, out, err = run(capsys, "query", str(labels), "0", "2")
-    assert code == 2
-    assert "unsupported label file version 7" in err and not out
+    for old in (7, 8):  # version 8, the layout before record CRCs, too
+        data[4] = old  # the version byte
+        labels.write_bytes(bytes(data))
+        code, out, err = run(capsys, "query", str(labels), "0", "2")
+        assert code == 2
+        assert f"unsupported label file version {old}" in err and not out
 
 
 @pytest.mark.parametrize("scheme_id", [1, 3, 9])
@@ -139,16 +167,16 @@ def test_stats_checks_the_labels_it_sizes(tmp_path, capsys):
     scheme_id, n, bits = read_label_file(str(labels))
     head = bits[0]
     # node 0's intra end field (2 bits at 46, after the 40 header bits and
-    # topo, grp, beg, 2 bits each) raised from 2 to 3: its thin group's
-    # table grows a bit and the blob is read a bit late
+    # topo, grp, beg, 2 bits each) lowered from 2 to 0: its thin group's
+    # one-bit window goes and the blob is read a bit early
     shift = len(head) - (46 + 2)
     assert head.value >> shift & 0b11 == 2
-    bits[0] = BitString(head.value ^ (2 ^ 3) << shift, len(head))
+    bits[0] = BitString(head.value ^ (2 ^ 0) << shift, len(head))
     write_label_file(str(labels), scheme_id, n, bits)
     for argv in (("stats", "--labels", str(labels)), ("query", str(labels), "0", "2")):
         code, out, err = run(capsys, *argv)
         assert code == 2
-        assert "entry or retirement outside the blob's groups" in err and not out
+        assert "sub-label index 0 outside side A (a=0, b=0)" in err and not out
     # a label of another scheme in a third file
     warm = encode(Digraph(3, [(0, 1), (1, 2)]), "warmup").labels
     write_label_file(str(labels), scheme_id, n, [warm[0], *bits[1:]])
@@ -199,14 +227,22 @@ def test_query_checks_the_whole_layout(tmp_path, capsys, scheme):
             assert out == ("true\n" if query_lazy(ls.labels[u], ls.labels[v])[0] else "false\n")
 
     # flip the top bit of node 5's first pair schedule entry P_1, which then
-    # pairs more than the n nodes: the check walk must turn that into exit 2
+    # pairs more than the n nodes: in the file, the record's CRC-32 refuses
+    # it; written with a fresh CRC, the check walk must turn it into exit 2
     u = 5
     sched, width, m, _ = blob_fields(ls.labels[u])
     assert m >= 1
-    at = 8 * (10 + 8 * ls.n + sum(4 + (len(b) + 7) // 8 for b in ls.labels[:u]) + 4) + sched
+    at = 8 * (10 + 8 * ls.n + sum(8 + (len(b) + 7) // 8 for b in ls.labels[:u]) + 4) + sched
     data = bytearray(labels.read_bytes())
     data[at >> 3] ^= 0x80 >> (at & 7)
     labels.write_bytes(bytes(data))
+    for pair in ((u, 0), (0, u)):
+        code, out, err = run(capsys, "query", str(labels), *map(str, pair))
+        assert code == 2 and not out
+        assert err == f"error: record of node {u} fails its CRC-32\n"
+    flipped = list(ls.labels)
+    flipped[u] = BitString(flipped[u].value ^ 1 << len(flipped[u]) - 1 - sched, len(flipped[u]))
+    write_label_file(str(labels), ls.scheme_id, ls.n, flipped)
     for pair in ((u, 0), (0, u)):
         code, out, err = run(capsys, "query", str(labels), *map(str, pair))
         assert code == 2 and not out
@@ -314,6 +350,24 @@ def test_verify_failure_prints_triple_and_exits_1(tmp_path, capsys, monkeypatch)
     code, _, err = run(capsys, "verify", "--input", graph, "--scheme", "third")
     assert code == 1
     assert "FAIL graph-seed=- u=1 v=2" in err
+
+
+def test_stats_ledger_is_one_row_per_field(tmp_path, capsys):
+    graph = write_chain(tmp_path, 10)
+    labels = str(tmp_path / "s.rlbl")
+    for scheme, fields in (("third", ["header", "intra_placement", "intra_table",
+                                      "k_removed_iter", "schedule", "biclique_counts",
+                                      "near_sections", "far_sections"]),
+                           ("warmup", ["header", "scc", "index", "window"])):
+        run(capsys, "encode", "--scheme", scheme, "--input", graph, "--output", labels)
+        code, out, _ = run(capsys, "stats", "--labels", labels, "--ledger")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "field,max_bits,mean_bits"
+        assert [line.split(",")[0] for line in lines[1:]] == fields + ["total"]
+        means = [float(line.split(",")[2]) for line in lines[1:]]
+        assert abs(sum(means[:-1]) - means[-1]) < 0.01
+        assert run(capsys, "stats", "--input", graph, "--scheme", scheme, "--ledger")[1] == out
 
 
 def test_stats_from_graph_and_from_labels(tmp_path, capsys):

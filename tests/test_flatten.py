@@ -1,4 +1,4 @@
-"""Layer grouping and the intra-group interval tables."""
+"""Layer grouping and the intra-group half-windows."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import group_split, split_edges
+from helpers import group_split, mixed_corpus, split_edges
 from reachlabel.bitio import BitWriter, LabelHeader
 from reachlabel.flatten import (
     build_superlayers,
@@ -15,8 +15,8 @@ from reachlabel.flatten import (
     gamma_of,
     write_inner,
 )
-from reachlabel.graph import Dag, longest_path_layers, transitive_closure
-from reachlabel.scheme import LabelView
+from reachlabel.graph import Dag, Digraph, longest_path_layers, reach_rows, transitive_closure
+from reachlabel.scheme import LabelView, encode, query
 
 
 def closed_layering(n, edges):
@@ -151,3 +151,49 @@ def test_thick_groups_store_no_table():
         assert view.end_offset == 40 + 3 * 2 + 3 + 1  # header and placement fields only
         with pytest.raises(ValueError):
             view.table_bit(view.table, view.width, view.end_offset, 0)
+
+
+def test_window_branch_reads_one_bit_from_the_nearer_window():
+    """Every pair of components in one group, over the corpus, a 2-chain
+    (one group of m = 2) and a 6-node graph whose thick middle layer leaves
+    two groups of m = 1: the answer is BFS's; u after v reads no table bit;
+    u before v by d reads exactly one, bit d-1 of u's window when d <= m//2
+    and else bit m-d-1 of v's, each named by its label offset."""
+    extra = [Digraph(2, [(0, 1)]), Digraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])]
+    sizes, pairs = set(), 0
+    for g in mixed_corpus() + extra:
+        reach = reach_rows(g)
+        ls = encode(g, "third", "force")
+        lead = sorted(dict.fromkeys(ls.labels[u] for u in range(g.n)),
+                      key=lambda b: LabelView(b).topo)
+        nodes = {bits: u for u, bits in reversed(list(enumerate(ls.labels)))}
+        sizes.update(x.end - x.beg for x in map(LabelView, lead) if not x.thick)
+        for bu in lead:
+            for bv in lead:
+                lu, lv = LabelView(bu), LabelView(bv)
+                if bu == bv or lu.grp != lv.grp:
+                    continue
+                lu.probes, lv.probes = set(), set()
+                want = bool(reach[nodes[bu]] >> nodes[bv] & 1)
+                assert query(lu, lv) == want
+                d, m = lv.topo - lu.topo, lu.end - lu.beg
+                if d < 0 or lu.thick:
+                    assert not want and lu.probes == lv.probes == set()
+                elif d <= m // 2:
+                    assert (lu.probes, lv.probes) == ({lu.end_offset - d}, set())
+                else:
+                    assert (lu.probes, lv.probes) == (set(), {lv.end_offset - m + d})
+                pairs += 1
+    assert {1, 2} <= sizes and pairs > 0
+
+
+@pytest.mark.parametrize("beg,end", [(5, 4), (5, 3), (5, 0)])
+def test_an_interval_ending_before_it_begins_is_refused(beg, end):
+    # n = 8: topo, grp, beg 3 bits each, end 4 bits, then a thin group's flag
+    # and eight more bits that a window of any width could take
+    w = BitWriter()
+    LabelHeader(2, 8).write(w)
+    for value, width in ((beg, 3), (1, 3), (beg, 3), (end, 4), (0, 1), (0xFF, 8)):
+        w.write(value, width)
+    with pytest.raises(ValueError, match="overruns"):
+        LabelView(w.finish())

@@ -54,6 +54,7 @@ from reachlabel.scheme import (
     Pipeline,
     SCHEME_IDS,
     encode,
+    ledger,
     parse_label,
     query,
     query_lazy,
@@ -208,6 +209,35 @@ def test_stats_sections():
         assert rep["max_bits"] >= rep["mean_bits"] > 0
 
 
+def test_ledger_fields_sum_to_each_label():
+    """Every label of the corpus under every scheme and profile: the
+    ledger's fields, in label order, sum to the label's length; the header
+    and placement are fixed per n; and ``stats`` aggregates the ledger over
+    the nodes and derives its sections from it."""
+    warm = ["header", "scc", "index", "window"]
+    composite = ["header", "intra_placement", "intra_table", "k_removed_iter", "schedule",
+                 "biclique_counts", "near_sections", "far_sections"]
+    checked = 0
+    for g in mixed_corpus():
+        pl = Pipeline(g)
+        for scheme, profile in COMBOS:
+            ls = encode(g, scheme, profile, pipeline=pl)
+            rows = [ledger(parse_label(bits)) for bits in ls.labels]
+            for bits, row in zip(ls.labels, rows):
+                assert list(row) == (warm if scheme == "warmup" else composite)
+                assert sum(row.values()) == len(bits)
+                assert row["header"] == 40
+                checked += 1
+            rep = stats(ls)
+            for name, agg in rep["ledger"].items():
+                vals = [r[name] for r in rows]
+                assert agg == {"max": max(vals), "mean": sum(vals) / len(vals)}
+            if scheme != "warmup":
+                intra = [r["intra_placement"] + r["intra_table"] for r in rows]
+                assert rep["sections"]["intra"]["max"] == max(intra)
+    assert checked > 0
+
+
 def test_header_is_scheme_id_and_n_and_offsets_are_derived():
     """Every composite label of the corpus starts with its 40-bit header,
     scheme[8] n[32], and then holds its intra section and its blob and
@@ -338,25 +368,30 @@ def test_encoding_orders_nothing_itself(monkeypatch):
 # 8 bits a label, the poset's 10); the warm-up dag's labels are unchanged,
 # and its file differs only in the version byte. The poset was re-pinned
 # once more, still at version 8, when the greedy biclique grower replaced the
-# q-subset search; the dag's and digraph's bytes did not change.
+# q-subset search; the dag's and digraph's bytes did not change. All three
+# were re-pinned at version 9, when each record gained a CRC-32 and each
+# thin group's intra table became a (end-beg)//2-bit half-window: the
+# composite labels shrank (digraph max / mean 240 / 214.1 -> 239 / 213.1,
+# poset 231 / 172.8 -> 225 / 166.8); the warm-up dag's labels are unchanged,
+# and its file differs in the version byte and the CRCs.
 PINNED_DIGESTS = [
     (
         GenSpec("dag", 60, 0.1, 3),
         "warmup",
         "paper",
-        "468a4228bc4f0b24428a46bac03ebf46a168e5cf4c31518e170470b8d4209470",
+        "7b2538dfc111204209b4cdbfb6f88defaadc53b83519e0fa7e5252b51d644e09",
     ),
     (
         GenSpec("digraph", 80, 0.03, 5),  # 31 components, the largest of 50
         "third",
         "paper",
-        "f4afdb627a719c5328a36925c63de450b3b0355a653cb64b41984307094e1b53",
+        "a003d7c65bef1d26813933e11c7950b04b2a88312e90e6eabbbec6c7823e3f9d",
     ),
     (
         GenSpec("poset", 70, 0.5, 7),
         "average",
         "force",
-        "99f1541a1dca3bab6b7c579368a31d032ca0660283c4a6d44d14a3c3dac402d9",
+        "519d217a6e276535ff174620d7fa5c95f82b7bb26b0567b41c3efe996211a24e",
     ),
 ]
 
@@ -377,7 +412,8 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     every key (re-pinned at version 7, when the header lost its offsets,
     at version 8, when the labels lost their component id and entry, and
     when the greedy biclique grower replaced the q-subset search: the
-    largest set fell from 83 keys to 45)."""
+    largest set fell from 83 keys to 45; and at version 9, when records
+    gained a CRC-32 and intra tables became half-windows)."""
     real = crosslabel.build_set
     built = []
 
@@ -393,7 +429,7 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "pinned.rlbl"
     write_label_file(str(path), ls.scheme_id, ls.n, ls.labels)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "23daf54721328ba483db9e779204d7eeb42b830170f2d495a6d45d9d09323478"
+        "922b9976720c44fc82f9934002c32f03d2cb15cf116cdb3eef3f0fdf552e6ec9"
     )
 
 
@@ -418,7 +454,10 @@ def test_sparse_dag_rest_sets_are_pinned(tmp_path, monkeypatch):
 # group order before viewing any blob: a pair whose u group is not below v's
 # no longer reads k and ``removed_iter`` from either label (digraph
 # 55999 -> 47703, poset 53800 -> 43740; the warm-up dag is unchanged).
-PINNED_WORDS = [16170, 47703, 43740]
+# Re-pinned at version 9, when intra tables became half-windows: a pair in
+# one thin group with u after v answers unread, without its table probe
+# (digraph 47703 -> 47682, poset 43740 -> 43366).
+PINNED_WORDS = [16170, 47682, 43366]
 
 
 @pytest.mark.parametrize(
@@ -438,8 +477,9 @@ def test_order_settled_pairs_view_no_blob(spec, scheme, profile):
     """A pair of two components whose u group is not below v's is answered
     from the intra fields: the query builds no blob view or other object,
     and each label view counts only its header and placement words, plus
-    the one table probe of a shared thin group. The warm-up pin's graph is
-    encoded under ``third``, as a warm-up label has no group."""
+    the one window probe of a shared thin group with u before v. The
+    warm-up pin's graph is encoded under ``third``, as a warm-up label has
+    no group."""
     g = generate(spec)
     ls = encode(g, "third" if scheme == "warmup" else scheme, profile)
     reach = reach_rows(g)
@@ -451,7 +491,7 @@ def test_order_settled_pairs_view_no_blob(spec, scheme, profile):
             lu, lv = LabelView(ls.labels[u]), LabelView(ls.labels[v])
             if u == v or lu.grp < lv.grp:
                 continue
-            probe = lu.grp == lv.grp and not lu.thick
+            probe = lu.grp == lv.grp and not lu.thick and lu.topo < lv.topo
             got = []
             assert inits(lambda: got.append(query(lu, lv))) == Counter()
             assert got == [bool(reach[u] >> v & 1)]
@@ -580,11 +620,14 @@ def test_queries_leave_no_cyclic_garbage(spec, scheme, profile):
 # their count and the sha256 of their "node offset value" lines in (node,
 # offset) order. An independent copy of the decoder's dispatch (window
 # bases, class pairs, flag routing, the half-window wrap) gave these same
-# lists, so a drift here is a change in which bits queries read.
+# lists, so a drift here is a change in which bits queries read. The
+# digraph and poset were re-pinned at version 9, when intra tables became
+# half-windows, each pair of a thin group probing one bit of one window
+# (digraph 42 -> 21 bits, poset 2108 -> 1734); the dag is unchanged.
 PINNED_INVENTORIES = [
     (1770, "80d8772d48b2bed095692e0c891e2e340fbb85447cf99c299dc7c7fe256834a8"),
-    (42, "7b4d50fc983840cf60403ab7872e83f3237325b7c1e12c166841967b83a20a0f"),
-    (2108, "61c25e470d097e03a2ae423c4f185d9aaa1533951fbf6753c7f1f8c94f34d875"),
+    (21, "919f68beecba5bc8beb2cb3037303cde415bb26cc6fa2c67721095d336623333"),
+    (1734, "9fa4f32df966c5dcc6d2aaecd581d993ce2fa2cdcb9a6e0cc35e33107a2bccb9"),
 ]
 
 
@@ -1054,10 +1097,15 @@ def test_prefixes_cutting_the_intra_section_raise_value_error():
 # The poset was re-pinned when the greedy biclique grower replaced the
 # q-subset search: fewer, larger bicliques give it shorter labels. Accepted:
 # poset 4454 of 24198 copies (18.4%); the dag and digraph are unchanged.
+# The digraph and poset were re-pinned at version 9, when intra tables
+# became half-windows and the labels shrank. Accepted: digraph 905 of 10680
+# copies (8.5%), poset 4104 of 23358 (17.6%); the dag is unchanged. A label
+# file's CRC-32 refuses every one of these flips; ``parse_label`` on an
+# in-memory label does not have it.
 PINNED_VERDICTS = [
     (7276, "12929f9feb1b35e949045ca3dd4d87910a8b580c7ddd459ae587523a2be1b93f"),
-    (9823, "cc71f21bef8f39f1ec7aeefd0d5666cc87e66e0cea4729815be75aa9d73160e8"),
-    (19744, "0089a7a020c13dd620af3e25c19829d8316b5595389bebb6e06f253a5e58adf5"),
+    (9775, "5e1a4b83bf18ca2685afca8134f5e6a9bf86e2bd959ed0e3ab6fa9032f58c1b4"),
+    (19254, "04ac06684a0e7a33d00291b108dc2376295e4f840d98b593cba7c07e2aa0a9a5"),
 ]
 
 
